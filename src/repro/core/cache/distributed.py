@@ -85,6 +85,19 @@ class KeyValueStore:
             if self._data.pop(key, None) is not None:
                 self.deletes += 1
 
+    def invalidate_prefix(self, prefix: str) -> int:
+        """Drop every key under ``prefix``; returns how many were removed."""
+        with self._lock:
+            doomed = [k for k in self._data if k.startswith(prefix)]
+            for key in doomed:
+                del self._data[key]
+            self.deletes += len(doomed)
+        return len(doomed)
+
+    def describe(self, key: str) -> None:
+        """Replica placement of ``key`` for EXPLAIN: a single store has none."""
+        return None
+
     def flush(self) -> None:
         with self._lock:
             self._data.clear()
@@ -138,8 +151,9 @@ def deserialize_table(payload: bytes) -> Table:
 class DistributedQueryCache:
     """A node-local L1 over a shared L2 store.
 
-    ``store`` is anything with the :class:`KeyValueStore` byte API — the
-    single store E7 models or the replicated
+    ``store`` is anything with the :class:`KeyValueStore` API (bytes
+    in and out, ``invalidate_prefix``, ``describe``) — the single store
+    E7 models or the replicated
     :class:`~repro.core.cache.replicated.ReplicatedStore` tier.
     """
 
@@ -196,20 +210,11 @@ class DistributedQueryCache:
             doomed = [k for k in self._l1 if k.startswith(prefix)]
             for key in doomed:
                 del self._l1[key]
-        fan_out = getattr(self.store, "invalidate_prefix", None)
-        if fan_out is not None:
-            return fan_out(prefix)
-        removed = 0
-        for key in self.store.keys():
-            if key.startswith(prefix):
-                self.store.delete(key)
-                removed += 1
-        return removed
+        return self.store.invalidate_prefix(prefix)
 
     def describe(self, key: str) -> dict | None:
-        """Replica placement of ``key``, when the store can tell (EXPLAIN)."""
-        describe = getattr(self.store, "describe", None)
-        return describe(key) if describe is not None else None
+        """Replica placement of ``key``, when the store has any (EXPLAIN)."""
+        return self.store.describe(key)
 
 
 class DistributedLiteralCache:

@@ -79,6 +79,11 @@ class LiteralCache:
                 del self._entries[k]
             return len(doomed)
 
+    def describe(self, key: str) -> None:
+        """Replica placement of ``key`` for EXPLAIN: an in-process cache
+        has none (the distributed adapter answers from its tier)."""
+        return None
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

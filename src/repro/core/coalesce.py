@@ -48,7 +48,7 @@ class CoalesceTimeoutError(SourceUnavailableError):
     """A follower's wait on an in-flight leader exceeded the timeout."""
 
 
-class _Flight:
+class Flight:
     """One in-flight execution: the leader's promise to its followers."""
 
     __slots__ = ("spec", "key", "followers", "_done", "_table", "_error", "ctx")
@@ -98,7 +98,7 @@ class JoinTicket:
     the local derivation plan for a subsumption join.
     """
 
-    flight: _Flight = field(repr=False)
+    flight: Flight = field(repr=False)
     post_ops: tuple[PostOp, ...] = ()
     leader_key: str = ""
     subsumed: bool = False
@@ -144,17 +144,10 @@ class SingleFlightRegistry:
     per node.
     """
 
-    def __init__(
-        self,
-        name: str = "",
-        *,
-        clock: Clock | None = None,
-        wait_timeout_s: float = 30.0,
-    ):
+    def __init__(self, name: str = "", *, clock: Clock | None = None):
         self.name = name
         self.clock = clock or SYSTEM_CLOCK
-        self.wait_timeout_s = wait_timeout_s
-        self._flights: dict[str, _Flight] = {}
+        self._flights: dict[str, Flight] = {}
         self._lock = threading.Lock()
         self.stats = CoalesceStats()
 
@@ -167,7 +160,7 @@ class SingleFlightRegistry:
         *,
         subsume: bool = True,
         exclude: frozenset[str] = frozenset(),
-    ) -> tuple[_Flight | None, JoinTicket | None]:
+    ) -> tuple[Flight | None, JoinTicket | None]:
         """Atomically become the leader for ``spec`` or join one in flight.
 
         Returns ``(flight, None)`` when the caller is now the leader and
@@ -204,7 +197,7 @@ class SingleFlightRegistry:
                             )
                             break
                 if ticket is None:
-                    flight = _Flight(spec)
+                    flight = Flight(spec)
                     if obs.enabled():
                         flight.ctx = obs.current_trace_context()
                     self._flights[key] = flight
@@ -237,24 +230,23 @@ class SingleFlightRegistry:
             )
         return flight, None
 
-    def peek(self, spec: QuerySpec, *, subsume: bool = True) -> JoinTicket | None:
+    def peek(self, spec: QuerySpec) -> JoinTicket | None:
         """Would ``spec`` coalesce right now? (EXPLAIN's view; no joining.)"""
         key = spec.canonical()
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
                 return JoinTicket(flight, (), flight.key, False)
-            if subsume:
-                for candidate in self._flights.values():
-                    match = match_specs(candidate.spec, spec)
-                    if match is not None:
-                        return JoinTicket(candidate, match.post_ops, candidate.key, True)
+            for candidate in self._flights.values():
+                match = match_specs(candidate.spec, spec)
+                if match is not None:
+                    return JoinTicket(candidate, match.post_ops, candidate.key, True)
         return None
 
     # ------------------------------------------------------------------ #
     # Leader completion
     # ------------------------------------------------------------------ #
-    def publish(self, flight: _Flight, table) -> int:
+    def publish(self, flight: Flight, table) -> int:
         """Leader succeeded: hand ``table`` to every waiting follower.
 
         Returns the number of followers that were waiting (accounting
@@ -273,7 +265,7 @@ class SingleFlightRegistry:
             )
         return followers
 
-    def fail(self, flight: _Flight, error: SourceError) -> int:
+    def fail(self, flight: Flight, error: SourceError) -> int:
         """Leader failed (or degraded): propagate ``error`` to followers.
 
         Followers then retry or degrade on their own — the registry never
@@ -292,7 +284,7 @@ class SingleFlightRegistry:
             )
         return followers
 
-    def _finish(self, flight: _Flight, table, error: SourceError | None) -> int:
+    def _finish(self, flight: Flight, table, error: SourceError | None) -> int:
         with self._lock:
             # Remove before resolving so a post-completion caller starts a
             # fresh flight instead of joining a finished one.

@@ -14,6 +14,9 @@ For each batch of query specs:
 5. **Reuse** — results are (optionally enriched and) inserted into the
    intelligent cache; local nodes are then answered from it.
 
+Steps 2–3 (with enrichment and compilation) are one planning step whose
+:class:`BatchPlan` ``run_batch`` executes and ``explain_batch`` narrates.
+
 Degradation: a source failure (retries exhausted, circuit breaker open,
 pool member dead) never raises out of :meth:`QueryPipeline.run_batch`.
 The failed spec is served from the :class:`~repro.core.stale.
@@ -31,21 +34,21 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..connectors.pool import ConnectionPool
-from ..obs.ledger import LedgerBook, RequestLedger
 from ..errors import SourceError, SourceUnavailableError
 from ..faults.breaker import CircuitBreaker
 from ..faults.retry import RetryPolicy
-from ..queries.compile import compile_spec
+from ..obs.ledger import NULL_BOOK, LedgerBook, NullLedgerBook, RequestLedger
+from ..queries.compile import CompiledQuery, compile_spec
 from ..queries.model import DataSourceModel
-from ..queries.postops import apply_post_ops
+from ..queries.postops import PostOp, apply_post_ops
 from ..queries.spec import QuerySpec
 from ..tde.storage.table import Table
 from .batch import build_batch_graph
 from .cache.intelligent import IntelligentCache, enrich_spec, match_specs
 from .cache.literal import LiteralCache
-from .coalesce import JoinTicket, SingleFlightRegistry, _Flight
+from .coalesce import Flight, JoinTicket, SingleFlightRegistry
 from .executor import ConcurrentQueryExecutor
-from .fusion import fuse_batch
+from .fusion import FusedQuery, fuse_batch
 from .stale import StaleResultStore
 
 
@@ -64,7 +67,6 @@ class PipelineOptions:
     enable_batch_graph: bool = True
     concurrent: bool = True
     enrich_for_reuse: bool = True
-    choose_best_match: bool = False
     max_workers: int = 8
     max_connections: int = 8
     externalize_threshold: int | None = None
@@ -77,20 +79,17 @@ class PipelineOptions:
     breaker_recovery_s: float = 30.0
     #: Serve last-known-good results (flagged stale) when a source is down.
     serve_stale: bool = True
-    stale_max_entries: int = 256
     #: Single-flight coalescing: concurrent identical queries share one
-    #: execution (leader runs, followers wait on its published result).
+    #: execution (leader runs, followers wait on its published result —
+    #: also a leader whose spec *subsumes* the request, proved by
+    #: ``match_specs``; that follower answers with post-ops).
     enable_coalescing: bool = True
-    #: Also join leaders whose in-flight spec *subsumes* the request
-    #: (proved by ``match_specs``); the follower answers with post-ops.
-    coalesce_subsumption: bool = True
     #: How long a follower waits on a leader before treating the flight
     #: as failed and retrying on its own.
     coalesce_wait_timeout_s: float = 30.0
     #: Attach a :class:`~repro.obs.ledger.RequestLedger` to every spec in
-    #: every batch (servers with telemetry force this on). Ledgers are
-    #: also built whenever global observability is enabled; with both
-    #: off, the ledger path allocates nothing.
+    #: every batch (also on whenever global observability is enabled);
+    #: off, the batch books against the no-op ``NULL_BOOK``.
     enable_ledger: bool = False
 
 
@@ -148,6 +147,60 @@ class BatchResult:
         return not self.errors
 
 
+@dataclass
+class Derivation:
+    """One spec answered locally from another query's result."""
+
+    spec: QuerySpec
+    key: str  # spec.canonical()
+    #: Whose result answers it: the spec actually sent (a member of a
+    #: remote query) or another spec of the batch (a batch-local node).
+    provider: QuerySpec
+    #: The fusion recipe over the un-enriched fused result; None for a
+    #: batch-local node, whose graph edge already proved the match.
+    fallback: tuple[PostOp, ...] | None = None
+
+    def post_ops(self) -> tuple[PostOp, ...]:
+        """The operators that turn the provider's result into the answer."""
+        match = match_specs(self.provider, self.spec)
+        # Enrichment only widens, so a sent spec matches its members.
+        return match.post_ops if match is not None else self.fallback
+
+
+@dataclass
+class Send:
+    """One remote query: the fused group, the (enriched) spec actually
+    sent, its compilation, and the members its result is split into."""
+
+    fused: FusedQuery
+    spec: QuerySpec
+    compiled: CompiledQuery
+    members: list[Derivation]
+
+
+@dataclass
+class BatchPlan:
+    """What a set of pending specs will do: the remote queries, and the
+    batch-graph nodes derived locally from another pending spec's result.
+    Built by :meth:`QueryPipeline._plan`; ``run_batch`` executes it,
+    ``explain_batch`` narrates it."""
+
+    sends: list[Send]
+    local: list[Derivation]
+
+
+#: What an untraced plan opens in place of its phase spans.
+_MUTE = obs.NULL_TRACER.span("")
+
+
+def _distinct(specs: list[QuerySpec]) -> dict[str, QuerySpec]:
+    """The batch's distinct specs by canonical key, in first-seen order."""
+    distinct: dict[str, QuerySpec] = {}
+    for spec in specs:
+        distinct.setdefault(spec.canonical(), spec)
+    return distinct
+
+
 class QueryPipeline:
     """Processes query batches for one data source + model."""
 
@@ -168,10 +221,11 @@ class QueryPipeline:
         self.model = model
         self.options = options or PipelineOptions()
         self.clock = clock
-        # Ledger charges, executor timings and batch elapsed all read
-        # this one monotonic source, so phase sums stay conserved under
-        # a virtual clock exactly as under the system clock.
-        self._ledger_now = clock.monotonic if clock is not None else time.monotonic
+        #: Ledger charges, executor timings, batch elapsed and the
+        #: render/server windows around a batch all read this one
+        #: monotonic source, so phase sums stay conserved under a
+        #: virtual clock exactly as under the system clock.
+        self.now = clock.monotonic if clock is not None else time.monotonic
         if pool is None:
             breaker = None
             if self.options.enable_breaker:
@@ -187,22 +241,14 @@ class QueryPipeline:
                 breaker=breaker,
             )
         self.pool = pool
-        self.intelligent_cache = intelligent_cache or IntelligentCache(
-            choose_best=self.options.choose_best_match
-        )
+        self.intelligent_cache = intelligent_cache or IntelligentCache()
         self.literal_cache = literal_cache or LiteralCache()
         self.stale_store = stale_store or (
-            StaleResultStore(self.options.stale_max_entries, clock=clock)
-            if self.options.serve_stale
-            else None
+            StaleResultStore(clock=clock) if self.options.serve_stale else None
         )
         # One registry per source; a VizServer passes the same instance to
         # every node's pipeline so coalescing works cluster-wide.
-        self.coalescer = coalescer or SingleFlightRegistry(
-            source.name,
-            clock=clock,
-            wait_timeout_s=self.options.coalesce_wait_timeout_s,
-        )
+        self.coalescer = coalescer or SingleFlightRegistry(source.name, clock=clock)
         self.executor = ConcurrentQueryExecutor(
             self.pool,
             max_workers=self.options.max_workers,
@@ -219,37 +265,27 @@ class QueryPipeline:
     def run_batch(
         self, specs: list[QuerySpec], *, reuse_fields: frozenset[str] = frozenset()
     ) -> BatchResult:
-        book = (
-            LedgerBook(self._ledger_now)
-            if (self.options.enable_ledger or obs.enabled())
-            else None
-        )
-        started = book.t0 if book is not None else self._ledger_now()
+        started = self.now()
         result = BatchResult({})
+        book: LedgerBook | NullLedgerBook = NULL_BOOK
+        if self.options.enable_ledger or obs.enabled():
+            book = LedgerBook(self.now)
+            result.ledgers = book.ledgers
         with obs.span("pipeline.run_batch", specs=len(specs)) as batch_span:
-            ordered: list[QuerySpec] = []
-            seen: set[str] = set()
-            for spec in specs:
-                if spec.canonical() not in seen:
-                    seen.add(spec.canonical())
-                    ordered.append(spec)
+            ordered = _distinct(specs)
             # Phase 0: serve from the intelligent cache.
             pending: list[QuerySpec] = []
             with obs.span("pipeline.cache_probe", specs=len(ordered)):
-                for spec in ordered:
+                for key, spec in ordered.items():
                     if self.options.enable_intelligent_cache:
-                        t_probe = book.now() if book is not None else 0.0
+                        t_probe = book.now()
                         cached = self.intelligent_cache.lookup(spec)
-                        if book is not None:
-                            book.charge(
-                                spec.canonical(), "cache_probe", book.now() - t_probe
-                            )
+                        book.charge_since(t_probe, "cache_probe", key)
                         if cached is not None:
-                            self._record_good(spec.canonical(), cached)
-                            result.tables[spec.canonical()] = cached
+                            self._record_good(key, cached)
+                            result.tables[key] = cached
                             result.cache_hits += 1
-                            if book is not None:
-                                book.finish(spec.canonical(), "cache_hit")
+                            book.finish(key, "cache_hit")
                             continue
                     pending.append(spec)
             if pending:
@@ -267,9 +303,9 @@ class QueryPipeline:
                     self._resolve_flights(flights, result)
                 if followers:
                     self._await_followers(followers, result, reuse_fields, book)
-            result.elapsed_s = self._ledger_now() - started
-            if book is not None:
-                result.ledgers = book.close()
+            result.elapsed_s = self.now() - started
+            # The safety net for a path that answered without a finish.
+            book.close()
             batch_span.set(
                 remote_queries=result.remote_queries,
                 cache_hits=result.cache_hits,
@@ -292,38 +328,27 @@ class QueryPipeline:
     # ------------------------------------------------------------------ #
     def _coalesce_partition(
         self, pending: list[QuerySpec]
-    ) -> tuple[
-        list[tuple[str, _Flight]],
-        list[tuple[QuerySpec, JoinTicket]],
-        list[QuerySpec],
-    ]:
+    ) -> tuple[list[Flight], list[tuple[QuerySpec, JoinTicket]], list[QuerySpec]]:
         """Split pending specs into owned flights, follower joins, leaders."""
         if not self.options.enable_coalescing:
             return [], [], pending
-        flights: list[tuple[str, _Flight]] = []
+        flights: list[Flight] = []
         followers: list[tuple[QuerySpec, JoinTicket]] = []
         leaders: list[QuerySpec] = []
-        own_keys: set[str] = set()
         for spec in pending:
             # A spec never joins this batch's own flights: intra-batch
             # derivation is the batch graph's (non-blocking) job.
             flight, ticket = self.coalescer.lead_or_join(
-                spec,
-                subsume=self.options.coalesce_subsumption,
-                exclude=frozenset(own_keys),
+                spec, exclude=frozenset(f.key for f in flights)
             )
             if ticket is not None:
                 followers.append((spec, ticket))
             else:
-                key = spec.canonical()
-                flights.append((key, flight))
-                own_keys.add(key)
+                flights.append(flight)
                 leaders.append(spec)
         return flights, followers, leaders
 
-    def _resolve_flights(
-        self, flights: list[tuple[str, _Flight]], result: BatchResult
-    ) -> None:
+    def _resolve_flights(self, flights: list[Flight], result: BatchResult) -> None:
         """Publish each owned flight's outcome to any waiting followers.
 
         Only *fresh* results are shared. A leader that degraded (stale
@@ -331,30 +356,25 @@ class QueryPipeline:
         retry or degrade independently — a follower never inherits a
         stale flag it didn't earn from its own stale store.
         """
-        for key, flight in flights:
-            if key in result.tables and key not in result.stale_keys:
+        for flight in flights:
+            key = flight.key
+            if key in result.stale_keys:
+                reason = f"leader for {key!r} degraded to a stale serve"
+            elif key in result.tables:
                 self.coalescer.publish(flight, result.tables[key])
-            elif key in result.stale_keys:
-                self.coalescer.fail(
-                    flight,
-                    SourceUnavailableError(
-                        f"leader for {key!r} degraded to a stale serve"
-                    ),
-                )
+                continue
             else:
-                self.coalescer.fail(
-                    flight,
-                    SourceUnavailableError(
-                        result.errors.get(key, "leader execution did not produce a result")
-                    ),
+                reason = result.errors.get(
+                    key, "leader execution did not produce a result"
                 )
+            self.coalescer.fail(flight, SourceUnavailableError(reason))
 
     def _await_followers(
         self,
         followers: list[tuple[QuerySpec, JoinTicket]],
         result: BatchResult,
         reuse_fields: frozenset[str],
-        book: LedgerBook | None = None,
+        book: LedgerBook | NullLedgerBook,
     ) -> None:
         """Collect coalesced answers; on leader failure, retry/degrade solo."""
         retry_specs: list[QuerySpec] = []
@@ -365,19 +385,18 @@ class QueryPipeline:
                 # leading the flight: record the causal edge so the
                 # critical-path analyzer charges the leader's work.
                 wait_span.add_link("coalesce.leader", ticket.flight.ctx, key=key)
-                t_wait = book.now() if book is not None else 0.0
+                t_wait = book.now()
                 outcome = ticket.wait(
                     self.options.coalesce_wait_timeout_s, clock=self.coalescer.clock
                 )
-                if book is not None:
-                    # Charged from the book's own clock (not the registry's
-                    # ``waited_s``) so the conservation invariant holds even
-                    # when the two run on different clocks.
-                    book.charge(key, "coalesce_wait", book.now() - t_wait)
+                # Charged from the book's own clock (not the registry's
+                # ``waited_s``) so the conservation invariant holds even
+                # when the two run on different clocks.
+                book.charge_since(t_wait, "coalesce_wait", key)
                 result.coalesce_wait_s += outcome.waited_s
                 obs.histogram("coalesce.wait_s").observe(outcome.waited_s)
                 if outcome.ok:
-                    t_post = book.now() if book is not None else 0.0
+                    t_post = book.now()
                     table = outcome.table
                     if ticket.post_ops:
                         table = apply_post_ops(table, ticket.post_ops)
@@ -391,9 +410,8 @@ class QueryPipeline:
                         self.intelligent_cache.put(
                             ticket.flight.spec, outcome.table, cost_s=outcome.waited_s
                         )
-                    if book is not None:
-                        book.charge(key, "post_ops", book.now() - t_post)
-                        book.finish(key, "coalesced")
+                    book.charge_since(t_post, "post_ops", key)
+                    book.finish(key, "coalesced")
                 else:
                     obs.counter("coalesce.leader_failures").inc()
                     if obs.events_enabled():
@@ -418,170 +436,153 @@ class QueryPipeline:
             self._run_pending(retry_specs, result, reuse_fields, book)
 
     # ------------------------------------------------------------------ #
-    def _run_pending(
-        self,
-        pending: list[QuerySpec],
-        result: BatchResult,
-        reuse_fields: frozenset[str] = frozenset(),
-        book: LedgerBook | None = None,
-    ) -> None:
-        t_analysis = book.now() if book is not None else 0.0
+    # Planning (phases 1-3) and execution (phases 4-5)
+    # ------------------------------------------------------------------ #
+    def _plan(
+        self, pending: list[QuerySpec], reuse_fields: frozenset[str], *, traced: bool = True
+    ) -> BatchPlan:
+        """Phases 1–3: decide what ``pending`` will do; runs no query and
+        touches no cache. EXPLAIN plans untraced: a dry run outside any
+        request must not mint trace roots or tick a virtual trace clock."""
         # Phase 1: batch analysis — partition into remote and local.
-        with obs.span("pipeline.batch_graph", pending=len(pending)) as graph_span:
+        with (obs.span("pipeline.batch_graph", pending=len(pending)) if traced else _MUTE) as span:
+            remote_specs, local = list(pending), []
             if self.options.enable_batch_graph and len(pending) > 1:
                 graph = build_batch_graph(pending)
                 remote_specs = [pending[i] for i in graph.remote]
-                local_nodes = [(j, graph.provider_of[j]) for j in graph.local]
-            else:
-                graph = None
-                remote_specs = list(pending)
-                local_nodes = []
-            graph_span.set(remote=len(remote_specs), local=len(local_nodes))
+                local = [
+                    Derivation(pending[j], pending[j].canonical(), pending[i])
+                    for j, i in graph.provider_of.items()
+                ]
+            span.set(remote=len(remote_specs), local=len(local))
         # Phase 2: fuse the remote set.
-        with obs.span("pipeline.fusion", remote=len(remote_specs)) as fusion_span:
+        with (obs.span("pipeline.fusion", remote=len(remote_specs)) if traced else _MUTE) as span:
             fused = fuse_batch(remote_specs, enabled=self.options.enable_fusion)
-            result.fused_away += len(remote_specs) - len(fused)
-            fusion_span.set(fused=len(fused))
-        # Phase 3: compile and execute concurrently.
-        with obs.span("pipeline.compile", queries=len(fused)):
-            to_send = []
+            span.set(fused=len(fused))
+        # Phase 3: compile what will actually be sent.
+        with obs.span("pipeline.compile", queries=len(fused)) if traced else _MUTE:
+            sends: list[Send] = []
             for fq in fused:
-                send_spec = (
-                    enrich_spec(fq.spec, reuse_fields=reuse_fields)
-                    if self.options.enrich_for_reuse
-                    else fq.spec
-                )
+                send_spec = fq.spec
+                if self.options.enrich_for_reuse:
+                    send_spec = enrich_spec(fq.spec, reuse_fields=reuse_fields)
                 compiled = compile_spec(
                     send_spec,
                     self.model,
                     self.source,
                     externalize_threshold=self.options.externalize_threshold,
                 )
-                to_send.append((fq, send_spec, compiled))
-        if book is not None:
-            # Batch analysis, fusion and compilation all happened while
-            # every remote member waited: each gets the full duration.
-            analysis_s = book.now() - t_analysis
-            for fq in fused:
+                members = []
                 for member in fq.members:
-                    book.charge(member.canonical(), "compile", analysis_s)
-        with obs.span("pipeline.remote_execution", queries=len(to_send)):
+                    key = member.canonical()
+                    members.append(Derivation(member, key, send_spec, fq.extract_ops[key]))
+                sends.append(Send(fq, send_spec, compiled, members))
+        return BatchPlan(sends, local)
+
+    def _run_pending(
+        self,
+        pending: list[QuerySpec],
+        result: BatchResult,
+        reuse_fields: frozenset[str],
+        book: LedgerBook | NullLedgerBook,
+    ) -> None:
+        t_plan = book.now()
+        plan = self._plan(pending, reuse_fields)
+        member_keys = [member.key for send in plan.sends for member in send.members]
+        result.fused_away += len(member_keys) - len(plan.sends)
+        # Batch analysis, fusion and compilation all happened while
+        # every remote member waited: each gets the full duration.
+        book.charge_since(t_plan, "compile", *member_keys)
+        with obs.span("pipeline.remote_execution", queries=len(plan.sends)):
             outcomes = self.executor.run_batch(
-                [c for _fq, _s, c in to_send],
+                [send.compiled for send in plan.sends],
                 concurrent=self.options.concurrent,
                 capture_errors=True,
             )
         # Phase 4: populate caches and split fused results.
         with obs.span("pipeline.post_processing", queries=len(outcomes)):
-            for (fq, send_spec, _compiled), outcome in zip(to_send, outcomes):
+            for send, outcome in zip(plan.sends, outcomes):
                 if outcome.failed:
                     # The whole fused query is gone; degrade each member
                     # independently (stale serve or per-spec error).
-                    for member in fq.members:
-                        self._degrade(member.canonical(), outcome.error, result, book)
+                    for member in send.members:
+                        self._degrade(member.key, outcome.error, result, book)
                     continue
                 result.remote_queries += 0 if outcome.from_literal_cache else 1
                 result.literal_hits += 1 if outcome.from_literal_cache else 0
                 if self.options.enable_intelligent_cache:
-                    self.intelligent_cache.put(
-                        send_spec, outcome.table, cost_s=outcome.elapsed_s
+                    self.intelligent_cache.put(send.spec, outcome.table, cost_s=outcome.elapsed_s)
+                sent_key = send.spec.canonical()
+                # Pool checkout is admission pressure (queue); the rest
+                # of the outcome's elapsed is backend execution — both on
+                # the executor's clock, which is this book's clock.
+                execute_s = max(outcome.elapsed_s - outcome.checkout_wait_s, 0.0)
+                for member in send.members:
+                    key = member.key
+                    book.charge(key, "queue", outcome.checkout_wait_s)
+                    book.charge(key, "execute", execute_s)
+                    # Looking a member up *is* splitting the result just cached.
+                    answer, from_cache = self._answer_locally(
+                        member, outcome.table, book, "post_ops"
                     )
-                sent_key = send_spec.canonical()
-                for member in fq.members:
-                    key = member.canonical()
-                    if book is not None:
-                        # Pool checkout is admission pressure (queue);
-                        # the rest of the outcome's elapsed is backend
-                        # execution — both on the executor's clock, which
-                        # is this book's clock.
-                        book.charge(key, "queue", outcome.checkout_wait_s)
-                        book.charge(
-                            key,
-                            "execute",
-                            max(outcome.elapsed_s - outcome.checkout_wait_s, 0.0),
-                        )
-                    t_member = book.now() if book is not None else 0.0
-                    answer = None
-                    from_cache = False
-                    if self.options.enable_intelligent_cache:
-                        answer = self.intelligent_cache.lookup(member)
-                        if answer is not None and key != sent_key:
-                            # Derived from the cached (wider) result, not a
-                            # re-read of the member's own remote fetch.
-                            result.derived_hits += 1
-                            from_cache = True
-                    if answer is None:
-                        # Derive directly from the fetched (possibly enriched)
-                        # result: enrichment only widens, so a match must exist.
-                        match = match_specs(send_spec, member)
-                        if match is not None:
-                            answer = apply_post_ops(outcome.table, match.post_ops)
-                        else:
-                            answer = apply_post_ops(
-                                outcome.table, fq.extract_ops[key]
-                            )
                     self._record_good(key, answer)
                     result.tables[key] = answer
-                    if book is not None:
-                        book.charge(key, "post_ops", book.now() - t_member)
-                        if key == sent_key or len(fq.members) == 1:
-                            book.finish(key, "fresh")
-                        else:
-                            book.finish(key, "derived" if from_cache else "fused")
+                    if key == sent_key or len(send.members) == 1:
+                        book.finish(key, "fresh")
+                    else:
+                        book.finish(key, "derived" if from_cache else "fused")
+                    if from_cache and key != sent_key:
+                        # Derived from the cached (wider) result, not a
+                        # re-read of the member's own remote fetch.
+                        result.derived_hits += 1
         # Phase 5: answer the local (derivable) nodes.
-        with obs.span("pipeline.local_answers", nodes=len(local_nodes)):
-            for j, provider_idx in local_nodes:
-                spec = pending[j]
-                key = spec.canonical()
+        with obs.span("pipeline.local_answers", nodes=len(plan.local)):
+            for node in plan.local:
+                key = node.key
                 if key in result.tables or key in result.errors:
                     continue
-                t_lookup = book.now() if book is not None else 0.0
-                answer = None
-                from_cache = False
-                if self.options.enable_intelligent_cache:
-                    answer = self.intelligent_cache.lookup(spec)
-                    if answer is not None:
-                        result.derived_hits += 1
-                        from_cache = True
-                if book is not None:
-                    book.charge(key, "cache_probe", book.now() - t_lookup)
-                provider = pending[provider_idx]
-                provider_key = provider.canonical()
+                provider_key = node.provider.canonical()
+                provider_table = result.tables.get(provider_key)
+                answer, from_cache = self._answer_locally(node, provider_table, book, "cache_probe")
                 if answer is None:
-                    if provider_key not in result.tables:
-                        # The provider's fetch failed; this node inherits
-                        # the failure and degrades on its own merits.
-                        self._degrade(
-                            key,
-                            SourceUnavailableError(
-                                result.errors.get(
-                                    provider_key,
-                                    "provider query failed upstream",
-                                )
-                            ),
-                            result,
-                            book,
-                        )
-                        continue
-                    t_derive = book.now() if book is not None else 0.0
-                    provider_table = result.tables[provider_key]
-                    match = match_specs(provider, spec)
-                    assert match is not None  # the graph edge proved this
-                    answer = apply_post_ops(provider_table, match.post_ops)
-                    if book is not None:
-                        book.charge(key, "post_ops", book.now() - t_derive)
-                    if provider_key in result.stale_keys:
-                        # Derived from a stale answer: stale itself.
-                        result.stale_keys.add(key)
-                if key not in result.stale_keys:
+                    # The provider's fetch failed; this node inherits
+                    # the failure and degrades on its own merits.
+                    upstream = result.errors.get(provider_key, "provider query failed upstream")
+                    self._degrade(key, SourceUnavailableError(upstream), result, book)
+                    continue
+                # Derived from a stale answer: stale itself.
+                stale = not from_cache and provider_key in result.stale_keys
+                if stale:
+                    result.stale_keys.add(key)
+                else:
                     self._record_good(key, answer)
                 result.tables[key] = answer
                 result.batch_local += 1
-                if book is not None:
-                    if key in result.stale_keys:
-                        book.finish(key, "stale")
-                    else:
-                        book.finish(key, "derived" if from_cache else "batch_local")
+                result.derived_hits += 1 if from_cache else 0
+                book.finish(key, "stale" if stale else "derived" if from_cache else "batch_local")
+
+    def _answer_locally(
+        self,
+        wanted: Derivation,
+        table: Table | None,
+        book: LedgerBook | NullLedgerBook,
+        probe_phase: str,
+    ) -> tuple[Table | None, bool]:
+        """``(answer, from_cache)``: from the intelligent cache (the
+        lookup is charged to ``probe_phase``), else derived from the
+        provider's ``table`` — None when the provider's fetch failed."""
+        if self.options.enable_intelligent_cache:
+            t_probe = book.now()
+            answer = self.intelligent_cache.lookup(wanted.spec)
+            book.charge_since(t_probe, probe_phase, wanted.key)
+            if answer is not None:
+                return answer, True
+        if table is None:
+            return None, False
+        t_derive = book.now()
+        answer = apply_post_ops(table, wanted.post_ops())
+        book.charge_since(t_derive, "post_ops", wanted.key)
+        return answer, False
 
     # ------------------------------------------------------------------ #
     def _record_good(self, key: str, table: Table) -> None:
@@ -594,48 +595,43 @@ class QueryPipeline:
         key: str,
         error: SourceError,
         result: BatchResult,
-        book: LedgerBook | None = None,
+        book: LedgerBook | NullLedgerBook,
     ) -> None:
         """Source is down for ``key``: stale serve if possible, else error.
 
         Never raises — the degradation contract is that one dead source
         costs its own specs, not the batch.
         """
-        t_degrade = book.now() if book is not None else 0.0
+        t_degrade = book.now()
         detail = f"{type(error).__name__}: {error}"
-        if self.stale_store is not None:
-            stale = self.stale_store.get(key)
-            if stale is not None:
-                table, age_s = stale
-                result.tables[key] = table
-                result.stale_keys.add(key)
-                obs.counter("pipeline.stale_serves").inc()
-                if obs.events_enabled():
-                    obs.event(
-                        "degrade.stale_serve",
-                        "stale",
-                        f"source failed ({detail}); serving the last good "
-                        f"result from {age_s:.1f}s ago flagged stale",
-                        spec=key,
-                        age_s=round(age_s, 3),
-                    )
-                if book is not None:
-                    book.charge(key, "degrade", book.now() - t_degrade)
-                    book.finish(key, "stale")
-                return
-        result.errors[key] = detail
-        obs.counter("pipeline.spec_failures").inc()
-        if obs.events_enabled():
-            obs.event(
-                "degrade.error",
-                "failed",
-                f"source failed ({detail}) and no stale result exists; "
-                "reporting a per-spec error instead of failing the batch",
-                spec=key,
-            )
-        if book is not None:
-            book.charge(key, "degrade", book.now() - t_degrade)
-            book.finish(key, "error")
+        stale = self.stale_store.get(key) if self.stale_store is not None else None
+        if stale is not None:
+            table, age_s = stale
+            result.tables[key] = table
+            result.stale_keys.add(key)
+            obs.counter("pipeline.stale_serves").inc()
+            if obs.events_enabled():
+                obs.event(
+                    "degrade.stale_serve",
+                    "stale",
+                    f"source failed ({detail}); serving the last good "
+                    f"result from {age_s:.1f}s ago flagged stale",
+                    spec=key,
+                    age_s=round(age_s, 3),
+                )
+        else:
+            result.errors[key] = detail
+            obs.counter("pipeline.spec_failures").inc()
+            if obs.events_enabled():
+                obs.event(
+                    "degrade.error",
+                    "failed",
+                    f"source failed ({detail}) and no stale result exists; "
+                    "reporting a per-spec error instead of failing the batch",
+                    spec=key,
+                )
+        book.charge_since(t_degrade, "degrade", key)
+        book.finish(key, "stale" if stale is not None else "error")
 
     # ------------------------------------------------------------------ #
     def explain_batch(
@@ -648,136 +644,77 @@ class QueryPipeline:
     ) -> list[dict]:
         """Per-request plan report: what ``run_batch`` would do, and why.
 
-        ``assume_cold=True`` skips the cache probe and coalesce peek and
-        reports the plan as if nothing were warm — the slow-query log
-        uses this to capture a meaningful EXPLAIN *after* the real serve
-        has populated the caches (a post-hoc probe would otherwise just
-        say "answered from the intelligent cache").
-
-        The dry-run counterpart of :meth:`run_batch`. Probes the
-        intelligent cache, runs the batch-graph and fusion analyses, and
-        compiles every query that would go remote; when the data source
-        exposes an in-process :class:`~repro.tde.engine.DataEngine`
-        (``TdeDataSource`` or a simulated backend) each remote query also
-        carries the engine's EXPLAIN of its plan (EXPLAIN ANALYZE with
-        ``analyze=True``, which executes the plan once on the backend
-        engine). No results are transferred and no cache is populated —
-        the only side effect is that cache probes count as uses, exactly
-        as a real request's probe would.
+        Probes the intelligent cache, peeks at the single-flight
+        registry, and narrates the :class:`BatchPlan` of the specs still
+        pending — the plan ``run_batch`` would execute. ``assume_cold``
+        skips probe and peek: the slow-query log captures its EXPLAIN
+        *after* the real serve has warmed the caches, when a probe would
+        just say "answered from the intelligent cache". Nothing is
+        transferred or cached; probes count as uses, as a request's do.
 
         Returns one dict per distinct spec: ``spec`` (canonical form),
-        ``decision`` (human-readable routing outcome), and for remote
-        queries ``language``/``text``/``post_ops`` plus ``plan`` (an
-        :class:`~repro.obs.explain.ExplainResult` or None when the
-        backend's plans are not inspectable).
+        ``decision`` (routing outcome), and for remote queries
+        ``language``/``text``, ``post_ops`` (operator types run locally
+        over the fetched result) and ``plan`` — the in-process backend
+        engine's :class:`~repro.obs.explain.ExplainResult` (ANALYZE, run
+        once on that engine, with ``analyze=True``), else None.
         """
-        from .cache.intelligent import match_specs as _match
-
-        ordered: list[QuerySpec] = []
-        seen: set[str] = set()
-        for spec in specs:
-            if spec.canonical() not in seen:
-                seen.add(spec.canonical())
-                ordered.append(spec)
         reports: dict[str, dict] = {}
         pending: list[QuerySpec] = []
-        for spec in ordered:
-            entry: dict = {"spec": spec.canonical()}
-            if self.options.enable_intelligent_cache and not assume_cold:
-                cached = self.intelligent_cache.lookup(spec)
-                if cached is not None:
+        for key, spec in _distinct(specs).items():
+            entry = reports[key] = {"spec": key}
+            if not assume_cold and self.options.enable_intelligent_cache:
+                if self.intelligent_cache.lookup(spec) is not None:
                     entry["decision"] = "answered from the intelligent cache"
-                    reports[spec.canonical()] = entry
                     continue
-            if self.options.enable_coalescing and not assume_cold:
-                ticket = self.coalescer.peek(
-                    spec, subsume=self.options.coalesce_subsumption
-                )
+            if not assume_cold and self.options.enable_coalescing:
+                ticket = self.coalescer.peek(spec)
                 if ticket is not None:
                     entry["coalesce"] = (
-                        "would join the in-flight leader "
-                        f"{ticket.leader_key!r} "
+                        f"would join the in-flight leader {ticket.leader_key!r} "
                         + (
                             "(subsumed: wait, then derive locally with post-ops)"
                             if ticket.subsumed
                             else "(identical query: wait for its result)"
                         )
                     )
-            reports[spec.canonical()] = entry
             pending.append(spec)
-        if self.options.enable_batch_graph and len(pending) > 1:
-            graph = build_batch_graph(pending)
-            remote_specs = [pending[i] for i in graph.remote]
-            for j in graph.local:
-                provider = pending[graph.provider_of[j]]
-                reports[pending[j].canonical()]["decision"] = (
-                    "batch-local: derivable from the result of "
-                    f"{provider.canonical()}"
-                )
-        else:
-            remote_specs = list(pending)
-        fused = fuse_batch(remote_specs, enabled=self.options.enable_fusion)
-        backend = self._backend_engine()
-        # A distributed literal cache can say where a key's replicas sit
-        # (primary miss -> replica fallback, lagging copies -> repair);
-        # surface that placement per zone so EXPLAIN answers "why was
-        # this served from a replica?" without a debugger.
-        describe_tier = (
-            getattr(self.literal_cache, "describe", None)
-            if self.options.enable_literal_cache
-            else None
-        )
+        plan = self._plan(pending, reuse_fields, traced=False)
+        for node in plan.local:
+            reports[node.key]["decision"] = (
+                f"batch-local: derivable from the result of {node.provider.canonical()}"
+            )
+        backend = self.backend_engine()
         breaker = getattr(self.pool, "breaker", None)
-        breaker_note = None
-        if breaker is not None and breaker.state != "closed":
-            breaker_note = (
-                f"circuit breaker is {breaker.state}: this query would be "
-                "rejected fast and degraded (stale serve or per-spec error)"
-            )
-        for fq in fused:
-            # Compile exactly what run_batch would send: the (optionally
-            # enriched) spec — so the reported text, plan, and cache-tier
-            # placement all describe the query that actually runs, and
-            # the literal key matches the tier's.
-            send_spec = (
-                enrich_spec(fq.spec, reuse_fields=reuse_fields)
-                if self.options.enrich_for_reuse
-                else fq.spec
-            )
-            compiled = compile_spec(
-                send_spec,
-                self.model,
-                self.source,
-                externalize_threshold=self.options.externalize_threshold,
-            )
-            plan = None
+        for send in plan.sends:
+            compiled = send.compiled
+            shared = {"language": compiled.language, "text": compiled.text, "plan": None}
             if backend is not None and not compiled.temp_tables:
-                plan = backend.explain(compiled.plan, analyze=analyze)
-            lead_key = fq.spec.canonical()
-            for member in fq.members:
-                key = member.canonical()
-                entry = reports[key]
-                if key == lead_key or len(fq.members) == 1:
-                    entry["decision"] = "sent remote"
-                else:
-                    entry["decision"] = f"fused into {lead_key}"
-                    member_match = _match(fq.spec, member)
-                    if member_match is not None:
-                        entry["post_ops"] = [
-                            type(op).__name__ for op in member_match.post_ops
-                        ]
-                entry["language"] = compiled.language
-                entry["text"] = compiled.text
-                entry["plan"] = plan
-                if describe_tier is not None:
-                    placement = describe_tier(compiled.literal_key)
-                    if placement is not None:
-                        entry["cache_tier"] = placement["note"]
-                if breaker_note is not None:
-                    entry["degradation"] = breaker_note
-        return [reports[spec.canonical()] for spec in ordered]
+                shared["plan"] = backend.explain(compiled.plan, analyze=analyze)
+            # A distributed literal cache can say where a key's replicas
+            # sit (primary miss -> replica fallback, lagging copies ->
+            # repair); surface that placement per zone so EXPLAIN answers
+            # "why was this served from a replica?" without a debugger.
+            if self.options.enable_literal_cache:
+                placement = self.literal_cache.describe(compiled.literal_key)
+                if placement is not None:
+                    shared["cache_tier"] = placement["note"]
+            if breaker is not None and breaker.state != "closed":
+                shared["degradation"] = (
+                    f"circuit breaker is {breaker.state}: this query would be "
+                    "rejected fast and degraded (stale serve or per-spec error)"
+                )
+            lead_key = send.fused.spec.canonical()
+            for member in send.members:
+                lone = member.key == lead_key or len(send.members) == 1
+                reports[member.key].update(
+                    decision="sent remote" if lone else f"fused into {lead_key}",
+                    post_ops=[type(op).__name__ for op in member.post_ops()],
+                    **shared,
+                )
+        return list(reports.values())
 
-    def _backend_engine(self):
+    def backend_engine(self):
         """The in-process DataEngine behind the source, if inspectable."""
         engine = getattr(self.source, "engine", None)
         if engine is None:
@@ -801,7 +738,7 @@ class QueryPipeline:
         """
         self.intelligent_cache.invalidate(self.model.name)
         self.literal_cache.invalidate(self.source.name)
-        backend = self._backend_engine()
+        backend = self.backend_engine()
         if backend is not None:
             backend.invalidate_plans("refresh")
 

@@ -23,10 +23,10 @@ single spec's wall time into exclusive, conserved phases —
 
 Ledgers read an injectable clock (any ``() -> float`` monotonic
 callable, e.g. ``VirtualTimeClock.monotonic``), so fault/chaos tests can
-drive them deterministically on virtual time. They are only built when a
-:class:`LedgerBook` is opened — the pipeline opens one per batch when
-ledgers are enabled and passes ``None`` otherwise, keeping the disabled
-hot path allocation-free.
+drive them deterministically on virtual time. The pipeline books every
+batch against one object: a fresh :class:`LedgerBook` when ledgers are
+on, the shared :data:`NULL_BOOK` when they are off — same calls, no
+clock reads, nothing allocated.
 """
 
 from __future__ import annotations
@@ -163,6 +163,14 @@ class LedgerBook:
     def charge(self, key: str, phase: str, seconds: float) -> None:
         self.open(key).charge(phase, seconds)
 
+    def charge_since(self, since: float, phase: str, *keys: str) -> None:
+        """Charge the time elapsed since ``since`` (an earlier ``now()``)
+        to ``phase`` of every key — work several requests all waited on
+        costs each of them its full duration."""
+        seconds = self.now() - since
+        for key in keys:
+            self.charge(key, phase, seconds)
+
     def finish(self, key: str, outcome: str) -> None:
         self.open(key).finish(self.now(), outcome)
 
@@ -173,3 +181,22 @@ class LedgerBook:
             if not ledger.finished:
                 ledger.finish(now, default_outcome)
         return self.ledgers
+
+
+class NullLedgerBook:
+    """The book when ledgers are off: ``now()`` is a constant rather than
+    a clock read and every charge is a no-op, so the pipeline books
+    unconditionally and the disabled path allocates nothing."""
+
+    __slots__ = ()
+
+    def now(self) -> float:
+        return 0.0
+
+    def charge(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    charge_since = finish = close = charge
+
+
+NULL_BOOK = NullLedgerBook()

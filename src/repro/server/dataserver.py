@@ -156,7 +156,7 @@ class DataServer:
             entry: dict[str, Any] = {
                 "refresh_count": self._published[name].refresh_count,
             }
-            backend = self._published[name].pipeline._backend_engine()
+            backend = self._published[name].pipeline.backend_engine()
             if backend is not None:
                 entry["plan_cache"] = backend.plan_cache.stats()
             published[name] = entry
@@ -252,7 +252,7 @@ class DataServerSession:
             raise ServerError(
                 f"spec targets {spec.datasource!r}, session is {self.published.name!r}"
             )
-        now = self.published.pipeline._ledger_now
+        now = self.published.pipeline.now
         cursor = obs.get_events().cursor() if self.telemetry is not None else 0
         started = now() if self.telemetry is not None else 0.0
         remote_ctx = obs.TraceContext.from_wire(trace_parent) if trace_parent else None

@@ -2,9 +2,12 @@
 
 import pytest
 
+import repro.core.cache.intelligent as intelligent
+import repro.core.pipeline as pipeline_module
 from repro import obs
 from repro.core.pipeline import QueryPipeline
 from repro.queries import CategoricalFilter, QuerySpec
+from tests.difftest.gen import gen_specs
 
 from .conftest import AVG_DELAY, COUNT, SUM_DELAY, make_model, make_source
 
@@ -38,7 +41,14 @@ class TestExplainBatch:
         decisions = [r["decision"] for r in reports]
         assert decisions[2] == "sent remote"
         assert all("fused into" in d for d in decisions[:2])
-        assert reports[0].get("post_ops") == ["LocalProject"]
+        # Enrichment widened what is sent (the filter field joined the
+        # dimensions), so every member — the lone "sent remote" one too —
+        # is rolled up locally, exactly as the run does.
+        assert [r["post_ops"] for r in reports] == [
+            ["LocalAggregate", "LocalProject"],
+            ["LocalAggregate"],
+            ["LocalAggregate", "LocalProject"],
+        ]
         for report in reports:
             assert report["language"] == "sql"
             assert report["text"]  # the generated SQL
@@ -87,3 +97,47 @@ class TestVizServerExplain:
         assert any(
             "cache" in report["decision"] for report in result["zones"].values()
         )
+
+
+class TestExplainEqualsRun:
+    """EXPLAIN narrates the plan the run executes: same text sent, same
+    operators applied locally — per seeded spec, on a cold pipeline with
+    the default options."""
+
+    @pytest.mark.parametrize(
+        "reuse_fields", [frozenset(), frozenset({"carrier_id", "market"})]
+    )
+    def test_text_and_post_ops_match_the_run(self, monkeypatch, reuse_fields):
+        applied: list[str] = []
+        real_apply = pipeline_module.apply_post_ops
+
+        def recording_apply(table, ops):
+            applied.extend(type(op).__name__ for op in ops)
+            return real_apply(table, ops)
+
+        # A member's answer is split off the fetched result either by the
+        # intelligent cache (its lookup applies the ops) or by the
+        # pipeline directly; record both.
+        monkeypatch.setattr(pipeline_module, "apply_post_ops", recording_apply)
+        monkeypatch.setattr(intelligent, "apply_post_ops", recording_apply)
+
+        source, model = make_source(), make_model()
+        for spec in gen_specs(1337, 220):
+            pipeline = QueryPipeline(source, model)
+            sent: list[str] = []
+            real_run = pipeline.executor.run_batch
+
+            def recording_run(compiled, real_run=real_run, sent=sent, **kwargs):
+                sent.extend(c.text for c in compiled)
+                return real_run(compiled, **kwargs)
+
+            pipeline.executor.run_batch = recording_run  # this pipeline only
+            try:
+                report = pipeline.explain_batch([spec], reuse_fields=reuse_fields)[0]
+                assert applied == [] and sent == []  # a dry run
+                assert pipeline.run_batch([spec], reuse_fields=reuse_fields).ok
+            finally:
+                pipeline.close()
+            assert [report["text"]] == sent, spec.canonical()
+            assert report["post_ops"] == applied, spec.canonical()
+            applied.clear()
