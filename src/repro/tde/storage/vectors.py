@@ -122,18 +122,23 @@ class RleVector(PhysicalVector):
         run_idx = np.searchsorted(self.starts, indices, side="right") - 1
         return self.values[run_idx]
 
-    def slice(self, start: int, stop: int) -> np.ndarray:
+    def _window(self, start: int, stop: int) -> tuple[slice, np.ndarray]:
+        """Runs overlapping rows ``[start, stop)`` and their clipped counts.
+
+        Each run contributes ``min(run_end, stop) - max(run_start, start)``
+        rows, so the cost is O(runs in range), not O(column).
+        """
         if start >= stop:
-            return self.values[:0]
-        first = int(np.searchsorted(self.starts, start, side="right") - 1)
-        last = int(np.searchsorted(self.starts, stop - 1, side="right") - 1)
-        vals = self.values[first : last + 1]
-        counts = self.counts[first : last + 1].copy()
-        counts[0] -= start - int(self.starts[first])
-        counts[-1] = (stop - max(start, int(self.starts[last]))) if last > first else counts[-1]
-        if last == first:
-            counts[0] = stop - start
-        return np.repeat(vals, counts)
+            return slice(0, 0), self.counts[:0]
+        first = int(np.searchsorted(self.starts, start, side="right")) - 1
+        last = int(np.searchsorted(self.starts, stop, side="left"))
+        starts = self.starts[first:last]
+        ends = starts + self.counts[first:last]
+        return slice(first, last), np.minimum(ends, stop) - np.maximum(starts, start)
+
+    def slice(self, start: int, stop: int) -> np.ndarray:
+        runs, counts = self._window(start, stop)
+        return np.repeat(self.values[runs], counts)
 
     def index_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the (value, count, start) arrays of the IndexTable.
@@ -157,8 +162,8 @@ class RleVector(PhysicalVector):
         evaluated once per run (``per_run``) becomes a row mask without
         ever materializing the decoded column.
         """
-        stop = self._length if stop is None else stop
-        return np.repeat(per_run, self.counts)[start:stop]
+        runs, counts = self._window(start, self._length if stop is None else stop)
+        return np.repeat(per_run[runs], counts)
 
     @property
     def nbytes(self) -> int:
@@ -169,16 +174,29 @@ class DeltaVector(PhysicalVector):
     """Delta encoding for int64-backed values (ids, dates, timestamps).
 
     Stores the first value and successive differences in the narrowest
-    integer dtype that fits. Decoding is a cumulative sum.
+    integer dtype that fits. Decoding is a cumulative sum — restarted from
+    the nearest *checkpoint* (the decoded value of every
+    ``CHECKPOINT_ROWS``-th row), so reading rows ``[a, b)`` costs
+    O(b - a + CHECKPOINT_ROWS) rather than O(column). Checkpoints are
+    computed once here and never change: the vector is immutable and safe
+    to read from any number of scan threads.
     """
 
     encoding = "delta"
+
+    #: Rows between decoded prefix values; bounds a slice's wasted decode.
+    CHECKPOINT_ROWS = 1024
 
     def __init__(self, base: int, deltas: np.ndarray, dtype: np.dtype = np.dtype(np.int64)):
         self.base = int(base)
         self.deltas = deltas
         self._out_dtype = dtype
-        self._length = len(deltas) + 1 if len(deltas) or base is not None else 0
+        block = self.CHECKPOINT_ROWS
+        # int64 accumulation: an int8 delta column's running sum leaves int8.
+        block_sums = np.add.reduceat(deltas, np.arange(0, len(deltas), block), dtype=np.int64)
+        self._checkpoints = self.base + np.concatenate(([0], np.cumsum(block_sums)))[
+            : len(deltas) // block + 1
+        ]
 
     @classmethod
     def from_plain(cls, values: np.ndarray) -> "DeltaVector":
@@ -195,15 +213,29 @@ class DeltaVector(PhysicalVector):
         return len(self.deltas) + 1
 
     def materialize(self) -> np.ndarray:
-        out = np.empty(len(self), dtype=np.int64)
-        out[0] = self.base
-        np.cumsum(self.deltas, out=out[1:], dtype=np.int64)
-        out[1:] += self.base
-        return out.astype(self._out_dtype, copy=False)
+        return self.slice(0, len(self))
+
+    def slice(self, start: int, stop: int) -> np.ndarray:
+        stop = min(stop, len(self))
+        if start >= stop:
+            return np.empty(0, dtype=self._out_dtype)
+        block = start // self.CHECKPOINT_ROWS
+        origin = block * self.CHECKPOINT_ROWS
+        out = np.empty(stop - origin, dtype=np.int64)
+        out[0] = 0
+        np.cumsum(self.deltas[origin : stop - 1], out=out[1:], dtype=np.int64)
+        out += self._checkpoints[block]
+        return out[start - origin :].astype(self._out_dtype, copy=False)
+
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        if len(indices) == 0:
+            return np.empty(0, dtype=self._out_dtype)
+        lo = int(indices.min())
+        return self.slice(lo, int(indices.max()) + 1)[indices - lo]
 
     @property
     def nbytes(self) -> int:
-        return int(self.deltas.nbytes) + 8
+        return int(self.deltas.nbytes + self._checkpoints.nbytes) + 8
 
 
 #: Minimum average run length for RLE to be chosen over plain storage.
