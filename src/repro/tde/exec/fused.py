@@ -41,7 +41,7 @@ from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector, RleVector
 from .kernels import AggSpec, code_space_safe, predicate_mask
-from .physical import ExecContext, PhysNode, aggregate_table
+from .physical import ExecContext, PhysNode, aggregate_table, narrow_to_read
 
 
 @dataclass
@@ -145,7 +145,7 @@ class PFusedPipeline(PhysNode):
         if fallback:
             # Row-space conjuncts see the same decoded slice the unfused
             # PScan would have built, one slice for the whole fraction.
-            batch = self.table.slice(start, stop)
+            batch = narrow_to_read(self.table, [], *fallback).slice(start, stop)
             for conj in fallback:
                 m = evaluate_predicate(conj, batch)
                 mask = m if mask is None else mask & m

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ... import obs
 
 from ...datatypes import LogicalType
 from ...errors import ExecutionError
-from ...expr.ast import ColumnRef, Expr, infer_type
+from ...expr.ast import ColumnRef, Expr, columns_used, infer_type
 from ...expr.eval import evaluate, evaluate_predicate
 from ..storage.column import Column
 from ..storage.table import Table
@@ -189,6 +189,54 @@ def execute_to_table(node: PhysNode, ctx: ExecContext | None = None) -> Table:
 # ---------------------------------------------------------------------- #
 # Scans
 # ---------------------------------------------------------------------- #
+def narrow_to_read(table: Table, columns: list[str] | None, *predicates: Expr | None) -> Table:
+    """``table`` restricted to the columns a scan reads, output columns first.
+
+    Slicing decodes every column it is handed, so scans narrow the stored
+    table to ``columns`` plus whatever their predicates reference *before*
+    slicing; a pruned column is never decoded. ``columns=None`` reads all.
+    """
+    if columns is None:
+        return table
+    extra = set().union(*(columns_used(p) for p in predicates)) - set(columns)
+    names = [*columns, *(n for n in table.column_names if n in extra)]
+    # A batch with no columns would forget how many rows it spans.
+    return table.project(names or table.column_names[:1])
+
+
+def _scan_ranges(
+    ctx: ExecContext,
+    table: Table,
+    columns: list[str] | None,
+    predicate: Expr | None,
+    ranges: Iterable[tuple[int, int]],
+) -> Iterator[Table]:
+    """Read row ranges of a stored table batch by batch, filtered by
+    ``predicate`` and pruned to ``columns``; yields at least one batch."""
+    source = narrow_to_read(table, columns, predicate)
+    # Columns read for the predicate alone are dropped before the gather.
+    output = columns if columns is not None and len(source.columns) > len(columns) else None
+    emitted = False
+    for start, stop in ranges:
+        while start < stop:
+            end = min(start + ctx.batch_size, stop)
+            batch = source.slice(start, end)
+            ctx.metrics.add(rows_scanned=end - start, batches=1)
+            keep = evaluate_predicate(predicate, batch) if predicate is not None else None
+            if output is not None:
+                batch = batch.project(output)
+            if keep is not None:
+                batch = batch.filter(keep)
+            if batch.n_rows or not emitted:
+                emitted = True
+                ctx.metrics.add(rows_emitted=batch.n_rows)
+                yield batch
+            start = end
+    if not emitted:
+        empty = source.slice(0, 0)
+        yield empty if output is None else empty.project(output)
+
+
 @dataclass
 class PScan(PhysNode):
     """Scan a storage table, optionally a row range of it (FractionTable).
@@ -206,31 +254,7 @@ class PScan(PhysNode):
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         stop = self.table.n_rows if self.stop is None else self.stop
-        start = self.start
-        emitted = False
-        needed = self._needed_columns()
-        while start < stop:
-            end = min(start + ctx.batch_size, stop)
-            batch = self.table.slice(start, end)
-            ctx.metrics.add(rows_scanned=end - start, batches=1)
-            if self.predicate is not None:
-                keep = evaluate_predicate(self.predicate, batch)
-                batch = batch.filter(keep)
-            if needed is not None:
-                batch = batch.project(needed)
-            if batch.n_rows or not emitted:
-                emitted = True
-                ctx.metrics.add(rows_emitted=batch.n_rows)
-                yield batch
-            start = end
-        if not emitted:
-            empty = self.table.slice(0, 0)
-            if needed is not None:
-                empty = empty.project(needed)
-            yield empty
-
-    def _needed_columns(self) -> list[str] | None:
-        return list(self.columns) if self.columns is not None else None
+        return _scan_ranges(ctx, self.table, self.columns, self.predicate, [(self.start, stop)])
 
 
 @dataclass
@@ -269,30 +293,8 @@ class PIndexedRleScan(PhysNode):
         keep = evaluate_predicate(self.predicate, index_tbl)
         selected = np.flatnonzero(keep)
         ctx.metrics.add(runs_skipped=int(len(values) - len(selected)))
-        emitted = False
-        needed = list(self.columns) if self.columns is not None else None
-        for run_idx in selected:
-            run_start = int(starts[run_idx])
-            run_stop = run_start + int(counts[run_idx])
-            pos = run_start
-            while pos < run_stop:
-                end = min(pos + ctx.batch_size, run_stop)
-                batch = self.table.slice(pos, end)
-                ctx.metrics.add(rows_scanned=end - pos, batches=1)
-                if self.residual is not None:
-                    batch = batch.filter(evaluate_predicate(self.residual, batch))
-                if needed is not None:
-                    batch = batch.project(needed)
-                if batch.n_rows or not emitted:
-                    emitted = True
-                    ctx.metrics.add(rows_emitted=batch.n_rows)
-                    yield batch
-                pos = end
-        if not emitted:
-            empty = self.table.slice(0, 0)
-            if needed is not None:
-                empty = empty.project(needed)
-            yield empty
+        runs = ((int(starts[i]), int(starts[i] + counts[i])) for i in selected)
+        yield from _scan_ranges(ctx, self.table, self.columns, self.residual, runs)
 
 
 @dataclass
