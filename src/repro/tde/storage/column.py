@@ -134,6 +134,50 @@ class Column:
             return cls(ltype, PlainVector(arr), null_mask=null_mask, collation=collation)
         return cls(ltype, encode_best(arr, prefer=encoding), null_mask=null_mask, collation=collation)
 
+    @classmethod
+    def concat(cls, parts: Sequence["Column"]) -> "Column":
+        """Concatenate same-typed columns without leaving code space.
+
+        Parts carrying the *same* dictionary object concatenate their code
+        vectors and keep it (entries no row uses are allowed). String
+        parts with different dictionaries merge them per distinct value
+        (:meth:`Dictionary.merge`); only a string part without a usable
+        dictionary is encoded row by row. Other columns decode to plain.
+        """
+        first = parts[0]
+        mask = None
+        if any(p.null_mask is not None for p in parts):
+            mask = np.concatenate(
+                [
+                    p.null_mask if p.null_mask is not None else np.zeros(len(p), dtype=np.bool_)
+                    for p in parts
+                ]
+            )
+            if not mask.any():
+                mask = None
+        dictionary = first.dictionary
+        if dictionary is not None and all(p.dictionary is dictionary for p in parts):
+            values = np.concatenate([p.physical.materialize() for p in parts])
+        elif first.ltype is LogicalType.STR:
+            coded = [
+                (p.physical.materialize(), p.dictionary)
+                if p.dictionary is not None and p.dictionary.collation == first.collation
+                else Dictionary.encode(p.storage_values(), is_string=True, collation=first.collation)
+                for p in parts
+            ]
+            dictionary, remaps = Dictionary.merge(coded, first.collation)
+            values = np.concatenate([remap[codes] for (codes, _), remap in zip(coded, remaps)])
+        else:
+            dictionary = None
+            values = np.concatenate([p.storage_values() for p in parts])
+        return cls(
+            first.ltype,
+            PlainVector(values),
+            dictionary=dictionary,
+            null_mask=mask,
+            collation=first.collation,
+        )
+
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #

@@ -10,7 +10,6 @@ from ...collation import BINARY, Collation
 from ...datatypes import LogicalType
 from ...errors import StorageError
 from .column import Column
-from .vectors import PlainVector
 
 
 class Table:
@@ -222,24 +221,7 @@ class Table:
         for t in tables[1:]:
             if t.column_names != names or t.schema() != first.schema():
                 raise StorageError("concat schema mismatch")
-        cols: dict[str, Column] = {}
-        for n in names:
-            parts = [t.column(n) for t in tables]
-            values = np.concatenate([p.storage_values() for p in parts])
-            masks = [
-                p.null_mask if p.null_mask is not None else np.zeros(len(p), dtype=np.bool_)
-                for p in parts
-            ]
-            mask = np.concatenate(masks)
-            col = parts[0]
-            if col.ltype.name == "STR":
-                cols[n] = Column.from_numpy(
-                    values, col.ltype, null_mask=mask if mask.any() else None, collation=col.collation
-                )
-            else:
-                cols[n] = Column(
-                    col.ltype, PlainVector(values), null_mask=mask if mask.any() else None
-                )
+        cols = {n: Column.concat([t.column(n) for t in tables]) for n in names}
         return Table(cols, name=first.name)
 
     def to_pydict(self) -> dict[str, list[Any]]:
