@@ -160,9 +160,15 @@ class DataEngine:
         options: PlannerOptions | None = None,
         context: ExecContext | None = None,
     ) -> Table:
-        """Compile, optimize, and execute a query; return the result table."""
+        """Compile, optimize, and execute a query; return the result table.
+
+        Exchange fragments run inline, one after the other, unless
+        ``context`` says ``parallel=True``: a thread per fragment per
+        query measured no faster, and callers that want the threaded
+        path (the 4.2.1 reproduction, race tests) ask for it.
+        """
         physical = self.plan(query, options=options)
-        ctx = context or ExecContext(batch_size=self.batch_size)
+        ctx = context or ExecContext(batch_size=self.batch_size, parallel=False)
         return execute_to_table(physical, ctx)
 
     def query_naive(self, query: str | LogicalPlan) -> Table:
