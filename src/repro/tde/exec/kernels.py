@@ -199,14 +199,19 @@ def _minmax(vg, vv, k, spec: AggSpec, group_mask, col: Column) -> Column:
         return Column(spec.result_type, PlainVector(out), null_mask=group_mask, collation=col.collation)
     if vv.dtype == np.bool_:
         vv = vv.astype(np.int64)
-    if spec.func == "min":
-        init = np.iinfo(np.int64).max if vv.dtype.kind == "i" else np.inf
-        out = np.full(k, init, dtype=vv.dtype)
-        np.minimum.at(out, vg, vv)
-    else:
-        init = np.iinfo(np.int64).min if vv.dtype.kind == "i" else -np.inf
-        out = np.full(k, init, dtype=vv.dtype)
-        np.maximum.at(out, vg, vv)
+    # NaN is a value, not a NULL: a group holding one has min = max = NaN
+    # (np.minimum/np.maximum propagate it), in fused and unfused plans
+    # alike. numpy flags that propagation as "invalid value"; it is the
+    # pinned semantics, so the warning is silenced rather than escalated.
+    with np.errstate(invalid="ignore"):
+        if spec.func == "min":
+            init = np.iinfo(np.int64).max if vv.dtype.kind == "i" else np.inf
+            out = np.full(k, init, dtype=vv.dtype)
+            np.minimum.at(out, vg, vv)
+        else:
+            init = np.iinfo(np.int64).min if vv.dtype.kind == "i" else -np.inf
+            out = np.full(k, init, dtype=vv.dtype)
+            np.maximum.at(out, vg, vv)
     if group_mask is not None:
         out[group_mask] = 0
     if spec.result_type is LogicalType.BOOL:

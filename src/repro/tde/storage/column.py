@@ -165,7 +165,7 @@ class Column:
                 else Dictionary.encode(p.storage_values(), is_string=True, collation=first.collation)
                 for p in parts
             ]
-            dictionary, remaps = Dictionary.merge(coded, first.collation)
+            dictionary, remaps = Dictionary.merge(coded)
             values = np.concatenate([remap[codes] for (codes, _), remap in zip(coded, remaps)])
         else:
             dictionary = None

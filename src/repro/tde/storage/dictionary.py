@@ -63,48 +63,52 @@ class Dictionary:
                 k = collation.key(v)
                 if k not in rep_by_key:
                     rep_by_key[k] = v
-            sorted_keys = sorted(rep_by_key)
-            code_by_key = {k: i for i, k in enumerate(sorted_keys)}
-            dict_values = np.empty(len(sorted_keys), dtype=object)
-            dict_values[:] = [rep_by_key[k] for k in sorted_keys]
+            dictionary, code_by_key = cls._from_representatives(rep_by_key, collation)
             codes = np.fromiter(
                 (code_by_key[collation.key(v)] for v in values), dtype=np.int32, count=len(values)
             )
-            return codes, cls(dict_values, "heap", collation)
+            return codes, dictionary
         arr = np.asarray(values)
         uniq, codes = np.unique(arr, return_inverse=True)
         return codes.astype(np.int32), cls(uniq, "array", BINARY)
 
     @classmethod
     def merge(
-        cls, parts: Sequence[tuple[np.ndarray, "Dictionary"]], collation: Collation = BINARY
+        cls, parts: Sequence[tuple[np.ndarray, "Dictionary"]]
     ) -> tuple["Dictionary", list[np.ndarray]]:
         """Merge the entries that each part's codes use into one dictionary.
 
         ``parts`` are ``(codes, dictionary)`` pairs as :meth:`encode`
-        returns them, every dictionary a heap built under ``collation``.
-        Returns the merged dictionary and, per part,
-        a lookup array taking the part's codes to merged codes — the work
-        is per distinct value, never per row. Parts are visited in order,
-        so values that compare equal keep the representative of the first
-        part using them, exactly as :meth:`encode` over the concatenated
-        rows would choose.
+        returns them, every dictionary a heap built under one collation.
+        Returns the merged dictionary and, per part, a lookup array taking
+        the part's codes to merged codes — the work is per distinct value,
+        never per row. Parts are visited in order, so values that compare
+        equal keep the representative of the first part using them,
+        exactly as :meth:`encode` over the concatenated rows would choose.
         """
         used = [np.flatnonzero(np.bincount(codes, minlength=len(d))) for codes, d in parts]
         rep_by_key: dict[str, str] = {}
         for (_, d), codes in zip(parts, used):
             for code in codes.tolist():
                 rep_by_key.setdefault(d._keys[code], d.values[code])
-        sorted_keys = sorted(rep_by_key)
-        code_by_key = {k: i for i, k in enumerate(sorted_keys)}
-        values = np.empty(len(sorted_keys), dtype=object)
-        values[:] = [rep_by_key[k] for k in sorted_keys]
+        merged, code_by_key = cls._from_representatives(rep_by_key, parts[0][1].collation)
         remaps = []
         for (_, d), codes in zip(parts, used):
             remap = np.zeros(len(d), dtype=np.int32)
             remap[codes] = [code_by_key[d._keys[code]] for code in codes.tolist()]
             remaps.append(remap)
-        return cls(values, "heap", collation), remaps
+        return merged, remaps
+
+    @classmethod
+    def _from_representatives(
+        cls, rep_by_key: dict[str, str], collation: Collation
+    ) -> tuple["Dictionary", dict[str, int]]:
+        """A heap dictionary of ``rep_by_key``'s values in sort-key order,
+        plus the code each sort key received."""
+        sorted_keys = sorted(rep_by_key)
+        values = np.empty(len(sorted_keys), dtype=object)
+        values[:] = [rep_by_key[k] for k in sorted_keys]
+        return cls(values, "heap", collation), {k: i for i, k in enumerate(sorted_keys)}
 
     # ------------------------------------------------------------------ #
     # Lookup

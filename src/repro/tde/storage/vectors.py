@@ -128,6 +128,7 @@ class RleVector(PhysicalVector):
         Each run contributes ``min(run_end, stop) - max(run_start, start)``
         rows, so the cost is O(runs in range), not O(column).
         """
+        stop = min(stop, self._length)
         if start >= stop:
             return slice(0, 0), self.counts[:0]
         first = int(np.searchsorted(self.starts, start, side="right")) - 1

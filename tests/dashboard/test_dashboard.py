@@ -19,17 +19,30 @@ COUNT = AggExpr("count")
 
 
 @pytest.fixture(scope="module")
-def faa_pipeline_factory():
-    dataset = generate_flights(6000, seed=9)
-    db = dataset.load_into_simdb(ServerProfile(time_scale=0))
-    source = SimDbDataSource(db)
+def faa_db():
+    return generate_flights(6000, seed=9).load_into_simdb(ServerProfile(time_scale=0))
+
+
+@pytest.fixture
+def faa_pipeline_factory(faa_db):
+    """Pipelines over one shared database, closed when the test ends.
+
+    Each pipeline pools connections against the database's 32-connection
+    limit; leaving a module's worth of them open starves later tests
+    (``ConnectionLimitError`` degrades a zone) under unlucky thread timing.
+    """
+    source = SimDbDataSource(faa_db)
     model = flights_model()
+    pipelines = []
 
     def factory(**options):
-        return QueryPipeline(source, model, options=PipelineOptions(**options))
+        pipelines.append(QueryPipeline(source, model, options=PipelineOptions(**options)))
+        return pipelines[-1]
 
-    factory.db = db
-    return factory
+    yield factory
+    for pipeline in pipelines:
+        pipeline.close()
+    assert faa_db.open_connections == 0
 
 
 class TestDashboardModel:

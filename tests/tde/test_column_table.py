@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.collation import CASE_INSENSITIVE
 from repro.datatypes import LogicalType
 from repro.errors import StorageError
-from repro.tde.storage import Column, Table
+from repro.tde.storage import Column, Dictionary, PlainVector, Table
 
 
 class TestColumn:
@@ -208,3 +208,133 @@ def test_slice_concat_roundtrip(values, parts):
     bounds = np.linspace(0, len(values), parts + 1).astype(int)
     pieces = [t.slice(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
     assert Table.concat(pieces).to_pydict()["a"] == values
+
+
+# ---------------------------------------------------------------------- #
+# Table.concat stays in code space
+# ---------------------------------------------------------------------- #
+STR = LogicalType.STR
+
+
+def _reference_concat(tables):
+    """``Table.concat`` as it was before it kept codes: decode every part,
+    re-encode the strings row by row. The new one must be indistinguishable."""
+    cols = {}
+    for name in tables[0].column_names:
+        parts = [t.column(name) for t in tables]
+        values = np.concatenate([p.storage_values() for p in parts])
+        mask = np.concatenate(
+            [
+                p.null_mask if p.null_mask is not None else np.zeros(len(p), dtype=np.bool_)
+                for p in parts
+            ]
+        )
+        mask = mask if mask.any() else None
+        col = parts[0]
+        if col.ltype is STR:
+            cols[name] = Column.from_numpy(values, STR, null_mask=mask, collation=col.collation)
+        else:
+            cols[name] = Column(col.ltype, PlainVector(values), null_mask=mask)
+    return Table(cols)
+
+
+def _assert_concat_matches_reference(tables):
+    out, ref = Table.concat(tables), _reference_concat(tables)
+    assert out.column_names == ref.column_names and out.schema() == ref.schema()
+    for name in ref.column_names:
+        got, want = out.column(name), ref.column(name)
+        # Values in row order (fill slots under NULLs included), storage
+        # dtype, mask, collation — and codes that order rows identically.
+        assert got.storage_values().dtype == want.storage_values().dtype, name
+        assert list(got.storage_values()) == list(want.storage_values()), name
+        assert (got.null_mask is None) == (want.null_mask is None), name
+        if want.null_mask is not None:
+            assert got.null_mask.dtype == np.bool_
+            assert list(got.null_mask) == list(want.null_mask), name
+        assert got.collation is want.collation
+        assert got.is_dictionary_encoded == want.is_dictionary_encoded, name
+        if want.is_dictionary_encoded:
+            assert got.codes().dtype == want.codes().dtype == np.int32
+            assert list(np.argsort(got.codes(), kind="stable")) == list(
+                np.argsort(want.codes(), kind="stable")
+            )
+    return out, ref
+
+
+def _str_table(values, **kwargs):
+    return Table.from_pydict({"s": values}, types={"s": STR}, **kwargs)
+
+
+class TestConcatKeepsCodes:
+    def test_shared_dictionary_is_kept(self, monkeypatch):
+        table = _str_table(["d", "a", None, "c", "a", "b", "e"])
+        shared = table.column("s").dictionary
+        parts = [table.slice(0, 2), table.take(np.array([5, 2, 3])), table.slice(6, 7)]
+        monkeypatch.setattr(Dictionary, "encode", None)  # must not be reached
+        out = Table.concat(parts)
+        monkeypatch.undo()
+        assert out.column("s").dictionary is shared  # unused entries and all
+        assert out.to_pydict()["s"] == ["d", "a", "b", None, "c", "e"]
+        _assert_concat_matches_reference(parts)
+
+    def test_shared_dictionary_non_string(self):
+        table = Table.from_pydict({"x": [30, 10, None, 20, 10]}, compress=True)
+        parts = [table.slice(0, 3), table.slice(3, 5)]
+        out = Table.concat(parts)
+        assert out.column("x").dictionary is table.column("x").dictionary
+        assert out.to_pydict()["x"] == [30, 10, None, 20, 10]
+
+    def test_different_dictionaries_binary(self, monkeypatch):
+        parts = [_str_table(["b", "a", None]), _str_table(["c", "a", "B"]), _str_table(["a"])]
+        monkeypatch.setattr(Dictionary, "encode", None)  # merged per entry, not per row
+        out = Table.concat(parts)
+        monkeypatch.undo()
+        assert list(out.column("s").dictionary.values) == ["", "B", "a", "b", "c"]
+        _, ref = _assert_concat_matches_reference(parts)
+        assert list(out.column("s").dictionary.values) == list(ref.column("s").dictionary.values)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_case_insensitive_representative_is_first_in_row_order(self, flip):
+        ci = {"collations": {"s": CASE_INSENSITIVE}}
+        parts = [_str_table(["x", "Abc", None], **ci), _str_table(["ABC", "abc", "X", "y"], **ci)]
+        parts = parts[::-1] if flip else parts
+        out, ref = _assert_concat_matches_reference(parts)
+        reps = list(out.column("s").dictionary.values)
+        assert reps == list(ref.column("s").dictionary.values)
+        assert reps == (["", "ABC", "X", "y"] if flip else ["", "Abc", "x", "y"])
+
+    def test_unused_entries_do_not_pick_the_representative(self):
+        ci = {"collations": {"s": CASE_INSENSITIVE}}
+        upper = _str_table(["ABC", "q"], **ci).slice(1, 2)  # carries "ABC", uses only "q"
+        out, _ = _assert_concat_matches_reference([upper, _str_table(["abc"], **ci)])
+        assert out.to_pydict()["s"] == ["q", "abc"]
+
+    def test_empty_and_all_null_parts(self):
+        full = _str_table(["m", None, "k"])
+        parts = [full.slice(0, 0), _str_table([]), _str_table([None, None]), full, full.slice(3, 3)]
+        out, _ = _assert_concat_matches_reference(parts)
+        assert out.to_pydict()["s"] == [None, None, "m", None, "k"]
+        only_nulls, _ = _assert_concat_matches_reference([_str_table([None]), _str_table([None])])
+        assert only_nulls.to_pydict()["s"] == [None, None]
+
+    def test_dictionary_less_string_parts(self):
+        plain = _str_table(["z", "a", None], compress=False)
+        assert not plain.column("s").is_dictionary_encoded
+        _assert_concat_matches_reference([plain, _str_table(["p", "a"], compress=False)])
+        # Left-join miss padding: fill slots under an all-true mask, no dictionary.
+        padding = Table(
+            {"s": Column(STR, PlainVector(np.array(["", ""], dtype=object)), null_mask=np.ones(2, bool))}
+        )
+        out, _ = _assert_concat_matches_reference([_str_table(["b", "a"]), padding, plain])
+        assert out.to_pydict()["s"] == ["b", "a", None, None, "z", "a", None]
+
+    def test_mixed_columns_and_plain_numbers(self):
+        a = Table.from_pydict({"x": [1, None], "f": [0.5, 1.5], "s": ["p", "q"]})
+        b = Table.from_pydict({"x": [3, 4], "f": [None, 2.5], "s": ["q", None]})
+        _assert_concat_matches_reference([a, b, a.slice(1, 2)])
+        compressed = [
+            Table.from_pydict({"x": [5, 7, 5]}, compress=True),
+            Table.from_pydict({"x": [6, None]}, compress=True),
+        ]
+        out, _ = _assert_concat_matches_reference(compressed)
+        assert out.to_pydict()["x"] == [5, 7, 5, 6, None]

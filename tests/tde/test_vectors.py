@@ -1,5 +1,7 @@
 """Unit and property tests for the storage encodings (paper 4.1.1)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,32 @@ class TestRleVector:
         stop = data.draw(st.integers(min_value=start, max_value=len(values)))
         assert list(vec.slice(start, stop)) == values[start:stop]
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_window_property(self, values, data):
+        """slice and expand_runs read exactly ``[start, stop)``: empty
+        ranges, ranges inside one run, ranges ending on and straddling run
+        boundaries, and a stop past the end (clipped, as array slicing)."""
+        arr = np.asarray(values, dtype=np.int64)
+        vec = RleVector.from_plain(arr)
+        start = data.draw(st.integers(min_value=0, max_value=len(values) + 2))
+        stop = data.draw(st.integers(min_value=0, max_value=len(values) + 2))
+        expected = arr[start:stop]
+        got = vec.slice(start, stop)
+        assert got.dtype == arr.dtype and list(got) == list(expected)
+        per_run = vec.values * 10 + 1
+        assert list(vec.expand_runs(per_run, start, stop)) == list(expected * 10 + 1)
+        assert list(vec.expand_runs(per_run)) == list(arr * 10 + 1)
+
+    def test_window_touches_only_runs_in_range(self):
+        vec = RleVector.from_plain(np.repeat(np.arange(1000), 3))
+        runs, counts = vec._window(301, 308)
+        assert (runs.start, runs.stop) == (100, 103)
+        assert list(counts) == [2, 3, 2]
+
 
 class TestDeltaVector:
     def test_roundtrip(self):
@@ -122,6 +150,77 @@ class TestDeltaVector:
         arr = np.asarray(values, dtype=np.int64)
         vec = DeltaVector.from_plain(arr)
         assert list(vec.materialize()) == values
+
+    @pytest.mark.parametrize("width", [np.int8, np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("block", [1, 4, 1024])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_slice_take_property(self, width, block, data):
+        """``slice``/``take`` equal indexing the materialized column, for
+        every delta width, with ranges on, off and across checkpoints."""
+        # One delta the next-narrower dtype cannot hold forces the width.
+        widest = {np.int8: 0, np.int16: 2**7, np.int32: 2**15, np.int64: 2**31}[width]
+        bound = min(np.iinfo(width).max, 2**40)
+        deltas = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+        deltas[0] = widest or deltas[0]
+        base = data.draw(st.integers(-(2**40), 2**40))
+        arr = np.cumsum([base] + deltas).astype(np.int64)
+        start = data.draw(st.integers(0, len(arr) + 2))
+        stop = data.draw(st.integers(0, len(arr) + 2))
+        idx = data.draw(st.lists(st.integers(0, len(arr) - 1), max_size=20))  # unsorted, repeats
+        idx = np.asarray(idx, dtype=np.int64)
+        with mock.patch.object(DeltaVector, "CHECKPOINT_ROWS", block):
+            vec = DeltaVector.from_plain(arr)
+            assert vec.deltas.dtype == width
+            for got, expected in [
+                (vec.materialize(), arr),
+                (vec.slice(start, stop), arr[start:stop]),
+                (vec.take(idx), arr[idx]),
+            ]:
+                assert got.dtype == arr.dtype and np.array_equal(got, expected)
+
+    def test_int8_deltas_whose_running_sum_leaves_int8(self):
+        arr = np.arange(0, 100 * 5000, 100, dtype=np.int64)  # deltas 100, sums to 499 900
+        vec = DeltaVector.from_plain(arr)
+        assert vec.deltas.dtype == np.int8
+        block = DeltaVector.CHECKPOINT_ROWS
+        for start, stop in [
+            (0, 0),
+            (0, 1),
+            (block, block),  # empty, on a checkpoint
+            (block, block + 1),  # starts on a checkpoint
+            (block - 1, block),  # ends on a checkpoint
+            (block - 3, block + 3),  # straddles one
+            (block - 3, 3 * block + 7),  # straddles several
+            (4999, 5000),
+            (0, 5000),
+        ]:
+            assert np.array_equal(vec.slice(start, stop), arr[start:stop]), (start, stop)
+        idx = np.array([4999, 0, block, block - 1, block, 17, 4999])
+        assert np.array_equal(vec.take(idx), arr[idx])
+
+    def test_length_one_vector(self):
+        vec = DeltaVector.from_plain(np.array([42], dtype=np.int64))
+        assert len(vec) == 1
+        assert list(vec.materialize()) == [42]
+        assert list(vec.slice(0, 1)) == [42] and len(vec.slice(1, 1)) == 0
+        assert list(vec.take(np.array([0, 0]))) == [42, 42]
+        assert len(vec.take(np.zeros(0, dtype=np.int64))) == 0
+
+    def test_slice_decodes_only_the_range(self, monkeypatch):
+        """O(rows returned + one block): the cumsum never sees the column."""
+        vec = DeltaVector.from_plain(np.arange(100_000, dtype=np.int64))
+        seen = []
+        real = np.cumsum
+
+        def counting_cumsum(a, *args, **kwargs):
+            seen.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting_cumsum)
+        vec.slice(50_000, 50_100)
+        vec.take(np.array([70_010, 70_000]))
+        assert max(seen) <= 100 + DeltaVector.CHECKPOINT_ROWS
 
 
 class TestEncodeBest:
