@@ -45,14 +45,65 @@ def fill_array(ltype: LogicalType, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # Factorization
 # ---------------------------------------------------------------------- #
+#: Direct addressing allots this many slots per input row, and never
+#: fewer than the floor. Measured: finding the distinct codes costs
+#: ~0.15 ns per slot plus ~5 ns per row, sorting them 70–140 ns per row,
+#: so sixteen slots a row stays ≥ 2x ahead of the sort while the scratch
+#: arrays stay within ~150 bytes per row; the floor is where a 100-row
+#: input (a roll-up of cached partials) breaks even with sorting it.
+_DIRECT_SLOTS_PER_ROW = 16
+_DIRECT_SLOTS_FLOOR = 2**16
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _direct_bound(n_rows: int) -> int:
+    """Largest code domain worth addressing directly for ``n_rows`` rows."""
+    return max(_DIRECT_SLOTS_FLOOR, _DIRECT_SLOTS_PER_ROW * n_rows)
+
+
+def _dense_ids(combined: np.ndarray, domain: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Dense ids for codes in ``[0, domain)``: ``(gids, n_groups, reps)``.
+
+    The contract is ``np.unique(combined, return_index=True,
+    return_inverse=True)``'s — ids ascend with the code and ``reps[g]`` is
+    the first row carrying group ``g`` — met without sorting whenever the
+    domain is small next to the input: the codes are addresses. Mark the
+    occupied slots, rank them in slot order, gather each row's rank, and
+    scatter row numbers to their group in *reverse* row order (numpy
+    keeps the last write of a repeated index, so the first row wins).
+    """
+    n = len(combined)
+    if domain > _direct_bound(n):
+        uniq, reps, gids = np.unique(combined, return_index=True, return_inverse=True)
+        return gids.astype(np.int64), len(uniq), reps.astype(np.int64)
+    occupied = np.zeros(domain, dtype=np.bool_)
+    occupied[combined] = True
+    slots = np.flatnonzero(occupied)
+    rank = np.empty(domain, dtype=np.int64)
+    rank[slots] = np.arange(len(slots), dtype=np.int64)
+    gids = rank[combined]
+    reps = np.empty(len(slots), dtype=np.int64)
+    reps[gids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return gids, len(slots), reps
+
+
 def _column_codes(values: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """Dense codes for one key column; NULL becomes the highest code."""
-    if values.dtype == object:
-        uniq, codes = np.unique(values.astype("U"), return_inverse=True)
-        codes = codes.astype(np.int64)
-        card = len(uniq)
-    else:
-        uniq, codes = np.unique(values, return_inverse=True)
+    """Order-preserving codes for one key column; NULL becomes the highest.
+
+    A bool or integer column spanning few values next to its row count is
+    its own code, ``value − min`` (codes need not be dense, only bounded
+    and ordered like the values); floats, wide integers and strings are
+    ranked by sorting.
+    """
+    codes = None
+    if values.dtype.kind in "bi" and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < _direct_bound(len(values)):
+            codes = values.astype(np.int64) - lo
+            card = hi - lo + 1
+    if codes is None:
+        sortable = values.astype("U") if values.dtype == object else values
+        uniq, codes = np.unique(sortable, return_inverse=True)
         codes = codes.astype(np.int64)
         card = len(uniq)
     if mask is not None and mask.any():
@@ -87,16 +138,29 @@ def factorize_table(table: Table, keys: list[str]) -> tuple[np.ndarray, int, np.
 
 
 def combine_codes(pairs: list[tuple[np.ndarray, int]], n_rows: int):
-    """Collapse multiple per-column code arrays into dense group ids."""
+    """Collapse multiple per-column code arrays into dense group ids.
+
+    Groups come out ascending in the lexicographic order of their codes,
+    ``reps`` their first rows. The running code ``prefix · card + codes``
+    is kept inside the direct-addressing bound by replacing the prefix
+    with its dense ids (same order, domain ≤ ``n_rows``) before a
+    multiplication that would leave it — which also keeps the product
+    inside int64 however many keys there are.
+    """
     if not pairs:
         gids = np.zeros(n_rows, dtype=np.int64)
         reps = np.zeros(1, dtype=np.int64) if n_rows else np.zeros(0, dtype=np.int64)
         return gids, (1 if n_rows else 0), reps
-    combined = pairs[0][0].astype(np.int64)
+    bound = _direct_bound(n_rows)
+    combined, domain = pairs[0][0].astype(np.int64, copy=False), int(pairs[0][1])
     for codes, card in pairs[1:]:
+        if domain * card > bound:
+            combined, domain, _ = _dense_ids(combined, domain)
+            if domain * card > _INT64_MAX:
+                codes, card, _ = _dense_ids(codes, card)
         combined = combined * card + codes
-    uniq, reps, gids = np.unique(combined, return_index=True, return_inverse=True)
-    return gids.astype(np.int64), len(uniq), reps.astype(np.int64)
+        domain *= card
+    return _dense_ids(combined, domain)
 
 
 def key_arrays(table: Table, keys: list[str]) -> list[tuple[np.ndarray, np.ndarray | None]]:

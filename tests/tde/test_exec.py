@@ -24,11 +24,24 @@ from repro.tde.exec import (
     execute_to_table,
 )
 from repro.tde.exec.kernels import AggSpec
-from repro.tde.storage import Table
+from repro.tde.exec.physical import aggregate_table
+from repro.tde.storage import Column, Table
 
 
 def _ctx(batch_size=16, parallel=True):
     return ExecContext(batch_size=batch_size, parallel=parallel)
+
+
+def _five_key_table(prefix=""):
+    """131 072 distinct 5-column keys whose naive mixed-radix code wraps
+    int64: the first column's weight is 65536**4 = 2**64 ≡ 0, so rows
+    ``i`` and ``i + 65536`` would share a combined code."""
+    i = np.arange(2 * 65536, dtype=np.int64)
+    cols = {f"{prefix}k0": Column.from_numpy(i // 65536, LogicalType.INT)}
+    for j in range(1, 5):
+        cols[f"{prefix}k{j}"] = Column.from_numpy(i % 65536, LogicalType.INT)
+    cols[f"{prefix}row"] = Column.from_numpy(i, LogicalType.INT)
+    return Table(cols)
 
 
 def _flights(n=200):
@@ -235,6 +248,13 @@ class TestAggregate:
         out = execute_to_table(node, _ctx())
         assert out.n_rows == 1
         assert out.to_pydict() == {"n": [0], "s": [None]}
+
+    def test_many_key_codes_do_not_wrap_int64(self):
+        t = _five_key_table()
+        keys = [f"k{j}" for j in range(5)]
+        out = aggregate_table(t, keys, [AggSpec("n", "count_star", None, LogicalType.INT)])
+        assert out.n_rows == t.n_rows
+        assert set(out.to_pydict()["n"]) == {1}
 
     def test_null_group_key_is_a_group(self):
         t = Table.from_pydict({"g": [1, None, 1, None], "v": [1, 2, 3, 4]})
