@@ -376,55 +376,125 @@ def predicate_mask(
 # Join probe
 # ---------------------------------------------------------------------- #
 @dataclass
-class BuildIndex:
-    """Hash-table analogue: sorted build rows grouped by key.
+class KeyCodes:
+    """Translation of probe values into one build key column's codes.
 
-    ``uniq_keys`` holds one merged key row per distinct build key (as a
-    list of per-column sorted unique arrays is not enough for multi-column
-    keys, we re-factorize probe batches against the *combined* build key
-    codes via per-column searchsorted translation).
+    ``uniques`` are the build side's sorted distinct values; a value's
+    code is its position there. For bool/integer keys spanning few values
+    ``table[value − lo]`` is that position (−1 where the build has no such
+    value), so the probe gathers instead of searching.
     """
 
-    per_column_uniques: list[np.ndarray]
-    combined_codes: np.ndarray  # sorted distinct combined codes
-    starts: np.ndarray  # group start offsets into `order`
-    counts: np.ndarray
-    order: np.ndarray  # build row indices sorted by combined code
+    uniques: np.ndarray
+    lo: int = 0
+    table: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> tuple["KeyCodes", np.ndarray]:
+        """Index a build column's non-NULL values; also returns their codes."""
+        if values.dtype.kind in "bi" and len(values):
+            lo, hi = int(values.min()), int(values.max())
+            if hi - lo < _direct_bound(len(values)):
+                rel = values.astype(np.int64) - lo
+                present = np.zeros(hi - lo + 1, dtype=np.bool_)
+                present[rel] = True
+                held = np.flatnonzero(present)
+                table = np.full(hi - lo + 1, -1, dtype=np.int64)
+                table[held] = np.arange(len(held), dtype=np.int64)
+                return cls((held + lo).astype(values.dtype), lo, table), table[rel]
+        sortable = values.astype("U") if values.dtype == object else values
+        uniq, codes = np.unique(sortable, return_inverse=True)
+        return cls(uniq), codes.astype(np.int64)
+
+    def positions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(pos, hit)``: each value's code, and whether the build holds it
+        (``pos`` is 0 where it does not)."""
+        if self.table is not None and values.dtype.kind in "bi":
+            values = values.astype(np.int64, copy=False)
+            inside = (values >= self.lo) & (values < self.lo + len(self.table))
+            pos = self.table[np.where(inside, values - self.lo, 0)]
+            hit = inside & (pos >= 0)
+            return np.where(hit, pos, 0), hit
+        uniq = self.uniques
+        if len(uniq) == 0:
+            return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=np.bool_)
+        if values.dtype == object:
+            values = values.astype("U")
+        pos = np.clip(np.searchsorted(uniq, values), 0, len(uniq) - 1)
+        hit = uniq[pos] == values
+        return np.where(hit, pos, 0), hit
+
+
+@dataclass
+class BuildIndex:
+    """Hash-table analogue: build rows grouped by combined key code.
+
+    A key row's combined code is the mixed-radix number of its per-column
+    codes (``keys[i]``, radix ``cards[i]``). ``prefixes[i]``, when set,
+    says the running code was replaced by its rank among the build's
+    distinct prefixes before column ``i`` was mixed in — the step that
+    keeps the code inside int64 — and the probe must take the same step.
+    ``combined_codes`` are the distinct codes, ascending; slot ``g`` owns
+    ``order[starts[g] : starts[g] + counts[g]]``, build rows in row order.
+    ``slot_of``, when the code domain is small, maps a code straight to
+    its slot (−1: no such build key). ``unique`` marks an N:1 build —
+    every slot owns one row, ``order[g]``.
+    """
+
+    keys: list[KeyCodes]
     cards: list[int]
+    prefixes: list[KeyCodes | None]
+    combined_codes: np.ndarray
+    slot_of: np.ndarray | None
+    starts: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    unique: bool
 
 
 def build_index(build: Table, keys: list[str]) -> BuildIndex:
     """Index the build side of a hash join on its key columns."""
-    per_col_uniq: list[np.ndarray] = []
-    per_col_codes: list[np.ndarray] = []
-    cards: list[int] = []
     valid = np.ones(build.n_rows, dtype=np.bool_)
     for key in keys:
         col = build.column(key)
         if col.null_mask is not None:
             valid &= ~col.null_mask  # NULL keys never join
-    for key in keys:
-        col = build.column(key)
-        values = col.storage_values()
-        if values.dtype == object:
-            sort_vals = values.astype("U")
-        else:
-            sort_vals = values
-        uniq, codes = np.unique(sort_vals[valid], return_inverse=True)
-        per_col_uniq.append(uniq)
-        full_codes = np.zeros(build.n_rows, dtype=np.int64)
-        full_codes[valid] = codes
-        per_col_codes.append(full_codes)
-        cards.append(max(len(uniq), 1))
-    combined = np.zeros(build.n_rows, dtype=np.int64)
-    for codes, card in zip(per_col_codes, cards):
-        combined = combined * card + codes
-    combined = combined[valid]
     row_ids = np.flatnonzero(valid)
+    key_codes: list[KeyCodes] = []
+    cards: list[int] = []
+    prefixes: list[KeyCodes | None] = []
+    combined = np.zeros(len(row_ids), dtype=np.int64)
+    domain = 1
+    for key in keys:
+        translation, codes = KeyCodes.of(build.column(key).storage_values()[row_ids])
+        card = max(len(translation.uniques), 1)
+        prefix = None
+        if domain * card > _INT64_MAX:
+            prefix, combined = KeyCodes.of(combined)
+            domain = len(prefix.uniques)
+        key_codes.append(translation)
+        cards.append(card)
+        prefixes.append(prefix)
+        combined = combined * card + codes
+        domain *= card
+    slot_of = None
+    if domain <= _direct_bound(len(combined)):
+        slots, n_slots, first = _dense_ids(combined, domain)
+        uniq_codes = combined[first]
+        slot_of = np.full(domain, -1, dtype=np.int64)
+        slot_of[uniq_codes] = np.arange(n_slots, dtype=np.int64)
+        if n_slots == len(combined):
+            one = np.ones(n_slots, dtype=np.int64)
+            return BuildIndex(
+                key_codes, cards, prefixes, uniq_codes, slot_of,
+                np.arange(n_slots, dtype=np.int64), one, row_ids[first], True,
+            )
     order_local = np.argsort(combined, kind="stable")
-    sorted_codes = combined[order_local]
-    uniq_codes, starts, counts = _group_boundaries(sorted_codes)
-    return BuildIndex(per_col_uniq, uniq_codes, starts, counts, row_ids[order_local], cards)
+    uniq_codes, starts, counts = _group_boundaries(combined[order_local])
+    return BuildIndex(
+        key_codes, cards, prefixes, uniq_codes, slot_of,
+        starts, counts, row_ids[order_local], len(uniq_codes) == len(combined),
+    )
 
 
 def _group_boundaries(sorted_codes: np.ndarray):
@@ -447,36 +517,35 @@ def probe_index(
 
     Returns ``(probe_rows, build_rows, matched_mask)``: matched row pairs
     (with multiplicity) plus a per-probe-row flag used by left joins.
+    Pairs come in probe-row order, a probe row's matches in build-row
+    order.
     """
     n = probe.n_rows
     ok = np.ones(n, dtype=np.bool_)
     combined = np.zeros(n, dtype=np.int64)
-    for key, uniq, card in zip(keys, index.per_column_uniques, index.cards):
+    for key, translation, card, prefix in zip(keys, index.keys, index.cards, index.prefixes):
         col = probe.column(key)
-        values = col.storage_values()
-        if values.dtype == object:
-            values = values.astype("U")
         if col.null_mask is not None:
             ok &= ~col.null_mask
-        pos = np.searchsorted(uniq, values)
-        pos_clipped = np.clip(pos, 0, max(len(uniq) - 1, 0))
-        if len(uniq):
-            hit = uniq[pos_clipped] == values
-        else:
-            hit = np.zeros(n, dtype=np.bool_)
+        if prefix is not None:
+            combined, hit = prefix.positions(combined)
+            ok &= hit
+        pos, hit = translation.positions(col.storage_values())
         ok &= hit
-        combined = combined * card + np.where(hit, pos_clipped, 0)
-    slot = np.searchsorted(index.combined_codes, combined)
-    slot_clipped = np.clip(slot, 0, max(len(index.combined_codes) - 1, 0))
-    if len(index.combined_codes):
-        ok &= index.combined_codes[slot_clipped] == combined
+        combined = combined * card + pos
+    if index.slot_of is not None:
+        slot = index.slot_of[combined]
+        ok &= slot >= 0
     else:
-        ok &= False
+        slot, hit = KeyCodes(index.combined_codes).positions(combined)
+        ok &= hit
     matched_rows = np.flatnonzero(ok)
     if len(matched_rows) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, ok
-    grp = slot_clipped[matched_rows]
+    grp = slot[matched_rows]
+    if index.unique:
+        return matched_rows, index.order[grp], ok
     counts = index.counts[grp]
     starts = index.starts[grp]
     total = int(counts.sum())

@@ -199,6 +199,16 @@ class TestHashJoin:
         )
         assert sorted(out.to_pydict()["v"]) == [1, 2, 3]
 
+    def test_many_key_codes_do_not_wrap_int64(self):
+        left, right = _five_key_table(), _five_key_table("r")
+        conditions = [(f"k{j}", f"rk{j}") for j in range(5)]
+        out = execute_to_table(
+            PHashJoin("inner", conditions, PScan(left), PScan(right)),
+            _ctx(batch_size=1 << 15),
+        )
+        assert out.n_rows == left.n_rows
+        assert out.to_pydict()["row"] == out.to_pydict()["rrow"]
+
     def test_shared_build(self):
         t = _flights(40)
         shared = SharedBuild(PScan(self._dims()))
