@@ -109,6 +109,10 @@ class DataSource(Protocol):
     name: str
     dialect: Capabilities
     query_language: str  # "sql" | "tql"
+    #: Whether queries execute on the caller's own interpreter rather
+    #: than on a server it waits for. Threads cannot overlap such a
+    #: source's work (one GIL), so the executor runs its batches inline.
+    in_process: bool
 
     def connect(self) -> Connection:  # pragma: no cover - protocol
         ...
@@ -152,12 +156,16 @@ class _TdeDriver:
 class TdeDataSource:
     """A local TDE extract as a data source (paper 2, 4.1.4).
 
-    Connections are cheap (in-process) and the engine itself supports
-    parallel plans, so its profile differs sharply from single-threaded
-    remote servers in the concurrency experiments.
+    Connections are cheap and a query is computed by the calling thread,
+    inside this interpreter: there is no remote wait for concurrent
+    submission (paper 3.5) to overlap, only numpy kernels contending for
+    one GIL. The source therefore declares itself ``in_process`` and the
+    executor runs its batches inline, in order — the opposite profile
+    from the remote servers of the concurrency experiments.
     """
 
     query_language = "tql"
+    in_process = True
 
     def __init__(self, engine: DataEngine, name: str | None = None):
         from ..sql.dialects import ANSI

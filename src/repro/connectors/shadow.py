@@ -74,6 +74,7 @@ class FileDataSource:
     """A text/workbook file served through a shadow extract."""
 
     query_language = "tql"
+    in_process = False  # file reads and extract creation are I/O waits
 
     def __init__(
         self,
@@ -196,6 +197,7 @@ class JetLikeDataSource:
     """The pre-shadow-extract behaviour: per-query parsing + 4GB limit."""
 
     query_language = "tql"
+    in_process = False
 
     def __init__(
         self,

@@ -400,6 +400,7 @@ class SimDbDataSource:
     """Client-facing data source for a simulated server."""
 
     query_language = "sql"
+    in_process = False  # a modeled remote server: callers wait, not compute
 
     def __init__(self, db: SimulatedDatabase, *, timeout_s: float | None = None):
         self.db = db

@@ -5,7 +5,11 @@
 checks out a connection from the pool (preferring one that already holds
 its temporary structures), creates missing temp tables, runs the text,
 and applies its local post-ops. A serial mode exists for the experiments
-that compare the two strategies.
+that compare the two strategies, and is what a batch against an
+``in_process`` source (:class:`~repro.connectors.connection.DataSource`)
+always gets: concurrency pays where callers *wait* for a server, and a
+source computing on this interpreter's GIL gives threads nothing to
+overlap — only a pool to start and locks to contend for.
 
 Robustness: transient source failures (timeouts, blips, dead pool
 members) are retried under a :class:`~repro.faults.retry.RetryPolicy`
@@ -173,10 +177,14 @@ class ConcurrentQueryExecutor:
         concurrent: bool = True,
         capture_errors: bool = False,
     ) -> list[ExecutionOutcome]:
-        """Execute a batch, concurrently by default (paper 3.3 phase two)."""
+        """Execute a batch, concurrently by default (paper 3.3 phase two).
+
+        In order on the calling thread when ``concurrent`` is off, the
+        batch is one query, or the source is ``in_process``.
+        """
         if not compiled:
             return []
-        if not concurrent or len(compiled) == 1:
+        if not concurrent or len(compiled) == 1 or self.pool.source.in_process:
             return [self.run_one(c, capture_errors=capture_errors) for c in compiled]
         workers = min(self.max_workers, len(compiled))
         obs.gauge("executor.queue_depth").set(len(compiled))

@@ -44,6 +44,10 @@ class FaultyDataSource:
         self.name = inner.name
         self.dialect = inner.dialect
         self.query_language = inner.query_language
+        #: Never inherited (``__getattr__`` would leak the inner source's
+        #: value): injected latency and timeouts are slept, like a remote
+        #: wait, so concurrent submission still pays off.
+        self.in_process = False
         self.injected = 0
         if plan.clock is None:
             plan.clock = self.clock
