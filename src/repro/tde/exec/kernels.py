@@ -8,7 +8,7 @@ grouping (via dictionary codes ordered by collation) comes for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

@@ -5,7 +5,9 @@ code-space predicate evaluation on dictionary/RLE columns, and the
 physical-plan cache — must be invisible in results. A seeded generator
 draws 200+ TQL queries over a dataset built to stress the new kernels
 (dictionary STR columns, an RLE-sorted INT column, null-bearing columns
-of every type); an oracle engine with all three features off computes
+of every type), and a second one joins that fact table N:1 to three
+small dimensions (a dictionary-coded STR key, a dense INT key, keys that
+miss and keys that are NULL on either side); an oracle engine with all three features off computes
 the reference; the optimized engine (features on, plans cached and
 reused) must return *byte-identical* tables: same column names, same
 logical types, same numpy dtypes, same null masks, same values, same
@@ -30,6 +32,7 @@ from repro.tde.optimizer.parallel import PlannerOptions
 
 SEED = 7901
 N_SPECS = 220  # the acceptance floor is 200
+N_JOIN_SPECS = 40  # drawn after, and apart from, the 220 above
 N_ROWS = 6000
 BATCH_SIZE = 1024  # several oracle batches per scan, one fused pass
 
@@ -70,6 +73,32 @@ def _build_shared_dataset() -> DataEngine:
     )
     engine.load_pydict(
         "Extract.events", data, sort_keys=["day"], encodings={"day": "rle"}
+    )
+    # Dimensions, each keyed uniquely (N:1). "central" has no region row
+    # and "cancelled" no status row (probe misses: dropped by an inner
+    # join, padded by a left join); one region row has a NULL key (a
+    # build row nothing may match); ``qty_key`` is a dense int range that
+    # stops short of the fact's 80..99. Fact-side ``status`` and ``qty``
+    # carry NULL keys. ``zone`` and ``bucket`` are dictionary-coded STR
+    # carried through the join into the group-by above it.
+    engine.load_pydict(
+        "Extract.regions",
+        {
+            "region_key": ["west", "east", None, "south", "north"],
+            "zone": ["coastal", "coastal", "void", "inland", "inland"],
+            "weight": [2.0, 1.5, 9.0, None, 0.25],
+        },
+    )
+    engine.load_pydict(
+        "Extract.statuses", {"status_key": ["ok", "late"], "severity": [0, 2]}
+    )
+    engine.load_pydict(
+        "Extract.buckets",
+        {
+            "qty_key": list(range(80)),
+            "bucket": [f"b{q // 10}" for q in range(80)],
+            "tier": [None if q % 7 == 0 else q % 4 for q in range(80)],
+        },
     )
     return engine
 
@@ -205,6 +234,47 @@ def gen_queries(seed: int, n: int) -> list[str]:
     return [_draw_query(rng) for _ in range(n)]
 
 
+#: (fact key, dimension table, dimension key, STR attribute, numeric attribute)
+_DIMENSIONS = [
+    ("region", "Extract.regions", "region_key", "zone", "weight"),
+    ("status", "Extract.statuses", "status_key", None, "severity"),
+    ("qty", "Extract.buckets", "qty_key", "bucket", "tier"),
+]
+
+
+def _draw_join_query(rng: random.Random) -> str:
+    """An N:1 star join under the shapes the single-table generator
+    draws: aggregate by a carried dimension attribute, aggregate a
+    dimension measure by a fact column, project both sides, order+limit."""
+    scan = '(scan "Extract.events")'
+    joined = f"(select {_draw_predicate(rng)} {scan})" if rng.random() < 0.7 else scan
+    dims = rng.sample(_DIMENSIONS, 2 if rng.random() < 0.3 else 1)
+    for fact_key, table, dim_key, _label, _measure in dims:
+        kind = "left" if rng.random() < 0.5 else "inner"
+        joined = f'(join {kind} (({fact_key} {dim_key})) {joined} (scan "{table}"))'
+    labels = [label for _k, _t, _d, label, _m in dims if label is not None]
+    measure = dims[0][4]
+    shape = rng.randrange(4)
+    if shape == 0 and labels:
+        groups = sorted(labels + rng.sample(["priority", "region"], rng.randint(0, 1)))
+        aggs = f"(n (count)) (s (sum amount)) (m (max {measure}))"
+        return f"(aggregate ({' '.join(groups)}) ({aggs}) {joined})"
+    if shape == 1:
+        group = rng.choice(["priority", "region", "status", "day"])
+        return f"(aggregate ({group}) ((n (count)) (w (sum {measure}))) {joined})"
+    if shape == 2:
+        items = ["(r region)", "(q qty)", f"(m {measure})"] + [f"({lb} {lb})" for lb in labels]
+        return f"(project ({' '.join(sorted(items))}) {joined})"
+    group = labels[0] if labels else "priority"
+    agg = f"(aggregate ({group}) ((n (count)) (lo (min {measure}))) {joined})"
+    return f"(limit {rng.randint(1, 6)} (order (({group} asc)) {agg}))"
+
+
+def gen_join_queries(seed: int, n: int) -> list[str]:
+    rng = random.Random(f"kernel-equivalence-joins|{seed}")
+    return [_draw_join_query(rng) for _ in range(n)]
+
+
 # ---------------------------------------------------------------------- #
 # Byte-identity comparison
 # ---------------------------------------------------------------------- #
@@ -245,7 +315,7 @@ def engines():
 def queries():
     out = gen_queries(SEED, N_SPECS)
     assert len(out) >= 200
-    return out
+    return out + gen_join_queries(SEED, N_JOIN_SPECS)
 
 
 def test_generator_is_seed_deterministic():
@@ -261,6 +331,15 @@ def test_generator_covers_the_new_kernels(queries):
     assert "(in region" in text  # dictionary set membership
     assert "day" in text  # RLE per-run path
     assert "(limit" in text  # operators above the fused chain
+    for probe in (
+        "(join inner ((region region_key))",  # dictionary STR key, misses dropped
+        "(join left ((region region_key))",  # ... and padded; NULL build key
+        "(join left ((status status_key))",  # NULL probe keys
+        "(join inner ((qty qty_key))",  # dense int key, out-of-range misses
+        "(aggregate (zone",  # a carried STR attribute grouped above the join
+        "(sum weight)",  # a NULL-bearing dimension measure
+    ):
+        assert probe in text, probe
 
 
 def test_optimized_matches_oracle_byte_for_byte(engines, queries):

@@ -1,0 +1,95 @@
+"""Cost guard: a cold render sorts nothing, searches nothing, idles no thread.
+
+Counted, not timed, in the style of ``test_scan_cost.py``. Every Fig-1
+group-by key is a dictionary code or a small-span integer and every
+join an N:1 lookup on such a key, so the group-by and join kernels must
+address directly: before they did, one 20k-row render issued 154
+``np.unique``, 31 ``np.argsort`` and 62 ``np.searchsorted`` calls from
+``kernels.py`` — a third of its time sorting, a quarter searching — and
+ran on an 8-thread pool that an in-process engine cannot use.
+"""
+
+import numpy as np
+
+from repro.connectors import SimDbDataSource, TdeDataSource
+from repro.connectors.simdb import ServerProfile
+from repro.core import executor
+from repro.core.pipeline import QueryPipeline
+from repro.dashboard import DashboardSession
+from repro.faults import FaultPlan, FaultyDataSource
+from repro.tde.exec import kernels
+from repro.workloads import fig1_dashboard, flights_model, generate_flights
+
+
+def _render(source):
+    pipeline = QueryPipeline(source, flights_model())
+    try:
+        result = DashboardSession(fig1_dashboard(), pipeline).render()
+    finally:
+        pipeline.close()
+    assert result.remote_queries > 1 and not result.degraded
+    return result
+
+
+def test_numpy_keeps_the_last_write_of_a_repeated_index():
+    # ``kernels._dense_ids`` finds first occurrences by scattering row
+    # numbers in reverse row order; it is only right while this holds.
+    a = np.zeros(1, dtype=np.int64)
+    a[[0, 0]] = [1, 2]
+    assert a[0] == 2
+
+
+def test_fig1_render_never_sorts_or_searches(monkeypatch):
+    issued = {"unique": 0, "argsort": 0, "searchsorted": 0}
+
+    class CountingNumpy:
+        """Stands in for the ``np`` that ``kernels.py`` sees, so only
+        calls issued from that module are counted."""
+
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in issued:
+                return attr
+
+            def counted(*args, **kwargs):
+                issued[name] += 1
+                return attr(*args, **kwargs)
+
+            return counted
+
+    engine = generate_flights(20_000, seed=1).load_into_engine()
+    monkeypatch.setattr(kernels, "np", CountingNumpy())
+    _render(TdeDataSource(engine))
+    assert issued == {"unique": 0, "argsort": 0, "searchsorted": 0}
+    # ... and the counter is live: a wide-span key still sorts.
+    kernels.combine_codes([(np.array([0, 2**40]), 2**40 + 1)], 2)
+    assert issued["unique"] == 1
+
+
+def test_thread_pool_is_for_sources_that_wait(monkeypatch):
+    pools = []
+
+    class CountingPool(executor.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", CountingPool)
+    dataset = generate_flights(2_000, seed=1)
+    tde = TdeDataSource(dataset.load_into_engine())
+    assert tde.in_process
+    _render(tde)
+    assert pools == []  # computed inline, on the calling thread
+
+    # An inert fault plan: the wrapper still models a remote source, and
+    # must not inherit the inner engine's ``in_process`` by delegation.
+    faulty = FaultyDataSource(tde, FaultPlan())
+    assert not faulty.in_process
+    _render(faulty)
+    assert len(pools) >= 1 and all(workers > 1 for workers in pools)
+
+    del pools[:]
+    simdb = SimDbDataSource(dataset.load_into_simdb(ServerProfile(), name="warehouse"))
+    assert not simdb.in_process
+    _render(simdb)
+    assert len(pools) >= 1 and all(workers > 1 for workers in pools)
