@@ -61,6 +61,23 @@ def _direct_bound(n_rows: int) -> int:
     return max(_DIRECT_SLOTS_FLOOR, _DIRECT_SLOTS_PER_ROW * n_rows)
 
 
+def _small_span(values: np.ndarray) -> tuple[int, int] | None:
+    """``(min, span)`` of a non-empty bool/integer column whose values,
+    less the minimum, fit the direct-addressing bound; else ``None``."""
+    if values.dtype.kind in "bi" and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < _direct_bound(len(values)):
+            return lo, hi - lo + 1
+    return None
+
+
+def _rank_by_sorting(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted distinct values, each value's position among them)``."""
+    sortable = values.astype("U") if values.dtype == object else values
+    uniq, codes = np.unique(sortable, return_inverse=True)
+    return uniq, codes.astype(np.int64)
+
+
 def _dense_ids(combined: np.ndarray, domain: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Dense ids for codes in ``[0, domain)``: ``(gids, n_groups, reps)``.
 
@@ -95,19 +112,14 @@ def _column_codes(values: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarr
     and ordered like the values); floats, wide integers and strings are
     ranked by sorting.
     """
-    codes = None
-    if values.dtype.kind in "bi" and len(values):
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < _direct_bound(len(values)):
-            codes = values.astype(np.int64) - lo
-            card = hi - lo + 1
-    if codes is None:
-        sortable = values.astype("U") if values.dtype == object else values
-        uniq, codes = np.unique(sortable, return_inverse=True)
-        codes = codes.astype(np.int64)
+    span = _small_span(values)
+    if span is not None:
+        lo, card = span
+        codes = values.astype(np.int64, copy=False) - lo
+    else:
+        uniq, codes = _rank_by_sorting(values)
         card = len(uniq)
     if mask is not None and mask.any():
-        codes = codes.copy()
         codes[mask] = card
         card += 1
     return codes, card
@@ -392,19 +404,18 @@ class KeyCodes:
     @classmethod
     def of(cls, values: np.ndarray) -> tuple["KeyCodes", np.ndarray]:
         """Index a build column's non-NULL values; also returns their codes."""
-        if values.dtype.kind in "bi" and len(values):
-            lo, hi = int(values.min()), int(values.max())
-            if hi - lo < _direct_bound(len(values)):
-                rel = values.astype(np.int64) - lo
-                present = np.zeros(hi - lo + 1, dtype=np.bool_)
-                present[rel] = True
-                held = np.flatnonzero(present)
-                table = np.full(hi - lo + 1, -1, dtype=np.int64)
-                table[held] = np.arange(len(held), dtype=np.int64)
-                return cls((held + lo).astype(values.dtype), lo, table), table[rel]
-        sortable = values.astype("U") if values.dtype == object else values
-        uniq, codes = np.unique(sortable, return_inverse=True)
-        return cls(uniq), codes.astype(np.int64)
+        span = _small_span(values)
+        if span is None:
+            uniq, codes = _rank_by_sorting(values)
+            return cls(uniq), codes
+        lo, width = span
+        rel = values.astype(np.int64, copy=False) - lo
+        present = np.zeros(width, dtype=np.bool_)
+        present[rel] = True
+        held = np.flatnonzero(present)
+        table = np.full(width, -1, dtype=np.int64)
+        table[held] = np.arange(len(held), dtype=np.int64)
+        return cls((held + lo).astype(values.dtype), lo, table), table[rel]
 
     def positions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(pos, hit)``: each value's code, and whether the build holds it
@@ -437,8 +448,7 @@ class BuildIndex:
     ``combined_codes`` are the distinct codes, ascending; slot ``g`` owns
     ``order[starts[g] : starts[g] + counts[g]]``, build rows in row order.
     ``slot_of``, when the code domain is small, maps a code straight to
-    its slot (−1: no such build key). ``unique`` marks an N:1 build —
-    every slot owns one row, ``order[g]``.
+    its slot (−1: no such build key).
     """
 
     keys: list[KeyCodes]
@@ -449,7 +459,11 @@ class BuildIndex:
     starts: np.ndarray
     counts: np.ndarray
     order: np.ndarray
-    unique: bool
+
+    @property
+    def unique(self) -> bool:
+        """An N:1 build: every slot owns exactly one row, ``order[g]``."""
+        return len(self.order) == len(self.combined_codes)
 
 
 def build_index(build: Table, keys: list[str]) -> BuildIndex:
@@ -479,21 +493,20 @@ def build_index(build: Table, keys: list[str]) -> BuildIndex:
         domain *= card
     slot_of = None
     if domain <= _direct_bound(len(combined)):
-        slots, n_slots, first = _dense_ids(combined, domain)
+        _, n_slots, first = _dense_ids(combined, domain)
         uniq_codes = combined[first]
         slot_of = np.full(domain, -1, dtype=np.int64)
         slot_of[uniq_codes] = np.arange(n_slots, dtype=np.int64)
-        if n_slots == len(combined):
-            one = np.ones(n_slots, dtype=np.int64)
+        if n_slots == len(combined):  # all keys distinct: no sort needed
+            starts = np.arange(n_slots, dtype=np.int64)
+            counts = np.ones(n_slots, dtype=np.int64)
             return BuildIndex(
-                key_codes, cards, prefixes, uniq_codes, slot_of,
-                np.arange(n_slots, dtype=np.int64), one, row_ids[first], True,
+                key_codes, cards, prefixes, uniq_codes, slot_of, starts, counts, row_ids[first]
             )
     order_local = np.argsort(combined, kind="stable")
     uniq_codes, starts, counts = _group_boundaries(combined[order_local])
     return BuildIndex(
-        key_codes, cards, prefixes, uniq_codes, slot_of,
-        starts, counts, row_ids[order_local], len(uniq_codes) == len(combined),
+        key_codes, cards, prefixes, uniq_codes, slot_of, starts, counts, row_ids[order_local]
     )
 
 
