@@ -394,7 +394,8 @@ class KeyCodes:
     ``uniques`` are the build side's sorted distinct values; a value's
     code is its position there. For bool/integer keys spanning few values
     ``table[value − lo]`` is that position (−1 where the build has no such
-    value), so the probe gathers instead of searching.
+    value), so the probe gathers instead of searching; one extra slot at
+    the end holds −1 for the probe to send out-of-range values to.
     """
 
     uniques: np.ndarray
@@ -413,7 +414,7 @@ class KeyCodes:
         present = np.zeros(width, dtype=np.bool_)
         present[rel] = True
         held = np.flatnonzero(present)
-        table = np.full(width, -1, dtype=np.int64)
+        table = np.full(width + 1, -1, dtype=np.int64)
         table[held] = np.arange(len(held), dtype=np.int64)
         return cls((held + lo).astype(values.dtype), lo, table), table[rel]
 
@@ -422,10 +423,10 @@ class KeyCodes:
         (``pos`` is 0 where it does not)."""
         if self.table is not None and values.dtype.kind in "bi":
             values = values.astype(np.int64, copy=False)
-            inside = (values >= self.lo) & (values < self.lo + len(self.table))
-            pos = self.table[np.where(inside, values - self.lo, 0)]
-            hit = inside & (pos >= 0)
-            return np.where(hit, pos, 0), hit
+            width = len(self.table) - 1
+            inside = (values >= self.lo) & (values < self.lo + width)
+            pos = self.table[np.where(inside, values - self.lo, width)]
+            return np.maximum(pos, 0), pos >= 0
         uniq = self.uniques
         if len(uniq) == 0:
             return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=np.bool_)
@@ -483,7 +484,7 @@ def build_index(build: Table, keys: list[str]) -> BuildIndex:
         translation, codes = KeyCodes.of(build.column(key).storage_values()[row_ids])
         card = max(len(translation.uniques), 1)
         prefix = None
-        if domain * card > _INT64_MAX:
+        if key_codes and domain * card > _INT64_MAX:
             prefix, combined = KeyCodes.of(combined)
             domain = len(prefix.uniques)
         key_codes.append(translation)
@@ -535,7 +536,7 @@ def probe_index(
     """
     n = probe.n_rows
     ok = np.ones(n, dtype=np.bool_)
-    combined = np.zeros(n, dtype=np.int64)
+    combined = None
     for key, translation, card, prefix in zip(keys, index.keys, index.cards, index.prefixes):
         col = probe.column(key)
         if col.null_mask is not None:
@@ -545,7 +546,9 @@ def probe_index(
             ok &= hit
         pos, hit = translation.positions(col.storage_values())
         ok &= hit
-        combined = combined * card + pos
+        combined = pos if combined is None else combined * card + pos
+    if combined is None:  # no key columns: every row carries the empty key
+        combined = np.zeros(n, dtype=np.int64)
     if index.slot_of is not None:
         slot = index.slot_of[combined]
         ok &= slot >= 0
