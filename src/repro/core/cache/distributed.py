@@ -11,18 +11,19 @@ particular queries."
 byte store whose GET/PUT calls sleep for a modeled network round trip, so
 the L1-vs-L2 latency trade-off is physically measurable.
 :class:`DistributedQueryCache` gives each node a small in-memory L1 over
-the shared store; tables are serialized with the TDE single-file format.
+the shared store; a table crosses it in the flat result wire format of
+:mod:`repro.tde.storage.wire` (dictionary codes and the entries they
+use, raw buffers, a version byte), never the single-file database format.
 """
 
 from __future__ import annotations
 
-import io
 import threading
 
+from ...errors import CacheError, StorageError
 from ...faults.clock import SYSTEM_CLOCK, Clock
-from ...tde.storage.filepack import pack_database, unpack_database
-from ...tde.storage.schema import Database
 from ...tde.storage.table import Table
+from ...tde.storage.wire import decode_table, encode_table
 from .eviction import CacheEntry, EvictionPolicy
 
 
@@ -135,17 +136,17 @@ class KeyValueStore:
 
 
 def serialize_table(table: Table) -> bytes:
-    """Encode a table with the TDE single-file format (no pickle)."""
-    db = Database("cache")
-    db.add_table("Extract.result", table)
-    buf = io.BytesIO()
-    pack_database(db, buf)
-    return buf.getvalue()
+    """Encode a result in the tier's wire format (no pickle)."""
+    return encode_table(table)
 
 
 def deserialize_table(payload: bytes) -> Table:
-    db = unpack_database(io.BytesIO(payload))  # type: ignore[arg-type]
-    return db.table("Extract.result")
+    """Decode a tier payload; :class:`CacheError` unless it is a
+    well-formed payload of the current wire version."""
+    try:
+        return decode_table(payload)
+    except StorageError as exc:
+        raise CacheError(f"unreadable cache payload: {exc}") from exc
 
 
 class DistributedQueryCache:
@@ -174,6 +175,7 @@ class DistributedQueryCache:
         self.l1_hits = 0
         self.l2_hits = 0
         self.misses = 0
+        self.corrupt = 0
 
     def get(self, key: str) -> Table | None:
         if self.use_l1:
@@ -187,7 +189,15 @@ class DistributedQueryCache:
         if payload is None:
             self.misses += 1
             return None
-        table = deserialize_table(payload)
+        try:
+            table = deserialize_table(payload)
+        except CacheError:
+            # A damaged (or pre-upgrade) entry is a miss, not a failed
+            # render: drop it so the recomputed answer replaces it.
+            self.store.delete(key)
+            self.corrupt += 1
+            self.misses += 1
+            return None
         self.l2_hits += 1
         if self.use_l1:
             self._remember(key, table)

@@ -5,7 +5,8 @@ times across different sessions with the application."
 
 The intelligent cache is saved as a single ZIP: a JSON manifest of query
 specs (no pickling — filter values carry explicit type tags) plus one
-packed table per entry.
+payload per entry, in the wire format the cache tier uses. Version 1
+files held a packed one-table database per entry and are refused.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilte
 from .distributed import deserialize_table, serialize_table
 from .intelligent import IntelligentCache
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------- #
@@ -142,7 +143,7 @@ def save_intelligent_cache(cache: IntelligentCache, path: str | Path) -> int:
 
 def load_intelligent_cache(path: str | Path, cache: IntelligentCache | None = None) -> IntelligentCache:
     """Load persisted entries into a (new or given) cache."""
-    cache = cache or IntelligentCache()
+    cache = cache if cache is not None else IntelligentCache()  # an empty cache is falsy
     path = Path(path)
     if not path.exists():
         raise CacheError(f"no persisted cache at {path}")

@@ -124,15 +124,24 @@ class QuerySpec:
 
     # ------------------------------------------------------------------ #
     def canonical(self) -> str:
-        """Deterministic text identity (cache keys, batch dedup)."""
-        dims = " ".join(self.dimensions)
-        measures = " ".join(f"({n} {to_sexpr(a)})" for n, a in self.measures)
-        filters = " ".join(sorted(f.canonical() for f in self.filters))
-        order = " ".join(f"({k} {'asc' if asc else 'desc'})" for k, asc in self.order_by)
-        return (
-            f"(query {self.datasource} (dims {dims}) (measures {measures})"
-            f" (filters {filters}) (order {order}) (limit {self.limit}))"
-        )
+        """Deterministic text identity (cache keys, batch dedup).
+
+        Built once per spec object and kept on the instance, outside the
+        dataclass fields: equality, hashing, ``repr`` and ``replace``
+        never see it, and two threads racing here write the same string.
+        """
+        text = self.__dict__.get("_canonical")
+        if text is None:
+            dims = " ".join(self.dimensions)
+            measures = " ".join(f"({n} {to_sexpr(a)})" for n, a in self.measures)
+            filters = " ".join(sorted(f.canonical() for f in self.filters))
+            order = " ".join(f"({k} {'asc' if asc else 'desc'})" for k, asc in self.order_by)
+            text = (
+                f"(query {self.datasource} (dims {dims}) (measures {measures})"
+                f" (filters {filters}) (order {order}) (limit {self.limit}))"
+            )
+            object.__setattr__(self, "_canonical", text)
+        return text
 
     def fields_used(self) -> set[str]:
         """Every view field the spec touches (for calculation expansion)."""

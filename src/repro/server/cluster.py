@@ -258,6 +258,7 @@ class TdeCluster:
                     "misses": self.result_cache_misses,
                     "l1_hits": self.result_cache.l1_hits,
                     "l2_hits": self.result_cache.l2_hits,
+                    "corrupt": self.result_cache.corrupt,
                 }
             tier_statz = getattr(self.result_cache.store, "statz", None)
             if tier_statz is not None:

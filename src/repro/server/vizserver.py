@@ -428,6 +428,7 @@ class VizServer:
             "l1_hits": sum(n.distributed.l1_hits for n in self.nodes),
             "l2_hits": sum(n.distributed.l2_hits for n in self.nodes),
             "misses": sum(n.distributed.misses for n in self.nodes),
+            "corrupt": sum(n.distributed.corrupt for n in self.nodes),
             "remote_queries": sum(
                 n.pipeline.executor.remote_queries_sent for n in self.nodes
             ),

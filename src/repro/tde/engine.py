@@ -134,20 +134,22 @@ class DataEngine:
         reuse the compiled physical plan and skip rewrite/bind/optimize.
         """
         opts = options or self.options
+        logical = self.parse(query) if isinstance(query, str) else query
         if isinstance(query, str) and self.plan_cache.enabled:
-            key = self._plan_key(query, opts)
+            # The key is normalised from the tree just parsed, so a miss
+            # compiles that tree instead of parsing the text again.
+            key = self._plan_key(logical, opts)
             cached = self.plan_cache.get(key)
             if cached is not None:
                 return cached
             generation = self.plan_cache.generation()
-            physical = plan_query(self.parse(query), self.catalog, opts)
+            physical = plan_query(logical, self.catalog, opts)
             self.plan_cache.put(key, physical, generation)
             return physical
-        logical = self.parse(query) if isinstance(query, str) else query
         return plan_query(logical, self.catalog, opts)
 
-    def _plan_key(self, tql: str, opts: PlannerOptions) -> tuple:
-        return (normalize_tql(tql), self.catalog.version, options_fingerprint(opts))
+    def _plan_key(self, query: str | LogicalPlan, opts: PlannerOptions) -> tuple:
+        return (normalize_tql(query), self.catalog.version, options_fingerprint(opts))
 
     def invalidate_plans(self, reason: str = "refresh") -> int:
         """Drop every cached plan (extract refresh, external DDL)."""

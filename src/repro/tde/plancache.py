@@ -79,9 +79,11 @@ def _canonical_node(plan: LogicalPlan) -> LogicalPlan:
     return plan
 
 
-def normalize_tql(text: str) -> str:
-    """Canonical cache-key text for a TQL query string."""
-    return to_tql(transform_up(parse_tql(text), _canonical_node))
+def normalize_tql(query: str | LogicalPlan) -> str:
+    """Canonical cache-key text for a TQL query (its text, or the tree
+    already parsed from it)."""
+    logical = parse_tql(query) if isinstance(query, str) else query
+    return to_tql(transform_up(logical, _canonical_node))
 
 
 def options_fingerprint(options: Any) -> tuple:

@@ -209,6 +209,38 @@ class TestPersistence:
         assert result.remote_queries == 0
         assert result.table_for(s).approx_equals(expected, ordered=False)
 
+    def test_version_1_file_is_refused_not_misread(self, tmp_path):
+        """A cache saved before the wire format: manifest version 1, each
+        entry a one-table database in the single-file (ZIP) format."""
+        import io
+        import json
+        import zipfile
+
+        from repro.errors import CacheError
+        from repro.tde.storage import Database, pack_database
+
+        table = Table.from_pydict({"name": ["AA"], "n": [7]})
+        db = Database("cache")
+        db.add_table("Extract.result", table)
+        packed = io.BytesIO()
+        pack_database(db, packed)
+        s = spec(dimensions=("name",), measures=(("n", COUNT),))
+        path = tmp_path / "v1.zip"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("0.tde", packed.getvalue())
+            manifest = {"version": 1, "entries": [{"spec": spec_to_json(s), "payload": "0.tde"}]}
+            zf.writestr("manifest.json", json.dumps(manifest))
+        into = IntelligentCache()
+        with pytest.raises(CacheError, match="unsupported cache version 1"):
+            load_intelligent_cache(path, into)
+        assert not into.entries()
+        # The same entry saved today loads, into the cache it is given.
+        saved = IntelligentCache()
+        saved.put(s, table)
+        save_intelligent_cache(saved, tmp_path / "v2.zip")
+        assert load_intelligent_cache(tmp_path / "v2.zip", into) is into
+        assert [t.equals(table) for _, t in into.entries()] == [True]
+
     def test_load_missing(self, tmp_path):
         from repro.errors import CacheError
 

@@ -76,6 +76,44 @@ class TestSpec:
         b = QuerySpec("faa", ("x",), limit=5)
         assert a.canonical() != b.canonical()
 
+    def test_canonical_is_built_once_per_spec_object(self, monkeypatch):
+        import dataclasses
+
+        from repro.core.cache.persistence import spec_from_json, spec_to_json
+        from repro.queries import spec as spec_module
+
+        built = []
+
+        def counting_to_sexpr(expr):
+            built.append(expr)
+            return to_sexpr(expr)
+
+        to_sexpr = spec_module.to_sexpr
+        monkeypatch.setattr(spec_module, "to_sexpr", counting_to_sexpr)
+        spec = QuerySpec(
+            "faa", ("name",), (("a", AVG_DELAY),), (CategoricalFilter("market_id", (1, 2)),)
+        )
+        texts = {spec.canonical() for _ in range(50)}
+        assert len(texts) == 1 and len(built) == 1  # one measure, rendered once
+        # Every copy is its own object and computes its own text.
+        copies = [
+            spec.with_filters(()),
+            spec.with_dimensions(("name", "market_id")),
+            spec.with_measures((("n", COUNT),)),
+            dataclasses.replace(spec, limit=3),
+        ]
+        assert len({c.canonical() for c in copies} | texts) == 5
+        assert len(built) == 5
+        # The memo is not a field: it never reaches ==, hash, repr or JSON.
+        fresh = QuerySpec(
+            "faa", ("name",), (("a", AVG_DELAY),), (CategoricalFilter("market_id", (1, 2)),)
+        )
+        assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
+        assert "_canonical" not in repr(spec)
+        assert spec_to_json(fresh) == spec_to_json(spec)
+        restored = spec_from_json(spec_to_json(spec))
+        assert restored == spec and restored.canonical() == spec.canonical()
+
     def test_range_filter_needs_bound(self):
         with pytest.raises(WorkloadError):
             RangeFilter("f")

@@ -16,16 +16,21 @@ Integration contracts for `ReplicatedStore` behind the three servers:
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
+import pytest
 
 from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
+from repro.core.cache.distributed import deserialize_table
 from repro.core.cache.replicated import ReplicatedStore
 from repro.core.pipeline import PipelineOptions
 from repro.expr.ast import AggExpr
 from repro.faults import VirtualTimeClock
 from repro.queries import QuerySpec
 from repro.server import DataServer, TdeCluster, VizServer
+from repro.tde.storage import Database, pack_database
 from repro.tde.storage.table import Table
 from repro.workloads import fig2_dashboard, flights_model, generate_flights
 
@@ -40,6 +45,25 @@ def _tier(node_ids=("c0", "c1", "c2"), **kwargs) -> ReplicatedStore:
     kwargs.setdefault("clock", VirtualTimeClock())
     kwargs.setdefault("latency_s", 0.0002)
     return ReplicatedStore(node_ids, **kwargs)
+
+
+def _truncated(payload: bytes) -> bytes:
+    return payload[: len(payload) // 2]
+
+
+def _random_bytes(payload: bytes) -> bytes:
+    rng = np.random.default_rng(len(payload))
+    return rng.integers(0, 256, len(payload), dtype=np.uint8).tobytes()
+
+
+def _pre_change_zip(payload: bytes) -> bytes:
+    """The same table as ``serialize_table`` wrote it before the wire
+    format: a one-table database in the single-file (ZIP) format."""
+    db = Database("cache")
+    db.add_table("Extract.result", deserialize_table(payload))
+    buf = io.BytesIO()
+    pack_database(db, buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------- #
@@ -88,6 +112,30 @@ class TestVizServerOnTier:
             assert table.equals_unordered(after_kill[zone]), zone
             assert table.equals_unordered(after_join[zone]), zone
         assert store.stats.keys_moved > 0  # the join genuinely warmed
+
+    @pytest.mark.parametrize("damage", [_truncated, _random_bytes, _pre_change_zip])
+    def test_damaged_entry_costs_one_query_not_the_dashboard(self, damage):
+        """A tier entry that does not decode is a miss: the zone is
+        recomputed, the render is whole, and the entry is replaced."""
+        store = _tier()
+        server = self._server(store)
+        oracle = server.load("alice", DASHBOARD)[1]  # node 0 fills the tier
+        sent = server.cache_summary()["remote_queries"]
+        keys = sorted({k for n in store.live_nodes() for k in store.node(n).store.keys()})
+        assert len(keys) == sent > 1
+        key = keys[0]
+        good = store.get(key)
+        store.put(key, damage(good))
+        result = server.load("bob", DASHBOARD)[1]  # node 1 reads the tier
+        assert not result.degraded and not result.zone_errors
+        assert result.zone_tables.keys() == oracle.zone_tables.keys()
+        for zone, table in oracle.zone_tables.items():
+            assert result.zone_tables[zone].equals(table), zone
+        summary = server.cache_summary()
+        assert summary["corrupt"] == 1
+        assert summary["l2_hits"] == len(keys) - 1
+        assert summary["remote_queries"] == sent + 1
+        assert store.get(key) == good  # recomputed and written back
 
     def test_explain_notes_replica_placement(self):
         store = _tier()

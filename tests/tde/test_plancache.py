@@ -109,6 +109,27 @@ class TestEngineCacheBehaviour:
         assert stats["misses"] - base["misses"] == 1
         assert stats["hits"] - base["hits"] == 1
 
+    def test_cold_and_warm_plan_each_parse_the_text_once(self, monkeypatch):
+        from repro.tde import engine as engine_module
+        from repro.tde import plancache as plancache_module
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_tql(text)
+
+        parse_tql = engine_module.parse_tql
+        assert plancache_module.parse_tql is parse_tql
+        monkeypatch.setattr(engine_module, "parse_tql", counting_parse)
+        monkeypatch.setattr(plancache_module, "parse_tql", counting_parse)
+        engine = _engine()
+        cold = engine.plan(QUERY)
+        assert parsed == [QUERY]  # the key and the plan come from one tree
+        assert engine.plan(QUERY) is cold
+        assert parsed == [QUERY, QUERY]  # a warm plan() still parses for its key
+        assert engine.plan_cache.stats()["hits"] == 1
+
     def test_normalized_variants_hit_the_same_entry(self):
         engine = _engine()
         engine.query(QUERY)
