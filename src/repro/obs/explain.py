@@ -27,6 +27,7 @@ from typing import Any
 
 from ..tde.exec.exchange import PExchange, PMergeSorted, SharedBuild
 from ..tde.exec.fused import PFusedPipeline
+from ..tde.exec.grouping import PGroupingSets, PSharedInput
 from ..tde.exec.physical import (
     ExecContext,
     OpRecorder,
@@ -136,6 +137,10 @@ def estimate_physical_rows(node: PhysNode) -> int:
         return sum(estimate_physical_rows(child) for child in node.inputs)
     if isinstance(node, SharedBuild):
         return estimate_physical_rows(node.child)
+    if isinstance(node, PSharedInput):
+        return node.est_rows
+    if isinstance(node, PGroupingSets):
+        return sum(estimate_physical_rows(s) for s in node.sets)
     children = node.children()
     if children:
         return estimate_physical_rows(children[0])

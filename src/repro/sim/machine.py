@@ -10,28 +10,12 @@ Exchange is serial; SharedTable builds are paid once.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-import math as _math
+from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..expr.ast import Expr
 from ..tde.exec.exchange import PExchange, PMergeSorted, SharedBuild
-from ..tde.exec.physical import (
-    PFilter,
-    PHashAggregate,
-    PHashJoin,
-    PIndexedRleScan,
-    PLimit,
-    PProject,
-    PScan,
-    PSingleRow,
-    PSort,
-    PStreamAggregate,
-    PTopN,
-    PhysNode,
-)
+from ..tde.exec.grouping import PGroupingSets
+from ..tde.exec.physical import PHashJoin, PhysNode
 from ..tde.optimizer import cost as C
 
 
@@ -87,39 +71,38 @@ class _Simulator:
     def elapsed(self, node: PhysNode) -> tuple[float, float]:
         """Return (elapsed_units, output_rows)."""
         if isinstance(node, (PExchange, PMergeSorted)):
-            works = []
-            rows = 0.0
-            prelude = 0.0
-            for child in node.inputs:
-                # Shared builds inside fragments are built once, serially,
-                # before the parallel region starts.
-                prelude += self._collect_shared(child)
-                w, r = self.work(child)
-                works.append(w + self.machine.fragment_overhead_units)
-                rows += r
-            self.fragments += len(works)
-            makespan = _lpt_makespan(works, self.machine.cores)
-            if isinstance(node, PMergeSorted):
-                # k-way merge: O(n log k) with a heavier per-row constant.
-                merge = rows * C.EXCHANGE_ROW * 4.0 * max(
-                    1.0, _math.log2(max(len(works), 2))
-                )
-            else:
-                merge = rows * C.EXCHANGE_ROW
+            works, rows, prelude = self._parallel(node.inputs)
+            merge, out_rows = C.operator_work(node, rows)
             self.total_work += merge
-            return prelude + makespan + merge, rows
+            return prelude + _lpt_makespan(works, self.machine.cores) + merge, out_rows
+        if isinstance(node, PGroupingSets):
+            # A fragment's task is its scan and joins plus every set's
+            # partial over them; the global phases run after, serially.
+            works, _rows, prelude = self._parallel(node.fragments)
+            serial, set_rows = 0.0, []
+            for s in node.sets:
+                partial, rows = self.work(s.partial)
+                works = [w + partial for w in works]
+                # work() counted the partial once; it runs per fragment.
+                self.total_work += partial * (len(works) - 1)
+                if s.merge is not None:
+                    merge, rows = self.work(s.merge)
+                    serial += merge
+                set_rows.append(rows)
+            own, out_rows = C.operator_work(node, set_rows)
+            self.total_work += own
+            return prelude + _lpt_makespan(works, self.machine.cores) + serial + own, out_rows
         if isinstance(node, SharedBuild):
             if id(node) in self._shared_seen:
-                w, r = self.work(node.child, count=False)
-                return 0.0, r
+                return 0.0, self._rows_of(node.child)
             self._shared_seen.add(id(node))
             return self.elapsed(node.child)
         if isinstance(node, PHashJoin):
             build_elapsed, build_rows = self.elapsed(node.build_source)
             probe_elapsed, probe_rows = self.elapsed(node.probe)
-            own = build_rows * C.JOIN_BUILD_ROW + probe_rows * C.JOIN_PROBE_ROW
+            own, rows = C.operator_work(node, (probe_rows, build_rows))
             self.total_work += own
-            return build_elapsed + probe_elapsed + own, probe_rows
+            return build_elapsed + probe_elapsed + own, rows
         own, rows, child = self._own(node)
         self.total_work += own
         if child is None:
@@ -127,38 +110,42 @@ class _Simulator:
         child_elapsed, _ = self.elapsed(child)
         return child_elapsed + own, rows
 
+    def _parallel(self, inputs: list[PhysNode]) -> tuple[list[float], list[float], float]:
+        """Parallel tasks: ``(work of each, rows of each, serial prelude)``."""
+        works, rows, prelude = [], [], 0.0
+        for child in inputs:
+            # Shared builds inside fragments are built once, serially,
+            # before the parallel region starts.
+            prelude += self._collect_shared(child)
+            w, r = self.work(child)
+            works.append(w + self.machine.fragment_overhead_units)
+            rows.append(r)
+        self.fragments += len(works)
+        return works, rows, prelude
+
     # ------------------------------------------------------------------ #
     # Total serial work of a subtree (a fragment's CPU demand)
     # ------------------------------------------------------------------ #
     def work(self, node: PhysNode, *, count: bool = True) -> tuple[float, float]:
-        if isinstance(node, (PExchange, PMergeSorted)):
-            total = 0.0
-            rows = 0.0
-            for child in node.inputs:
-                w, r = self.work(child, count=count)
-                total += w
-                rows += r
-            return total, rows
         if isinstance(node, SharedBuild):
             first = id(node) not in self._shared_seen
             if first:
                 self._shared_seen.add(id(node))
             w, r = self.work(node.child, count=count and first)
             return (w if first else 0.0), r
-        if isinstance(node, PHashJoin):
-            bw, brows = self.work(node.build_source, count=count)
-            pw, prows = self.work(node.probe, count=count)
-            own = brows * C.JOIN_BUILD_ROW + prows * C.JOIN_PROBE_ROW
-            if count:
-                self.total_work += own
-            return bw + pw + own, prows
-        own, rows, child = self._own(node)
+        if isinstance(node, PGroupingSets):
+            raise ReproError("cannot simulate a grouping-sets operator inside a fragment")
+        total, rows = 0.0, []
+        for child in node.children():
+            w, r = self.work(child, count=count)
+            total += w
+            rows.append(r)
+        own, out_rows = C.operator_work(node, rows)
+        if isinstance(node, (PExchange, PMergeSorted)):
+            own = 0.0  # run serially, its inputs need no merging
         if count:
             self.total_work += own
-        if child is None:
-            return own, rows
-        cw, _ = self.work(child, count=count)
-        return cw + own, rows
+        return total + own, out_rows
 
     def _collect_shared(self, node: PhysNode) -> float:
         """Serial prelude: unbuilt SharedBuild work inside a fragment."""
@@ -170,86 +157,15 @@ class _Simulator:
                 prelude += w
         return prelude
 
-    # ------------------------------------------------------------------ #
-    # Per-operator work (excluding children); returns (own, rows, child)
-    # ------------------------------------------------------------------ #
     def _own(self, node: PhysNode) -> tuple[float, float, PhysNode | None]:
-        if isinstance(node, PScan):
-            stop = node.table.n_rows if node.stop is None else node.stop
-            rows = max(stop - node.start, 0)
-            own = rows * C.SCAN_ROW
-            out_rows = rows
-            if node.predicate is not None:
-                own += rows * (C.FILTER_ROW + _expr_units(node.predicate))
-                out_rows = rows * C.estimate_selectivity(node.predicate)
-            return own, out_rows, None
-        if isinstance(node, PIndexedRleScan):
-            rows = node.table.n_rows
-            col = node.table.column(node.column)
-            runs = getattr(col.physical, "n_runs", rows)
-            selectivity = C.estimate_selectivity(node.predicate)
-            scanned = rows * selectivity
-            own = runs * (C.FILTER_ROW + _expr_units(node.predicate)) + scanned * C.SCAN_ROW
-            if node.residual is not None:
-                own += scanned * (C.FILTER_ROW + _expr_units(node.residual))
-                scanned *= C.estimate_selectivity(node.residual)
-            return own, scanned, None
-        if isinstance(node, PSingleRow):
-            return 0.0, node.table.n_rows, None
-        if isinstance(node, PFilter):
-            rows = self._rows_of(node.child)
-            own = rows * (C.FILTER_ROW + _expr_units(node.predicate))
-            return own, rows * C.estimate_selectivity(node.predicate), node.child
-        if isinstance(node, PProject):
-            rows = self._rows_of(node.child)
-            per_row = C.PROJECT_ROW + sum(_expr_units(e) for _n, e in node.items)
-            return rows * per_row, rows, node.child
-        if isinstance(node, (PHashAggregate, PStreamAggregate)):
-            rows = self._rows_of(node.child)
-            per_row = (
-                C.AGG_STREAM_ROW if isinstance(node, PStreamAggregate) else C.AGG_HASH_ROW
-            )
-            groups = max(1.0, rows ** 0.75) if node.groupby else 1.0
-            return rows * per_row * max(1, len(node.specs)), min(groups, rows), node.child
-        if isinstance(node, PSort):
-            rows = self._rows_of(node.child)
-            n = max(rows, 2.0)
-            return n * math.log2(n) * C.SORT_ROW_LOG, rows, node.child
-        if type(node).__name__ == "PWindow":
-            rows = self._rows_of(node.child)
-            n = max(rows, 2.0)
-            per_item = n * math.log2(n) * C.SORT_ROW_LOG + n * 1.5
-            return per_item * max(len(node.items), 1), rows, node.child
-        if isinstance(node, PTopN):
-            rows = self._rows_of(node.child)
-            return rows * C.TOPN_ROW, min(rows, node.n), node.child
-        if isinstance(node, PLimit):
-            rows = self._rows_of(node.child)
-            return 0.0, min(rows, node.n), node.child
-        raise ReproError(f"cannot simulate {type(node).__name__}")
+        """A leaf's or unary operator's ``(own work, rows, child)``."""
+        children = node.children()
+        own, rows = C.operator_work(node, [self._rows_of(child) for child in children])
+        return own, rows, (children[0] if children else None)
 
     def _rows_of(self, node: PhysNode) -> float:
         """Estimated output rows of a subtree (no work accounting)."""
-        if isinstance(node, (PExchange, PMergeSorted)):
-            return sum(self._rows_of(c) for c in node.inputs)
-        if isinstance(node, SharedBuild):
-            return self._rows_of(node.child)
-        if isinstance(node, PHashJoin):
-            return self._rows_of(node.probe)
-        own, rows, _child = self._own_rows(node)
-        return rows
-
-    def _own_rows(self, node: PhysNode) -> tuple[float, float, PhysNode | None]:
-        # A work-free variant of _own for row estimation only.
-        saved = self.total_work
-        try:
-            return self._own(node)
-        finally:
-            self.total_work = saved
-
-
-def _expr_units(expr: Expr) -> float:
-    return C.expr_cost(expr)
+        return C.operator_work(node, [self._rows_of(c) for c in node.children()])[1]
 
 
 def _lpt_makespan(works: list[float], cores: int) -> float:

@@ -37,6 +37,7 @@ from .exec.physical import (
     execute_to_table,
 )
 from .exec.fused import PFusedPipeline
+from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
 from .optimizer.catalog import StorageCatalog
 from .optimizer.parallel import PlannerOptions
 from .optimizer.planner import plan_query
@@ -289,4 +290,11 @@ def _node_label(node: PhysNode) -> str:
         return "SharedTable"
     if isinstance(node, PSingleRow):
         return "SingleRow"
+    if isinstance(node, PGroupingSets):
+        return f"GroupingSets({len(node.sets)} sets over {len(node.fragments)} fragments)"
+    if isinstance(node, PGroupingSet):
+        return f"Set(by {', '.join(node.groupby) or '<none>'}: {', '.join(node.aggs) or '<none>'})"
+    if isinstance(node, PSharedInput):
+        what = "partial results" if node.columns is None else ", ".join(node.columns)
+        return f"SharedInput({what})"
     return type(node).__name__

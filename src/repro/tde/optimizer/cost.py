@@ -14,13 +14,34 @@ operation on one row). The same constants drive three consumers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from ...expr.ast import AggExpr, Call, CaseWhen, Cast, ColumnRef, Expr, Literal
 from ...expr.functions import function_cost
+from ..exec.exchange import PExchange, PMergeSorted, SharedBuild
+from ..exec.fused import PFusedPipeline
+from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
+from ..exec.physical import (
+    PFilter,
+    PHashAggregate,
+    PHashJoin,
+    PIndexedRleScan,
+    PLimit,
+    PProject,
+    PScan,
+    PSingleRow,
+    PSort,
+    PStreamAggregate,
+    PTopN,
+    PWindow,
+    PhysNode,
+)
 from ..tql.plan import (
     Aggregate,
     Distinct,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -100,10 +121,13 @@ class CostEstimate:
     cost: float
 
 
+def estimate_groups(rows: float, keyed: bool) -> float:
+    """Groups a group-by over ``rows`` rows is expected to produce."""
+    return max(1.0, min(rows, rows**0.75)) if keyed else 1.0
+
+
 def estimate_plan(plan: LogicalPlan, catalog: StorageCatalog) -> CostEstimate:
     """Estimate output cardinality and total serial work of a plan."""
-    import math
-
     if isinstance(plan, TableScan):
         rows = catalog.row_count(plan.table)
         return CostEstimate(rows, rows * SCAN_ROW)
@@ -124,9 +148,16 @@ def estimate_plan(plan: LogicalPlan, catalog: StorageCatalog) -> CostEstimate:
         return CostEstimate(rows, cost)
     if isinstance(plan, Aggregate):
         child = estimate_plan(plan.child, catalog)
-        groups = max(1, min(child.rows, int(child.rows ** 0.75))) if plan.groupby else 1
+        groups = int(estimate_groups(child.rows, bool(plan.groupby)))
         per_row = AGG_HASH_ROW + sum(expr_cost(a) for _, a in plan.aggs)
         return CostEstimate(groups, child.cost + child.rows * per_row)
+    if isinstance(plan, GroupingSets):
+        # Every set's aggregation, but the child only once.
+        child = estimate_plan(plan.child, catalog)
+        alone = [estimate_plan(s.over(plan.child), catalog) for s in plan.sets]
+        return CostEstimate(
+            sum(e.rows for e in alone), child.cost + sum(e.cost - child.cost for e in alone)
+        )
     if isinstance(plan, Distinct):
         child = estimate_plan(plan.child, catalog)
         groups = max(1, int(child.rows ** 0.75))
@@ -147,3 +178,92 @@ def estimate_plan(plan: LogicalPlan, catalog: StorageCatalog) -> CostEstimate:
         per_item = n * math.log2(n) * SORT_ROW_LOG + n * 1.5
         return CostEstimate(child.rows, child.cost + per_item * max(len(plan.items), 1))
     raise TypeError(f"unknown plan node {type(plan).__name__}")
+
+
+# ---------------------------------------------------------------------- #
+# Physical operators
+# ---------------------------------------------------------------------- #
+def operator_work(node: PhysNode, rows_in: Sequence[float]) -> tuple[float, float]:
+    """``(work units, output rows)`` of one physical operator on its own,
+    given the output rows of each of its ``children()`` in order.
+
+    Every :class:`PhysNode` subclass has a formula here; the simulator
+    (``repro.sim.machine``) adds only how operators overlap in time.
+    """
+    if isinstance(node, PScan):
+        stop = node.table.n_rows if node.stop is None else node.stop
+        return _scan_work(max(stop - node.start, 0), node.predicate)
+    if isinstance(node, PIndexedRleScan):
+        rows = node.table.n_rows
+        runs = getattr(node.table.column(node.column).physical, "n_runs", rows)
+        scanned = rows * estimate_selectivity(node.predicate)
+        own = runs * (FILTER_ROW + expr_cost(node.predicate)) + scanned * SCAN_ROW
+        if node.residual is not None:
+            own += scanned * (FILTER_ROW + expr_cost(node.residual))
+            scanned *= estimate_selectivity(node.residual)
+        return own, scanned
+    if isinstance(node, PSingleRow):
+        return 0.0, node.table.n_rows
+    if isinstance(node, PSharedInput):
+        return 0.0, node.est_rows
+    if isinstance(node, PFusedPipeline):
+        own = 0.0
+        if node.table is not None:
+            stop = node.table.n_rows if node.stop is None else node.stop
+            own, rows = _scan_work(max(stop - node.start, 0), node.predicate)
+        else:
+            (rows,) = rows_in
+            if node.predicate is not None:
+                own = rows * (FILTER_ROW + expr_cost(node.predicate))
+                rows *= estimate_selectivity(node.predicate)
+        if node.items is not None:
+            own += rows * (PROJECT_ROW + sum(expr_cost(e) for _n, e in node.items))
+        if node.specs is not None:
+            own += rows * AGG_HASH_ROW * max(1, len(node.specs))
+            rows = estimate_groups(rows, bool(node.groupby))
+        return own, rows
+    if isinstance(node, PHashJoin):
+        probe_rows, build_rows = rows_in
+        return build_rows * JOIN_BUILD_ROW + probe_rows * JOIN_PROBE_ROW, probe_rows
+    if isinstance(node, PExchange):
+        return sum(rows_in) * EXCHANGE_ROW, sum(rows_in)
+    if isinstance(node, PMergeSorted):
+        # k-way merge: O(n log k) with a heavier per-row constant.
+        ways = max(1.0, math.log2(max(len(rows_in), 2)))
+        return sum(rows_in) * EXCHANGE_ROW * 4.0 * ways, sum(rows_in)
+    if isinstance(node, PGroupingSets):
+        # Its own work is tagging and stacking the sets' answers.
+        answers = sum(rows_in[: len(node.sets)])
+        return answers * EXCHANGE_ROW, answers
+    if isinstance(node, (SharedBuild, PGroupingSet)):
+        return 0.0, rows_in[0]
+    (rows,) = rows_in
+    if isinstance(node, PFilter):
+        own = rows * (FILTER_ROW + expr_cost(node.predicate))
+        return own, rows * estimate_selectivity(node.predicate)
+    if isinstance(node, PProject):
+        return rows * (PROJECT_ROW + sum(expr_cost(e) for _n, e in node.items)), rows
+    if isinstance(node, (PHashAggregate, PStreamAggregate)):
+        per_row = AGG_STREAM_ROW if isinstance(node, PStreamAggregate) else AGG_HASH_ROW
+        groups = estimate_groups(rows, bool(node.groupby))
+        return rows * per_row * max(1, len(node.specs)), groups
+    if isinstance(node, PSort):
+        n = max(rows, 2.0)
+        return n * math.log2(n) * SORT_ROW_LOG, rows
+    if isinstance(node, PWindow):
+        n = max(rows, 2.0)
+        per_item = n * math.log2(n) * SORT_ROW_LOG + n * 1.5
+        return per_item * max(len(node.items), 1), rows
+    if isinstance(node, PTopN):
+        return rows * TOPN_ROW, min(rows, node.n)
+    if isinstance(node, PLimit):
+        return 0.0, min(rows, node.n)
+    raise TypeError(f"no cost formula for {type(node).__name__}")
+
+
+def _scan_work(rows: float, predicate: Expr | None) -> tuple[float, float]:
+    own = rows * SCAN_ROW
+    if predicate is None:
+        return own, rows
+    own += rows * (FILTER_ROW + expr_cost(predicate))
+    return own, rows * estimate_selectivity(predicate)

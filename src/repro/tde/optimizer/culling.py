@@ -21,6 +21,7 @@ from __future__ import annotations
 from ...expr.ast import columns_used
 from ..tql.plan import (
     Aggregate,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -60,6 +61,14 @@ def _cull(plan: LogicalPlan, needed: set[str] | None, catalog: StorageCatalog) -
             if agg.arg is not None:
                 child_needed |= columns_used(agg.arg)
         return Aggregate(_cull(plan.child, child_needed, catalog), plan.groupby, plan.aggs)
+    if isinstance(plan, GroupingSets):
+        # A dimension stays if any one set reads it: the join is an N:1
+        # probe the sets then share, not one each.
+        reads = [s.reads() for s in plan.sets]
+        child = _cull(plan.child, set().union(*reads), catalog)
+        if provenance.active():
+            _note_shared_joins(child, reads, catalog)
+        return GroupingSets(child, plan.sets)
     if isinstance(plan, (Order, TopN)):
         child_needed = None if needed is None else needed | {k for k, _ in plan.keys}
         child = _cull(plan.child, child_needed, catalog)
@@ -82,6 +91,27 @@ def _cull_join(join: Join, needed: set[str] | None, catalog: StorageCatalog) -> 
     left = _cull(join.left, _side_needed(needed, [l for l, _ in join.conditions]), catalog)
     right = _cull(join.right, _side_needed(needed, [r for _, r in join.conditions]), catalog)
     return Join(join.kind, join.conditions, left, right)
+
+
+def _note_shared_joins(child: LogicalPlan, reads: list[set[str]], catalog) -> None:
+    """Say which sets each surviving dimension join is kept for."""
+    for node in child.walk():
+        if not isinstance(node, Join) or not isinstance(node.right, TableScan):
+            continue
+        table = node.right.table
+        columns = set(catalog.schema_of(table)) - {r for _, r in node.conditions}
+        users = [i for i, needed in enumerate(reads) if needed & columns]
+        if users and len(users) < len(reads):
+            used = sorted(columns & set().union(*(reads[i] for i in users)))
+            provenance.note(
+                "culling.grouping_sets",
+                False,
+                f"join to {table} kept for set{'s' if len(users) > 1 else ''} "
+                f"{', '.join(map(str, users))} ({', '.join(used)}); the other "
+                f"{len(reads) - len(users)} do not read it and share its probe",
+                table=table,
+                sets=users,
+            )
 
 
 def _side_needed(needed: set[str] | None, keys: list[str]) -> set[str] | None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from ...errors import OptimizerError
 from ...expr.ast import ColumnRef, columns_used, conjuncts
 from ..exec.exchange import FractionTable, SharedBuild
+from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
 from ..exec.kernels import AggSpec
 from ..exec.physical import (
     PFilter,
@@ -42,6 +43,7 @@ from ..tql.binder import bind
 from ..tql.plan import (
     Aggregate,
     Distinct,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -54,7 +56,7 @@ from ..tql.plan import (
 )
 from . import provenance
 from .catalog import StorageCatalog
-from .cost import expr_cost
+from .cost import estimate_groups, estimate_plan, expr_cost
 from .decompression import choose_rle_scan
 from .parallel import (
     Fragments,
@@ -108,6 +110,8 @@ def _build(
         return _build_join(plan, catalog, options, needed, hint, partition_req)
     if isinstance(plan, Aggregate):
         return _build_aggregate(plan, catalog, options, hint)
+    if isinstance(plan, GroupingSets):
+        return _build_grouping_sets(plan, catalog, options, hint)
     if isinstance(plan, Distinct):
         # Normalization-independent path (used when rewrites are skipped).
         return _build_aggregate(Aggregate(plan.child, plan.columns, ()), catalog, options, hint)
@@ -326,21 +330,38 @@ def _build_aggregate(
     options: PlannerOptions,
     hint: float,
 ) -> Fragments:
-    child_schema = bind(plan.child, catalog)
-    specs, pre_items, needs_pre = _make_specs(plan, child_schema)
     child_needed = set(plan.groupby)
     for _name, agg in plan.aggs:
         if agg.arg is not None:
             child_needed |= columns_used(agg.arg)
-    agg_cost = 2.5 + sum(expr_cost(a) for _, a in plan.aggs)
     frags = _build(
         plan.child,
         catalog,
         options,
         needed=child_needed,
-        hint=hint + agg_cost,
+        hint=hint + _aggregate_cost(plan.aggs),
         partition_req=tuple(plan.groupby),
     )
+    partials, finish = _aggregate_phases(plan, frags, catalog, options)
+    if finish is None:
+        return partials
+    return Fragments([finish(close_fragments(partials))])
+
+
+def _aggregate_cost(aggs) -> float:
+    return 2.5 + sum(expr_cost(a) for _, a in aggs)
+
+
+def _aggregate_phases(
+    plan: Aggregate, frags: Fragments, catalog: StorageCatalog, options: PlannerOptions
+):
+    """Plan ``plan`` over the already built fragments of its child.
+
+    Returns ``(partials, finish)``: what runs in each fragment and, unless
+    the partials together already are the answer (``finish`` is None),
+    the function building the global phase over their merged output.
+    """
+    specs, pre_items, needs_pre = _make_specs(plan, bind(plan.child, catalog))
     if needs_pre:
         frags = Fragments(
             [PProject(node, pre_items) for node in frags.nodes], frags.range_partitioned_on
@@ -352,6 +373,7 @@ def _build_aggregate(
     )
     rule = "parallel.aggregate_strategy"
     mode = "streaming" if streamable else "hash"
+    op = PStreamAggregate if streamable else PHashAggregate
     if streamable and provenance.active():
         provenance.note(
             "parallel.streaming_agg",
@@ -361,8 +383,7 @@ def _build_aggregate(
         )
     if frags.degree == 1:
         provenance.note(rule, False, f"serial input: single {mode} aggregate")
-        op = PStreamAggregate if streamable else PHashAggregate
-        return Fragments([op(frags.nodes[0], groupby, specs)])
+        return Fragments([op(frags.nodes[0], groupby, specs)]), None
     if (
         options.enable_range_partition_agg
         and frags.range_partitioned_on is not None
@@ -377,9 +398,8 @@ def _build_aggregate(
             "(Lemma 3): each fragment aggregates completely, no global phase",
             degree=frags.degree,
         )
-        op = PStreamAggregate if streamable else PHashAggregate
         nodes = [op(node, groupby, specs) for node in frags.nodes]
-        return Fragments(nodes, frags.range_partitioned_on)
+        return Fragments(nodes, frags.range_partitioned_on), None
     if options.enable_local_global_agg:
         split = split_local_global(groupby, specs)
         if split is not None:
@@ -391,13 +411,12 @@ def _build_aggregate(
                 degree=frags.degree,
             )
             local_specs, global_specs, final_items, needs_final = split
-            local_op = PStreamAggregate if streamable else PHashAggregate
-            locals_ = [local_op(node, groupby, local_specs) for node in frags.nodes]
-            merged = close_fragments(Fragments(locals_))
-            out: PhysNode = PHashAggregate(merged, groupby, global_specs)
-            if needs_final:
-                out = PProject(out, final_items)
-            return Fragments([out])
+
+            def finish(merged: PhysNode) -> PhysNode:
+                out: PhysNode = PHashAggregate(merged, groupby, global_specs)
+                return PProject(out, final_items) if needs_final else out
+
+            return Fragments([op(node, groupby, local_specs) for node in frags.nodes]), finish
         provenance.note(
             rule,
             False,
@@ -405,8 +424,53 @@ def _build_aggregate(
             "be merged): closing parallelism with an Exchange",
             degree=frags.degree,
         )
-    merged = close_fragments(frags)
-    return Fragments([PHashAggregate(merged, groupby, specs)])
+    return frags, lambda merged: PHashAggregate(merged, groupby, specs)
+
+
+def _build_grouping_sets(
+    plan: GroupingSets, catalog: StorageCatalog, options: PlannerOptions, hint: float
+) -> Fragments:
+    """One pass over the child for all sets (see ``exec/grouping.py``).
+
+    The child's fragments are built once, reading the union of what the
+    sets read; each set is then planned over them exactly as its
+    standalone ``Aggregate`` would be, with one partial (run once per
+    fragment) in place of one per fragment. The scan splits as it would
+    for the costliest set alone, so on the usual dashboard every set sees
+    the fragment bounds — and returns the bits — of its own query.
+    """
+    queries = [s.over(plan.child) for s in plan.sets]
+    heaviest = max(
+        _aggregate_cost(s.aggs) + sum(expr_cost(e) for _, e in s.items or ())
+        for s in plan.sets
+    )
+    shared = _build(
+        plan.child,
+        catalog,
+        options,
+        needed=set().union(*(s.reads() for s in plan.sets)),
+        hint=hint + heaviest,
+        partition_req=(),
+    )
+    rows_in = estimate_plan(plan.child, catalog).rows // shared.degree
+    sets = []
+    for s, query in zip(plan.sets, queries):
+        # A set that reads nothing (a bare COUNT(*)) still needs rows to
+        # count: it takes the shared columns as they are.
+        leaf: PhysNode = PSharedInput(sorted(s.reads()) or None, rows_in)
+        if s.items is not None:
+            leaf = PProject(leaf, list(s.items))
+        partials, finish = _aggregate_phases(
+            query, Fragments([leaf] * shared.degree), catalog, options
+        )
+        partial, merge = partials.nodes[0], None
+        if finish is not None:
+            rows_out = rows_in
+            if isinstance(partial, (PHashAggregate, PStreamAggregate)):
+                rows_out = int(estimate_groups(rows_in, bool(s.groupby)))
+            merge = finish(PSharedInput(None, rows_out * shared.degree))
+        sets.append(PGroupingSet(list(s.groupby), [n for n, _ in s.aggs], partial, merge))
+    return Fragments([PGroupingSets(list(shared.nodes), sets)])
 
 
 def _make_specs(plan: Aggregate, child_schema) -> tuple[list[AggSpec], list, bool]:

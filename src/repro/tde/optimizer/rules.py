@@ -30,8 +30,10 @@ from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector
 from ..tql.plan import (
+    SET_COLUMN,
     Aggregate,
     Distinct,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -262,6 +264,8 @@ def _output_columns(plan: LogicalPlan) -> set[str]:
         return set(plan.groupby) | {name for name, _ in plan.aggs}
     if isinstance(plan, Distinct):
         return set(plan.columns)
+    if isinstance(plan, GroupingSets):
+        return {SET_COLUMN, *plan.columns}
     if isinstance(plan, Join):
         right_keys = {r for _, r in plan.conditions}
         return _output_columns(plan.left) | (_output_columns(plan.right) - right_keys)
@@ -428,13 +432,14 @@ def fuse_pipelines(root, options):
         replacement = try_fuse(node)
         if replacement is not None:
             node = replacement
-        for attr in ("child", "probe", "build_source", "source"):
+        for attr in ("child", "probe", "build_source", "source", "partial", "merge"):
             child = getattr(node, attr, None)
             if isinstance(child, ph.PhysNode):
                 setattr(node, attr, visit(child))
-        inputs = getattr(node, "inputs", None)
-        if inputs:
-            node.inputs = [visit(child) for child in inputs]
+        for attr in ("inputs", "fragments", "sets"):
+            children = getattr(node, attr, None)
+            if children:
+                setattr(node, attr, [visit(child) for child in children])
         return node
 
     root = visit(root)

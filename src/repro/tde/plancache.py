@@ -37,7 +37,15 @@ from typing import Any
 from .. import obs
 from ..expr.ast import AggExpr, Call, CaseWhen, Cast, Expr, Literal
 from .tql.parser import parse_tql, to_tql
-from .tql.plan import Aggregate, LogicalPlan, Project, Select, transform_up
+from .tql.plan import (
+    Aggregate,
+    GroupingSet,
+    GroupingSets,
+    LogicalPlan,
+    Project,
+    Select,
+    transform_up,
+)
 
 #: Comparison flips for literal-first operands: ``5 < x`` ≡ ``x > 5``.
 _FLIP = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
@@ -65,17 +73,34 @@ def _canonical_expr(expr: Expr) -> Expr:
     return expr
 
 
+def _canonical_items(items) -> list:
+    return [(n, _canonical_expr(e)) for n, e in items]
+
+
+def _canonical_aggs(aggs) -> list:
+    return [
+        (name, AggExpr(a.func, _canonical_expr(a.arg)) if a.arg is not None else a)
+        for name, a in aggs
+    ]
+
+
 def _canonical_node(plan: LogicalPlan) -> LogicalPlan:
     if isinstance(plan, Select):
         return Select(plan.child, _canonical_expr(plan.predicate))
     if isinstance(plan, Project):
-        return Project(plan.child, [(n, _canonical_expr(e)) for n, e in plan.items])
+        return Project(plan.child, _canonical_items(plan.items))
     if isinstance(plan, Aggregate):
-        aggs = [
-            (name, AggExpr(a.func, _canonical_expr(a.arg)) if a.arg is not None else a)
-            for name, a in plan.aggs
+        return Aggregate(plan.child, plan.groupby, _canonical_aggs(plan.aggs))
+    if isinstance(plan, GroupingSets):
+        sets = [
+            GroupingSet(
+                s.groupby,
+                _canonical_aggs(s.aggs),
+                None if s.items is None else _canonical_items(s.items),
+            )
+            for s in plan.sets
         ]
-        return Aggregate(plan.child, plan.groupby, aggs)
+        return GroupingSets(plan.child, sets)
     return plan
 
 

@@ -13,8 +13,10 @@ from ...datatypes import LogicalType, promote
 from ...errors import BindError
 from ...expr.ast import infer_type
 from .plan import (
+    SET_COLUMN,
     Aggregate,
     Distinct,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -69,13 +71,7 @@ def bind(plan: LogicalPlan, catalog: Catalog) -> Schema:
             raise BindError(f"select predicate has type {ptype.name}, want BOOL")
         return child
     if isinstance(plan, Project):
-        child = bind(plan.child, catalog)
-        out: Schema = {}
-        for name, expr in plan.items:
-            if name in out:
-                raise BindError(f"duplicate projection name {name!r}")
-            out[name] = infer_type(expr, child)
-        return out
+        return project_schema(plan.items, bind(plan.child, catalog))
     if isinstance(plan, Join):
         left = bind(plan.left, catalog)
         right = bind(plan.right, catalog)
@@ -98,16 +94,22 @@ def bind(plan: LogicalPlan, catalog: Catalog) -> Schema:
             out[name] = ltype
         return out
     if isinstance(plan, Aggregate):
+        return _aggregate_schema(plan.groupby, plan.aggs, bind(plan.child, catalog))
+    if isinstance(plan, GroupingSets):
         child = bind(plan.child, catalog)
-        out = {}
-        for key in plan.groupby:
-            if key not in child:
-                raise BindError(f"group-by column {key!r} not in input")
-            out[key] = child[key]
-        for name, agg in plan.aggs:
-            if name in out:
-                raise BindError(f"duplicate aggregate output name {name!r}")
-            out[name] = agg.result_type(child)
+        if not plan.sets:
+            raise BindError("grouping-sets requires at least one set")
+        out = {SET_COLUMN: LogicalType.INT}
+        for position, s in enumerate(plan.sets):
+            source = child if s.items is None else project_schema(s.items, child)
+            for name, ltype in _aggregate_schema(s.groupby, s.aggs, source).items():
+                if name == SET_COLUMN:
+                    raise BindError(f"grouping set {position} names an output {name!r}")
+                if out.setdefault(name, ltype) != ltype:
+                    raise BindError(
+                        f"grouping set {position} returns {name!r} as {ltype.name}, "
+                        f"an earlier set as {out[name].name}"
+                    )
         return out
     if isinstance(plan, (Order, TopN)):
         child = bind(plan.child, catalog)
@@ -146,6 +148,29 @@ def bind(plan: LogicalPlan, catalog: Catalog) -> Schema:
             raise BindError("distinct requires at least one column")
         return {c: child[c] for c in plan.columns}
     raise BindError(f"unknown plan node {type(plan).__name__}")
+
+
+def project_schema(items, child: Schema) -> Schema:
+    """Output schema of projection ``items`` over an input schema."""
+    out: Schema = {}
+    for name, expr in items:
+        if name in out:
+            raise BindError(f"duplicate projection name {name!r}")
+        out[name] = infer_type(expr, child)
+    return out
+
+
+def _aggregate_schema(groupby, aggs, child: Schema) -> Schema:
+    out: Schema = {}
+    for key in groupby:
+        if key not in child:
+            raise BindError(f"group-by column {key!r} not in input")
+        out[key] = child[key]
+    for name, agg in aggs:
+        if name in out:
+            raise BindError(f"duplicate aggregate output name {name!r}")
+        out[name] = agg.result_type(child)
+    return out
 
 
 def _window_type(item: WindowItem, child: Schema) -> LogicalType:

@@ -7,6 +7,7 @@ Syntax (s-expressions; expressions use ``repro.expr.sexpr``):
     (project ((name <expr>) ...) <plan>)
     (join inner ((lcol rcol) ...) <left-plan> <right-plan>)
     (aggregate (g1 g2 ...) ((alias <agg-expr>) ...) <plan>)
+    (grouping-sets (set (g1 ...) ((alias <agg-expr>) ...) [((name <expr>) ...)]) ... <plan>)
     (order ((col asc|desc) ...) <plan>)
     (topn N ((col asc|desc) ...) <plan>)
     (limit N <plan>)
@@ -20,6 +21,8 @@ from ...expr.sexpr import _String, _Symbol, build_expr, read_forms, to_sexpr
 from .plan import (
     Aggregate,
     Distinct,
+    GroupingSet,
+    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -63,12 +66,7 @@ def _build_plan(form) -> LogicalPlan:
     if op == "project":
         if len(rest) != 2 or not isinstance(rest[0], list):
             raise TqlParseError("(project ((name expr) ...) <plan>)")
-        items = []
-        for pair in rest[0]:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise TqlParseError(f"bad projection item {pair!r}")
-            items.append((_name(pair[0]), build_expr(pair[1])))
-        return Project(_build_plan(rest[1]), items)
+        return Project(_build_plan(rest[1]), _build_items(rest[0]))
     if op == "join":
         if len(rest) != 4 or not isinstance(rest[1], list):
             raise TqlParseError("(join kind ((l r) ...) <left> <right>)")
@@ -85,13 +83,11 @@ def _build_plan(form) -> LogicalPlan:
         if len(rest) != 3 or not isinstance(rest[0], list) or not isinstance(rest[1], list):
             raise TqlParseError("(aggregate (keys...) ((alias agg) ...) <plan>)")
         groupby = [_name(g) for g in rest[0]]
-        aggs = []
-        for pair in rest[1]:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise TqlParseError(f"bad aggregate item {pair!r}")
-            agg = build_expr(pair[1], allow_agg=True)
-            aggs.append((_name(pair[0]), agg))
-        return Aggregate(_build_plan(rest[2]), groupby, aggs)
+        return Aggregate(_build_plan(rest[2]), groupby, _build_aggs(rest[1]))
+    if op == "grouping-sets":
+        if len(rest) < 2:
+            raise TqlParseError("(grouping-sets (set ...) ... <plan>)")
+        return GroupingSets(_build_plan(rest[-1]), [_build_set(f) for f in rest[:-1]])
     if op in ("order", "topn"):
         return _build_ordered(op, rest)
     if op == "limit":
@@ -108,6 +104,36 @@ def _build_plan(form) -> LogicalPlan:
         items = [_build_window_item(form) for form in rest[0]]
         return Window(_build_plan(rest[1]), items)
     raise TqlParseError(f"unknown plan operator {op!r}")
+
+
+def _build_items(form) -> list:
+    items = []
+    for pair in form:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TqlParseError(f"bad projection item {pair!r}")
+        items.append((_name(pair[0]), build_expr(pair[1])))
+    return items
+
+
+def _build_aggs(form) -> list:
+    aggs = []
+    for pair in form:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TqlParseError(f"bad aggregate item {pair!r}")
+        aggs.append((_name(pair[0]), build_expr(pair[1], allow_agg=True)))
+    return aggs
+
+
+def _build_set(form) -> GroupingSet:
+    if (
+        not isinstance(form, list)
+        or len(form) not in (3, 4)
+        or not (isinstance(form[0], _Symbol) and form[0] == "set")
+        or not all(isinstance(part, list) for part in form[1:])
+    ):
+        raise TqlParseError("(set (keys...) ((alias agg) ...) [((name expr) ...)])")
+    items = _build_items(form[3]) if len(form) == 4 else None
+    return GroupingSet([_name(g) for g in form[1]], _build_aggs(form[2]), items)
 
 
 def _build_window_item(form) -> WindowItem:
@@ -189,6 +215,9 @@ def to_tql(plan: LogicalPlan) -> str:
         groups = " ".join(plan.groupby)
         aggs = " ".join(f"({n} {to_sexpr(a)})" for n, a in plan.aggs)
         return f"(aggregate ({groups}) ({aggs}) {to_tql(plan.child)})"
+    if isinstance(plan, GroupingSets):
+        sets = " ".join(_set_text(s) for s in plan.sets)
+        return f"(grouping-sets {sets} {to_tql(plan.child)})"
     if isinstance(plan, Order):
         keys = " ".join(f"({k} {'asc' if asc else 'desc'})" for k, asc in plan.keys)
         return f"(order ({keys}) {to_tql(plan.child)})"
@@ -203,6 +232,14 @@ def to_tql(plan: LogicalPlan) -> str:
         items = " ".join(_window_item_text(item) for item in plan.items)
         return f"(window ({items}) {to_tql(plan.child)})"
     raise TqlParseError(f"cannot print plan node {type(plan).__name__}")
+
+
+def _set_text(s: GroupingSet) -> str:
+    aggs = " ".join(f"({n} {to_sexpr(a)})" for n, a in s.aggs)
+    text = f"(set ({' '.join(s.groupby)}) ({aggs})"
+    if s.items is not None:
+        text += " (" + " ".join(f"({n} {to_sexpr(e)})" for n, e in s.items) + ")"
+    return text + ")"
 
 
 def _window_item_text(item) -> str:

@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ...expr.ast import AggExpr, Expr
+from ...expr.ast import AggExpr, Expr, columns_used
+
+#: The INT column of a :class:`GroupingSets` result naming the set (by
+#: position) each row answers.
+SET_COLUMN = "__set"
 
 
 class LogicalPlan:
@@ -114,6 +118,74 @@ class Aggregate(LogicalPlan):
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)
+
+
+@dataclass(frozen=True)
+class GroupingSet:
+    """One answer of a :class:`GroupingSets`: its own keys and aggregate
+    list and, when they read calculated columns, the projection that
+    computes them (what a ``Project`` under a lone ``Aggregate`` does)."""
+
+    groupby: tuple[str, ...]
+    aggs: tuple[tuple[str, AggExpr], ...]
+    items: tuple[tuple[str, Expr], ...] | None = None
+
+    def __init__(self, groupby, aggs, items=None):
+        object.__setattr__(self, "groupby", tuple(groupby))
+        object.__setattr__(self, "aggs", tuple((n, a) for n, a in aggs))
+        object.__setattr__(
+            self, "items", None if items is None else tuple((n, e) for n, e in items)
+        )
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Output columns, in the order the standalone query returns them."""
+        return self.groupby + tuple(name for name, _ in self.aggs)
+
+    def reads(self) -> set[str]:
+        """The child columns this set needs: every input of its
+        projection if it has one (as under a ``Project``), else its keys
+        and aggregate arguments."""
+        if self.items is not None:
+            exprs = [expr for _, expr in self.items]
+        else:
+            exprs = [agg.arg for _, agg in self.aggs if agg.arg is not None]
+        needed = set() if self.items is not None else set(self.groupby)
+        return needed.union(*(columns_used(e) for e in exprs))
+
+    def over(self, child: LogicalPlan) -> Aggregate:
+        """The standalone query this set is the answer of."""
+        if self.items is not None:
+            child = Project(child, self.items)
+        return Aggregate(child, self.groupby, self.aggs)
+
+
+@dataclass(frozen=True)
+class GroupingSets(LogicalPlan):
+    """Several aggregations of one relation, answered from one pass.
+
+    Unlike SQL's ``GROUPING SETS`` every set has its own aggregate list
+    (a dashboard's zones share a relation, rarely their measures). The
+    result is the sets' answers one after the other: :data:`SET_COLUMN`
+    says which set a row belongs to, then comes the union of the sets'
+    output columns in first-seen order, NULL where a row's set has no
+    such column. Same-named outputs must agree in type.
+    """
+
+    child: LogicalPlan
+    sets: tuple[GroupingSet, ...]
+
+    def __init__(self, child, sets):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "sets", tuple(sets))
+
+    def children(self) -> tuple[LogicalPlan, ...]:
+        return (self.child,)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The union of the sets' output columns, first-seen order."""
+        return tuple(dict.fromkeys(c for s in self.sets for c in s.columns))
 
 
 @dataclass(frozen=True)
@@ -254,6 +326,8 @@ def replace_children(plan: LogicalPlan, new_children: tuple[LogicalPlan, ...]) -
         return Join(plan.kind, plan.conditions, new_children[0], new_children[1])
     if isinstance(plan, Aggregate):
         return Aggregate(new_children[0], plan.groupby, plan.aggs)
+    if isinstance(plan, GroupingSets):
+        return GroupingSets(new_children[0], plan.sets)
     if isinstance(plan, Order):
         return Order(new_children[0], plan.keys)
     if isinstance(plan, TopN):

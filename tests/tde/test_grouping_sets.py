@@ -1,0 +1,199 @@
+"""Grouping sets answer exactly what their sets answer alone.
+
+``(grouping-sets <set>... <child>)`` exists so that a dashboard's zones
+can share one scan of one relation; it is correct iff every set's slice
+of the tagged result is the table its standalone ``(aggregate ...)``
+returns. The property below draws that comparison over the kernel
+suite's table (dictionary STR, NULL-bearing, RLE and dense-int keys,
+N:1 joins carrying STR attributes, keys that miss) for serial and
+4-fragment plans; the cases under it pin the parser, the binder, the
+output schema and the shape of the plan.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datatypes import LogicalType as L
+from repro.errors import BindError, ExecutionError, TqlParseError
+from repro.tde.engine import DataEngine
+from repro.tde.exec.exchange import PExchange
+from repro.tde.exec.fused import PFusedPipeline
+from repro.tde.exec.grouping import PGroupingSets, PSharedInput, slice_set
+from repro.tde.exec.physical import ExecContext, execute_to_table
+from repro.tde.optimizer.parallel import PlannerOptions
+from repro.tde.tql.parser import parse_tql, to_tql
+from repro.tde.tql.plan import SET_COLUMN, GroupingSets
+from tests.difftest.test_kernel_equivalence import _build_shared_dataset
+
+ENGINE = _build_shared_dataset()
+
+SERIAL = PlannerOptions(max_dop=1, enable_parallel=False, plan_cache_size=0)
+#: Every scan splits four ways whatever its cost hint, and evenly (no
+#: range partition on the sorted ``day``), so a set and its standalone
+#: query see the same fragment bounds and must agree to the bit.
+FOUR_WAY = PlannerOptions(
+    max_dop=4, min_work_per_fraction=1.0, enable_range_partition_agg=False, plan_cache_size=0
+)
+
+EVENTS = '(scan "Extract.events")'
+#: (relation, key columns it offers beyond the fact's own).
+RELATIONS = [
+    (EVENTS, []),
+    (f'(select (and (>= day 10) (<> status "late")) {EVENTS})', []),
+    (f'(select (< day 0) {EVENTS})', []),  # zero input rows
+    (f'(join inner ((region region_key)) {EVENTS} (scan "Extract.regions"))', ["zone"]),
+    (
+        f'(join left ((qty qty_key)) (join left ((region region_key)) '
+        f'(select flag {EVENTS}) (scan "Extract.regions")) (scan "Extract.buckets"))',
+        ["zone", "bucket"],
+    ),
+]
+FACT_KEYS = ["region", "status", "priority", "day", "qty"]
+AGGS = [
+    "(n (count))",
+    "(s (sum amount))",
+    "(lo (min amount))",
+    "(hi (max region))",
+    "(a (avg amount))",
+    "(q (sum qty))",
+    "(u (count_distinct region))",
+    "(d (count_distinct day))",
+]
+#: A set's projection: renames, a calculation to group by and one to sum.
+ITEMS = (
+    '((r region) (s2 status) (half (/ day 2)) (a2 (* amount 2.0)) (q qty))',
+    ["r", "s2", "half"],
+    ["(n (count))", "(t (sum a2))", "(m (max q))", "(v (avg a2))", "(u (count_distinct r))"],
+)
+
+
+@st.composite
+def grouping_sets(draw):
+    relation, extra_keys = draw(st.sampled_from(RELATIONS))
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            items, keys, aggs = ITEMS
+        else:
+            items, keys, aggs = None, FACT_KEYS + extra_keys, AGGS
+        groupby = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+        measures = draw(
+            st.lists(st.sampled_from(aggs), min_size=0 if groupby else 1, max_size=3, unique=True)
+        )
+        text = f"(set ({' '.join(groupby)}) ({' '.join(measures)})"
+        sets.append(text + (f" {items})" if items else ")"))
+    return f"(grouping-sets {' '.join(sets)} {relation})"
+
+
+@settings(max_examples=120, deadline=None)
+@given(query=grouping_sets(), options=st.sampled_from([SERIAL, FOUR_WAY]))
+def test_every_set_equals_its_standalone_query(query, options):
+    plan = parse_tql(query)
+    result = ENGINE.query(query, options=options)
+    assert result.column_names == [SET_COLUMN, *plan.columns]
+    for position, s in enumerate(plan.sets):
+        alone = ENGINE.query(s.over(plan.child), options=options)
+        mine = slice_set(result, position, list(s.columns))
+        assert mine.equals(alone), f"set {position} of {query}"
+    tags = result.column(SET_COLUMN).python_values()
+    assert tags == sorted(tags), "the sets' answers come one after the other"
+
+
+def test_round_trips_through_text_and_the_plan_cache():
+    query = (
+        "(grouping-sets (set (region) ((n (count)))) "
+        "(set (h) ((t (sum a2))) ((h (/ day 2)) (a2 (* 2.0 amount)))) "
+        f"(set () ((n (count)))) (select (< 5 day) {EVENTS}))"
+    )
+    plan = parse_tql(query)
+    assert isinstance(plan, GroupingSets) and len(plan.sets) == 3
+    assert plan.sets[1].items is not None and plan.sets[0].items is None
+    assert parse_tql(to_tql(plan)) == plan
+    engine = DataEngine("gs-cache")
+    engine.database, engine.catalog = ENGINE.database, ENGINE.catalog
+    first = engine.query(query)
+    # Literal-first comparison and spacing are normalised away.
+    again = engine.query(query.replace("(< 5 day)", "(>  day 5)"))
+    assert again.equals(first)
+    assert engine.plan_cache.stats()["hits"] == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        f"(grouping-sets {EVENTS})",
+        f"(grouping-sets (region) {EVENTS})",
+        f"(grouping-sets (set (region)) {EVENTS})",
+        f"(grouping-sets (sets (region) ()) {EVENTS})",
+    ],
+)
+def test_malformed_sets_are_parse_errors(bad):
+    with pytest.raises(TqlParseError):
+        parse_tql(bad)
+
+
+def test_output_schema_and_its_refusals():
+    schema = ENGINE.catalog
+    from repro.tde.tql.binder import bind
+
+    ok = parse_tql(
+        f"(grouping-sets (set (region) ((n (count)))) (set (day) ((n (count)) (s (sum amount)))) {EVENTS})"
+    )
+    assert bind(ok, schema) == {
+        SET_COLUMN: L.INT, "region": L.STR, "n": L.INT, "day": L.INT, "s": L.FLOAT,
+    }
+    for bad, match in [
+        # The same name, two types: there is one column to put it in.
+        (f"(grouping-sets (set () ((x (count)))) (set () ((x (sum amount)))) {EVENTS})", "x"),
+        (f"(grouping-sets (set (region) ((region2 (count)))) (set () ((region2 (max region)))) {EVENTS})", "region2"),
+        (f"(grouping-sets (set () (({SET_COLUMN} (count)))) {EVENTS})", SET_COLUMN),
+        (f"(grouping-sets (set (nope) ()) {EVENTS})", "nope"),
+        (f"(grouping-sets (set (h) () ((h (/ day 2)) (h day))) {EVENTS})", "h"),
+    ]:
+        with pytest.raises(BindError, match=match):
+            ENGINE.query(bad)
+
+
+def test_a_column_only_some_sets_have_is_null_in_the_others():
+    result = ENGINE.query(
+        f"(grouping-sets (set (region) ((n (count)))) (set () ((hi (max region)) (s (sum amount)))) {EVENTS})"
+    )
+    rows = result.to_rows()
+    assert result.column_names == [SET_COLUMN, "region", "n", "hi", "s"]
+    assert all(r[3] is None and r[4] is None for r in rows if r[0] == 0)
+    (total,) = [r for r in rows if r[0] == 1]
+    assert total[1] is None and total[2] is None and total[3] == "west"
+
+
+def test_the_child_runs_once_and_its_rows_are_dropped_fragment_by_fragment():
+    query = (
+        "(grouping-sets (set (region) ((n (count)) (a (avg amount)))) "
+        "(set (half) ((t (sum a2))) ((half (/ day 2)) (a2 (* amount 2.0)))) "
+        f"(set (zone) ((u (count_distinct day)))) "
+        f'(join inner ((region region_key)) {EVENTS} (scan "Extract.regions")))'
+    )
+    plan = ENGINE.plan(parse_tql(query), options=FOUR_WAY)
+    assert isinstance(plan, PGroupingSets) and len(plan.fragments) == 4
+    averaged, projected, distinct = plan.sets
+    # The sets' partials sit on the shared rows, not behind exchanges.
+    assert not any(isinstance(n, PExchange) for s in plan.sets for n in s.walk())
+    assert averaged.merge is not None  # local/global split: partial per fragment, one merge
+    assert isinstance(projected.partial, PFusedPipeline)  # project+aggregate fused, as alone
+    # count_distinct has no partial: the set keeps its own two columns
+    # of every fragment and aggregates once, as its Exchange would have.
+    assert isinstance(distinct.partial, PSharedInput)
+    assert distinct.partial.columns == ["day", "zone"]
+    scanned = ExecContext(batch_size=1024, parallel=False)
+    execute_to_table(plan, scanned)
+    assert scanned.metrics.rows_scanned == ENGINE.table("Extract.events").n_rows + 5
+
+
+def test_a_set_cannot_run_outside_its_operator():
+    plan = ENGINE.plan(parse_tql(f"(grouping-sets (set (region) ()) {EVENTS})"), options=SERIAL)
+    with pytest.raises(ExecutionError):
+        execute_to_table(plan.sets[0])
+    with pytest.raises(ExecutionError):
+        execute_to_table(plan.sets[0].partial)
