@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .. import obs
 from ..expr.ast import ColumnRef
 from ..expr.sexpr import to_sexpr
-from ..queries.postops import LocalProject, LocalSort, LocalTopN, PostOp
+from ..queries.postops import LocalProject, PostOp, shape_ops
 from ..queries.spec import QuerySpec
 
 
@@ -96,12 +96,6 @@ def _fuse(members: list[QuerySpec]) -> FusedQuery:
     for spec in members:
         items = [(d, ColumnRef(d)) for d in spec.dimensions]
         items += [(alias, ColumnRef(alias_by_agg[agg])) for alias, agg in spec.measures]
-        ops: list[PostOp] = [LocalProject(tuple(items))]
-        if spec.order_by and spec.limit is not None:
-            ops.append(LocalTopN(spec.limit, spec.order_by))
-        elif spec.order_by:
-            ops.append(LocalSort(spec.order_by))
-        elif spec.limit is not None:
-            ops.append(LocalTopN(spec.limit, tuple()))
-        extract_ops[spec.canonical()] = tuple(ops)
+        shape = shape_ops(spec.order_by, spec.limit)
+        extract_ops[spec.canonical()] = (LocalProject(tuple(items)), *shape)
     return FusedQuery(fused_spec, list(members), extract_ops)

@@ -6,8 +6,10 @@ For each batch of query specs:
    are served locally.
 2. **Batch graph** — remaining specs form the cache-hit opportunity graph;
    source nodes go remote, derivable nodes wait locally (3.3, Fig. 3).
-3. **Query fusion** — remote specs over the same relation merge their
-   projection lists (3.4).
+3. **Query fusion** — remote specs over the same relation and grain
+   merge their projection lists (3.4); against an in-process TQL source
+   the compiled queries that still aggregate one relation then merge
+   into one grouping-sets query, one scan for all of them.
 4. **Concurrent execution** — fused queries run concurrently over pooled
    connections, consulting the literal cache, creating temporary tables
    for externalized filters (3.5, 3.1).
@@ -30,7 +32,7 @@ failing the whole dashboard. Every degrade decision lands in the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import obs
 from ..connectors.pool import ConnectionPool
@@ -38,16 +40,17 @@ from ..errors import SourceError, SourceUnavailableError
 from ..faults.breaker import CircuitBreaker
 from ..faults.retry import RetryPolicy
 from ..obs.ledger import NULL_BOOK, LedgerBook, NullLedgerBook, RequestLedger
-from ..queries.compile import CompiledQuery, compile_spec
+from ..queries.compile import CompiledQuery, MergedQuery, compile_spec, merge_same_relation
 from ..queries.model import DataSourceModel
 from ..queries.postops import PostOp, apply_post_ops
 from ..queries.spec import QuerySpec
+from ..tde.exec.grouping import slice_set
 from ..tde.storage.table import Table
 from .batch import build_batch_graph
 from .cache.intelligent import IntelligentCache, enrich_spec, match_specs
 from .cache.literal import LiteralCache
 from .coalesce import Flight, JoinTicket, SingleFlightRegistry
-from .executor import ConcurrentQueryExecutor
+from .executor import ConcurrentQueryExecutor, ExecutionOutcome
 from .fusion import FusedQuery, fuse_batch
 from .stale import StaleResultStore
 
@@ -170,12 +173,15 @@ class Derivation:
 @dataclass
 class Send:
     """One remote query: the fused group, the (enriched) spec actually
-    sent, its compilation, and the members its result is split into."""
+    sent, its compilation, and the members its result is split into.
+    ``merged`` is set when it travels as one set of a grouping-sets
+    query shared with other sends instead of as ``compiled`` itself."""
 
     fused: FusedQuery
     spec: QuerySpec
     compiled: CompiledQuery
     members: list[Derivation]
+    merged: MergedQuery | None = None
 
 
 @dataclass
@@ -187,6 +193,15 @@ class BatchPlan:
 
     sends: list[Send]
     local: list[Derivation]
+
+    def wire(self) -> list[CompiledQuery]:
+        """The queries that actually go out, in first-use order: every
+        merged query once, in place of the sends riding on it."""
+        out: dict[int, CompiledQuery] = {}
+        for send in self.sends:
+            query = send.merged or send.compiled
+            out.setdefault(id(query), query)
+        return list(out.values())
 
 
 #: What an untraced plan opens in place of its phase spans.
@@ -477,6 +492,28 @@ class QueryPipeline:
                     key = member.canonical()
                     members.append(Derivation(member, key, send_spec, fq.extract_ops[key]))
                 sends.append(Send(fq, send_spec, compiled, members))
+            # An in-process engine has no backend parallelism for seven
+            # queries to use, only one scan to share between them.
+            if (
+                self.options.enable_fusion
+                and self.source.in_process
+                and self.source.query_language == "tql"
+                and len(sends) > 1
+            ):
+                by_part = {id(send.compiled): send for send in sends}
+                for merged in merge_same_relation(
+                    [send.compiled for send in sends], self.model, self.source
+                ):
+                    for part in merged.parts:
+                        by_part[id(part)].merged = merged
+                    if obs.events_enabled():
+                        obs.event(
+                            "fusion",
+                            "merged",
+                            f"{len(merged.parts)} queries aggregating one relation "
+                            "sent as one grouping-sets query",
+                            members=[part.spec.canonical() for part in merged.parts],
+                        )
         return BatchPlan(sends, local)
 
     def _run_pending(
@@ -489,16 +526,13 @@ class QueryPipeline:
         t_plan = book.now()
         plan = self._plan(pending, reuse_fields)
         member_keys = [member.key for send in plan.sends for member in send.members]
-        result.fused_away += len(member_keys) - len(plan.sends)
         # Batch analysis, fusion and compilation all happened while
         # every remote member waited: each gets the full duration.
         book.charge_since(t_plan, "compile", *member_keys)
-        with obs.span("pipeline.remote_execution", queries=len(plan.sends)):
-            outcomes = self.executor.run_batch(
-                [send.compiled for send in plan.sends],
-                concurrent=self.options.concurrent,
-                capture_errors=True,
-            )
+        wire = plan.wire()
+        result.fused_away += len(member_keys) - len(wire)
+        with obs.span("pipeline.remote_execution", queries=len(wire)):
+            outcomes = self._fetch(plan, wire, result)
         # Phase 4: populate caches and split fused results.
         with obs.span("pipeline.post_processing", queries=len(outcomes)):
             for send, outcome in zip(plan.sends, outcomes):
@@ -508,8 +542,6 @@ class QueryPipeline:
                     for member in send.members:
                         self._degrade(member.key, outcome.error, result, book)
                     continue
-                result.remote_queries += 0 if outcome.from_literal_cache else 1
-                result.literal_hits += 1 if outcome.from_literal_cache else 0
                 if self.options.enable_intelligent_cache:
                     self.intelligent_cache.put(send.spec, outcome.table, cost_s=outcome.elapsed_s)
                 sent_key = send.spec.canonical()
@@ -560,6 +592,57 @@ class QueryPipeline:
                 result.batch_local += 1
                 result.derived_hits += 1 if from_cache else 0
                 book.finish(key, "stale" if stale else "derived" if from_cache else "batch_local")
+
+    def _fetch(
+        self, plan: BatchPlan, wire: list[CompiledQuery], result: BatchResult
+    ) -> list[ExecutionOutcome]:
+        """Run ``wire`` and return one outcome per send of ``plan``.
+
+        A send riding a merged query gets the merged outcome with its own
+        set's rows as the table. A merged query that failed (after the
+        retry policy) is re-sent once as the queries it was made of, so
+        a fault costs what it would have cost them: each succeeds or
+        degrades on its own.
+        """
+
+        def run(queries: list[CompiledQuery]) -> dict[int, ExecutionOutcome]:
+            outcomes = self.executor.run_batch(
+                queries, concurrent=self.options.concurrent, capture_errors=True
+            )
+            for outcome in outcomes:
+                if not outcome.failed:
+                    result.remote_queries += 0 if outcome.from_literal_cache else 1
+                    result.literal_hits += 1 if outcome.from_literal_cache else 0
+            return {id(query): outcome for query, outcome in zip(queries, outcomes)}
+
+        fetched = run(wire)
+        broken = [q for q in wire if isinstance(q, MergedQuery) and fetched[id(q)].failed]
+        if broken:
+            if obs.events_enabled():
+                for query in broken:
+                    obs.event(
+                        "degrade.unmerge",
+                        "resent",
+                        f"merged query failed ({fetched[id(query)].error}); sending "
+                        f"its {len(query.parts)} parts singly",
+                        members=[part.spec.canonical() for part in query.parts],
+                    )
+            parts = [part for query in broken for part in query.parts]
+            result.fused_away -= len(parts) - len(broken)
+            fetched.update(run(parts))
+        outcomes = []
+        for send in plan.sends:
+            outcome = fetched.get(id(send.compiled))
+            if outcome is None:
+                merged = send.merged
+                outcome = fetched[id(merged)]
+                position = merged.parts.index(send.compiled)
+                rows = slice_set(outcome.table, position, list(merged.plan.sets[position].columns))
+                outcome = replace(
+                    outcome, table=apply_post_ops(rows, merged.part_ops[position])
+                )
+            outcomes.append(outcome)
+        return outcomes
 
     def _answer_locally(
         self,
@@ -657,7 +740,12 @@ class QueryPipeline:
         ``language``/``text``, ``post_ops`` (operator types run locally
         over the fetched result) and ``plan`` — the in-process backend
         engine's :class:`~repro.obs.explain.ExplainResult` (ANALYZE, run
-        once on that engine, with ``analyze=True``), else None.
+        once on that engine, with ``analyze=True``), else None. A spec
+        whose query travels inside a merged grouping-sets query reports
+        that query's text and plan, and under ``merged`` its set, the
+        columns sliced out for it, the ``post_ops`` that finish those
+        rows into what its own query would have returned (``post_ops``
+        proper then apply, as ever) and the specs sharing the query.
         """
         reports: dict[str, dict] = {}
         pending: list[QuerySpec] = []
@@ -686,33 +774,65 @@ class QueryPipeline:
             )
         backend = self.backend_engine()
         breaker = getattr(self.pool, "breaker", None)
+        described: dict[int, dict] = {}
         for send in plan.sends:
-            compiled = send.compiled
-            shared = {"language": compiled.language, "text": compiled.text, "plan": None}
-            if backend is not None and not compiled.temp_tables:
-                shared["plan"] = backend.explain(compiled.plan, analyze=analyze)
-            # A distributed literal cache can say where a key's replicas
-            # sit (primary miss -> replica fallback, lagging copies ->
-            # repair); surface that placement per zone so EXPLAIN answers
-            # "why was this served from a replica?" without a debugger.
-            if self.options.enable_literal_cache:
-                placement = self.literal_cache.describe(compiled.literal_key)
-                if placement is not None:
-                    shared["cache_tier"] = placement["note"]
-            if breaker is not None and breaker.state != "closed":
-                shared["degradation"] = (
-                    f"circuit breaker is {breaker.state}: this query would be "
-                    "rejected fast and degraded (stale serve or per-spec error)"
+            compiled = send.merged or send.compiled
+            shared = described.get(id(compiled))
+            if shared is None:
+                shared = described[id(compiled)] = self._describe(
+                    compiled, backend, breaker, analyze
                 )
             lead_key = send.fused.spec.canonical()
+            riding = {}
+            if send.merged is not None:
+                # One grouping-sets query carries this send and others:
+                # say which, and what splits this one's rows back out.
+                position = send.merged.parts.index(send.compiled)
+                riding["merged"] = {
+                    "set": position,
+                    "columns": list(send.merged.plan.sets[position].columns),
+                    "post_ops": [type(op).__name__ for op in send.merged.part_ops[position]],
+                    "with": [
+                        part.spec.canonical()
+                        for part in send.merged.parts
+                        if part is not send.compiled
+                    ],
+                }
             for member in send.members:
                 lone = member.key == lead_key or len(send.members) == 1
+                decision = "sent remote" if lone else f"fused into {lead_key}"
+                if send.merged is not None:
+                    decision += (
+                        f" as set {position} of a grouping-sets query shared by "
+                        f"{len(send.merged.parts)} queries of this batch"
+                    )
                 reports[member.key].update(
-                    decision="sent remote" if lone else f"fused into {lead_key}",
+                    decision=decision,
                     post_ops=[type(op).__name__ for op in member.post_ops()],
+                    **riding,
                     **shared,
                 )
         return list(reports.values())
+
+    def _describe(self, compiled: CompiledQuery, backend, breaker, analyze: bool) -> dict:
+        """What EXPLAIN says about one query on the wire."""
+        shared = {"language": compiled.language, "text": compiled.text, "plan": None}
+        if backend is not None and not compiled.temp_tables:
+            shared["plan"] = backend.explain(compiled.plan, analyze=analyze)
+        # A distributed literal cache can say where a key's replicas
+        # sit (primary miss -> replica fallback, lagging copies ->
+        # repair); surface that placement per zone so EXPLAIN answers
+        # "why was this served from a replica?" without a debugger.
+        if self.options.enable_literal_cache:
+            placement = self.literal_cache.describe(compiled.literal_key)
+            if placement is not None:
+                shared["cache_tier"] = placement["note"]
+        if breaker is not None and breaker.state != "closed":
+            shared["degradation"] = (
+                f"circuit breaker is {breaker.state}: this query would be "
+                "rejected fast and degraded (stale serve or per-spec error)"
+            )
+        return shared
 
     def backend_engine(self):
         """The in-process DataEngine behind the source, if inspectable."""

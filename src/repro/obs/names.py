@@ -94,6 +94,7 @@ EVENT_REGISTRY: dict[str, str] = {
     "degrade.stale_serve": "source down; served the last good result flagged stale",
     "degrade.stale_extract": "shadow extract served while the live source is down",
     "degrade.error": "source down and no stale fallback; per-spec error",
+    "degrade.unmerge": "merged grouping-sets query failed; its parts re-sent singly",
     # -- resilience / background ---------------------------------------- #
     "fault.injected": "fault plan injected an error or latency",
     "retry.attempt": "transient failure; backing off and retrying",

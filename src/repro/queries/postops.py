@@ -114,6 +114,17 @@ PostOp = Union[
 ]
 
 
+def shape_ops(order_by, limit) -> tuple[PostOp, ...]:
+    """A spec's ORDER BY / LIMIT as operators over its unshaped answer."""
+    if order_by and limit is not None:
+        return (LocalTopN(limit, order_by),)
+    if order_by:
+        return (LocalSort(order_by),)
+    if limit is not None:
+        return (LocalTopN(limit, ()),)
+    return ()
+
+
 def apply_post_ops(table: Table, post_ops: Sequence[PostOp]) -> Table:
     """Run the post-op chain locally over ``table``."""
     ctx = ExecContext(parallel=False)

@@ -5,11 +5,12 @@ import pytest
 import repro.core.cache.intelligent as intelligent
 import repro.core.pipeline as pipeline_module
 from repro import obs
-from repro.core.pipeline import QueryPipeline
+from repro.connectors import TdeDataSource
+from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.queries import CategoricalFilter, QuerySpec
 from tests.difftest.gen import gen_specs
 
-from .conftest import AVG_DELAY, COUNT, SUM_DELAY, make_model, make_source
+from .conftest import AVG_DELAY, COUNT, ENGINE, SUM_DELAY, make_model, make_source
 
 
 @pytest.fixture(autouse=True)
@@ -141,3 +142,63 @@ class TestExplainEqualsRun:
             assert [report["text"]] == sent, spec.canonical()
             assert report["post_ops"] == applied, spec.canonical()
             applied.clear()
+
+    @pytest.mark.parametrize("enrich", [True, False])
+    def test_a_merged_tde_batch_matches_the_run(self, monkeypatch, enrich):
+        """Against an in-process TDE the batch's same-relation queries go
+        out as one grouping-sets query: EXPLAIN shows that one text for
+        all of them, and per spec the operators that split its set out
+        and then derive its answer — the ones the run applies."""
+        applied: list[str] = []
+        real_apply = pipeline_module.apply_post_ops
+
+        def recording_apply(table, ops):
+            applied.extend(type(op).__name__ for op in ops)
+            return real_apply(table, ops)
+
+        monkeypatch.setattr(pipeline_module, "apply_post_ops", recording_apply)
+        monkeypatch.setattr(intelligent, "apply_post_ops", recording_apply)
+        markets = (CategoricalFilter("market_id", (0, 1, 2)),)
+        specs = [
+            QuerySpec("faa", ("name",), (("n", COUNT),), markets),
+            QuerySpec("faa", ("name",), (("s", SUM_DELAY),), markets),  # fuses with the first
+            QuerySpec("faa", ("market",), (("a", AVG_DELAY),), markets, (("market", False),), 2),
+            QuerySpec("faa", (), (("n", COUNT),), markets),
+            QuerySpec("faa", ("name",), (("n", COUNT),)),  # another relation: sent alone
+        ]
+        pipeline = QueryPipeline(
+            TdeDataSource(ENGINE),
+            make_model(),
+            options=PipelineOptions(enrich_for_reuse=enrich, enable_batch_graph=False),
+        )
+        sent: list[str] = []
+        real_run = pipeline.executor.run_batch
+
+        def recording_run(compiled, **kwargs):
+            sent.extend(c.text for c in compiled)
+            return real_run(compiled, **kwargs)
+
+        pipeline.executor.run_batch = recording_run
+        try:
+            reports = pipeline.explain_batch(specs)
+            assert applied == [] and sent == []  # a dry run
+            result = pipeline.run_batch(specs)
+        finally:
+            pipeline.close()
+        assert result.ok and result.remote_queries == 2 and result.fused_away == 3
+        merged, alone = reports[:4], reports[4]
+        assert list(dict.fromkeys(r["text"] for r in reports)) == sent
+        assert sent[0].startswith("(grouping-sets ") and "merged" not in alone
+        assert [r["merged"]["set"] for r in merged] == [0, 0, 1, 2]
+        assert "GroupingSets(3 sets" in merged[0]["plan"]
+        for report in merged:
+            assert "as set" in report["decision"]
+            assert len(report["merged"]["with"]) == 2
+        assert merged[2]["merged"]["columns"][0] == "market"
+        # Un-enriched, the third spec keeps its ORDER BY / LIMIT: the sets
+        # carry neither, so the split re-applies it.
+        assert merged[2]["merged"]["post_ops"] == ([] if enrich else ["LocalTopN"])
+        # The run splits every set out first, then derives each member.
+        splits = [r["merged"]["post_ops"] for r in (merged[0], merged[2], merged[3])]
+        derivations = [r["post_ops"] for r in reports]
+        assert applied == sum(splits + derivations, [])

@@ -161,7 +161,15 @@ def assert_tables_equal(actual, expected, *, context: str = "") -> None:
     assert actual.column_names == expected.column_names, (
         f"{context}: column mismatch {actual.column_names} != {expected.column_names}"
     )
-    left, right = sorted_rows(actual), sorted_rows(expected)
+    assert_rows_equal(rows_of(actual), rows_of(expected), context=context)
+
+
+def assert_rows_equal(actual: list[tuple], expected: list[tuple], *, context: str = "") -> None:
+    """The same comparison over plain row tuples."""
+    left, right = (
+        sorted(rows, key=lambda row: tuple(_sort_token(v) for v in row))
+        for rows in (actual, expected)
+    )
     assert len(left) == len(right), (
         f"{context}: row count {len(left)} != {len(right)}"
     )

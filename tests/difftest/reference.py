@@ -1,7 +1,7 @@
 """Reference group-by and join: what the TDE's kernels must compute.
 
 Row-at-a-time Python over ``list[dict]`` rows — dict group-by, dict join,
-no numpy, no ``repro.tde`` — so an error in the vectorized kernels
+no numpy, nothing imported from ``repro`` — so an error in the vectorized kernels
 (``repro.tde.exec.kernels``) cannot also be an error here. Every other
 oracle in this suite (the all-off engine, ``query_naive``, simdb's inner
 engine) runs those same kernels and would agree with a wrong group id.
@@ -115,3 +115,50 @@ def join_rows(
         if not matches and kind == "left":
             pairs.append((i, None))
     return pairs
+
+
+def answer_spec(rows: Sequence[Row], spec) -> list[tuple]:
+    """The rows a query spec asks for over the (already joined) view
+    ``rows``: its dimensions, then its measures, ordered and cut if it
+    says so. ``spec`` is read by attribute only: categorical
+    (``values``/``exclude``) and half-open range (``low``/``high``)
+    filters, measures ``(alias, agg)`` with ``agg.func`` over the column
+    ``agg.arg.name`` (a bare ``count`` counts rows); ``avg`` is sum over
+    count and ``count_distinct`` the number of distinct non-NULL inputs.
+    """
+    kept = [row for row in rows if all(_passes(row, f) for f in spec.filters)]
+    groups = group_rows(kept, spec.dimensions)
+    if not spec.dimensions and not groups:
+        groups = [[]]  # an aggregate over no rows is still one row
+    out = []
+    for members in groups:
+        values = [kept[members[0]][d] for d in spec.dimensions]
+        for _alias, agg in spec.measures:
+            if agg.arg is None:
+                values.append(len(members))
+                continue
+            inputs = [kept[i][agg.arg.name] for i in members if kept[i][agg.arg.name] is not None]
+            if agg.func == "count":
+                values.append(len(inputs))
+            elif agg.func == "count_distinct":
+                values.append(len(set(inputs)))
+            elif not inputs:
+                values.append(None)
+            elif agg.func == "avg":
+                values.append(sum(inputs) / len(inputs))
+            else:
+                values.append({"sum": sum, "min": min, "max": max}[agg.func](inputs))
+        out.append(tuple(values))
+    names = [*spec.dimensions, *(alias for alias, _agg in spec.measures)]
+    for key, ascending in reversed(spec.order_by):  # stable: last key first
+        out.sort(key=lambda row: _rank(row[names.index(key)]), reverse=not ascending)
+    return out if spec.limit is None else out[: spec.limit]
+
+
+def _passes(row: Row, f) -> bool:
+    value = row[f.field]
+    if value is None:
+        return False
+    if hasattr(f, "values"):
+        return (value in f.values) != f.exclude
+    return (f.low is None or value >= f.low) and (f.high is None or value < f.high)

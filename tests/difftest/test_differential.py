@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.connectors import TdeDataSource
 from repro.core.pipeline import PipelineOptions, QueryPipeline
-from tests.core.conftest import make_model, make_source
+from tests.core.conftest import ENGINE, make_model, make_source
 
-from .gen import assert_tables_equal, gen_specs
+from .gen import assert_rows_equal, assert_tables_equal, gen_specs, rows_of
+from .reference import answer_spec, join_rows
 
 SEED = 1337
 N_SPECS = 220  # the acceptance floor is 200
@@ -141,6 +143,66 @@ def test_all_optimizations_together(specs, oracle):
         oracle,
         PipelineOptions(),  # everything on, defaults
         "all-on",
+    )
+
+
+@pytest.fixture(scope="module")
+def view_rows():
+    """The model's star join as plain rows, joined by the reference."""
+    tables = {
+        name: ENGINE.table(f"Extract.{name}").to_pydict()
+        for name in ("flights", "carriers", "markets")
+    }
+    rows = {
+        name: [dict(zip(cols, values)) for values in zip(*cols.values())]
+        for name, cols in tables.items()
+    }
+    view = rows["flights"]
+    for dimension, condition in (("carriers", ("carrier_id", "id")), ("markets", ("market_id", "mid"))):
+        pairs = join_rows(view, rows[dimension], [condition])
+        view = [{**view[i], **rows[dimension][j]} for i, j in pairs]
+    return view
+
+
+@pytest.mark.parametrize("enrich", [True, False], ids=["enriched", "as-asked"])
+def test_merged_grouping_sets_preserve_answers(specs, oracle, view_rows, enrich):
+    """An in-process TDE is sent the same-relation queries of a batch as
+    one grouping-sets query; every answer split back out of it equals the
+    all-off oracle's and the row-at-a-time reference's. Specs are batched
+    by relation (their filters) so that batches do merge; un-enriched,
+    the specs keep their ORDER BY / LIMIT, which the merge moves into
+    local post-ops."""
+    by_relation = sorted(specs, key=lambda s: sorted(f.canonical() for f in s.filters))
+    pipeline = QueryPipeline(
+        TdeDataSource(ENGINE), make_model(), options=PipelineOptions(enrich_for_reuse=enrich)
+    )
+    merged_batches = 0
+    sent: list[str] = []
+    real_run = pipeline.executor.run_batch
+
+    def recording_run(compiled, **kwargs):
+        sent.extend(c.text for c in compiled)
+        return real_run(compiled, **kwargs)
+
+    pipeline.executor.run_batch = recording_run
+    try:
+        for start in range(0, len(by_relation), BATCH):
+            chunk = by_relation[start : start + BATCH]
+            result = pipeline.run_batch(chunk)
+            assert result.ok, f"merged: unexpected errors {result.errors}"
+            assert (result.fused_away > 0) >= any("(grouping-sets" in text for text in sent)
+            merged_batches += any("(grouping-sets" in text for text in sent)
+            sent.clear()
+            for spec in chunk:
+                context = f"merged ({'enriched' if enrich else 'as asked'}): {spec.canonical()}"
+                answer = result.table_for(spec)
+                assert_tables_equal(answer, oracle[spec.canonical()], context=context)
+                assert_rows_equal(rows_of(answer), answer_spec(view_rows, spec), context=context)
+    finally:
+        pipeline.close()
+    batches = -(-len(by_relation) // BATCH)
+    assert merged_batches * 3 >= batches, (
+        f"only {merged_batches} of {batches} batches sent fewer queries than they answered"
     )
 
 

@@ -21,10 +21,11 @@ import json
 import pytest
 
 from repro import obs
-from repro.connectors import SimDbDataSource
+from repro.connectors import SimDbDataSource, TdeDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.dashboard import DashboardSession
+from repro.errors import SourceUnavailableError
 from repro.faults import (
     CLOSED,
     FaultPlan,
@@ -33,7 +34,8 @@ from repro.faults import (
     RetryPolicy,
     VirtualTimeClock,
 )
-from repro.workloads import fig2_dashboard, flights_model, generate_flights
+from repro.tde.engine import DataEngine
+from repro.workloads import fig1_dashboard, fig2_dashboard, flights_model, generate_flights
 from tests.core.conftest import make_model, make_source
 from tests.difftest.gen import assert_tables_equal, gen_specs
 
@@ -347,5 +349,75 @@ class TestDashboardDegradation:
             degraded = session.render()
             assert degraded.stale_zones == {"market", "carrier", "airline_name"}
             assert not degraded.zone_errors
+        finally:
+            pipeline.close()
+
+    def test_a_merged_query_that_fails_costs_what_its_parts_would_have(self, monkeypatch):
+        """Fig-1's seven queries reach an in-process TDE as one
+        grouping-sets query. When that one fails because of one zone's
+        calculated column, its parts are re-sent singly: six zones are
+        fresh, and only the seventh degrades — to an error on a cold
+        pipeline, to a flagged stale serve on one that has answered it
+        before."""
+        engine = generate_flights(4000, seed=9).load_into_engine()
+
+        def cold_pipeline():
+            return QueryPipeline(
+                TdeDataSource(engine),
+                flights_model(),
+                options=PipelineOptions(
+                    enable_intelligent_cache=False,
+                    enable_literal_cache=False,
+                    retry=RetryPolicy(max_attempts=2, base_delay_s=0.01, seed=1),
+                ),
+                clock=VirtualTimeClock(),
+            )
+
+        reference = cold_pipeline()
+        try:
+            healthy = DashboardSession(fig1_dashboard(), reference).render()
+        finally:
+            reference.close()
+        assert not healthy.degraded and healthy.remote_queries == 1
+        pipeline = cold_pipeline()
+
+        attempts: list[str] = []
+        query = DataEngine.query
+
+        def weekday_is_down(self, text, **kwargs):
+            attempts.append(text)
+            if "(weekday date_)" in text:
+                raise SourceUnavailableError("weekday() is unavailable")
+            return query(self, text, **kwargs)
+
+        monkeypatch.setattr(DataEngine, "query", weekday_is_down)
+        session = DashboardSession(fig1_dashboard(), pipeline)
+        try:
+            cold = session.render()
+            assert set(cold.zone_errors) == {"cancellations_by_weekday"}
+            assert not cold.stale_zones
+            fresh = set(healthy.zone_tables) - {"cancellations_by_weekday"}
+            assert set(cold.zone_tables) == fresh
+            for zone in fresh:
+                # Sent alone, a query may split its scan elsewhere than the
+                # merged one did: the same sums, added in another order.
+                assert cold.zone_tables[zone].approx_equals(healthy.zone_tables[zone]), zone
+            # The merged query and the one part that cannot work each
+            # used up the retry policy; the other six went out once.
+            merged = [t for t in attempts if t.startswith("(grouping-sets ")]
+            assert len(merged) == 2 and len(attempts) == 2 + 6 + 2
+            (batch,) = cold.batches
+            assert batch.remote_queries == 6 and batch.fused_away == 0
+
+            monkeypatch.setattr(DataEngine, "query", query)
+            recovered = session.render()  # retries only the zone that failed
+            assert not recovered.degraded and recovered.remote_queries == 1
+            monkeypatch.setattr(DataEngine, "query", weekday_is_down)
+            session._rendered_specs.clear()
+            stale = session.render()
+            assert stale.stale_zones == {"cancellations_by_weekday"} and not stale.zone_errors
+            assert stale.zone_tables["cancellations_by_weekday"].equals(
+                healthy.zone_tables["cancellations_by_weekday"]
+            )
         finally:
             pipeline.close()

@@ -9,11 +9,13 @@ string values one Python dict probe at a time.
 
 import numpy as np
 
-from repro.connectors import TdeDataSource
+from repro.connectors import SimDbDataSource, TdeDataSource
+from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import QueryPipeline
 from repro.dashboard import DashboardSession
+from repro.tde.engine import DataEngine
 from repro.tde.exec.physical import ExecContext, PScan
-from repro.tde.storage import Column, DeltaVector, Dictionary
+from repro.tde.storage import Column, DeltaVector, Dictionary, Table
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
 
 
@@ -43,6 +45,51 @@ def test_fig1_render_never_rematerializes_or_reencodes(monkeypatch):
     assert result.remote_queries > 0 and not result.degraded
     assert materialized == []
     assert sum(encoded) == 0
+
+
+def test_fig1_render_scans_the_fact_table_once(monkeypatch):
+    """Seven zones aggregate join(join(flights, carriers), markets): an
+    in-process TDE gets them as one grouping-sets query and reads each
+    batch range of the fact table once, where it used to read it seven
+    times; a source that is waited for still gets its seven queries."""
+    dataset = generate_flights(20_000, seed=1)
+    queries, ranges = [], []
+    query, slice_ = DataEngine.query, Table.slice
+
+    def counting_query(self, text, **kwargs):
+        queries.append(text)
+        return query(self, text, **kwargs)
+
+    def counting_slice(self, start, stop):
+        if self.name == "Extract.flights":
+            ranges.append((start, stop))
+        return slice_(self, start, stop)
+
+    def render(source):
+        pipeline = QueryPipeline(source, flights_model())
+        try:
+            result = DashboardSession(fig1_dashboard(), pipeline).render()
+        finally:
+            pipeline.close()
+        assert not result.degraded
+        return result
+
+    engine = dataset.load_into_engine()
+    monkeypatch.setattr(DataEngine, "query", counting_query)
+    monkeypatch.setattr(Table, "slice", counting_slice)
+    result = render(TdeDataSource(engine))
+    assert len(queries) == 1 and queries[0].startswith("(grouping-sets ")
+    assert result.remote_queries == 1
+    assert sum(batch.fused_away for batch in result.batches) == 6
+    assert len(ranges) == len(set(ranges)) > 1  # several batches, none read twice
+    assert sum(stop - start for start, stop in ranges) == 20_000
+
+    del queries[:]
+    db = dataset.load_into_simdb(ServerProfile(time_scale=0), name="warehouse")
+    result = render(SimDbDataSource(db))
+    assert result.remote_queries == 7 and db.stats.queries == 7
+    assert sum(batch.fused_away for batch in result.batches) == 0
+    assert not any("grouping-sets" in str(q) for q in queries)
 
 
 def test_scan_slices_only_planned_columns(monkeypatch):
