@@ -418,11 +418,14 @@ class PHashJoin(PhysNode):
             unmatched = np.flatnonzero(~matched)
         else:
             unmatched = np.zeros(0, dtype=np.int64)
-        cols: dict[str, Column] = {}
-        all_probe = np.concatenate((probe_rows, unmatched)) if len(unmatched) else probe_rows
-        left_part = batch.take(all_probe)
-        for name in batch.column_names:
-            cols[name] = left_part.column(name)
+        if index.unique and len(probe_rows) == batch.n_rows:
+            # Every probe row found its one build row (a total foreign
+            # key onto a dimension): gathering them is the identity.
+            left_part = batch
+        else:
+            all_probe = np.concatenate((probe_rows, unmatched)) if len(unmatched) else probe_rows
+            left_part = batch.take(all_probe)
+        cols: dict[str, Column] = dict(left_part.columns)
         n_matched = len(probe_rows)
         n_total = n_matched + len(unmatched)
         for name in right_out:

@@ -9,6 +9,8 @@ address directly: before they did, one 20k-row render issued 154
 ran on an 8-thread pool that an in-process engine cannot use.
 """
 
+import sys
+
 import numpy as np
 
 from repro.connectors import SimDbDataSource, TdeDataSource
@@ -18,6 +20,8 @@ from repro.core.pipeline import QueryPipeline
 from repro.dashboard import DashboardSession
 from repro.faults import FaultPlan, FaultyDataSource
 from repro.tde.exec import kernels
+from repro.tde.exec.physical import PHashJoin, PSingleRow, execute_to_table
+from repro.tde.storage import Table
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
 
 
@@ -66,6 +70,40 @@ def test_fig1_render_never_sorts_or_searches(monkeypatch):
     # ... and the counter is live: a wide-span key still sorts.
     kernels.combine_codes([(np.array([0, 2**40]), 2**40 + 1)], 2)
     assert issued["unique"] == 1
+
+
+def test_a_fully_matched_n_to_1_join_gathers_no_probe_rows(monkeypatch):
+    """Every Fig-1 join is a total foreign key onto an 8- or 12-row
+    dimension: each probe row matches exactly one build row, in order, so
+    gathering the probe side would copy every column to itself."""
+    gathered = []
+    take = Table.take
+
+    def counting_take(self, indices):
+        if sys._getframe(1).f_code.co_name == "_join_batch":
+            gathered.append(len(indices))
+        return take(self, indices)
+
+    monkeypatch.setattr(Table, "take", counting_take)
+    _render(TdeDataSource(generate_flights(20_000, seed=1).load_into_engine()))
+    assert gathered == []
+
+    def join(kind, probe_keys, build_keys):
+        probe = Table.from_pydict({"k": probe_keys, "v": list(range(len(probe_keys)))})
+        build = Table.from_pydict({"bk": build_keys, "w": [10 * k for k in build_keys]})
+        node = PHashJoin(kind, [("k", "bk")], PSingleRow(probe), PSingleRow(build))
+        return execute_to_table(node).to_rows()
+
+    assert join("inner", [2, 0, 1, 0], [0, 1, 2]) == [(2, 0, 20), (0, 1, 0), (1, 2, 10), (0, 3, 0)]
+    assert join("left", [1, 1], [0, 1]) == [(1, 0, 10), (1, 1, 10)]
+    assert gathered == []
+    # ... and the gather is still there for every join that needs one.
+    assert join("inner", [2, 9, 1], [0, 1, 2]) == [(2, 0, 20), (1, 2, 10)]  # a probe row misses
+    assert join("left", [2, 9], [0, 1, 2]) == [(2, 0, 20), (9, 1, None)]  # ... and is padded
+    assert join("inner", [1, 0], [0, 1, 1]) == [(1, 0, 10), (1, 0, 10), (0, 1, 0)]  # two matches
+    # As many pairs as probe rows, but not one each: no shortcut.
+    assert join("inner", [1, 9], [1, 1]) == [(1, 0, 10), (1, 0, 10)]
+    assert gathered == [2, 2, 3, 2]
 
 
 def test_thread_pool_is_for_sources_that_wait(monkeypatch):
