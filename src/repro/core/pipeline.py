@@ -174,14 +174,16 @@ class Derivation:
 class Send:
     """One remote query: the fused group, the (enriched) spec actually
     sent, its compilation, and the members its result is split into.
-    ``merged`` is set when it travels as one set of a grouping-sets
-    query shared with other sends instead of as ``compiled`` itself."""
+    ``merged`` is set when it travels as set ``position`` of a
+    grouping-sets query shared with other sends instead of as
+    ``compiled`` itself."""
 
     fused: FusedQuery
     spec: QuerySpec
     compiled: CompiledQuery
     members: list[Derivation]
     merged: MergedQuery | None = None
+    position: int = 0
 
 
 @dataclass
@@ -504,8 +506,9 @@ class QueryPipeline:
                 for merged in merge_same_relation(
                     [send.compiled for send in sends], self.model, self.source
                 ):
-                    for part in merged.parts:
-                        by_part[id(part)].merged = merged
+                    for position, part in enumerate(merged.parts):
+                        send = by_part[id(part)]
+                        send.merged, send.position = merged, position
                     if obs.events_enabled():
                         obs.event(
                             "fusion",
@@ -632,16 +635,15 @@ class QueryPipeline:
             fetched.update(run(parts))
         outcomes = []
         for send in plan.sends:
-            outcome = fetched.get(id(send.compiled))
-            if outcome is None:
-                merged = send.merged
-                outcome = fetched[id(merged)]
-                position = merged.parts.index(send.compiled)
-                rows = slice_set(outcome.table, position, list(merged.plan.sets[position].columns))
-                outcome = replace(
-                    outcome, table=apply_post_ops(rows, merged.part_ops[position])
-                )
-            outcomes.append(outcome)
+            merged = send.merged
+            if merged is None or fetched[id(merged)].failed:
+                outcomes.append(fetched[id(send.compiled)])
+                continue
+            outcome = fetched[id(merged)]
+            columns = list(merged.plan.sets[send.position].columns)
+            rows = slice_set(outcome.table, send.position, columns)
+            answer = apply_post_ops(rows, merged.part_ops[send.position])
+            outcomes.append(replace(outcome, table=answer))
         return outcomes
 
     def _answer_locally(
@@ -787,7 +789,7 @@ class QueryPipeline:
             if send.merged is not None:
                 # One grouping-sets query carries this send and others:
                 # say which, and what splits this one's rows back out.
-                position = send.merged.parts.index(send.compiled)
+                position = send.position
                 riding["merged"] = {
                     "set": position,
                     "columns": list(send.merged.plan.sets[position].columns),

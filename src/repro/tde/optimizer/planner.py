@@ -436,10 +436,11 @@ def _build_grouping_sets(
     sets read; each set is then planned over them exactly as its
     standalone ``Aggregate`` would be, with one partial (run once per
     fragment) in place of one per fragment. The scan splits as it would
-    for the costliest set alone, so on the usual dashboard every set sees
-    the fragment bounds — and returns the bits — of its own query.
+    for the costliest set alone; once that is ``max_dop`` ways (any
+    extract large enough to matter) every set sees the fragment bounds —
+    and returns the bits — of its own query.
     """
-    queries = [s.over(plan.child) for s in plan.sets]
+    reads = [s.reads() for s in plan.sets]
     heaviest = max(
         _aggregate_cost(s.aggs) + sum(expr_cost(e) for _, e in s.items or ())
         for s in plan.sets
@@ -448,20 +449,20 @@ def _build_grouping_sets(
         plan.child,
         catalog,
         options,
-        needed=set().union(*(s.reads() for s in plan.sets)),
+        needed=set().union(*reads),
         hint=hint + heaviest,
         partition_req=(),
     )
     rows_in = estimate_plan(plan.child, catalog).rows // shared.degree
     sets = []
-    for s, query in zip(plan.sets, queries):
+    for s, columns in zip(plan.sets, reads):
         # A set that reads nothing (a bare COUNT(*)) still needs rows to
         # count: it takes the shared columns as they are.
-        leaf: PhysNode = PSharedInput(sorted(s.reads()) or None, rows_in)
+        leaf: PhysNode = PSharedInput(sorted(columns) or None, rows_in)
         if s.items is not None:
             leaf = PProject(leaf, list(s.items))
         partials, finish = _aggregate_phases(
-            query, Fragments([leaf] * shared.degree), catalog, options
+            s.over(plan.child), Fragments([leaf] * shared.degree), catalog, options
         )
         partial, merge = partials.nodes[0], None
         if finish is not None:

@@ -147,11 +147,12 @@ class GroupingSet:
         projection if it has one (as under a ``Project``), else its keys
         and aggregate arguments."""
         if self.items is not None:
-            exprs = [expr for _, expr in self.items]
-        else:
-            exprs = [agg.arg for _, agg in self.aggs if agg.arg is not None]
-        needed = set() if self.items is not None else set(self.groupby)
-        return needed.union(*(columns_used(e) for e in exprs))
+            return set().union(*(columns_used(expr) for _, expr in self.items))
+        needed = set(self.groupby)
+        for _, agg in self.aggs:
+            if agg.arg is not None:
+                needed |= columns_used(agg.arg)
+        return needed
 
     def over(self, child: LogicalPlan) -> Aggregate:
         """The standalone query this set is the answer of."""

@@ -24,8 +24,10 @@ from repro.tde.exec.fused import PFusedPipeline
 from repro.tde.exec.grouping import PGroupingSets, PSharedInput, slice_set
 from repro.tde.exec.physical import ExecContext, execute_to_table
 from repro.tde.optimizer.parallel import PlannerOptions
+from repro.tde.tql.binder import bind
 from repro.tde.tql.parser import parse_tql, to_tql
 from repro.tde.tql.plan import SET_COLUMN, GroupingSets
+from tests.conftest import build_flights_engine
 from tests.difftest.test_kernel_equivalence import _build_shared_dataset
 
 ENGINE = _build_shared_dataset()
@@ -136,13 +138,10 @@ def test_malformed_sets_are_parse_errors(bad):
 
 
 def test_output_schema_and_its_refusals():
-    schema = ENGINE.catalog
-    from repro.tde.tql.binder import bind
-
     ok = parse_tql(
         f"(grouping-sets (set (region) ((n (count)))) (set (day) ((n (count)) (s (sum amount)))) {EVENTS})"
     )
-    assert bind(ok, schema) == {
+    assert bind(ok, ENGINE.catalog) == {
         SET_COLUMN: L.INT, "region": L.STR, "n": L.INT, "day": L.INT, "s": L.FLOAT,
     }
     for bad, match in [
@@ -197,3 +196,36 @@ def test_a_set_cannot_run_outside_its_operator():
         execute_to_table(plan.sets[0])
     with pytest.raises(ExecutionError):
         execute_to_table(plan.sets[0].partial)
+
+
+def test_explain_has_a_line_per_set_and_says_which_set_kept_a_join():
+    engine = build_flights_engine(n=2000)
+    star = (
+        '(join inner ((market_id mid)) (join inner ((carrier_id id)) '
+        '(scan "Extract.flights") (scan "Extract.carriers")) (scan "Extract.markets"))'
+    )
+    query = (
+        "(grouping-sets (set (name) ((n (count)) (a (avg delay)))) "
+        f"(set (market name) ((far (max distance)))) (set (cancelled) ()) {star})"
+    )
+    explained = engine.explain(query, analyze=True)
+    lines = str(explained).splitlines()
+    assert "GroupingSets(3 sets over" in lines[1]
+    sets = [line.strip() for line in lines if line.lstrip().startswith("#") and " Set(" in line]
+    assert [s.split("  (")[0].split(" ", 1)[1] for s in sets] == [
+        "Set(by name: n, a)",
+        "Set(by market, name: far)",
+        "Set(by cancelled: <none>)",
+    ]
+    assert all("actual=" in s and "not executed" not in s for s in sets)
+    # The child is there once, not once per set ...
+    assert sum("Extract.flights" in line and "Scan" in line for line in lines) == len(
+        [line for line in lines if "HashJoin[inner](market_id=mid)" in line]
+    )
+    # ... and both dimensions stay, each for the sets that read it: alone,
+    # the third set would have dropped both joins.
+    notes = {n["detail"] for n in explained.to_dict()["provenance"] if n["rule"] == "culling.grouping_sets"}
+    assert any("Extract.markets kept for set 1 (market)" in d for d in notes)
+    assert any("Extract.carriers kept for sets 0, 1 (name)" in d for d in notes)
+    alone = str(engine.explain(f"(aggregate (cancelled) () {star})"))
+    assert "HashJoin" not in alone
