@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from collections import OrderedDict
 
 from .. import obs
 from ..core.cache.distributed import (
@@ -66,6 +67,14 @@ class ServerNode:
             clock=clock,
         )
         self.requests_handled = 0
+
+
+#: Sessions a server remembers. A session pins the zone tables it last
+#: rendered (an extract refresh empties the caches, not the sessions), so
+#: a registry that only grows is a leak the size of every dashboard ever
+#: shown. Past the bound the least recently used session is forgotten and
+#: its user starts over with a load, as after any session expiry.
+MAX_SESSIONS = 256
 
 
 class VizServer:
@@ -124,7 +133,7 @@ class VizServer:
             )
             for i in range(n_nodes)
         ]
-        self._sessions: dict[tuple[str, str], DashboardSession] = {}
+        self._sessions: OrderedDict[tuple[str, str], DashboardSession] = OrderedDict()
         self._dashboards: dict[str, Dashboard] = {}
         self._lock = threading.Lock()
         self._rr = 0
@@ -152,6 +161,9 @@ class VizServer:
                     self._dashboards[dashboard_name], self.nodes[0].pipeline
                 )
                 self._sessions[key] = session
+                if len(self._sessions) > MAX_SESSIONS:
+                    self._sessions.popitem(last=False)
+            self._sessions.move_to_end(key)
         return session
 
     # ------------------------------------------------------------------ #

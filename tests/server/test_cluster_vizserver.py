@@ -100,6 +100,24 @@ class TestVizServer:
         session = server._sessions[("alice", "market-carrier-airline")]
         assert session.selections == {"market": ("LAX-SFO",)}
 
+    def test_sessions_are_bounded_least_recently_used_first(self, monkeypatch):
+        from repro.server import vizserver
+
+        monkeypatch.setattr(vizserver, "MAX_SESSIONS", 3)
+        server = self._server(1)
+        dashboard = "market-carrier-airline"
+        server.load("alice", dashboard)
+        server.select("alice", dashboard, "market", ["LAX-SFO"])
+        for user in ("bob", "carol"):
+            server.load(user, dashboard)
+        server.load("alice", dashboard)  # alice is the most recent again
+        server.load("dave", dashboard)  # a fourth user: bob is forgotten
+        assert [user for user, _ in server._sessions] == ["carol", "alice", "dave"]
+        assert server._sessions[("alice", dashboard)].selections == {"market": ("LAX-SFO",)}
+        _node, again = server.load("bob", dashboard)  # starts over, and renders whole
+        assert not again.degraded and len(again.zone_tables) == 3
+        assert len(server._sessions) == 3
+
     def test_l1_vs_l2(self):
         server = self._server(1)
         server.load("a", "market-carrier-airline")

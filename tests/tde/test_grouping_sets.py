@@ -16,6 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connectors import TdeDataSource
+from repro.core.pipeline import QueryPipeline
+from repro.dashboard import DashboardSession
 from repro.datatypes import LogicalType as L
 from repro.errors import BindError, ExecutionError, TqlParseError
 from repro.tde.engine import DataEngine
@@ -27,6 +30,7 @@ from repro.tde.optimizer.parallel import PlannerOptions
 from repro.tde.tql.binder import bind
 from repro.tde.tql.parser import parse_tql, to_tql
 from repro.tde.tql.plan import SET_COLUMN, GroupingSets
+from repro.workloads import fig1_dashboard, flights_model, generate_flights
 from tests.conftest import build_flights_engine
 from tests.difftest.test_kernel_equivalence import _build_shared_dataset
 
@@ -229,3 +233,21 @@ def test_explain_has_a_line_per_set_and_says_which_set_kept_a_join():
     assert any("Extract.carriers kept for sets 0, 1 (name)" in d for d in notes)
     alone = str(engine.explain(f"(aggregate (cancelled) () {star})"))
     assert "HashJoin" not in alone
+
+
+def test_fig1_is_one_query_whose_sets_equal_the_seven_it_replaces():
+    engine = generate_flights(20_000, seed=1).load_into_engine()
+    dashboard = fig1_dashboard()
+    pipeline = QueryPipeline(TdeDataSource(engine), flights_model())
+    try:
+        session = DashboardSession(dashboard, pipeline)
+        zones = dashboard.queryable_zones()
+        reuse = frozenset(a.field for z in zones for a in dashboard.actions_onto(z.name))
+        plan = pipeline._plan([session.effective_spec(z) for z in zones], reuse, traced=False)
+    finally:
+        pipeline.close()
+    (merged,) = {id(send.merged): send.merged for send in plan.sends}.values()
+    assert len(merged.parts) == 7 and plan.wire() == [merged]
+    answer = engine.query(merged.text)
+    for position, (part, s) in enumerate(zip(merged.parts, merged.plan.sets)):
+        assert slice_set(answer, position, list(s.columns)).equals(engine.query(part.text))
