@@ -27,7 +27,7 @@ from typing import Any
 
 from ..tde.exec.exchange import PExchange, PMergeSorted, SharedBuild
 from ..tde.exec.fused import PFusedPipeline
-from ..tde.exec.grouping import PGroupingSets, PSharedInput
+from ..tde.exec.grouping import PGroupingSets, PSharedInput, PSharedKeys
 from ..tde.exec.physical import (
     ExecContext,
     OpRecorder,
@@ -139,6 +139,8 @@ def estimate_physical_rows(node: PhysNode) -> int:
         return estimate_physical_rows(node.child)
     if isinstance(node, PSharedInput):
         return node.est_rows
+    if isinstance(node, PSharedKeys):
+        return node.coded  # "rows" of this row: key columns coded per fragment
     if isinstance(node, PGroupingSets):
         return sum(estimate_physical_rows(s) for s in node.sets)
     children = node.children()

@@ -37,7 +37,7 @@ from .exec.physical import (
     execute_to_table,
 )
 from .exec.fused import PFusedPipeline
-from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
+from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
 from .optimizer.catalog import StorageCatalog
 from .optimizer.parallel import PlannerOptions
 from .optimizer.planner import plan_query
@@ -297,4 +297,6 @@ def _node_label(node: PhysNode) -> str:
     if isinstance(node, PSharedInput):
         what = "partial results" if node.columns is None else ", ".join(node.columns)
         return f"SharedInput({what})"
+    if isinstance(node, PSharedKeys):
+        return f"SharedKeys({node.coded} columns coded, {node.reused} reused)"
     return type(node).__name__

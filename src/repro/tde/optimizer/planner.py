@@ -23,7 +23,7 @@ from __future__ import annotations
 from ...errors import OptimizerError
 from ...expr.ast import ColumnRef, columns_used, conjuncts
 from ..exec.exchange import FractionTable, SharedBuild
-from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
+from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
 from ..exec.kernels import AggSpec
 from ..exec.physical import (
     PFilter,
@@ -455,6 +455,9 @@ def _build_grouping_sets(
     )
     rows_in = estimate_plan(plan.child, catalog).rows // shared.degree
     sets = []
+    # Per key a set groups by in each fragment: the shared column it
+    # reads, or None for one its own projection computes.
+    key_sources: list[str | None] = []
     for s, columns in zip(plan.sets, reads):
         # A set that reads nothing (a bare COUNT(*)) still needs rows to
         # count: it takes the shared columns as they are.
@@ -465,13 +468,19 @@ def _build_grouping_sets(
             s.over(plan.child), Fragments([leaf] * shared.degree), catalog, options
         )
         partial, merge = partials.nodes[0], None
+        groups_per_fragment = isinstance(partial, (PHashAggregate, PStreamAggregate))
         if finish is not None:
             rows_out = rows_in
-            if isinstance(partial, (PHashAggregate, PStreamAggregate)):
+            if groups_per_fragment:
                 rows_out = int(estimate_groups(rows_in, bool(s.groupby)))
             merge = finish(PSharedInput(None, rows_out * shared.degree))
+        if groups_per_fragment:
+            passed = {n: e.name for n, e in s.items or () if isinstance(e, ColumnRef)}
+            key_sources += [k if s.items is None else passed.get(k) for k in s.groupby]
         sets.append(PGroupingSet(list(s.groupby), [n for n, _ in s.aggs], partial, merge))
-    return Fragments([PGroupingSets(list(shared.nodes), sets)])
+    coded = len({k for k in key_sources if k is not None}) + key_sources.count(None)
+    keys = PSharedKeys(coded, len(key_sources) - coded)
+    return Fragments([PGroupingSets(list(shared.nodes), sets, keys)])
 
 
 def _make_specs(plan: Aggregate, child_schema) -> tuple[list[AggSpec], list, bool]:
