@@ -33,7 +33,9 @@ from ...queries.postops import (
     LocalSort,
     LocalTopN,
     PostOp,
+    PostOpPlan,
     apply_post_ops,
+    compile_post_ops,
 )
 from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
 from ...tde.storage.table import Table
@@ -309,6 +311,10 @@ def enrich_spec(spec: QuerySpec, *, reuse_fields: frozenset[str] = frozenset()) 
 # ---------------------------------------------------------------------- #
 # The cache proper
 # ---------------------------------------------------------------------- #
+#: Most subsumption proofs one cache remembers between two mutations.
+MAX_PROOFS = 1024
+
+
 class IntelligentCacheStats:
     def __init__(self) -> None:
         self.exact_hits = 0
@@ -361,6 +367,13 @@ class IntelligentCache:
         #: ``cache.populated_by`` to it, so a prefetch-warmed hit's
         #: provenance — *whose* work it reused — is first-class.
         self._origins: dict[str, "obs.TraceContext"] = {}
+        #: request key -> (provider entry, compiled derivation) of a
+        #: subsumption hit. Every put (where eviction happens too) and
+        #: every invalidate empties it: between two mutations the
+        #: candidates, their order and their specs are fixed and the proof
+        #: is deterministic, so a remembered proof is what a search would
+        #: find. It holds proofs only, never a derived table.
+        self._proofs: dict[str, tuple[CacheEntry, PostOpPlan]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -368,6 +381,7 @@ class IntelligentCache:
         key = spec.canonical()
         origin = obs.current_trace_context() if obs.enabled() else None
         with self._lock:
+            self._proofs.clear()
             self._entries[key] = CacheEntry(
                 key, spec.datasource, result, result.nbytes, cost_s
             )
@@ -410,47 +424,18 @@ class IntelligentCache:
                     spec=key,
                 )
                 return exact.value
-            best: tuple[MatchResult, CacheEntry] | None = None
-            candidates = self._candidate_keys(spec)
-            for entry_key in candidates:
-                entry = self._entries.get(entry_key)
-                if entry is None:
-                    continue
-                match = match_specs(self._specs[entry_key], spec)
-                if match is None:
-                    continue
-                if not self.choose_best:
-                    best = (match, entry)
-                    break
-                if best is None or self._work(match, entry) < self._work(*best):
-                    best = (match, entry)
-            if best is None:
-                self.stats.misses += 1
-                obs.counter("cache.intelligent.misses").inc()
-                if obs.events_enabled():
-                    if not candidates:
-                        reason = "no cached entries for this data source"
-                    else:
-                        sample = explain_mismatch(self._specs[candidates[0]], spec)
-                        reason = (
-                            f"none of {len(candidates)} candidate(s) subsume the "
-                            f"request; e.g. {sample}"
-                        )
-                    obs.event(
-                        "cache.subsumption",
-                        "rejected",
-                        reason,
-                        spec=key,
-                        candidates=len(candidates),
-                    )
-                return None
-            match, entry = best
+            proof, tried = self._proofs.get(key), 0
+            if proof is None:
+                proof, tried = self._prove(spec, key)
+                if proof is None:
+                    return None
+            entry, plan = proof
             entry.touch()
             self.stats.subsumption_hits += 1
             self._link_origin(entry.key)
             obs.counter("cache.intelligent.subsumption_hits").inc()
             if obs.events_enabled():
-                ops = [type(op).__name__ for op in match.post_ops]
+                ops = [type(op).__name__ for op in plan]
                 obs.event(
                     "cache.subsumption",
                     "accepted",
@@ -459,9 +444,59 @@ class IntelligentCache:
                     spec=key,
                     provider=entry.key,
                     post_ops=ops,
+                    proof="search" if tried else "memo",
+                    candidates=tried,
                 )
-            table = entry.value
-        return apply_post_ops(table, match.post_ops)
+        return apply_post_ops(entry.value, plan)
+
+    def _prove(
+        self, spec: QuerySpec, key: str
+    ) -> tuple[tuple[CacheEntry, PostOpPlan] | None, int]:
+        """Search the candidates for a provider of ``spec``; remember the
+        winner's compiled derivation, or count a miss. Returns the proof
+        (None on a miss) and how many candidates were tried."""
+        best: tuple[MatchResult, CacheEntry] | None = None
+        candidates = self._candidate_keys(spec)
+        tried = 0
+        for entry_key in candidates:
+            entry = self._entries.get(entry_key)
+            if entry is None:
+                continue
+            tried += 1
+            match = match_specs(self._specs[entry_key], spec)
+            if match is None:
+                continue
+            if not self.choose_best:
+                best = (match, entry)
+                break
+            if best is None or self._work(match, entry) < self._work(*best):
+                best = (match, entry)
+        if best is None:
+            self.stats.misses += 1
+            obs.counter("cache.intelligent.misses").inc()
+            if obs.events_enabled():
+                if not candidates:
+                    reason = "no cached entries for this data source"
+                else:
+                    sample = explain_mismatch(self._specs[candidates[0]], spec)
+                    reason = (
+                        f"none of {len(candidates)} candidate(s) subsume the "
+                        f"request; e.g. {sample}"
+                    )
+                obs.event(
+                    "cache.subsumption",
+                    "rejected",
+                    reason,
+                    spec=key,
+                    candidates=len(candidates),
+                )
+            return None, tried
+        match, entry = best
+        proof = (entry, compile_post_ops(entry.value.schema(), match.post_ops))
+        if len(self._proofs) >= MAX_PROOFS:
+            del self._proofs[next(iter(self._proofs))]
+        self._proofs[key] = proof
+        return proof, tried
 
     def _link_origin(self, key: str) -> None:
         """Link the current span to the trace that populated ``key``."""
@@ -501,6 +536,7 @@ class IntelligentCache:
     def invalidate(self, datasource: str | None = None) -> int:
         """Purge entries (all, or one data source's on refresh/close)."""
         with self._lock:
+            self._proofs.clear()
             if datasource is None:
                 n = len(self._entries)
                 self._entries.clear()

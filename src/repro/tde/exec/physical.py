@@ -337,19 +337,20 @@ class PProject(PhysNode):
             if types is None:
                 schema = batch.schema()
                 types = {name: infer_type(expr, schema) for name, expr in self.items}
-            cols: dict[str, Column] = {}
-            for name, expr in self.items:
-                if isinstance(expr, ColumnRef):
-                    source = batch.column(expr.name)
-                    cols[name] = source
-                    continue
-                values, mask = evaluate(expr, batch)
-                cols[name] = Column(
-                    types[name],
-                    PlainVector(np.asarray(values)),
-                    null_mask=mask,
-                )
-            yield Table(cols)
+            yield project_table(batch, self.items, types)
+
+
+def project_table(table: Table, items, types: dict[str, LogicalType]) -> Table:
+    """``items`` (``(name, expr)`` pairs) over ``table``; a column
+    reference passes its column through, ``types`` types the rest."""
+    cols: dict[str, Column] = {}
+    for name, expr in items:
+        if isinstance(expr, ColumnRef):
+            cols[name] = table.column(expr.name)
+            continue
+        values, mask = evaluate(expr, table)
+        cols[name] = Column(types[name], PlainVector(np.asarray(values)), null_mask=mask)
+    return Table(cols)
 
 
 @dataclass
@@ -477,10 +478,9 @@ def aggregate_table(source: Table, groupby: list[str], specs: list[AggSpec]) -> 
     if source.n_rows == 0 and not groupby:
         return _empty_input_aggregate(source, specs)
     gids, n_groups, reps = factorize_table(source, list(groupby))
-    cols: dict[str, Column] = {}
-    key_part = source.take(reps)
-    for key in groupby:
-        cols[key] = key_part.column(key)
+    # Only the keys are gathered at the representatives; the measures
+    # come from the aggregate kernels.
+    cols = dict(source.project(groupby).take(reps).columns)
     cols.update(aggregate_groups(source, gids, n_groups, list(specs)))
     return Table(cols)
 

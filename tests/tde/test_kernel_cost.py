@@ -18,10 +18,21 @@ from repro.connectors.simdb import ServerProfile
 from repro.core import executor
 from repro.core.pipeline import QueryPipeline
 from repro.dashboard import DashboardSession
+from repro.datatypes import LogicalType
+from repro.expr.ast import AggExpr, ColumnRef
 from repro.faults import FaultPlan, FaultyDataSource
+from repro.queries.postops import LocalAggregate, apply_post_ops
 from repro.tde.exec import kernels
-from repro.tde.exec.physical import PHashJoin, PSingleRow, execute_to_table
+from repro.tde.exec.kernels import AggSpec
+from repro.tde.exec.physical import (
+    PHashAggregate,
+    PHashJoin,
+    PSingleRow,
+    aggregate_table,
+    execute_to_table,
+)
 from repro.tde.storage import Table
+from repro.tde.storage.column import Column
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
 
 
@@ -104,6 +115,37 @@ def test_a_fully_matched_n_to_1_join_gathers_no_probe_rows(monkeypatch):
     # As many pairs as probe rows, but not one each: no shortcut.
     assert join("inner", [1, 9], [1, 1]) == [(1, 0, 10), (1, 0, 10)]
     assert gathered == [2, 2, 3, 2]
+
+
+def test_an_aggregate_gathers_only_its_keys(monkeypatch):
+    """The group representatives are gathered for the output keys alone:
+    the measures come from the aggregate kernels, so gathering every
+    input column at them was wasted work on each roll-up."""
+    gathered = []
+    take = Column.take
+
+    def counting_take(self, indices):
+        gathered.append(len(indices))
+        return take(self, indices)
+
+    table = Table.from_pydict(
+        {"g": ["x", "y", "x", "z"], "h": [1, 2, 1, 2], "v": [1, 2, 3, 4], "w": [5, 6, 7, 8]}
+    )
+    specs = [AggSpec("s", "sum", "v", LogicalType.INT), AggSpec("m", "max", "w", LogicalType.INT)]
+    sum_v = (("s", AggExpr("sum", ColumnRef("v"))),)
+    monkeypatch.setattr(Column, "take", counting_take)
+    for keys in ([], ["g"], ["g", "h"]):
+        del gathered[:]
+        aggregate_table(table, keys, specs)
+        assert len(gathered) == len(keys), keys
+        del gathered[:]
+        execute_to_table(PHashAggregate(PSingleRow(table), keys, specs))
+        assert len(gathered) == len(keys), keys
+        del gathered[:]
+        rolled = apply_post_ops(table, [LocalAggregate(tuple(keys), sum_v)])
+        assert len(gathered) == len(keys), keys
+    assert rolled.to_rows() == [("x", 1, 4), ("y", 2, 2), ("z", 2, 4)]
+    assert gathered == [3, 3]
 
 
 def test_thread_pool_is_for_sources_that_wait(monkeypatch):
