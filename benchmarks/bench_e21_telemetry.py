@@ -66,6 +66,11 @@ SLOW_THRESHOLD_S = 0.05
 #: p95 target is documented by the committed baseline, not asserted,
 #: because shared runners cannot resolve 3% on sub-ms paths.
 MAX_OVERHEAD_RATIO = 1.5
+#: The warm bound compares the sums of each arm's fastest 95 % of loads.
+#: A whole warm arm takes tens of milliseconds, so one scheduler stall
+#: in it would double a plain sum; telemetry's cost is paid on every
+#: request, so it still shows in the loads that are kept.
+WARM_KEPT_SHARE = 0.95
 
 DATASET = generate_flights(DATASET_ROWS, seed=21)
 WARM_DASHBOARD = fig2_dashboard()
@@ -252,7 +257,8 @@ def test_e21_telemetry(benchmark):
         recorder.add(f"warm_{suffix}", *_row(warm_lat[enabled]))
         recorder.add(f"herd_{suffix}", *_row(herd[enabled][1]))
 
-    warm_ratio = sum(warm_lat[True]) / max(sum(warm_lat[False]), 1e-9)
+    kept = int(WARM_LOADS * WARM_KEPT_SHARE)
+    warm_ratio = sum(warm_lat[True][:kept]) / max(sum(warm_lat[False][:kept]), 1e-9)
     herd_ratio = sum(herd[True][1]) / max(sum(herd[False][1]), 1e-9)
     # Telemetry must never change what a request costs in kind — only
     # add bookkeeping noise. The baseline documents the <3% p95 target.

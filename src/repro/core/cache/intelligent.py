@@ -435,7 +435,7 @@ class IntelligentCache:
             self._link_origin(entry.key)
             obs.counter("cache.intelligent.subsumption_hits").inc()
             if obs.events_enabled():
-                ops = [type(op).__name__ for op in plan]
+                ops = [type(op).__name__ for op in plan.ops]
                 obs.event(
                     "cache.subsumption",
                     "accepted",
@@ -480,7 +480,7 @@ class IntelligentCache:
                 else:
                     sample = explain_mismatch(self._specs[candidates[0]], spec)
                     reason = (
-                        f"none of {len(candidates)} candidate(s) subsume the "
+                        f"none of {tried} candidate(s) subsume the "
                         f"request; e.g. {sample}"
                     )
                 obs.event(
@@ -488,7 +488,7 @@ class IntelligentCache:
                     "rejected",
                     reason,
                     spec=key,
-                    candidates=len(candidates),
+                    candidates=tried,
                 )
             return None, tried
         match, entry = best

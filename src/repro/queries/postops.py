@@ -131,10 +131,11 @@ Step = Callable[[Table], Table]
 class PostOpPlan:
     """A post-op chain compiled against one input schema.
 
-    It iterates as its ``Local*`` ops, so it stands wherever an op
-    sequence does. ``steps`` run them, one per op, with every type and
-    aggregate already resolved. A plan is valid only for inputs of the
-    schema it was compiled against.
+    ``steps`` run ``ops``, one per op, with every type and aggregate
+    already resolved. A plan is valid only for inputs of the schema it was
+    compiled against. It iterates as its ``Local*`` ops because
+    :func:`apply_post_ops` takes a plan or a raw op sequence, and a
+    wrapper of that function reads either one as ops.
     """
 
     ops: tuple[PostOp, ...]

@@ -238,7 +238,7 @@ def test_a_lookup_never_sees_data_older_than_a_finished_put():
     assert cache.lookup(request).to_rows() == [(600,)]
 
 
-def test_an_accepted_hit_says_where_its_proof_came_from():
+def test_a_subsumption_decision_says_where_its_proof_came_from():
     cache = IntelligentCache()
     for dims, filters in PROVIDERS[1:3]:  # neither can answer the request
         spec = _spec("a", dims, filters)
@@ -246,12 +246,14 @@ def test_an_accepted_hit_says_where_its_proof_came_from():
     provider = _spec("a", *PROVIDERS[0])
     cache.put(provider, _answer(provider, 0))
     request = _spec("a", ("g",), (), True)
+    underivable = _spec("a", ("g",), (), measures=(("m", AggExpr("max", ColumnRef("v"))),))
     try:
         with obs.recording() as rec:
             for _ in range(2):
                 cache.lookup(request)
             cache.put(provider, _answer(provider, 0))  # a put forgets the proof
             cache.lookup(request)
+            assert cache.lookup(underivable) is None
     finally:
         obs.disable()
     accepted = rec.events("cache.subsumption", outcome="accepted")
@@ -262,6 +264,9 @@ def test_an_accepted_hit_says_where_its_proof_came_from():
     ]
     ops = ["LocalAggregate", "LocalProject", "LocalSort"]
     assert all(e.attributes["post_ops"] == ops for e in accepted)
+    # A rejection counts the same thing: the entries the search tried.
+    [rejected] = rec.events("cache.subsumption", outcome="rejected")
+    assert rejected.attributes["candidates"] == 3
 
 
 # ---------------------------------------------------------------------- #
