@@ -76,18 +76,18 @@ class _Simulator:
             self.total_work += merge
             return prelude + _lpt_makespan(works, self.machine.cores) + merge, out_rows
         if isinstance(node, PGroupingSets):
-            # A fragment's task is its scan and joins plus every set's
-            # partial over them; the global phases run after, serially.
+            # A fragment's task is its scan and joins plus every partial
+            # over them; the sets' merges run after, serially.
             works, _rows, prelude = self._parallel(node.fragments)
+            for partial in node.partials:
+                work, _ = self.work(partial)
+                works = [w + work for w in works]
+                # work() counted the partial once; it runs per fragment.
+                self.total_work += work * (len(works) - 1)
             serial, set_rows = 0.0, []
             for s in node.sets:
-                partial, rows = self.work(s.partial)
-                works = [w + partial for w in works]
-                # work() counted the partial once; it runs per fragment.
-                self.total_work += partial * (len(works) - 1)
-                if s.merge is not None:
-                    merge, rows = self.work(s.merge)
-                    serial += merge
+                merge, rows = self.work(s.merge)
+                serial += merge
                 set_rows.append(rows)
             own, out_rows = C.operator_work(node, set_rows)
             self.total_work += own

@@ -291,9 +291,13 @@ def _node_label(node: PhysNode) -> str:
     if isinstance(node, PSingleRow):
         return "SingleRow"
     if isinstance(node, PGroupingSets):
-        return f"GroupingSets({len(node.sets)} sets over {len(node.fragments)} fragments)"
+        return (
+            f"GroupingSets({len(node.sets)} sets, {len(node.partials)} partials "
+            f"over {len(node.fragments)} fragments)"
+        )
     if isinstance(node, PGroupingSet):
-        return f"Set(by {', '.join(node.groupby) or '<none>'}: {', '.join(node.aggs) or '<none>'})"
+        by, aggs = ", ".join(node.groupby) or "<none>", ", ".join(node.aggs) or "<none>"
+        return f"Set(by {by}: {aggs}; partial {node.grain})"
     if isinstance(node, PSharedInput):
         what = "partial results" if node.columns is None else ", ".join(node.columns)
         return f"SharedInput({what})"

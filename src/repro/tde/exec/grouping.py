@@ -1,32 +1,28 @@
 """Grouping sets: several aggregations of one relation from one pass.
 
 A dashboard's zones mostly aggregate the same relation — the same scan,
-filters and dimension probes — and differ only in keys and measures.
+filters and dimension joins — and differ only in keys and measures.
 :class:`PGroupingSets` runs that relation's fragments once and hands each
-fragment's rows to every set's partial aggregate (the paper's
-``SharedTable`` idea of 4.2.2 applied to the probe side), so the scan and
-the joins are paid once, not once per zone.
+fragment's rows to the sets' partial aggregates (the paper's
+``SharedTable`` idea of 4.2.2 applied to the probe side), so the scan is
+paid once, not once per zone. A dimension read only as group keys is not
+joined to the fragments at all: the partials group by its foreign key and
+each set's merge joins it to their results (``foreign_key_space``).
 
 Execution is *fragment-major*: fragment 0's rows, read as one batch, go
-through every set's partial and are dropped before fragment 1 is read,
-so at most one fragment of joined rows is alive at a time whatever the
-number of sets. (A left join pads its misses in probe order, so the rows
-come out the same however the fragment is cut into batches.)
+through every partial and are dropped before fragment 1 is read, so at
+most one fragment of rows is alive at a time whatever the number of sets.
 Only a set whose aggregates cannot be split into partial and global
 phases (``count_distinct``) keeps its own columns of every fragment until
 the end, as its standalone query would.
 
-What the sets have in common above the rows is also paid once per
-fragment: their group-bys share one
-:class:`~repro.tde.exec.kernels.KeyMemo` (each key column coded once, a
-known key suffix or a permutation of a known key set reused), which is
-dropped with the fragment. EXPLAIN ANALYZE shows that work on its own
-:class:`PSharedKeys` row.
-
-The operators a set is made of are the ones a lone ``Aggregate`` gets
-(hash or stream aggregate, fused project+aggregate, local/global split);
-they read their input from a :class:`PSharedInput` leaf instead of a
-child of their own.
+Above the rows, sets whose partials group alike share one (one coding of
+the keys, one pass per distinct measure), and all partials share one
+:class:`~repro.tde.exec.kernels.KeyMemo` per fragment (each key column
+coded once, a known key suffix or permutation reused); EXPLAIN ANALYZE
+shows that coding on its own :class:`PSharedKeys` row. A partial and a
+merge are the operators a lone ``Aggregate`` gets, reading a
+:class:`PSharedInput` leaf instead of a child of their own.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from .kernels import KeyMemo, fill_array, sharing_keys
 from .physical import ExecContext, PhysNode, execute_to_table
 
 #: The tables the enclosing :class:`PGroupingSets` is handing out right
-#: now: one fragment's rows, later one set's partial results. Held in a
+#: now: one fragment's rows, later one partial's results. Held in a
 #: context variable and not on the leaf, because a cached plan is run by
 #: several threads at once and operators keep no state between calls.
 _SHARED: ContextVar[list[Table]] = ContextVar("tde-grouping-sets-input")
@@ -56,9 +52,10 @@ _SHARED: ContextVar[list[Table]] = ContextVar("tde-grouping-sets-input")
 
 @dataclass
 class PSharedInput(PhysNode):
-    """Leaf of a set's operators: whatever :class:`PGroupingSets` shares.
+    """Leaf of a partial's or a merge's operators: whatever
+    :class:`PGroupingSets` hands out.
 
-    ``columns`` narrows the shared rows to what this set reads (the
+    ``columns`` narrows the shared rows to what the partial reads (the
     columns themselves are shared, never copied); None takes all.
     ``est_rows`` is the planner's estimate of one hand-out, for EXPLAIN
     and the simulator.
@@ -78,18 +75,18 @@ class PSharedInput(PhysNode):
 
 @dataclass
 class PGroupingSet(PhysNode):
-    """One set: ``partial`` runs once per fragment over the shared rows,
-    ``merge`` once over the partial results (None when the partial of a
-    single fragment already is the answer). Driven by
-    :class:`PGroupingSets`; not executable on its own."""
+    """One set: ``merge`` runs once over the results of partial number
+    ``grain`` of its :class:`PGroupingSets` (a bare :class:`PSharedInput`
+    when they already are the answer). Driven by :class:`PGroupingSets`;
+    not executable on its own."""
 
     groupby: list[str]
     aggs: list[str]
-    partial: PhysNode
-    merge: PhysNode | None = None
+    grain: int
+    merge: PhysNode
 
     def children(self) -> tuple[PhysNode, ...]:
-        return (self.partial,) if self.merge is None else (self.merge, self.partial)
+        return (self.merge,)
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         raise ExecutionError("a grouping set runs only inside its grouping-sets operator")
@@ -97,16 +94,16 @@ class PGroupingSet(PhysNode):
 
 @dataclass
 class PSharedKeys(PhysNode):
-    """The key coding the sets of a :class:`PGroupingSets` share.
+    """The key coding the partials of a :class:`PGroupingSets` share.
 
-    Every set's per-fragment group-by goes through one
+    Every partial's group-by goes through one
     :class:`~repro.tde.exec.kernels.KeyMemo` per fragment, so a key
-    column is coded once however many sets group by it. ``coded`` is the
-    number of key columns the planned sets code per fragment, ``reused``
-    how many more key references they make. Under EXPLAIN ANALYZE this
-    row holds the time spent factorizing the sets' keys (the sets' rows
-    leave it out, so they compare with each other) and, as actual rows,
-    the key columns coded. Not executable on its own.
+    column is coded once however many partials group by it. ``coded`` is
+    the number of key columns the planned partials code per fragment,
+    ``reused`` how many more key references they make. Under EXPLAIN
+    ANALYZE this row holds the time spent factorizing the partials' keys
+    (also inside their own rows) and, as actual rows, the key columns
+    coded. Not executable on its own.
     """
 
     coded: int
@@ -118,7 +115,8 @@ class PSharedKeys(PhysNode):
 
 @dataclass
 class PGroupingSets(PhysNode):
-    """Run ``fragments`` once each and answer every set from their rows.
+    """Run ``fragments`` once each, run every one of ``partials`` over
+    each fragment's rows, and answer every set from its partial's results.
 
     Yields one table: the sets' answers one after the other, tagged with
     their position in :data:`~repro.tde.tql.plan.SET_COLUMN`, over the
@@ -127,44 +125,40 @@ class PGroupingSets(PhysNode):
     """
 
     fragments: list[PhysNode]
+    partials: list[PhysNode]
     sets: list[PGroupingSet]
     keys: PSharedKeys
 
     def children(self) -> tuple[PhysNode, ...]:
-        return (*self.sets, self.keys, *self.fragments)
+        return (*self.sets, *self.partials, self.keys, *self.fragments)
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         recorder = ctx.recorder
         clock = recorder.clock if recorder is not None else (lambda: 0.0)
-        partials: list[list[Table]] = [[] for _ in self.sets]
-        spent = [0.0] * len(self.sets)
+        results: list[list[Table]] = [[] for _ in self.partials]
         # A fragment is read as one batch: its rows are used as one table
         # anyway, and the planner's split already bounds how many.
         whole = replace(ctx, batch_size=sys.maxsize)
         for fragment in self.fragments:
-            # One read per fragment, shared by every set; one coding of
-            # each key column, dropped with the fragment.
+            # One read per fragment, shared by every partial; one coding
+            # of each key column, dropped with the fragment.
             rows = [execute_to_table(fragment, whole)]
             memo = KeyMemo(clock)
             with sharing_keys(memo):
-                for i, s in enumerate(self.sets):
-                    started, coding = clock(), memo.seconds
-                    partials[i].append(_run(s.partial, rows, ctx))
-                    spent[i] += clock() - started - (memo.seconds - coding)
+                for partial, out in zip(self.partials, results):
+                    out.append(_run(partial, rows, ctx))
             if recorder is not None:
                 recorder.record_node(self.keys, type(self.keys).__name__, memo.coded, memo.seconds)
             del rows, memo
+        # Each partial's results are stacked once, whichever sets merge them.
+        stacked = [Table.concat(tables) for tables in results]
+        del results
         answers = []
-        for i, s in enumerate(self.sets):
+        for s in self.sets:
             started = clock()
-            if s.merge is not None:
-                answer = _run(s.merge, partials[i], ctx)
-            else:
-                answer = Table.concat(partials[i])
-            partials[i] = []
+            answer = _run(s.merge, [stacked[s.grain]], ctx)
             if recorder is not None:
-                seconds = spent[i] + clock() - started
-                recorder.record_node(s, type(s).__name__, answer.n_rows, seconds)
+                recorder.record_node(s, type(s).__name__, answer.n_rows, clock() - started)
             answers.append(answer)
         yield _tagged_union(answers)
 

@@ -14,13 +14,19 @@ provably result-preserving:
   keys all come from the dimension side can be answered from the dimension
   alone when the foreign key is declared *onto* (every dimension key
   occurs in the fact table).
+
+The planner's :func:`foreign_key_space` moves a dimension join between an
+aggregate's local and global phases (4.2.3) instead of removing it.
 """
 
 from __future__ import annotations
 
-from ...expr.ast import columns_used
+from typing import Sequence
+
+from ...expr.ast import ColumnRef, columns_used
 from ..tql.plan import (
     Aggregate,
+    GroupingSet,
     GroupingSets,
     Join,
     Limit,
@@ -62,13 +68,11 @@ def _cull(plan: LogicalPlan, needed: set[str] | None, catalog: StorageCatalog) -
                 child_needed |= columns_used(agg.arg)
         return Aggregate(_cull(plan.child, child_needed, catalog), plan.groupby, plan.aggs)
     if isinstance(plan, GroupingSets):
-        # A dimension stays if any one set reads it: the join is an N:1
-        # probe the sets then share, not one each.
+        # A dimension stays if any one set reads it; whether it is then
+        # joined to the fact rows or to the partials is the planner's
+        # call (``foreign_key_space``).
         reads = [s.reads() for s in plan.sets]
-        child = _cull(plan.child, set().union(*reads), catalog)
-        if provenance.active():
-            _note_shared_joins(child, reads, catalog)
-        return GroupingSets(child, plan.sets)
+        return GroupingSets(_cull(plan.child, set().union(*reads), catalog), plan.sets)
     if isinstance(plan, (Order, TopN)):
         child_needed = None if needed is None else needed | {k for k, _ in plan.keys}
         child = _cull(plan.child, child_needed, catalog)
@@ -91,27 +95,6 @@ def _cull_join(join: Join, needed: set[str] | None, catalog: StorageCatalog) -> 
     left = _cull(join.left, _side_needed(needed, [l for l, _ in join.conditions]), catalog)
     right = _cull(join.right, _side_needed(needed, [r for _, r in join.conditions]), catalog)
     return Join(join.kind, join.conditions, left, right)
-
-
-def _note_shared_joins(child: LogicalPlan, reads: list[set[str]], catalog) -> None:
-    """Say which sets each surviving dimension join is kept for."""
-    for node in child.walk():
-        if not isinstance(node, Join) or not isinstance(node.right, TableScan):
-            continue
-        table = node.right.table
-        columns = set(catalog.schema_of(table)) - {r for _, r in node.conditions}
-        users = [i for i, needed in enumerate(reads) if needed & columns]
-        if users and len(users) < len(reads):
-            used = sorted(columns & set().union(*(reads[i] for i in users)))
-            provenance.note(
-                "culling.grouping_sets",
-                False,
-                f"join to {table} kept for set{'s' if len(users) > 1 else ''} "
-                f"{', '.join(map(str, users))} ({', '.join(used)}); the other "
-                f"{len(reads) - len(users)} do not read it and share its probe",
-                table=table,
-                sets=users,
-            )
 
 
 def _side_needed(needed: set[str] | None, keys: list[str]) -> set[str] | None:
@@ -248,3 +231,163 @@ def _find_fk(left: LogicalPlan, left_keys: list[str], parent: str, parent_keys, 
             if fk is not None:
                 return fk
     return None
+
+
+# ---------------------------------------------------------------------- #
+# Foreign-key space: dimension joins above the partial aggregates
+# ---------------------------------------------------------------------- #
+_RULE = "culling.foreign_key_space"
+#: A set joins a dimension to its partials' results, or needs no join.
+_DEFER, _SKIP = "defer", "skip"
+#: Fact rows per dimension row in a fragment, at least: grouping by the
+#: foreign key multiplies a partial's groups by at most the dimension's
+#: rows, so joins above the partials stay far below the probes they save.
+_FACT_ROWS_PER_DIMENSION_ROW = 16
+
+
+def foreign_key_space(
+    sets: Sequence[GroupingSet], relation: LogicalPlan, catalog: StorageCatalog, fragments: int
+) -> tuple[LogicalPlan, list[tuple[GroupingSet, tuple[Join, ...]]]]:
+    """Plan aggregations of ``relation`` over N:1 dimension joins in
+    foreign-key space where that is safe (paper 4.1.2 meets 4.2.3).
+
+    A set that reads a dimension's columns only as group keys can group
+    its partials by the fact's join key, which determines them, and join
+    the dimension to their results before its global phase. An inner
+    join drops orphan and NULL-key groups there as it drops their rows
+    before; a left join folds them into its NULL group. Returns
+    ``relation`` without the joins no set needs below its partial, and
+    per set ``(set to plan over it, joins its global phase applies)``,
+    independent of the other sets. ``fragments``: most a scan makes.
+    """
+    dims = _dimension_joins(relation, catalog, fragments)
+    if not dims:
+        return relation, [(s, ()) for s in sets]
+    sets = [_pruned(s) for s in sets]
+    verdicts = [[_verdict(s, _reads(s), *dim, catalog) for dim in dims] for s in sets]
+    dropped = set()
+    for k, (join, *_) in enumerate(dims):
+        mine = [v[k] for v in verdicts]
+        if all(v in (_DEFER, _SKIP) for v in mine):
+            dropped.add(id(join))
+        if provenance.active():
+            _note(join, mine)
+    planned = [
+        _in_space(s, [d[0] for d, v in zip(dims, vs) if v == _DEFER], catalog)
+        for s, vs in zip(sets, verdicts)
+    ]
+    return _without(relation, dropped), planned
+
+
+def _pruned(s: GroupingSet) -> GroupingSet:
+    """``s`` without the projection items it does not read (and with none
+    rather than an empty one, which would lose the row count)."""
+    if s.items is None:
+        return s
+    read = set(s.groupby).union(*(columns_used(agg.arg) for _, agg in s.aggs))
+    return GroupingSet(s.groupby, s.aggs, [(n, e) for n, e in s.items if n in read] or None)
+
+
+def _dimension_joins(relation: LogicalPlan, catalog: StorageCatalog, fragments: int):
+    """The joins down ``relation``'s probe side, outermost first, each
+    with the columns read above it (by filters, by the conditions of the
+    joins above it) and the rows of one fragment of the fact table."""
+    found, filtered, conditions = [], set(), set()
+    node = relation
+    while isinstance(node, (Select, Join)):
+        if isinstance(node, Select):
+            filtered |= columns_used(node.predicate)
+            node = node.child
+            continue
+        found.append((node, frozenset(filtered), frozenset(conditions)))
+        conditions |= {l for l, _ in node.conditions}
+        node = node.left
+    rows = catalog.row_count(node.table) if isinstance(node, TableScan) else 0
+    return [(*dim, rows // max(1, fragments)) for dim in found]
+
+
+def _reads(s: GroupingSet) -> tuple[set[str], dict[str, str]]:
+    """The columns ``s`` groups by, and how it reads the others: by a
+    ``measure`` or by a ``calculation`` of its projection."""
+    measured = set().union(*(columns_used(agg.arg) for _, agg in s.aggs))
+    if s.items is None:
+        return set(s.groupby), dict.fromkeys(measured, "measure")
+    passed = {n for n, e in s.items if e == ColumnRef(n)}
+    other = {c: "calculation" for n, e in s.items if n not in passed for c in columns_used(e)}
+    return passed & set(s.groupby), {**other, **dict.fromkeys(passed & measured, "measure")}
+
+
+def _verdict(s, reads, join: Join, filtered, conditions, fragment_rows: int, catalog) -> str:
+    """_DEFER, _SKIP, or why ``join`` must stay below ``s``'s partial."""
+    if not isinstance(join.right, TableScan):
+        return "its build side is not a base-table scan"
+    table, keys = join.right.table, tuple(r for _, r in join.conditions)
+    if not catalog.meta(table).is_unique(keys):
+        return f"its key {list(keys)} is not declared unique"
+    attrs = set(catalog.schema_of(table)) - set(keys)
+    grouped, other = reads
+    other = {**dict.fromkeys(filtered, "filter"), **dict.fromkeys(conditions, "join"), **other}
+    if attrs & set(other):
+        column = min(attrs & set(other))
+        return f"its column {column} is read by a {other[column]}"
+    left_keys = [l for l, _ in join.conditions]
+    if not attrs & grouped:
+        fk = _find_fk(join.left, left_keys, table, keys, catalog)
+        if join.kind == "left" or (fk is not None and fk.total):
+            return _SKIP  # not read, and joining it changes no row
+    if any(agg.func == "count_distinct" for _, agg in s.aggs):
+        return "count_distinct has no partial to merge"
+    if not s.groupby:
+        return "the aggregate has no keys: an empty partial would lose its one row"
+    rows = catalog.row_count(table)
+    if rows * _FACT_ROWS_PER_DIMENSION_ROW > fragment_rows:
+        return f"its {rows} rows are not small next to a {fragment_rows}-row fragment"
+    if {n for n, e in s.items or () if e != ColumnRef(n)} & set(left_keys):
+        return f"the set's projection computes a column named like its join key {left_keys}"
+    return _DEFER
+
+
+def _in_space(s: GroupingSet, joins: list[Join], catalog):
+    """``s`` grouping by each join key of ``joins`` where the first column
+    of its dimension was, and those joins innermost first."""
+    if not joins:
+        return s, ()
+    moved: dict[str, list[str]] = {}
+    join_keys = []
+    for join in joins:
+        left, right = [l for l, _ in join.conditions], {r for _, r in join.conditions}
+        moved.update(dict.fromkeys(set(catalog.schema_of(join.right.table)) - right, left))
+        join_keys += left
+    items = s.items
+    if items is not None:
+        # A set reads a moved column only through an item passing it on.
+        moved = {n: moved[n] for n, e in items if n in moved and e == ColumnRef(n)}
+        names = {n for n, _ in items}
+        items = [(n, e) for n, e in items if n not in moved]
+        items += [(k, ColumnRef(k)) for k in dict.fromkeys(join_keys) if k not in names]
+    keys = [k for key in s.groupby for k in moved.get(key, [key])] + join_keys
+    return GroupingSet(list(dict.fromkeys(keys)), s.aggs, items), tuple(reversed(joins))
+
+
+def _without(plan: LogicalPlan, joins: set[int]) -> LogicalPlan:
+    """``plan`` with the joins whose ``id`` is in ``joins`` dropped."""
+    if not joins:
+        return plan
+    if isinstance(plan, Select):
+        return Select(_without(plan.child, joins), plan.predicate)
+    if isinstance(plan, Join):
+        left = _without(plan.left, joins)
+        return left if id(plan) in joins else Join(plan.kind, plan.conditions, left, plan.right)
+    return plan
+
+
+def _note(join: Join, verdicts: list[str]) -> None:
+    table = next(n.table for n in join.right.walk() if isinstance(n, TableScan))
+    kept = [(i, v) for i, v in enumerate(verdicts) if v not in (_DEFER, _SKIP)]
+    if kept:
+        detail = f"join to {table} kept below the partials: {kept[0][1]} (set {kept[0][0]})"
+    else:
+        keys = ", ".join(l for l, _ in join.conditions)
+        detail = f"join to {table} moved above the partials, grouped by {keys}"
+    deferred = [i for i, v in enumerate(verdicts) if v == _DEFER]
+    provenance.note(_RULE, not kept, detail, table=table, sets=[i for i, _ in kept] or deferred)

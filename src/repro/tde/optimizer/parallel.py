@@ -98,8 +98,8 @@ def decide_dop(rows: int, row_cost_hint: float, options: PlannerOptions) -> int:
             )
         else:
             detail = (
-                f"serial scan: {work:.0f} work units under the "
-                f"{options.min_work_per_fraction:.0f}/fraction threshold"
+                f"serial scan: {work:.0f} work units, under the "
+                f"{2 * options.min_work_per_fraction:.0f} two fractions need"
             )
         provenance.note(
             "parallel.decide_dop", dop > 1, detail, rows=rows, dop=dop
@@ -115,13 +115,14 @@ def close_fragments(frags: Fragments, *, ordered: bool = False) -> PhysNode:
 
 
 def split_local_global(
-    groupby: list[str], specs: list[AggSpec]
+    groupby: list[str], specs: list[AggSpec], prefix: str = ""
 ) -> tuple[list[AggSpec], list[AggSpec], list[tuple[str, Expr]], bool] | None:
     """Rewrite aggregates into local/global phases (paper 4.2.3).
 
     Returns ``(local_specs, global_specs, final_items, needs_final)`` or
     ``None`` when the split is impossible (COUNT DISTINCT cannot be merged
-    from partial results without group-disjoint partitions).
+    from partial results without group-disjoint partitions). Partial
+    columns are named ``prefix`` + their global names.
     """
     local: list[AggSpec] = []
     global_: list[AggSpec] = []
@@ -130,21 +131,18 @@ def split_local_global(
     for spec in specs:
         if spec.func == "count_distinct":
             return None
-        if spec.func in ("sum", "min", "max"):
-            local.append(spec)
-            global_.append(AggSpec(spec.name, spec.func, spec.name, spec.result_type))
-            final.append((spec.name, ColumnRef(spec.name)))
-        elif spec.func in ("count", "count_star"):
-            local.append(spec)
-            global_.append(AggSpec(spec.name, "sum", spec.name, LogicalType.INT))
+        if spec.func in ("sum", "min", "max", "count", "count_star"):
+            merge = "sum" if spec.func in ("count", "count_star") else spec.func
+            local.append(AggSpec(prefix + spec.name, spec.func, spec.arg, spec.result_type))
+            global_.append(AggSpec(spec.name, merge, prefix + spec.name, spec.result_type))
             final.append((spec.name, ColumnRef(spec.name)))
         elif spec.func == "avg":
             part_sum = f"__ls_{spec.name}"
             part_cnt = f"__lc_{spec.name}"
-            local.append(AggSpec(part_sum, "sum", spec.arg, LogicalType.FLOAT))
-            local.append(AggSpec(part_cnt, "count", spec.arg, LogicalType.INT))
-            global_.append(AggSpec(part_sum, "sum", part_sum, LogicalType.FLOAT))
-            global_.append(AggSpec(part_cnt, "sum", part_cnt, LogicalType.INT))
+            local.append(AggSpec(prefix + part_sum, "sum", spec.arg, LogicalType.FLOAT))
+            local.append(AggSpec(prefix + part_cnt, "count", spec.arg, LogicalType.INT))
+            global_.append(AggSpec(part_sum, "sum", prefix + part_sum, LogicalType.FLOAT))
+            global_.append(AggSpec(part_cnt, "sum", prefix + part_cnt, LogicalType.INT))
             final.append(
                 (spec.name, Call("/", (ColumnRef(part_sum), ColumnRef(part_cnt))))
             )

@@ -43,6 +43,7 @@ from ..tql.binder import bind
 from ..tql.plan import (
     Aggregate,
     Distinct,
+    GroupingSet,
     GroupingSets,
     Join,
     Limit,
@@ -57,6 +58,7 @@ from ..tql.plan import (
 from . import provenance
 from .catalog import StorageCatalog
 from .cost import estimate_groups, estimate_plan, expr_cost
+from .culling import foreign_key_space
 from .decompression import choose_rle_scan
 from .parallel import (
     Fragments,
@@ -330,6 +332,12 @@ def _build_aggregate(
     options: PlannerOptions,
     hint: float,
 ) -> Fragments:
+    items = plan.child.items if isinstance(plan.child, Project) else None
+    alone = GroupingSet(plan.groupby, plan.aggs, items)
+    relation = plan.child.child if items is not None else plan.child
+    relation, ((alone, joins),) = _foreign_key_space([alone], relation, catalog, options)
+    merge = (plan.groupby, joins) if joins else None
+    plan = alone.over(relation)
     child_needed = set(plan.groupby)
     for _name, agg in plan.aggs:
         if agg.arg is not None:
@@ -342,7 +350,7 @@ def _build_aggregate(
         hint=hint + _aggregate_cost(plan.aggs),
         partition_req=tuple(plan.groupby),
     )
-    partials, finish = _aggregate_phases(plan, frags, catalog, options)
+    partials, finish = _aggregate_phases(plan, frags, catalog, options, merge)
     if finish is None:
         return partials
     return Fragments([finish(close_fragments(partials))])
@@ -352,14 +360,29 @@ def _aggregate_cost(aggs) -> float:
     return 2.5 + sum(expr_cost(a) for _, a in aggs)
 
 
+def _foreign_key_space(sets, relation: LogicalPlan, catalog: StorageCatalog, options):
+    # Foreign-key space is a local/global split: off with it (query_naive).
+    if not options.enable_local_global_agg:
+        return relation, [(s, ()) for s in sets]
+    return foreign_key_space(sets, relation, catalog, options.max_dop)
+
+
 def _aggregate_phases(
-    plan: Aggregate, frags: Fragments, catalog: StorageCatalog, options: PlannerOptions
+    plan: Aggregate,
+    frags: Fragments,
+    catalog: StorageCatalog,
+    options: PlannerOptions,
+    merge: tuple[tuple[str, ...], tuple[Join, ...]] | None = None,
+    prefix: str = "",
 ):
     """Plan ``plan`` over the already built fragments of its child.
 
     Returns ``(partials, finish)``: what runs in each fragment and, unless
     the partials together already are the answer (``finish`` is None),
     the function building the global phase over their merged output.
+    ``merge`` = ``(groupby, joins)``: ``plan`` is in foreign-key space, and
+    its global phase joins ``joins`` before grouping by ``groupby``. The
+    partial columns' names start with ``prefix``.
     """
     specs, pre_items, needs_pre = _make_specs(plan, bind(plan.child, catalog))
     if needs_pre:
@@ -381,11 +404,13 @@ def _aggregate_phases(
             f"input already ordered on {list(child_order)[: len(groupby)]}: "
             "groups arrive contiguously, aggregate streams without a table",
         )
-    if frags.degree == 1:
+    merge_by, joins = merge or (groupby, ())
+    if frags.degree == 1 and not joins:
         provenance.note(rule, False, f"serial input: single {mode} aggregate")
         return Fragments([op(frags.nodes[0], groupby, specs)]), None
     if (
         options.enable_range_partition_agg
+        and not joins
         and frags.range_partitioned_on is not None
         and frags.range_partitioned_on in set(groupby)
     ):
@@ -401,7 +426,7 @@ def _aggregate_phases(
         nodes = [op(node, groupby, specs) for node in frags.nodes]
         return Fragments(nodes, frags.range_partitioned_on), None
     if options.enable_local_global_agg:
-        split = split_local_global(groupby, specs)
+        split = split_local_global(list(merge_by), specs, prefix)
         if split is not None:
             provenance.note(
                 rule,
@@ -413,7 +438,13 @@ def _aggregate_phases(
             local_specs, global_specs, final_items, needs_final = split
 
             def finish(merged: PhysNode) -> PhysNode:
-                out: PhysNode = PHashAggregate(merged, groupby, global_specs)
+                for join in joins:
+                    # The rule moves only small base tables: one serial scan.
+                    storage = catalog.storage(join.right.table)
+                    needed = set(merge_by) | {r for _, r in join.conditions}
+                    build = SharedBuild(PScan(storage, _scan_columns(storage, needed)))
+                    merged = PHashJoin(join.kind, list(join.conditions), merged, build)
+                out: PhysNode = PHashAggregate(merged, list(merge_by), global_specs)
                 return PProject(out, final_items) if needs_final else out
 
             return Fragments([op(node, groupby, local_specs) for node in frags.nodes]), finish
@@ -432,55 +463,85 @@ def _build_grouping_sets(
 ) -> Fragments:
     """One pass over the child for all sets (see ``exec/grouping.py``).
 
-    The child's fragments are built once, reading the union of what the
-    sets read; each set is then planned over them exactly as its
-    standalone ``Aggregate`` would be, with one partial (run once per
-    fragment) in place of one per fragment. The scan splits as it would
-    for the costliest set alone; once that is ``max_dop`` ways (any
-    extract large enough to matter) every set sees the fragment bounds —
-    and returns the bits — of its own query.
+    Each set is planned over the child's fragments as its standalone
+    ``Aggregate`` would be (in foreign-key space where the rule allows),
+    the fragments built once, reading what any set reads, without the
+    joins every set moved above its partial. Sets whose partials group
+    alike share one; each keeps its own merge. The scan splits as it
+    would for the costliest set alone; once that is ``max_dop`` ways
+    (any extract large enough to matter) every set sees the fragment
+    bounds — and returns the bits — of its own query.
     """
-    reads = [s.reads() for s in plan.sets]
+    relation, planned = _foreign_key_space(plan.sets, plan.child, catalog, options)
+    reads = [s.reads() for s, _ in planned]
     heaviest = max(
-        _aggregate_cost(s.aggs) + sum(expr_cost(e) for _, e in s.items or ())
-        for s in plan.sets
+        _aggregate_cost(s.aggs) + sum(expr_cost(e) for _, e in s.items or ()) for s, _ in planned
     )
     shared = _build(
-        plan.child,
+        relation,
         catalog,
         options,
         needed=set().union(*reads),
         hint=hint + heaviest,
         partition_req=(),
     )
-    rows_in = estimate_plan(plan.child, catalog).rows // shared.degree
+    rows_in = estimate_plan(relation, catalog).rows // shared.degree
+    partials: list[PhysNode] = []
+    grains: dict[tuple, int] = {}
     sets = []
-    # Per key a set groups by in each fragment: the shared column it
-    # reads, or None for one its own projection computes.
+    # Per key a partial groups by in each fragment: the shared column it
+    # reads, or None for one its set's projection computes.
     key_sources: list[str | None] = []
-    for s, columns in zip(plan.sets, reads):
+    for i, (asked, (s, joins), columns) in enumerate(zip(plan.sets, planned, reads)):
         # A set that reads nothing (a bare COUNT(*)) still needs rows to
         # count: it takes the shared columns as they are.
         leaf: PhysNode = PSharedInput(sorted(columns) or None, rows_in)
         if s.items is not None:
             leaf = PProject(leaf, list(s.items))
-        partials, finish = _aggregate_phases(
-            s.over(plan.child), Fragments([leaf] * shared.degree), catalog, options
+        phases, finish = _aggregate_phases(
+            s.over(relation),
+            Fragments([leaf] * shared.degree),
+            catalog,
+            options,
+            (asked.groupby, joins) if joins else None,
+            prefix=f"__{i}_",
         )
-        partial, merge = partials.nodes[0], None
+        partial = phases.nodes[0]
         groups_per_fragment = isinstance(partial, (PHashAggregate, PStreamAggregate))
-        if finish is not None:
-            rows_out = rows_in
-            if groups_per_fragment:
-                rows_out = int(estimate_groups(rows_in, bool(s.groupby)))
-            merge = finish(PSharedInput(None, rows_out * shared.degree))
+        rows_out = rows_in
         if groups_per_fragment:
-            passed = {n: e.name for n, e in s.items or () if isinstance(e, ColumnRef)}
-            key_sources += [k if s.items is None else passed.get(k) for k in s.groupby]
-        sets.append(PGroupingSet(list(s.groupby), [n for n, _ in s.aggs], partial, merge))
+            rows_out = int(estimate_groups(rows_in, bool(s.groupby)))
+        merge: PhysNode = PSharedInput(None, rows_out * shared.degree)
+        grain = len(partials)
+        if finish is not None:
+            merge = finish(merge)
+            if groups_per_fragment and partial.child is leaf:
+                # Sets whose partials group alike share one. Their join keys
+                # come in one order, so each set sums its floats as alone.
+                moved = {l for join in joins for l, _ in join.conditions}
+                alike = (type(partial), frozenset(s.groupby), s.items)
+                grain = grains.setdefault((*alike, *(k for k in s.groupby if k in moved)), grain)
+        if grain < len(partials):
+            partials[grain] = _shared_partial(partials[grain], partial)
+        else:
+            partials.append(partial)
+            if groups_per_fragment:
+                passed = {n: e.name for n, e in s.items or () if isinstance(e, ColumnRef)}
+                key_sources += [k if s.items is None else passed.get(k) for k in s.groupby]
+        sets.append(PGroupingSet(list(asked.groupby), [n for n, _ in asked.aggs], grain, merge))
     coded = len({k for k in key_sources if k is not None}) + key_sources.count(None)
     keys = PSharedKeys(coded, len(key_sources) - coded)
-    return Fragments([PGroupingSets(list(shared.nodes), sets, keys)])
+    return Fragments([PGroupingSets(list(shared.nodes), partials, sets, keys)])
+
+
+def _shared_partial(mine, theirs):
+    """One partial for two sets grouping by the same keys: both sets'
+    partial measures (named apart) over the columns either reads."""
+    leaf = mine.child
+    if isinstance(leaf, PSharedInput):
+        columns = set(leaf.columns or ()) | set(theirs.child.columns or ())
+        leaf = PSharedInput(sorted(columns) or None, leaf.est_rows)
+    return type(mine)(leaf, mine.groupby, mine.specs + theirs.specs)
 
 
 def _make_specs(plan: Aggregate, child_schema) -> tuple[list[AggSpec], list, bool]:

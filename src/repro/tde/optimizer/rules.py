@@ -432,11 +432,11 @@ def fuse_pipelines(root, options):
         replacement = try_fuse(node)
         if replacement is not None:
             node = replacement
-        for attr in ("child", "probe", "build_source", "source", "partial", "merge"):
+        for attr in ("child", "probe", "build_source", "source", "merge"):
             child = getattr(node, attr, None)
             if isinstance(child, ph.PhysNode):
                 setattr(node, attr, visit(child))
-        for attr in ("inputs", "fragments", "sets"):
+        for attr in ("inputs", "fragments", "partials", "sets"):
             children = getattr(node, attr, None)
             if children:
                 setattr(node, attr, [visit(child) for child in children])

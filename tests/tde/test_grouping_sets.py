@@ -181,7 +181,8 @@ def test_no_key_memo_outlives_its_fragment(monkeypatch):
         f"(set (day status) ()) {EVENTS})"
     )
     ENGINE.query(query, options=FOUR_WAY)
-    assert len(seen) >= 6 * 4
+    # The first two sets share one partial: two partials of two keys.
+    assert len(seen) >= 2 * 2 * 4
     assert all(ref() is None for ref in seen)
 
 
@@ -258,14 +259,14 @@ def test_the_child_runs_once_and_its_rows_are_dropped_fragment_by_fragment():
     plan = ENGINE.plan(parse_tql(query), options=FOUR_WAY)
     assert isinstance(plan, PGroupingSets) and len(plan.fragments) == 4
     averaged, projected, distinct = plan.sets
-    # The sets' partials sit on the shared rows, not behind exchanges.
-    assert not any(isinstance(n, PExchange) for s in plan.sets for n in s.walk())
-    assert averaged.merge is not None  # local/global split: partial per fragment, one merge
-    assert isinstance(projected.partial, PFusedPipeline)  # project+aggregate fused, as alone
+    # The partials sit on the shared rows, not behind exchanges.
+    assert not any(isinstance(n, PExchange) for p in (*plan.sets, *plan.partials) for n in p.walk())
+    # local/global split: partial per fragment, one merge
+    assert not isinstance(averaged.merge, PSharedInput)
+    assert isinstance(plan.partials[projected.grain], PFusedPipeline)  # project+aggregate fused, as alone
     # count_distinct has no partial: the set keeps its own two columns
     # of every fragment and aggregates once, as its Exchange would have.
-    assert isinstance(distinct.partial, PSharedInput)
-    assert distinct.partial.columns == ["day", "zone"]
+    assert plan.partials[distinct.grain] == PSharedInput(["day", "zone"], 1500)
     scanned = ExecContext(batch_size=1024, parallel=False)
     execute_to_table(plan, scanned)
     assert scanned.metrics.rows_scanned == ENGINE.table("Extract.events").n_rows + 5
@@ -276,44 +277,65 @@ def test_a_set_cannot_run_outside_its_operator():
     with pytest.raises(ExecutionError):
         execute_to_table(plan.sets[0])
     with pytest.raises(ExecutionError):
-        execute_to_table(plan.sets[0].partial)
+        execute_to_table(plan.partials[0])
 
 
-def test_explain_has_a_line_per_set_and_says_which_set_kept_a_join():
+def test_explain_shows_each_shared_partial_once_and_each_sets_joins():
     engine = build_flights_engine(n=2000)
     star = (
         '(join inner ((market_id mid)) (join inner ((carrier_id id)) '
         '(scan "Extract.flights") (scan "Extract.carriers")) (scan "Extract.markets"))'
     )
     query = (
-        "(grouping-sets (set (name) ((n (count)) (a (avg delay)))) "
+        "(grouping-sets (set (name) ((n (count)) (a (avg delay)))) (set (name) ((far (max distance)))) "
         f"(set (market name) ((far (max distance)))) (set (cancelled) ()) {star})"
     )
     explained = engine.explain(query, analyze=True)
     lines = str(explained).splitlines()
-    assert "GroupingSets(3 sets over" in lines[1]
-    sets = [line.strip() for line in lines if line.lstrip().startswith("#") and " Set(" in line]
+    fragments = int(lines[1].split(" partials over ")[1].split(" ")[0])
+    assert "GroupingSets(4 sets, 3 partials over" in lines[1] and fragments > 1
+    sets = [line.strip() for line in lines if line.startswith("  #") and " Set(" in line]
     assert [s.split("  (")[0].split(" ", 1)[1] for s in sets] == [
-        "Set(by name: n, a)",
-        "Set(by market, name: far)",
-        "Set(by cancelled: <none>)",
+        "Set(by name: n, a; partial 0)",
+        "Set(by name: far; partial 0)",
+        "Set(by market, name: far; partial 1)",
+        "Set(by cancelled: <none>; partial 2)",
     ]
     assert all("actual=" in s and "not executed" not in s for s in sets)
-    # The key coding the sets share has its own row, beside theirs: name
-    # is coded once for two sets, and the row counts the columns coded.
+    # The partials are the operator's children, each once: the two sets
+    # by name share one, which groups by the foreign key.
+    (by_carrier,) = [line for line in lines if line.startswith("  #") and "(by carrier_id)" in line]
+    (by_both,) = [line for line in lines if line.startswith("  #") and "(by market_id, carrier_id)" in line]
+    # The fragments are bare scans: no dimension is joined to fact rows.
+    scans = [line for line in lines if line.startswith("  #") and "Extract.flights" in line]
+    assert len(scans) == fragments and all("Scan[" in line for line in scans)
+    # Each set reading a dimension joins it to its partial's results:
+    # as many rows as the partial produced (the foreign key is total).
+    def actual_rows(line):
+        return int(line.split("actual=")[1].split(" ")[0])
+
+    carrier_joins = [line for line in lines if "HashJoin[inner](carrier_id=id)" in line]
+    market_joins = [line for line in lines if "HashJoin[inner](market_id=mid)" in line]
+    assert len(carrier_joins) == 3 and len(market_joins) == 1
+    assert [actual_rows(j) for j in carrier_joins] == [
+        actual_rows(by_carrier), actual_rows(by_carrier), actual_rows(by_both)
+    ]
+    assert actual_rows(market_joins[0]) == actual_rows(by_both)
+    # The key coding the partials share has its own row: carrier_id is
+    # coded once for two partials, and the row counts the columns coded.
     (keys,) = [line for line in lines if "SharedKeys(" in line]
-    fragments = int(lines[1].split(" sets over ")[1].split(" ")[0])
     assert keys.startswith("  #") and "SharedKeys(3 columns coded, 1 reused)" in keys
     assert f"actual={3 * fragments} rows, {fragments} batches" in keys
-    # The child is there once, not once per set ...
-    assert sum("Extract.flights" in line and "Scan" in line for line in lines) == len(
-        [line for line in lines if "HashJoin[inner](market_id=mid)" in line]
-    )
-    # ... and both dimensions stay, each for the sets that read it: alone,
-    # the third set would have dropped both joins.
-    notes = {n["detail"] for n in explained.to_dict()["provenance"] if n["rule"] == "culling.grouping_sets"}
-    assert any("Extract.markets kept for set 1 (market)" in d for d in notes)
-    assert any("Extract.carriers kept for sets 0, 1 (name)" in d for d in notes)
+    notes = {
+        n["detail"]: n["attributes"]["sets"]
+        for n in explained.to_dict()["provenance"]
+        if n["rule"] == "culling.foreign_key_space"
+    }
+    # Each join moved for the sets reading it; the others need neither.
+    assert notes == {
+        "join to Extract.carriers moved above the partials, grouped by carrier_id": [0, 1, 2],
+        "join to Extract.markets moved above the partials, grouped by market_id": [2],
+    }
     alone = str(engine.explain(f"(aggregate (cancelled) () {star})"))
     assert "HashJoin" not in alone
 

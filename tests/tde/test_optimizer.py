@@ -12,7 +12,8 @@ from repro.tde.exec import (
     PStreamAggregate,
     PTopN,
 )
-from repro.tde.optimizer.parallel import PlannerOptions
+from repro.tde.optimizer import provenance
+from repro.tde.optimizer.parallel import PlannerOptions, decide_dop
 from repro.tde.optimizer.rules import simplify_predicate
 from repro.tde.tql import Aggregate, Join, Select, TableScan, parse_tql, to_tql
 
@@ -161,6 +162,14 @@ class TestPlanChoices:
         plan = flights_engine.plan('(aggregate () ((n (count))) (scan "Extract.flights"))')
         exchanges = [n for n in plan.walk() if isinstance(n, PExchange)]
         assert exchanges and exchanges[0].degree > 1
+
+    def test_serial_scan_note_states_the_comparison_it_lost(self):
+        """A split needs two fractions' work: 1.5 fractions' stays serial,
+        and the note must not claim that is under one fraction's."""
+        with provenance.collect() as collector:
+            assert decide_dop(1500, 0.0, PlannerOptions(min_work_per_fraction=1000.0)) == 1
+        (note,) = collector.notes
+        assert note.detail == "serial scan: 1500 work units, under the 2000 two fractions need"
 
     def test_small_table_stays_serial(self, flights_engine):
         plan = flights_engine.plan('(scan "Extract.carriers")')

@@ -53,13 +53,18 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
     in-process TDE gets them as one grouping-sets query and reads each
     fragment of the fact table once, in one piece, where it used to read
     it seven times; a source that is waited for still gets its seven
-    queries. Above the rows, the sets share the work they have in
-    common: each of the seven distinct key columns is coded once per
-    fragment (25 codings at 3–4 keys per set before), and no set
-    computes a measure twice (the ``avg`` split and the ``__reuse``
-    measures both ask for ``sum`` and ``count`` of one column)."""
+    queries. No fragment is joined to a dimension: every zone reads the
+    dimensions only as group keys, so the partials group by the foreign
+    keys and each zone joins the dimensions to their results. Above the
+    rows, the sets share the work they have in common: their seven
+    groupings fall on four foreign-key grains, one partial each; each of
+    the six distinct key columns is coded once per fragment (25 codings
+    when each set coded its own keys, 7 when the sets grouped by the
+    dimension columns); and no partial computes a measure twice (the
+    ``avg`` split and the ``__reuse`` measures both ask for ``sum`` and
+    ``count`` of one column)."""
     dataset = generate_flights(20_000, seed=1)
-    queries, ranges, codings, measures = [], [], [], []
+    queries, ranges, codings, measures, probes = [], [], [], [], []
     query, slice_ = DataEngine.query, Table.slice
 
     def counting_query(self, text, **kwargs):
@@ -82,17 +87,24 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
     aggregate_groups, aggregate_one = kernels.aggregate_groups, kernels._aggregate_one
 
     def one_call(table, gids, n_groups, specs):
-        measures.append([])
+        measures.append((table.n_rows, []))
         return aggregate_groups(table, gids, n_groups, specs)
 
     def one_measure(col, gids, k, spec, shared):
-        measures[-1].append((spec.func, spec.arg))
+        measures[-1][1].append((spec.func, spec.arg))
         return aggregate_one(col, gids, k, spec, shared)
+
+    probe_index = physical.probe_index
+
+    def one_probe(index, probe, keys):
+        probes.append(probe.n_rows)
+        return probe_index(index, probe, keys)
 
     monkeypatch.setattr(kernels, "_column_codes", counting_codes(kernels._column_codes))
     monkeypatch.setattr(kernels, "_dictionary_codes", counting_codes(kernels._dictionary_codes))
     monkeypatch.setattr(physical, "aggregate_groups", one_call)
     monkeypatch.setattr(kernels, "_aggregate_one", one_measure)
+    monkeypatch.setattr(physical, "probe_index", one_probe)
 
     def render(source):
         pipeline = QueryPipeline(source, flights_model())
@@ -116,8 +128,10 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
     assert len(ranges) == len(set(ranges)) == fragments > 1  # one read per fragment
     assert sum(stop - start for start, stop in ranges) == 20_000
     fragment_rows = {stop - start for start, stop in ranges}
-    assert len([n for n in codings if n in fragment_rows]) == 7 * fragments
-    assert len(measures) > 7 and all(len(set(m)) == len(m) for m in measures)
+    assert len([n for n in codings if n in fragment_rows]) == 6 * fragments
+    assert len([n for n, _ in measures if n in fragment_rows]) == 4 * fragments
+    assert all(len(set(m)) == len(m) for _, m in measures)
+    assert probes and not [n for n in probes if n in fragment_rows]
 
     del queries[:]
     db = dataset.load_into_simdb(ServerProfile(time_scale=0), name="warehouse")
