@@ -1,25 +1,16 @@
-"""E18 (ablation; §7 and §4.2.2 future work): prefetching and the
-order-preserving parallel merge.
+"""E18 (ablation; §7 future work): prefetching.
 
-* "dashboard generation could become more responsive if requested data
-  has been accurately predicted and prefetched" (DICE [46]) — measured as
-  the latency of the user's *next* interaction with and without the
-  prefetcher warming the cache in the background.
-* "we will explore how repartitioning and order-preservation can benefit
-  the performance" — the PMergeSorted operator vs Exchange + serial Sort,
-  replayed in virtual time.
+"dashboard generation could become more responsive if requested data has
+been accurately predicted and prefetched" (DICE [46]) — measured as the
+latency of the user's *next* interaction with and without the prefetcher
+warming the cache in the background.
 """
-
-import pytest
 
 from repro.core.pipeline import QueryPipeline
 from repro.core.prefetch import InteractionPrefetcher
 from repro.dashboard import DashboardSession
-from repro.sim import MachineModel, simulate_plan
 from repro.sim.metrics import Recorder, time_call
-from repro.tde.optimizer.parallel import PlannerOptions
 from repro.workloads import fig2_dashboard
-from tests.conftest import build_flights_engine
 
 from .conftest import make_backend, record
 
@@ -72,58 +63,3 @@ def test_e18a_prefetching(benchmark, dataset, model):
     result = benchmark.pedantic(prefetched_click, rounds=2, iterations=1)
     assert result.remote_queries == 0
 
-
-def test_e18b_order_preserving_merge(benchmark):
-    engine = build_flights_engine(n=200_000, max_dop=8, min_work_per_fraction=16_000)
-    query = (
-        '(order ((delay desc) (date_ asc) (carrier_id asc) (market_id asc)'
-        ' (distance asc)) (select (> delay 10) (scan "Extract.flights")))'
-    )
-    base = dict(max_dop=8, min_work_per_fraction=16_000)
-    # Merge is default-on now; this ablation forces the legacy close-with-
-    # Exchange-then-serial-Sort arm explicitly.
-    exchange_sort = engine.plan(
-        query, options=PlannerOptions(**base, enable_order_preserving_merge=False)
-    )
-    merge_sort = engine.plan(
-        query, options=PlannerOptions(**base, enable_order_preserving_merge=True)
-    )
-
-    recorder = Recorder(
-        "E18b: Exchange+serial Sort vs parallel Sort+merge (virtual time)",
-        columns=["cores", "exchange_sort_ms", "merge_sort_ms", "speedup"],
-    )
-    speedups = []
-    for cores in (1, 2, 4, 8):
-        machine = MachineModel(cores=cores)
-        a = simulate_plan(exchange_sort, machine).elapsed_s
-        b = simulate_plan(merge_sort, machine).elapsed_s
-        recorder.add(cores, a * 1000, b * 1000, a / b)
-        speedups.append(a / b)
-    record("e18b_order_preserving_merge", recorder)
-
-    # The sort is the bottleneck: parallel local sorts + cheap merge win
-    # on multicore, and the advantage grows with cores.
-    assert speedups[-1] > 1.5
-    assert speedups[-1] > speedups[0]
-
-    # Results are identical and globally ordered (real execution).
-    from repro.tde.exec.physical import ExecContext, execute_to_table
-
-    small = build_flights_engine(n=8_000, max_dop=4, min_work_per_fraction=500)
-    q_small = (
-        '(order ((delay desc) (date_ asc) (carrier_id asc) (market_id asc)'
-        ' (distance asc)) (select (> delay 10) (scan "Extract.flights")))'
-    )
-    merged = execute_to_table(
-        small.plan(
-            q_small,
-            options=PlannerOptions(
-                max_dop=4, min_work_per_fraction=500, enable_order_preserving_merge=True
-            ),
-        ),
-        ExecContext(),
-    )
-    assert merged.equals(small.query_naive(q_small))
-
-    benchmark(lambda: simulate_plan(merge_sort, MachineModel(cores=8)).elapsed_s)

@@ -52,7 +52,6 @@ STATUSES = ["ok", "late", "cancelled"]
 #: cache slots and never shadow the fused plans.
 UNFUSED = PlannerOptions(
     max_dop=1,
-    enable_parallel=False,
     enable_pipeline_fusion=False,
     enable_code_space=False,
     plan_cache_size=0,
@@ -97,9 +96,7 @@ def _build_dataset() -> dict:
 def _make_engine(name: str, *, plan_cache_size: int = 64) -> DataEngine:
     engine = DataEngine(
         name,
-        options=PlannerOptions(
-            max_dop=1, enable_parallel=False, plan_cache_size=plan_cache_size
-        ),
+        options=PlannerOptions(max_dop=1, plan_cache_size=plan_cache_size),
     )
     engine.load_pydict(
         "Extract.sales", _build_dataset(), sort_keys=["day"], encodings={"day": "rle"}

@@ -8,6 +8,10 @@ from the shared table and then shared for every left-hand block to probe."
 Expected shape: the probe side scales with cores while the (small) shared
 build is paid once; plan structure contains exactly one SharedTable under
 N join fragments.
+
+The query filters on the dimension's ``name``. Without the filter,
+``culling.foreign_key_space`` groups the partials by ``carrier_id`` and
+joins ``carriers`` above them, and Figure 4 no longer appears.
 """
 
 import pytest
@@ -25,15 +29,20 @@ ENGINE = build_flights_engine(n=200_000, max_dop=8, min_work_per_fraction=16_000
 
 QUERY = (
     '(aggregate (name) ((n (count)) (s (sum delay)))'
-    ' (join inner ((carrier_id id)) (scan "Extract.flights") (scan "Extract.carriers")))'
+    ' (select (not (= name "none"))'
+    ' (join inner ((carrier_id id)) (scan "Extract.flights") (scan "Extract.carriers"))))'
 )
 
 
 def test_e9_parallel_join(benchmark):
+    options = PlannerOptions(max_dop=8, min_work_per_fraction=16_000)
     serial = ENGINE.plan(QUERY, options=PlannerOptions(max_dop=1))
-    parallel = ENGINE.plan(
-        QUERY, options=PlannerOptions(max_dop=8, min_work_per_fraction=16_000)
-    )
+    parallel = ENGINE.plan(QUERY, options=options)
+
+    # The filter keeps the join below the partial aggregates.
+    notes = ENGINE.explain(QUERY, options=options).to_dict()["provenance"]
+    fk_space = [n for n in notes if n["rule"] == "culling.foreign_key_space"]
+    assert fk_space and not any(n["fired"] for n in fk_space)
 
     # Figure-4 structure: N fragments each probing one shared build.
     joins = [n for n in parallel.walk() if isinstance(n, PHashJoin)]

@@ -131,8 +131,7 @@ class SimulatedDatabase:
         # virtual parallelism the backend claims to have.
         self.engine = DataEngine(
             name,
-            options=engine_options
-            or PlannerOptions(max_dop=1, enable_parallel=False),
+            options=engine_options or PlannerOptions(max_dop=1),
         )
         self.stats = ServerStats()
         self._session_counter = 0

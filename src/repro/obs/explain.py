@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..tde.exec.exchange import PExchange, PMergeSorted, SharedBuild
+from ..tde.exec.exchange import PExchange, SharedBuild
 from ..tde.exec.fused import PFusedPipeline
 from ..tde.exec.grouping import PGroupingSets, PSharedInput, PSharedKeys
 from ..tde.exec.physical import (
@@ -38,7 +38,6 @@ from ..tde.exec.physical import (
     PLimit,
     PProject,
     PScan,
-    PSingleRow,
     PSort,
     PStreamAggregate,
     PTopN,
@@ -96,8 +95,6 @@ def estimate_physical_rows(node: PhysNode) -> int:
         if node.residual is not None:
             sel *= estimate_selectivity(node.residual)
         return max(1, int(base * sel)) if base else 0
-    if isinstance(node, PSingleRow):
-        return node.table.n_rows
     if isinstance(node, PFilter):
         child = estimate_physical_rows(node.child)
         return max(1, int(child * estimate_selectivity(node.predicate))) if child else 0
@@ -133,7 +130,7 @@ def estimate_physical_rows(node: PhysNode) -> int:
                 return 1
             return max(1, min(base, int(base**0.75))) if base else 0
         return base
-    if isinstance(node, (PExchange, PMergeSorted)):
+    if isinstance(node, PExchange):
         return sum(estimate_physical_rows(child) for child in node.inputs)
     if isinstance(node, SharedBuild):
         return estimate_physical_rows(node.child)

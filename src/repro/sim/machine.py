@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..tde.exec.exchange import PExchange, PMergeSorted, SharedBuild
+from ..tde.exec.exchange import PExchange, SharedBuild
 from ..tde.exec.grouping import PGroupingSets
 from ..tde.exec.physical import PHashJoin, PhysNode
 from ..tde.optimizer import cost as C
@@ -70,7 +70,7 @@ class _Simulator:
     # ------------------------------------------------------------------ #
     def elapsed(self, node: PhysNode) -> tuple[float, float]:
         """Return (elapsed_units, output_rows)."""
-        if isinstance(node, (PExchange, PMergeSorted)):
+        if isinstance(node, PExchange):
             works, rows, prelude = self._parallel(node.inputs)
             merge, out_rows = C.operator_work(node, rows)
             self.total_work += merge
@@ -141,7 +141,7 @@ class _Simulator:
             total += w
             rows.append(r)
         own, out_rows = C.operator_work(node, rows)
-        if isinstance(node, (PExchange, PMergeSorted)):
+        if isinstance(node, PExchange):
             own = 0.0  # run serially, its inputs need no merging
         if count:
             self.total_work += own

@@ -29,7 +29,6 @@ from .exec.physical import (
     PLimit,
     PProject,
     PScan,
-    PSingleRow,
     PSort,
     PStreamAggregate,
     PTopN,
@@ -161,18 +160,16 @@ class DataEngine:
         query: str | LogicalPlan,
         *,
         options: PlannerOptions | None = None,
-        context: ExecContext | None = None,
     ) -> Table:
         """Compile, optimize, and execute a query; return the result table.
 
-        Exchange fragments run inline, one after the other, unless
-        ``context`` says ``parallel=True``: a thread per fragment per
-        query measured no faster, and callers that want the threaded
-        path (the 4.2.1 reproduction, race tests) ask for it.
+        Exchange fragments run inline on the calling thread, one after the
+        other: a thread per fragment measured no faster under the GIL. The
+        4.2 speed-ups are reproduced by replaying the plan in virtual time
+        (``repro.sim.machine``).
         """
         physical = self.plan(query, options=options)
-        ctx = context or ExecContext(batch_size=self.batch_size, parallel=False)
-        return execute_to_table(physical, ctx)
+        return execute_to_table(physical, ExecContext(batch_size=self.batch_size))
 
     def query_naive(self, query: str | LogicalPlan) -> Table:
         """Execute with every optimization disabled (testing baseline).
@@ -184,7 +181,6 @@ class DataEngine:
         logical = self.parse(query) if isinstance(query, str) else query
         naive_options = PlannerOptions(
             max_dop=1,
-            enable_parallel=False,
             enable_rle_index=False,
             enable_local_global_agg=False,
             enable_range_partition_agg=False,
@@ -194,7 +190,7 @@ class DataEngine:
             plan_cache_size=0,
         )
         physical = plan_query(logical, self.catalog, naive_options, rewrite=False)
-        return execute_to_table(physical, ExecContext(batch_size=self.batch_size, parallel=False))
+        return execute_to_table(physical, ExecContext(batch_size=self.batch_size))
 
     def explain(
         self,
@@ -278,8 +274,6 @@ def _node_label(node: PhysNode) -> str:
         return f"Sort({', '.join(k for k, _ in node.keys)})"
     if type(node).__name__ == "PWindow":
         return f"Window({', '.join(i.alias for i in node.items)})"
-    if type(node).__name__ == "PMergeSorted":
-        return f"MergeSorted(degree={node.degree})"
     if isinstance(node, PTopN):
         return f"TopN({node.n})"
     if isinstance(node, PLimit):
@@ -288,8 +282,6 @@ def _node_label(node: PhysNode) -> str:
         return f"Exchange(degree={node.degree})"
     if isinstance(node, SharedBuild):
         return "SharedTable"
-    if isinstance(node, PSingleRow):
-        return "SingleRow"
     if isinstance(node, PGroupingSets):
         return (
             f"GroupingSets({len(node.sets)} sets, {len(node.partials)} partials "

@@ -3,8 +3,9 @@
 Physical operators pull batches (small Tables) from their children.
 Operators are *streaming* (Filter, Project, Limit, the probe side of
 HashJoin) or *stop-and-go* (Sort, TopN, HashAggregate, the build side of
-HashJoin). Parallelism uses the Exchange / SharedTable / FractionTable
-trio from paper 4.2.1 (``exchange.py``).
+HashJoin). Plans keep the paper's 4.2.1 parallel shapes, the Exchange /
+SharedTable / FractionTable trio (``exchange.py``); their fragments run
+inline, and ``repro.sim.machine`` replays them on virtual cores.
 """
 
 from .physical import (
@@ -20,10 +21,9 @@ from .physical import (
     PSort,
     PTopN,
     PLimit,
-    PSingleRow,
     execute_to_table,
 )
-from .exchange import PExchange, PMergeSorted, SharedBuild, FractionTable
+from .exchange import PExchange, SharedBuild, FractionTable
 
 __all__ = [
     "ExecContext",
@@ -38,9 +38,7 @@ __all__ = [
     "PSort",
     "PTopN",
     "PLimit",
-    "PSingleRow",
     "PExchange",
-    "PMergeSorted",
     "SharedBuild",
     "FractionTable",
     "execute_to_table",

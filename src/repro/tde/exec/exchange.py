@@ -8,17 +8,17 @@ multiple threads and handles synchronization. FractionTable enables the
 TDE to read the table in parallel, since each fraction can be read by a
 separate thread."
 
-``PExchange`` runs its N input fragments on real threads and merges their
-batches (arbitrary interleave; ``ordered=True`` preserves input order by
-draining children sequentially — the order-preserving capability the paper
-mentions but does not yet exploit).
+These are plan shapes. The engine runs every fragment inline on the
+calling thread: under the GIL a thread per fragment measured no faster.
+``repro.sim.machine`` replays the same plans on K virtual cores, which is
+where the 4.2 speed-ups are reproduced. ``PExchange`` drains its inputs
+one after another, so its output keeps input order.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -31,10 +31,9 @@ from .physical import ExecContext, PhysNode, PScan, execute_to_table
 
 @dataclass
 class PExchange(PhysNode):
-    """N-input, one-output exchange merging parallel fragment streams."""
+    """N-input, one-output exchange: the fragments' batches, in input order."""
 
     inputs: list[PhysNode]
-    ordered: bool = False
 
     def children(self) -> tuple[PhysNode, ...]:
         return tuple(self.inputs)
@@ -46,164 +45,18 @@ class PExchange(PhysNode):
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         if not self.inputs:
             raise ExecutionError("exchange with zero inputs")
-        if not ctx.parallel or self.ordered or len(self.inputs) == 1:
-            for child in self.inputs:
-                yield from child.execute(ctx)
-            return
-        out: queue.Queue = queue.Queue(maxsize=4 * len(self.inputs))
-        done = object()
-
-        def worker(node: PhysNode) -> None:
-            try:
-                for batch in node.execute(ctx):
-                    out.put(("batch", batch))
-            except BaseException as exc:  # propagate to the consumer
-                out.put(("error", exc))
-            finally:
-                out.put(("done", done))
-
-        threads = [
-            threading.Thread(target=worker, args=(node,), daemon=True) for node in self.inputs
-        ]
-        for t in threads:
-            t.start()
-        finished = 0
-        error: BaseException | None = None
-        while finished < len(threads):
-            kind, payload = out.get()
-            if kind == "batch":
-                if error is None:
-                    yield payload
-            elif kind == "error":
-                error = error or payload
-                finished = finished  # keep draining until all workers exit
-            else:
-                finished += 1
-        for t in threads:
-            t.join()
-        if error is not None:
-            raise error
-
-
-@dataclass
-class PMergeSorted(PhysNode):
-    """Order-preserving exchange: k-way merge of sorted fragment streams.
-
-    Paper 4.2.2 (future work): "In the coming releases, we will explore
-    how repartitioning and order-preservation can benefit the performance
-    of Tableau's workloads." This operator realizes the order-preserving
-    half: each fragment sorts locally in parallel; the merge is O(n·log k)
-    instead of the serial O(n·log n) sort a plain Exchange would force.
-    """
-
-    inputs: list[PhysNode]
-    keys: list[tuple[str, bool]]
-
-    def children(self) -> tuple[PhysNode, ...]:
-        return tuple(self.inputs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.inputs)
-
-    def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        import heapq
-
-        from .physical import execute_to_table
-
-        if not self.inputs:
-            raise ExecutionError("merge with zero inputs")
-        if not ctx.parallel or len(self.inputs) == 1:
-            tables = [execute_to_table(child, ctx) for child in self.inputs]
-        else:
-            tables: list[Table | None] = [None] * len(self.inputs)
-            errors: list[BaseException] = []
-
-            def worker(i: int, node: PhysNode) -> None:
-                try:
-                    tables[i] = execute_to_table(node, ctx)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=worker, args=(i, node), daemon=True)
-                for i, node in enumerate(self.inputs)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
-        tables = [t for t in tables if t is not None]
-        non_empty = [t for t in tables if t.n_rows]
-        if not non_empty:
-            yield tables[0]
-            return
-        def stream(source_idx: int, table: Table):
-            for row, key in enumerate(_row_keys(table, self.keys)):
-                yield key, (source_idx, row)
-
-        streams = [stream(i, table) for i, table in enumerate(non_empty)]
-        # Emit in merged global order, batched per source run for locality.
-        merged_rows: list[tuple[int, int]] = [
-            pair for _key, pair in heapq.merge(*streams, key=lambda item: item[0])
-        ]
-        pieces = []
-        start = 0
-        while start < len(merged_rows):
-            stop = start
-            source = merged_rows[start][0]
-            while stop < len(merged_rows) and merged_rows[stop][0] == source:
-                stop += 1
-            idx = np.asarray([r for _i, r in merged_rows[start:stop]], dtype=np.int64)
-            pieces.append(non_empty[source].take(idx))
-            start = stop
-        yield Table.concat(pieces)
-
-
-def _row_keys(table: Table, keys: list[tuple[str, bool]]):
-    """Composite, direction-aware sort keys per row (NULLs first)."""
-    columns = []
-    for name, asc in keys:
-        col = table.column(name)
-        values = col.python_values()
-        columns.append((values, asc))
-    n = table.n_rows
-    out = []
-    for row in range(n):
-        parts = []
-        for values, asc in columns:
-            v = values[row]
-            if v is None:
-                parts.append((0, 0))
-            else:
-                parts.append((1, v if asc else _ReversedKey(v)))
-        out.append(tuple(parts))
-    return out
-
-
-class _ReversedKey:
-    """Inverts comparisons for descending merge keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_ReversedKey") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _ReversedKey) and other.value == self.value
+        for child in self.inputs:
+            yield from child.execute(ctx)
 
 
 class SharedBuild(PhysNode):
-    """SharedTable: materialize a child once, share across threads.
+    """SharedTable: materialize a child once, share across fragments.
 
     Used for the build side of joins under parallel probes ("a single hash
     table is built from the shared table and then shared for every
     left-hand block to probe", paper 4.2.2) and for common subexpressions.
+    The lock makes the build happen once when a cached plan is run by
+    several server threads at the same time.
     """
 
     def __init__(self, child: PhysNode):

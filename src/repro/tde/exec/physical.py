@@ -137,7 +137,6 @@ class ExecContext:
     """Per-query execution context."""
 
     batch_size: int = 8192
-    parallel: bool = True
     metrics: Metrics = field(default_factory=Metrics)
     #: Set by execute_to_table when observability is on; None otherwise.
     recorder: OpRecorder | None = None
@@ -295,16 +294,6 @@ class PIndexedRleScan(PhysNode):
         ctx.metrics.add(runs_skipped=int(len(values) - len(selected)))
         runs = ((int(starts[i]), int(starts[i] + counts[i])) for i in selected)
         yield from _scan_ranges(ctx, self.table, self.columns, self.residual, runs)
-
-
-@dataclass
-class PSingleRow(PhysNode):
-    """Emit one pre-built table (used for constant inputs and tests)."""
-
-    table: Table
-
-    def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        yield self.table
 
 
 # ---------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ...expr.ast import AggExpr, Call, CaseWhen, Cast, ColumnRef, Expr, Literal
 from ...expr.functions import function_cost
-from ..exec.exchange import PExchange, PMergeSorted, SharedBuild
+from ..exec.exchange import PExchange, SharedBuild
 from ..exec.fused import PFusedPipeline
 from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
 from ..exec.physical import (
@@ -31,7 +31,6 @@ from ..exec.physical import (
     PLimit,
     PProject,
     PScan,
-    PSingleRow,
     PSort,
     PStreamAggregate,
     PTopN,
@@ -202,8 +201,6 @@ def operator_work(node: PhysNode, rows_in: Sequence[float]) -> tuple[float, floa
             own += scanned * (FILTER_ROW + expr_cost(node.residual))
             scanned *= estimate_selectivity(node.residual)
         return own, scanned
-    if isinstance(node, PSingleRow):
-        return 0.0, node.table.n_rows
     if isinstance(node, PSharedInput):
         return 0.0, node.est_rows
     if isinstance(node, PSharedKeys):
@@ -230,10 +227,6 @@ def operator_work(node: PhysNode, rows_in: Sequence[float]) -> tuple[float, floa
         return build_rows * JOIN_BUILD_ROW + probe_rows * JOIN_PROBE_ROW, probe_rows
     if isinstance(node, PExchange):
         return sum(rows_in) * EXCHANGE_ROW, sum(rows_in)
-    if isinstance(node, PMergeSorted):
-        # k-way merge: O(n log k) with a heavier per-row constant.
-        ways = max(1.0, math.log2(max(len(rows_in), 2)))
-        return sum(rows_in) * EXCHANGE_ROW * 4.0 * ways, sum(rows_in)
     if isinstance(node, PGroupingSets):
         # Its own work is tagging and stacking the sets' answers.
         answers = sum(rows_in[: len(node.sets)])

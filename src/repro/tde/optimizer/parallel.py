@@ -13,7 +13,7 @@ This module holds the pieces the planner composes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...datatypes import LogicalType
 from ...expr.ast import Call, ColumnRef, Expr
@@ -32,17 +32,13 @@ class PlannerOptions:
     parallelization" (paper 4.2.2).
     """
 
+    #: Most fractions a scan splits into; 1 plans every scan unsplit.
     max_dop: int = 4
     min_work_per_fraction: float = 32768.0
-    enable_parallel: bool = True
     enable_rle_index: bool = True
     enable_local_global_agg: bool = True
     enable_range_partition_agg: bool = True
     enable_streaming_agg: bool = True
-    #: Paper 4.2.2 future work, now default-on (validated by E18b): sort
-    #: fragments in parallel and merge order-preservingly instead of
-    #: closing with Exchange + Sort.
-    enable_order_preserving_merge: bool = True
     rle_selectivity_threshold: float = 0.35
     #: Collapse adjacent Filter/Project/HashAggregate chains into one
     #: PFusedPipeline per-batch pass (paper 4.1: avoid materializing
@@ -54,11 +50,6 @@ class PlannerOptions:
     #: Physical-plan cache capacity (entries) on the engine's string
     #: query path; 0 disables caching.
     plan_cache_size: int = 64
-
-    def serial(self) -> "PlannerOptions":
-        from dataclasses import replace
-
-        return replace(self, enable_parallel=False, max_dop=1)
 
 
 @dataclass
@@ -82,10 +73,8 @@ def decide_dop(rows: int, row_cost_hint: float, options: PlannerOptions) -> int:
     """Choose how many fractions a scan should split into."""
     from . import provenance
 
-    if not options.enable_parallel or options.max_dop <= 1:
-        provenance.note(
-            "parallel.decide_dop", False, "parallelism disabled by planner options"
-        )
+    if options.max_dop <= 1:
+        provenance.note("parallel.decide_dop", False, "max_dop=1: scans are not split")
         return 1
     work = rows * max(1.0, 1.0 + row_cost_hint)
     dop = max(1, min(options.max_dop, int(work // options.min_work_per_fraction)))
@@ -107,11 +96,11 @@ def decide_dop(rows: int, row_cost_hint: float, options: PlannerOptions) -> int:
     return dop
 
 
-def close_fragments(frags: Fragments, *, ordered: bool = False) -> PhysNode:
+def close_fragments(frags: Fragments) -> PhysNode:
     """Insert the Exchange that ends a parallel region (paper Fig. 3)."""
     if frags.degree == 1:
         return frags.nodes[0]
-    return PExchange(list(frags.nodes), ordered=ordered)
+    return PExchange(list(frags.nodes))
 
 
 def split_local_global(

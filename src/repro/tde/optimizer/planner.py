@@ -126,14 +126,6 @@ def _build(
             hint=hint,
             partition_req=(),
         )
-        if frags.degree > 1 and options.enable_order_preserving_merge:
-            from ..exec.exchange import PMergeSorted
-
-            # Future work of 4.2.2: sort each fragment in parallel, then
-            # merge order-preservingly — O(n log k) instead of a serial
-            # O(n log n) sort above a plain Exchange.
-            local_sorts = [PSort(node, list(plan.keys)) for node in frags.nodes]
-            return Fragments([PMergeSorted(local_sorts, list(plan.keys))])
         return Fragments([PSort(close_fragments(frags), list(plan.keys))])
     if isinstance(plan, TopN):
         frags = _build(
@@ -155,7 +147,7 @@ def _build(
         frags = _build(
             plan.child, catalog, options, needed=needed, hint=hint, partition_req=()
         )
-        return Fragments([PLimit(close_fragments(frags, ordered=True), plan.n)])
+        return Fragments([PLimit(close_fragments(frags), plan.n)])
     if isinstance(plan, Window):
         from ..exec.physical import PWindow
 

@@ -3,7 +3,8 @@
 * the cache index ("maintain an index over the cache");
 * choose_best ("the entry that requires the least post-processing");
 * the interaction prefetcher (DICE-style prediction);
-* the order-preserving parallel merge (§4.2.2 follow-up).
+* an order over fragments, where §4.2.2 leaves order preservation to
+  future work.
 """
 
 import pytest
@@ -218,56 +219,37 @@ class TestPrefetcher:
 
 
 # ---------------------------------------------------------------------- #
-# Order-preserving parallel merge
+# Order over fragments
 # ---------------------------------------------------------------------- #
 class TestOrderPreservingMerge:
-    QUERY = (
-        '(order ((delay desc) (date_ asc) (carrier_id asc) (market_id asc)'
-        ' (distance asc)) (select (> delay 25) (scan "Extract.flights")))'
-    )
+    """An ``order`` over fragments plans one Sort above the Exchange.
+
+    The k-way merge of per-fragment sorts that 4.2.2 leaves as future work
+    measured 60-75x slower run inline than this shape. The Exchange
+    drains its fragments in input order and the sort is stable, so ties
+    come out in storage order, as in the naive plan.
+    """
 
     def test_plan_shape_and_equivalence(self):
-        from repro.tde.exec import PMergeSorted
-        from repro.tde.exec.physical import ExecContext, execute_to_table
+        from repro.tde import DataEngine
+        from repro.tde.exec import PExchange, PSort
         from repro.tde.optimizer.parallel import PlannerOptions
-        from tests.conftest import build_flights_engine
 
-        engine = build_flights_engine(n=6000, max_dop=4, min_work_per_fraction=500)
-        options = PlannerOptions(
-            max_dop=4, min_work_per_fraction=500, enable_order_preserving_merge=True
+        engine = DataEngine("order", options=PlannerOptions(min_work_per_fraction=50))
+        n = 400
+        engine.load_pydict(
+            "Extract.t",
+            {
+                "seq": list(range(n)),
+                # Three values, so most rows tie, and every 7th row NULL.
+                "grade": [None if i % 7 == 0 else i % 3 for i in range(n)],
+            },
         )
-        plan = engine.plan(self.QUERY, options=options)
-        assert isinstance(plan, PMergeSorted)
-        assert plan.degree > 1
-        merged = execute_to_table(plan, ExecContext())
-        assert merged.equals(engine.query_naive(self.QUERY))
-
-    def test_merge_handles_empty_fragments(self):
-        import numpy as np
-
-        from repro.tde.exec import PMergeSorted
-        from repro.tde.exec.physical import ExecContext, PScan, PSort, execute_to_table
-        from repro.tde.storage import Table
-
-        full = Table.from_pydict({"a": [2, 1]})
-        empty = Table.from_pydict({"a": []}, types={"a": full.column("a").ltype})
-        node = PMergeSorted(
-            [PSort(PScan(full), [("a", True)]), PSort(PScan(empty), [("a", True)])],
-            [("a", True)],
-        )
-        out = execute_to_table(node, ExecContext())
-        assert out.to_pydict() == {"a": [1, 2]}
-
-    def test_merge_nulls_first(self):
-        from repro.tde.exec import PMergeSorted
-        from repro.tde.exec.physical import ExecContext, PScan, PSort, execute_to_table
-        from repro.tde.storage import Table
-
-        t1 = Table.from_pydict({"a": [3, None]})
-        t2 = Table.from_pydict({"a": [1]})
-        node = PMergeSorted(
-            [PSort(PScan(t1), [("a", True)]), PSort(PScan(t2), [("a", True)])],
-            [("a", True)],
-        )
-        out = execute_to_table(node, ExecContext())
-        assert out.to_pydict() == {"a": [None, 1, 3]}
+        # The filter empties the first of the four fragments.
+        query = f'(order ((grade desc)) (select (>= seq {n // 4}) (scan "Extract.t")))'
+        plan = engine.plan(query)
+        assert isinstance(plan, PSort)
+        assert isinstance(plan.child, PExchange) and plan.child.degree == 4
+        out = engine.query(query)
+        assert out.n_rows == n - n // 4
+        assert out.equals(engine.query_naive(query))

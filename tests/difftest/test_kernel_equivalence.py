@@ -68,7 +68,7 @@ def _build_shared_dataset() -> DataEngine:
     }
     engine = DataEngine(
         "kdiff",
-        options=PlannerOptions(max_dop=1, enable_parallel=False),
+        options=PlannerOptions(max_dop=1),
         batch_size=BATCH_SIZE,
     )
     engine.load_pydict(
@@ -114,7 +114,6 @@ def _oracle_view(optimized: DataEngine) -> DataEngine:
         "kdiff-oracle",
         options=PlannerOptions(
             max_dop=1,
-            enable_parallel=False,
             enable_pipeline_fusion=False,
             enable_code_space=False,
             plan_cache_size=0,

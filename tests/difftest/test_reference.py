@@ -219,7 +219,7 @@ def check_join(left: dict, right: dict, unique_build: bool) -> None:
     for batch_size in (7, 1024):  # misses are padded where they stand
         out = execute_to_table(
             PHashJoin("left", conditions, PScan(probe), PScan(build)),
-            ExecContext(batch_size=batch_size, parallel=False),
+            ExecContext(batch_size=batch_size),
         )
         pairs = zip(out.column("lrow").python_values(), out.column("rrow").python_values())
         assert list(pairs) == padded

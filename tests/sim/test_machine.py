@@ -6,7 +6,7 @@ from repro.sim import MachineModel, simulate_plan
 from repro.sim.machine import _lpt_makespan
 from repro.sim.metrics import Recorder
 from repro.tde.engine import _node_label
-from repro.tde.exec.physical import PhysNode, PSingleRow
+from repro.tde.exec.physical import PhysNode
 from repro.tde.optimizer.cost import operator_work
 from repro.tde.optimizer.parallel import PlannerOptions
 from tests.conftest import build_flights_engine
@@ -95,7 +95,7 @@ EVERY_OPERATOR = [
     (AGG, {}),  # fused scan+aggregate fragments under an exchange
     (JOIN, {}),
     (f"(aggregate (date_) ((n (count))) {FLIGHTS})", {"max_dop": 1}),  # stream aggregate
-    (f"(order ((delay asc)) {FLIGHTS})", {}),  # merge of sorted fragments
+    (f"(order ((delay asc)) {FLIGHTS})", {}),  # one sort above an exchange
     (f"(order ((delay asc)) {FLIGHTS})", {"max_dop": 1}),
     (f"(limit 5 (topn 9 ((delay desc)) (select (or (> delay 1.0) (= name \"Delta\")) {STAR})))", {}),
     (f'(select (= date_ (date "2014-03-01")) {FLIGHTS})', {}),  # RLE index scan
@@ -127,13 +127,12 @@ class TestEveryOperatorIsKnown:
 
     @pytest.fixture(scope="class")
     def plans(self):
-        built = [
+        return [
             ENGINE.plan(
                 ENGINE.parse(q), options=PlannerOptions(**{"max_dop": 8, "min_work_per_fraction": 4000, **o})
             )
             for q, o in EVERY_OPERATOR
         ]
-        return built + [PSingleRow(ENGINE.table("Extract.carriers"))]
 
     def test_the_plans_cover_every_operator(self, plans):
         seen = {type(node) for plan in plans for node in plan.walk()}
@@ -150,7 +149,7 @@ class TestEveryOperatorIsKnown:
 
     def test_sharing_the_scan_is_cheaper_than_scanning_per_set(self, plans):
         sets = ENGINE.parse(EVERY_OPERATOR[-1][0])
-        shared = simulate_plan(plans[-2], MachineModel(cores=4))
+        shared = simulate_plan(plans[-1], MachineModel(cores=4))
         alone = [
             simulate_plan(
                 ENGINE.plan(s.over(sets.child), options=PlannerOptions(max_dop=8, min_work_per_fraction=4000)),

@@ -33,8 +33,8 @@ from repro.tde.storage import Column, Table
 from tests.difftest.reference import join_rows
 
 
-def _ctx(batch_size=16, parallel=True):
-    return ExecContext(batch_size=batch_size, parallel=parallel)
+def _ctx(batch_size=16):
+    return ExecContext(batch_size=batch_size)
 
 
 def _five_key_table(prefix=""):
@@ -257,9 +257,9 @@ def test_a_join_answers_the_same_table_however_its_probe_side_is_batched(case):
     join pads a miss where it stands, not after its batch's matches."""
     kind, probe, build = case
     join = PHashJoin(kind, [("k", "bk")], PScan(probe), PScan(build))
-    whole = execute_to_table(join, _ctx(batch_size=sys.maxsize, parallel=False))
+    whole = execute_to_table(join, _ctx(batch_size=sys.maxsize))
     for batch_size in (1, 7, 1024):
-        assert execute_to_table(join, _ctx(batch_size=batch_size, parallel=False)).equals(whole)
+        assert execute_to_table(join, _ctx(batch_size=batch_size)).equals(whole)
     expected = join_rows(
         [{"k": k} for k in probe.column("k").python_values()],
         [{"bk": k} for k in build.column("bk").python_values()],
@@ -409,22 +409,43 @@ class TestExchange:
         assert out.equals_unordered(t)
 
     def test_serial_mode_preserves_order(self):
+        # Fragments are drained one after another, so the output is the
+        # input order, whatever the degree.
         t = _flights(100)
-        scans = FractionTable.split_even(t, 4)
-        out = execute_to_table(PExchange(list(scans)), _ctx(parallel=False))
-        assert out.equals(t)
-
-    def test_ordered_flag(self):
-        t = _flights(60)
-        scans = FractionTable.split_even(t, 3)
-        out = execute_to_table(PExchange(list(scans), ordered=True), _ctx(parallel=True))
-        assert out.equals(t)
+        for degree in (3, 4):
+            scans = FractionTable.split_even(t, degree)
+            assert execute_to_table(PExchange(list(scans)), _ctx()).equals(t)
 
     def test_worker_errors_propagate(self):
         t = _flights(50)
         bad = PFilter(PScan(t), parse_sexpr("(> missing_column 1)"))
         with pytest.raises(Exception):
-            execute_to_table(PExchange([PScan(t), bad]), _ctx(parallel=True))
+            execute_to_table(PExchange([PScan(t), bad]), _ctx())
+
+    def test_no_path_starts_a_thread(self, monkeypatch):
+        """query, EXPLAIN ANALYZE and a bare ExecContext all run a
+        4-fragment Exchange inline on the calling thread."""
+        import threading
+
+        from repro.tde.engine import render_plan
+        from tests.conftest import build_flights_engine
+
+        engine = build_flights_engine(n=20_000)
+        query = '(aggregate (carrier_id) ((n (count))) (scan "Extract.flights"))'
+        plan = engine.plan(query)
+        assert "Exchange(degree=4)" in render_plan(plan)
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        engine.query(query)
+        engine.explain(query, analyze=True)
+        execute_to_table(plan, ExecContext())
+        assert starts == []
 
     def test_zero_inputs_rejected(self):
         from repro.errors import ExecutionError

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.tde.engine import DataEngine
 from repro.tde.optimizer.parallel import PlannerOptions
 
-SERIAL = PlannerOptions(max_dop=1, enable_parallel=False, plan_cache_size=0)
+SERIAL = PlannerOptions(max_dop=1, plan_cache_size=0)
 FOUR_WAY = PlannerOptions(
     max_dop=4, min_work_per_fraction=1.0, enable_range_partition_agg=False, plan_cache_size=0
 )

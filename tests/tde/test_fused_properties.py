@@ -34,7 +34,6 @@ STATUSES = ["ok", "late", "cancelled"]
 
 UNFUSED = PlannerOptions(
     max_dop=1,
-    enable_parallel=False,
     enable_pipeline_fusion=False,
     enable_code_space=False,
     plan_cache_size=0,
@@ -42,7 +41,7 @@ UNFUSED = PlannerOptions(
 
 
 def _engine_for(table: Table, name: str = "Extract.t") -> DataEngine:
-    engine = DataEngine("props", options=PlannerOptions(max_dop=1, enable_parallel=False))
+    engine = DataEngine("props", options=PlannerOptions(max_dop=1))
     engine.create_table(name, table)
     return engine
 
@@ -251,9 +250,7 @@ class TestJoinMissPadding:
     byte-identical across fused/unfused plans."""
 
     def _engine(self) -> DataEngine:
-        engine = DataEngine(
-            "joins", options=PlannerOptions(max_dop=1, enable_parallel=False)
-        )
+        engine = DataEngine("joins", options=PlannerOptions(max_dop=1))
         engine.load_pydict(
             "Extract.orders",
             {

@@ -40,7 +40,7 @@ from tests.difftest.test_kernel_equivalence import _build_shared_dataset
 
 ENGINE = _build_shared_dataset()
 
-SERIAL = PlannerOptions(max_dop=1, enable_parallel=False, plan_cache_size=0)
+SERIAL = PlannerOptions(max_dop=1, plan_cache_size=0)
 #: Every scan splits four ways whatever its cost hint, and evenly (no
 #: range partition on the sorted ``day``), so a set and its standalone
 #: query see the same fragment bounds and must agree to the bit.
@@ -267,7 +267,7 @@ def test_the_child_runs_once_and_its_rows_are_dropped_fragment_by_fragment():
     # count_distinct has no partial: the set keeps its own two columns
     # of every fragment and aggregates once, as its Exchange would have.
     assert plan.partials[distinct.grain] == PSharedInput(["day", "zone"], 1500)
-    scanned = ExecContext(batch_size=1024, parallel=False)
+    scanned = ExecContext(batch_size=1024)
     execute_to_table(plan, scanned)
     assert scanned.metrics.rows_scanned == ENGINE.table("Extract.events").n_rows + 5
 

@@ -27,7 +27,7 @@ from repro.tde.exec.kernels import AggSpec
 from repro.tde.exec.physical import (
     PHashAggregate,
     PHashJoin,
-    PSingleRow,
+    PScan,
     aggregate_table,
     execute_to_table,
 )
@@ -102,7 +102,7 @@ def test_a_fully_matched_n_to_1_join_gathers_no_probe_rows(monkeypatch):
     def join(kind, probe_keys, build_keys):
         probe = Table.from_pydict({"k": probe_keys, "v": list(range(len(probe_keys)))})
         build = Table.from_pydict({"bk": build_keys, "w": [10 * k for k in build_keys]})
-        node = PHashJoin(kind, [("k", "bk")], PSingleRow(probe), PSingleRow(build))
+        node = PHashJoin(kind, [("k", "bk")], PScan(probe), PScan(build))
         return execute_to_table(node).to_rows()
 
     assert join("inner", [2, 0, 1, 0], [0, 1, 2]) == [(2, 0, 20), (0, 1, 0), (1, 2, 10), (0, 3, 0)]
@@ -139,7 +139,7 @@ def test_an_aggregate_gathers_only_its_keys(monkeypatch):
         aggregate_table(table, keys, specs)
         assert len(gathered) == len(keys), keys
         del gathered[:]
-        execute_to_table(PHashAggregate(PSingleRow(table), keys, specs))
+        execute_to_table(PHashAggregate(PScan(table), keys, specs))
         assert len(gathered) == len(keys), keys
         del gathered[:]
         rolled = apply_post_ops(table, [LocalAggregate(tuple(keys), sum_v)])

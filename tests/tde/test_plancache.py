@@ -32,9 +32,7 @@ QUERY = '(aggregate (region) ((n (count))) (select (> day 5) (scan "Extract.t"))
 def _engine(plan_cache_size: int = 64) -> DataEngine:
     engine = DataEngine(
         "pc",
-        options=PlannerOptions(
-            max_dop=1, enable_parallel=False, plan_cache_size=plan_cache_size
-        ),
+        options=PlannerOptions(max_dop=1, plan_cache_size=plan_cache_size),
     )
     engine.load_pydict(
         "Extract.t",
@@ -162,9 +160,7 @@ class TestEngineCacheBehaviour:
         engine.plan(QUERY)
         engine.plan(
             QUERY,
-            options=PlannerOptions(
-                max_dop=1, enable_parallel=False, enable_code_space=False
-            ),
+            options=PlannerOptions(max_dop=1, enable_code_space=False),
         )
         # Same normalized text, different fingerprints: two entries.
         assert len(engine.plan_cache) == 2
