@@ -4,8 +4,8 @@
   (semantic, view-matching) cache with subsumption proofs and local
   post-processing, and the *literal* cache keyed on query text (3.2);
   persistence (Desktop) and a distributed layer (Server).
-* ``repro.core.fusion`` — query fusion: merging same-relation queries that
-  differ in their projection lists (3.4).
+* ``repro.core.fusion`` — query fusion: merging the compiled queries of
+  a batch that aggregate one relation into one query (3.4).
 * ``repro.core.batch`` — the cache-hit opportunity graph and the
   local/remote partition of a query batch (3.3, Figure 3).
 * ``repro.core.executor`` — concurrent execution of remote queries over
@@ -23,7 +23,7 @@ from .cache.index import CacheIndex
 from .cache.literal import LiteralCache
 from .cache.eviction import EvictionPolicy
 from .cache.distributed import KeyValueStore, DistributedQueryCache
-from .fusion import FusedQuery, fuse_batch
+from .fusion import fuse_batch
 from .batch import BatchGraph, build_batch_graph
 from .executor import ConcurrentQueryExecutor
 from .pipeline import BatchResult, PipelineOptions, QueryPipeline
@@ -37,7 +37,6 @@ __all__ = [
     "DistributedQueryCache",
     "enrich_spec",
     "match_specs",
-    "FusedQuery",
     "fuse_batch",
     "BatchGraph",
     "build_batch_graph",

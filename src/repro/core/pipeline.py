@@ -6,18 +6,18 @@ For each batch of query specs:
    are served locally.
 2. **Batch graph** — remaining specs form the cache-hit opportunity graph;
    source nodes go remote, derivable nodes wait locally (3.3, Fig. 3).
-3. **Query fusion** — remote specs over the same relation and grain
-   merge their projection lists (3.4); against an in-process TQL source
-   the compiled queries that still aggregate one relation then merge
-   into one grouping-sets query, one scan for all of them.
-4. **Concurrent execution** — fused queries run concurrently over pooled
+3. **Query fusion** — each remote spec is enriched and compiled, and
+   the compiled queries over one relation merge (3.4): one plain
+   aggregate per grain, their measures unioned, or against an
+   in-process TQL source one grouping-sets query, one scan for all.
+4. **Concurrent execution** — the queries run concurrently over pooled
    connections, consulting the literal cache, creating temporary tables
    for externalized filters (3.5, 3.1).
 5. **Reuse** — results are (optionally enriched and) inserted into the
    intelligent cache; local nodes are then answered from it.
 
-Steps 2–3 (with enrichment and compilation) are one planning step whose
-:class:`BatchPlan` ``run_batch`` executes and ``explain_batch`` narrates.
+Steps 2–3 are one planning step whose :class:`BatchPlan` ``run_batch``
+executes and ``explain_batch`` narrates.
 
 Degradation: a source failure (retries exhausted, circuit breaker open,
 pool member dead) never raises out of :meth:`QueryPipeline.run_batch`.
@@ -40,7 +40,7 @@ from ..errors import SourceError, SourceUnavailableError
 from ..faults.breaker import CircuitBreaker
 from ..faults.retry import RetryPolicy
 from ..obs.ledger import NULL_BOOK, LedgerBook, NullLedgerBook, RequestLedger
-from ..queries.compile import CompiledQuery, MergedQuery, compile_spec, merge_same_relation
+from ..queries.compile import CompiledQuery, compile_spec
 from ..queries.model import DataSourceModel
 from ..queries.postops import PostOp, apply_post_ops
 from ..queries.spec import QuerySpec
@@ -51,7 +51,7 @@ from .cache.intelligent import IntelligentCache, enrich_spec, match_specs
 from .cache.literal import LiteralCache
 from .coalesce import Flight, JoinTicket, SingleFlightRegistry
 from .executor import ConcurrentQueryExecutor, ExecutionOutcome
-from .fusion import FusedQuery, fuse_batch
+from .fusion import MergedQuery, Split, fuse_batch
 from .stale import StaleResultStore
 
 
@@ -104,7 +104,7 @@ class BatchResult:
     remote_queries: int = 0
     cache_hits: int = 0
     #: Intelligent-cache answers during result distribution (phases 4–5):
-    #: a member or local node served by a cache *derivation* rather than
+    #: a remote spec or local node served by a cache *derivation*, not by
     #: its own remote fetch. Kept separate from ``cache_hits`` (phase-0
     #: probe hits) so hit-rate metrics stay truthful.
     derived_hits: int = 0
@@ -156,34 +156,25 @@ class Derivation:
 
     spec: QuerySpec
     key: str  # spec.canonical()
-    #: Whose result answers it: the spec actually sent (a member of a
-    #: remote query) or another spec of the batch (a batch-local node).
+    #: Whose result answers it: the spec sent for it (itself, or its
+    #: enrichment) or another spec of the batch (a batch-local node).
     provider: QuerySpec
-    #: The fusion recipe over the un-enriched fused result; None for a
-    #: batch-local node, whose graph edge already proved the match.
-    fallback: tuple[PostOp, ...] | None = None
 
     def post_ops(self) -> tuple[PostOp, ...]:
-        """The operators that turn the provider's result into the answer."""
-        match = match_specs(self.provider, self.spec)
-        # Enrichment only widens, so a sent spec matches its members.
-        return match.post_ops if match is not None else self.fallback
+        """The operators that turn the provider's result into the answer;
+        a sent spec and a graph edge are both proven matches."""
+        return match_specs(self.provider, self.spec).post_ops
 
 
 @dataclass
-class Send:
-    """One remote query: the fused group, the (enriched) spec actually
-    sent, its compilation, and the members its result is split into.
-    ``merged`` is set when it travels as set ``position`` of a
-    grouping-sets query shared with other sends instead of as
-    ``compiled`` itself."""
+class Send(Derivation):
+    """One remote spec, derived from the spec sent for it: that spec's
+    compilation and, while it travels in a query merged with other
+    sends, that query and the split that recovers its rows."""
 
-    fused: FusedQuery
-    spec: QuerySpec
     compiled: CompiledQuery
-    members: list[Derivation]
     merged: MergedQuery | None = None
-    position: int = 0
+    split: Split | None = None
 
 
 @dataclass
@@ -472,51 +463,32 @@ class QueryPipeline:
                     for j, i in graph.provider_of.items()
                 ]
             span.set(remote=len(remote_specs), local=len(local))
-        # Phase 2: fuse the remote set.
-        with (obs.span("pipeline.fusion", remote=len(remote_specs)) if traced else _MUTE) as span:
-            fused = fuse_batch(remote_specs, enabled=self.options.enable_fusion)
-            span.set(fused=len(fused))
-        # Phase 3: compile what will actually be sent.
-        with obs.span("pipeline.compile", queries=len(fused)) if traced else _MUTE:
+        # Phase 2: enrich and compile each remote spec.
+        with obs.span("pipeline.compile", queries=len(remote_specs)) if traced else _MUTE:
             sends: list[Send] = []
-            for fq in fused:
-                send_spec = fq.spec
+            for spec in remote_specs:
+                sent = spec
                 if self.options.enrich_for_reuse:
-                    send_spec = enrich_spec(fq.spec, reuse_fields=reuse_fields)
+                    enriched = enrich_spec(spec, reuse_fields=reuse_fields)
+                    # Unless no derivation is provable (two filters on one field).
+                    if match_specs(enriched, spec) is not None:
+                        sent = enriched
                 compiled = compile_spec(
-                    send_spec,
+                    sent,
                     self.model,
                     self.source,
                     externalize_threshold=self.options.externalize_threshold,
                 )
-                members = []
-                for member in fq.members:
-                    key = member.canonical()
-                    members.append(Derivation(member, key, send_spec, fq.extract_ops[key]))
-                sends.append(Send(fq, send_spec, compiled, members))
-            # An in-process engine has no backend parallelism for seven
-            # queries to use, only one scan to share between them.
-            if (
-                self.options.enable_fusion
-                and self.source.in_process
-                and self.source.query_language == "tql"
-                and len(sends) > 1
-            ):
+                sends.append(Send(spec, spec.canonical(), sent, compiled))
+        # Phase 3: merge the compiled queries over one relation (3.4).
+        with (obs.span("pipeline.fusion", queries=len(sends)) if traced else _MUTE) as span:
+            if self.options.enable_fusion and len(sends) > 1:
                 by_part = {id(send.compiled): send for send in sends}
-                for merged in merge_same_relation(
-                    [send.compiled for send in sends], self.model, self.source
-                ):
-                    for position, part in enumerate(merged.parts):
-                        send = by_part[id(part)]
-                        send.merged, send.position = merged, position
-                    if obs.events_enabled():
-                        obs.event(
-                            "fusion",
-                            "merged",
-                            f"{len(merged.parts)} queries aggregating one relation "
-                            "sent as one grouping-sets query",
-                            members=[part.spec.canonical() for part in merged.parts],
-                        )
+                merged = fuse_batch([send.compiled for send in sends], self.model, self.source)
+                for query in merged:
+                    for part, split in zip(query.parts, query.splits):
+                        by_part[id(part)].merged, by_part[id(part)].split = query, split
+                span.set(merged=len(merged))
         return BatchPlan(sends, local)
 
     def _run_pending(
@@ -528,48 +500,37 @@ class QueryPipeline:
     ) -> None:
         t_plan = book.now()
         plan = self._plan(pending, reuse_fields)
-        member_keys = [member.key for send in plan.sends for member in send.members]
-        # Batch analysis, fusion and compilation all happened while
-        # every remote member waited: each gets the full duration.
-        book.charge_since(t_plan, "compile", *member_keys)
+        keys = [send.key for send in plan.sends]
+        # Batch analysis, compilation and fusion all happened while every
+        # remote spec waited: each gets the full duration.
+        book.charge_since(t_plan, "compile", *keys)
         wire = plan.wire()
-        result.fused_away += len(member_keys) - len(wire)
+        result.fused_away += len(keys) - len(wire)
         with obs.span("pipeline.remote_execution", queries=len(wire)):
             outcomes = self._fetch(plan, wire, result)
-        # Phase 4: populate caches and split fused results.
+        # Phase 4: populate caches and answer each remote spec.
         with obs.span("pipeline.post_processing", queries=len(outcomes)):
             for send, outcome in zip(plan.sends, outcomes):
+                key, table = send.key, outcome.table
                 if outcome.failed:
-                    # The whole fused query is gone; degrade each member
-                    # independently (stale serve or per-spec error).
-                    for member in send.members:
-                        self._degrade(member.key, outcome.error, result, book)
+                    self._degrade(key, outcome.error, result, book)
                     continue
                 if self.options.enable_intelligent_cache:
-                    self.intelligent_cache.put(send.spec, outcome.table, cost_s=outcome.elapsed_s)
-                sent_key = send.spec.canonical()
+                    self.intelligent_cache.put(send.provider, table, cost_s=outcome.elapsed_s)
                 # Pool checkout is admission pressure (queue); the rest
                 # of the outcome's elapsed is backend execution — both on
                 # the executor's clock, which is this book's clock.
-                execute_s = max(outcome.elapsed_s - outcome.checkout_wait_s, 0.0)
-                for member in send.members:
-                    key = member.key
-                    book.charge(key, "queue", outcome.checkout_wait_s)
-                    book.charge(key, "execute", execute_s)
-                    # Looking a member up *is* splitting the result just cached.
-                    answer, from_cache = self._answer_locally(
-                        member, outcome.table, book, "post_ops"
-                    )
-                    self._record_good(key, answer)
-                    result.tables[key] = answer
-                    if key == sent_key or len(send.members) == 1:
-                        book.finish(key, "fresh")
-                    else:
-                        book.finish(key, "derived" if from_cache else "fused")
-                    if from_cache and key != sent_key:
-                        # Derived from the cached (wider) result, not a
-                        # re-read of the member's own remote fetch.
-                        result.derived_hits += 1
+                book.charge(key, "queue", outcome.checkout_wait_s)
+                book.charge(key, "execute", max(outcome.elapsed_s - outcome.checkout_wait_s, 0.0))
+                # Looking the spec up *is* deriving it from the result just cached.
+                answer, from_cache = self._answer_locally(send, table, book, "post_ops")
+                self._record_good(key, answer)
+                result.tables[key] = answer
+                book.finish(key, "fresh" if send.merged is None else "fused")
+                if from_cache and key != send.provider.canonical():
+                    # Derived from the cached (wider) result, not a
+                    # re-read of the spec's own remote fetch.
+                    result.derived_hits += 1
         # Phase 5: answer the local (derivable) nodes.
         with obs.span("pipeline.local_answers", nodes=len(plan.local)):
             for node in plan.local:
@@ -602,10 +563,10 @@ class QueryPipeline:
         """Run ``wire`` and return one outcome per send of ``plan``.
 
         A send riding a merged query gets the merged outcome with its own
-        set's rows as the table. A merged query that failed (after the
-        retry policy) is re-sent once as the queries it was made of, so
-        a fault costs what it would have cost them: each succeeds or
-        degrades on its own.
+        answer split out as the table. A merged query that failed (after
+        the retry policy) is re-sent once as the queries it was made of,
+        so a fault costs what it would have cost them: each succeeds or
+        degrades on its own, and its send no longer rides the merge.
         """
 
         def run(queries: list[CompiledQuery]) -> dict[int, ExecutionOutcome]:
@@ -635,15 +596,19 @@ class QueryPipeline:
             fetched.update(run(parts))
         outcomes = []
         for send in plan.sends:
-            merged = send.merged
-            if merged is None or fetched[id(merged)].failed:
+            if send.merged is not None and fetched[id(send.merged)].failed:
+                send.merged = None
+            if send.merged is None:
                 outcomes.append(fetched[id(send.compiled)])
                 continue
-            outcome = fetched[id(merged)]
-            columns = list(merged.plan.sets[send.position].columns)
-            rows = slice_set(outcome.table, send.position, columns)
-            answer = apply_post_ops(rows, merged.part_ops[send.position])
-            outcomes.append(replace(outcome, table=answer))
+            # One split for both forms: the part's set if it has one, its
+            # columns under its own names, then its shape and post-ops.
+            outcome, split = fetched[id(send.merged)], send.split
+            rows = outcome.table
+            if split.set is not None:
+                rows = slice_set(rows, split.set, [column for _, column in split.columns])
+            rows = Table({name: rows.column(column) for name, column in split.columns})
+            outcomes.append(replace(outcome, table=apply_post_ops(rows, split.ops)))
         return outcomes
 
     def _answer_locally(
@@ -743,11 +708,12 @@ class QueryPipeline:
         over the fetched result) and ``plan`` — the in-process backend
         engine's :class:`~repro.obs.explain.ExplainResult` (ANALYZE, run
         once on that engine, with ``analyze=True``), else None. A spec
-        whose query travels inside a merged grouping-sets query reports
-        that query's text and plan, and under ``merged`` its set, the
-        columns sliced out for it, the ``post_ops`` that finish those
-        rows into what its own query would have returned (``post_ops``
-        proper then apply, as ever) and the specs sharing the query.
+        whose query travels inside a merged query reports that query's
+        text and plan, and under ``merged`` its form, its set (None for a
+        plain aggregate), the columns split out for it under its own
+        names, the ``post_ops`` that finish those rows into what its own
+        query would have returned (``post_ops`` proper then apply, as
+        ever) and the specs sharing the query.
         """
         reports: dict[str, dict] = {}
         pending: list[QuerySpec] = []
@@ -776,44 +742,27 @@ class QueryPipeline:
             )
         backend = self.backend_engine()
         breaker = getattr(self.pool, "breaker", None)
-        described: dict[int, dict] = {}
+        described = {id(q): self._describe(q, backend, breaker, analyze) for q in plan.wire()}
         for send in plan.sends:
-            compiled = send.merged or send.compiled
-            shared = described.get(id(compiled))
-            if shared is None:
-                shared = described[id(compiled)] = self._describe(
-                    compiled, backend, breaker, analyze
+            report = reports[send.key]
+            report.update(
+                decision="sent remote",
+                post_ops=[type(op).__name__ for op in send.post_ops()],
+                **described[id(send.merged or send.compiled)],
+            )
+            merged, split = send.merged, send.split
+            if merged is not None:
+                report["decision"] += (
+                    f" in one {merged.form} query shared by {len(merged.parts)} queries"
+                    + ("" if split.set is None else f", as set {split.set}")
                 )
-            lead_key = send.fused.spec.canonical()
-            riding = {}
-            if send.merged is not None:
-                # One grouping-sets query carries this send and others:
-                # say which, and what splits this one's rows back out.
-                position = send.position
-                riding["merged"] = {
-                    "set": position,
-                    "columns": list(send.merged.plan.sets[position].columns),
-                    "post_ops": [type(op).__name__ for op in send.merged.part_ops[position]],
-                    "with": [
-                        part.spec.canonical()
-                        for part in send.merged.parts
-                        if part is not send.compiled
-                    ],
+                report["merged"] = {
+                    "form": merged.form,
+                    "set": split.set,
+                    "columns": [name for name, _ in split.columns],
+                    "post_ops": [type(op).__name__ for op in split.ops],
+                    "with": [p.spec.canonical() for p in merged.parts if p is not send.compiled],
                 }
-            for member in send.members:
-                lone = member.key == lead_key or len(send.members) == 1
-                decision = "sent remote" if lone else f"fused into {lead_key}"
-                if send.merged is not None:
-                    decision += (
-                        f" as set {position} of a grouping-sets query shared by "
-                        f"{len(send.merged.parts)} queries of this batch"
-                    )
-                reports[member.key].update(
-                    decision=decision,
-                    post_ops=[type(op).__name__ for op in member.post_ops()],
-                    **riding,
-                    **shared,
-                )
         return list(reports.values())
 
     def _describe(self, compiled: CompiledQuery, backend, breaker, analyze: bool) -> dict:

@@ -29,8 +29,8 @@ SPAN_REGISTRY: dict[str, tuple[str, str]] = {
     "pipeline.cache_probe": ("cache", "phase 0: intelligent-cache probe"),
     "pipeline.coalesce_wait": ("coalesce", "follower waiting on another request's leader"),
     "pipeline.batch_graph": ("pipeline", "phase 1: batch dependency graph"),
-    "pipeline.fusion": ("pipeline", "phase 2: query fusion / subsumption folding"),
-    "pipeline.compile": ("compile", "phase 3: spec -> engine query compilation"),
+    "pipeline.compile": ("compile", "phase 2: enrich and compile each remote spec"),
+    "pipeline.fusion": ("pipeline", "phase 3: merge compiled queries over one relation (3.4)"),
     "pipeline.remote_execution": ("executor", "phase 4: remote execution fan-out"),
     "pipeline.post_processing": ("pipeline", "phase 5: post-ops over fetched tables"),
     "pipeline.local_answers": ("cache", "answering derivable specs from cached results"),
@@ -82,7 +82,7 @@ EVENT_REGISTRY: dict[str, str] = {
     "plan_cache.evict": "LRU capacity pushed out the least-recent plan",
     "plan_cache.invalidate": "plans dropped (extract refresh, DDL) or a stale put refused",
     # -- query rewriting ------------------------------------------------ #
-    "fusion": "batch query-fusion decision (merged or declined)",
+    "fusion": "compiled queries over one relation merged (form, sets) or one sent alone (why)",
     "fuse.pipeline": "planner collapsed a filter/project/aggregate chain into one fused operator",
     # -- coalescing ----------------------------------------------------- #
     "coalesce.lead": "request became the leader executing for a herd",
@@ -94,7 +94,7 @@ EVENT_REGISTRY: dict[str, str] = {
     "degrade.stale_serve": "source down; served the last good result flagged stale",
     "degrade.stale_extract": "shadow extract served while the live source is down",
     "degrade.error": "source down and no stale fallback; per-spec error",
-    "degrade.unmerge": "merged grouping-sets query failed; its parts re-sent singly",
+    "degrade.unmerge": "merged query failed; its parts re-sent singly",
     # -- resilience / background ---------------------------------------- #
     "fault.injected": "fault plan injected an error or latency",
     "retry.attempt": "transient failure; backing off and retrying",

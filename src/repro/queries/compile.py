@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 
 from ..datatypes import LogicalType
 from ..errors import BindError, CapabilityError
-from ..expr.ast import ColumnRef, Expr, columns_used, conjoin, substitute
+from ..expr.ast import ColumnRef, Expr, columns_used, conjoin
 from ..sql.generator import generate_sql, _Generator
 from ..tde.storage.table import Table
 from ..tde.tql.parser import to_tql
 from ..tde.tql.plan import (
     Aggregate,
-    GroupingSet,
-    GroupingSets,
     Join,
     Limit,
     LogicalPlan,
@@ -86,108 +84,6 @@ class CompiledQuery:
             for row in self.temp_tables[name].to_rows():
                 digest.update(repr(row).encode())
         return digest.hexdigest()
-
-
-@dataclass
-class MergedQuery(CompiledQuery):
-    """Compiled queries aggregating one relation, sent as one
-    grouping-sets query (``spec`` is None: it answers several).
-
-    ``parts[i]`` is answered by set ``i``; ``part_ops[i]`` finishes that
-    set's rows into what ``parts[i]`` alone would have returned (its
-    ORDER BY / LIMIT, which the sets do not carry, then its own
-    post-ops).
-    """
-
-    parts: tuple[CompiledQuery, ...] = ()
-    part_ops: tuple[tuple[PostOp, ...], ...] = ()
-
-
-def _unshaped(plan: LogicalPlan) -> tuple[LogicalPlan, tuple[PostOp, ...]]:
-    """``plan`` without the shape ``_Compiler._shape`` put on it, and
-    that shape as local operators."""
-    if isinstance(plan, TopN):
-        return plan.child, shape_ops(plan.keys, plan.n)
-    if isinstance(plan, Order):
-        return plan.child, shape_ops(plan.keys, None)
-    if isinstance(plan, Limit):
-        return plan.child, shape_ops((), plan.n)
-    return plan, ()
-
-
-def merge_same_relation(
-    compiled: list[CompiledQuery], model: DataSourceModel, source
-) -> list[MergedQuery]:
-    """Merge the queries of a batch that aggregate the same relation.
-
-    A query qualifies when it is TQL with no temp tables whose plan is an
-    ``Aggregate`` (under at most an ORDER BY / LIMIT shape) over the
-    relation, or over a ``Project`` of calculated columns over it; the
-    relation — join tree and filters — must be the same plan. Every group
-    of two or more becomes one :class:`MergedQuery`, one set per query in
-    batch order. A query whose output shares a name with an earlier
-    set's under another type — or, for strings, another definition, which
-    may mean another collation — stays out and is sent alone: the sets'
-    answers come back in one table with one column per name.
-    """
-    view = model.schema(source)
-    groups: dict[LogicalPlan, _SameRelation] = {}
-    for query in compiled:
-        if query.language != "tql" or query.temp_tables or query.detail_mode:
-            continue
-        aggregate, shape = _unshaped(query.plan)
-        if not isinstance(aggregate, Aggregate):
-            continue
-        relation, items = aggregate.child, None
-        if isinstance(relation, Project):
-            relation, items = relation.child, relation.items
-        group = groups.setdefault(relation, _SameRelation())
-        mine = _outputs(aggregate, items, view)
-        if any(group.outputs.get(name, sig) != sig for name, sig in mine.items()):
-            continue
-        group.outputs.update(mine)
-        group.parts.append(query)
-        group.sets.append(GroupingSet(aggregate.groupby, aggregate.aggs, items))
-        group.ops.append(shape + query.post_ops)
-    merged = []
-    for relation, group in groups.items():
-        if len(group.parts) > 1:
-            plan = GroupingSets(relation, group.sets)
-            merged.append(
-                MergedQuery(
-                    None,
-                    source.name,
-                    "tql",
-                    to_tql(plan),
-                    plan,
-                    parts=tuple(group.parts),
-                    part_ops=tuple(group.ops),
-                )
-            )
-    return merged
-
-
-@dataclass
-class _SameRelation:
-    outputs: dict[str, tuple] = field(default_factory=dict)
-    parts: list[CompiledQuery] = field(default_factory=list)
-    sets: list[GroupingSet] = field(default_factory=list)
-    ops: list[tuple[PostOp, ...]] = field(default_factory=list)
-
-
-def _outputs(aggregate: Aggregate, items, view) -> dict[str, tuple]:
-    """Output name -> what two sets must agree on to share the column:
-    the type and, for a string, the expression that defines it."""
-    calc = dict(items or ())
-    out: dict[str, tuple] = {}
-    for key in aggregate.groupby:
-        defined = calc.get(key, ColumnRef(key))
-        out[key] = (view[key], defined if view[key] is LogicalType.STR else None)
-    for name, agg in aggregate.aggs:
-        ltype = agg.result_type(view)
-        defined = (agg.func, None if agg.arg is None else substitute(agg.arg, calc))
-        out[name] = (ltype, defined if ltype is LogicalType.STR else None)
-    return out
 
 
 def compile_spec(

@@ -326,7 +326,7 @@ class VizServer:
         effective spec (selections applied), and returns the serving
         pipeline's :meth:`~repro.core.pipeline.QueryPipeline.explain_batch`
         report keyed by zone name — which zones would be cache hits, which
-        would be derived batch-locally, which go remote (and fused with
+        would be derived batch-locally, which go remote (and merged with
         what), plus the backend engine's EXPLAIN of each remote plan.
         """
         node = self._route()

@@ -200,21 +200,20 @@ def _pipeline(source=None, *, coalescer=None, **overrides):
 
 class TestPipelineCoalescing:
     def test_herd_of_identical_batches_executes_once(self):
-        pipeline = _pipeline()
+        # The gate holds the leader's query until the other seven have
+        # joined it; ungated, simdb can answer before the next thread
+        # registers, and every thread leads.
+        source = GatedSource(make_source())
+        pipeline = _pipeline(source)
         herd = 8
-        barrier = threading.Barrier(herd)
-
-        def request(_i):
-            barrier.wait()
-            return pipeline.run_batch([NARROW])
-
         with ThreadPoolExecutor(max_workers=herd) as tp:
-            results = list(tp.map(request, range(herd)))
+            futures = [tp.submit(pipeline.run_batch, [NARROW]) for _ in range(herd)]
+            _wait_until(lambda: pipeline.coalescer.stats.joins == herd - 1)
+            source.gate.set()
+            results = [future.result() for future in futures]
 
-        remote = sum(r.remote_queries for r in results)
-        coalesced = sum(r.coalesced_hits for r in results)
-        assert remote + coalesced == herd
-        assert remote >= 1 and coalesced >= 1  # at least one herd formed
+        assert sum(r.remote_queries for r in results) == 1
+        assert sum(r.coalesced_hits for r in results) == herd - 1
         reference = results[0].tables[NARROW.canonical()]
         for result in results:
             assert result.ok

@@ -18,11 +18,15 @@ from repro.core.cache.eviction import CacheEntry, EvictionPolicy
 from repro.core.cache.intelligent import IntelligentCache, explain_mismatch
 from repro.core.cache.literal import LiteralCache
 from repro.core.fusion import fuse_batch
+from repro.connectors import TdeDataSource
 from repro.core.pipeline import QueryPipeline
-from repro.queries import CategoricalFilter, QuerySpec
+from repro.expr.ast import ColumnRef
+from repro.queries import CategoricalFilter, DataSourceModel, QuerySpec
+from repro.queries.compile import compile_spec
+from repro.sql.dialects import QUIRKDB
 from repro.tde.storage import Table
 
-from .conftest import AVG_DELAY, COUNT, make_model, make_source
+from .conftest import AVG_DELAY, COUNT, ENGINE, make_model, make_source
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +122,13 @@ class TestEvictionEvents:
         assert len(entries) == 1
 
 
+def _labelled(label) -> DataSourceModel:
+    """The test model plus a calculated string field ``label``."""
+    return DataSourceModel(
+        "faa", "Extract.flights", joins=make_model().joins, calculations={"label": label}
+    )
+
+
 def _spec(markets=(0, 1, 2), dims=("name",), measures=None):
     return QuerySpec(
         "faa",
@@ -169,19 +180,49 @@ class TestLiteralCacheEvents:
 
 
 class TestFusionEvents:
-    def test_fused_and_not_fused(self):
-        fusable = [
-            _spec(measures=(("n", COUNT),)),
-            _spec(measures=(("a", AVG_DELAY),)),
+    def test_fused_and_not_fused(self, monkeypatch):
+        """One batch against an in-process TDE: one grouping-sets merge
+        and every reason a query is sent alone."""
+        source = TdeDataSource(ENGINE)
+        model = _labelled(ColumnRef("name"))
+        no_temp_tables = TdeDataSource(ENGINE)
+        no_temp_tables.dialect = QUIRKDB  # a long IN list falls back to detail mode
+        by_label = QuerySpec("faa", ("label",), (("n", COUNT),))
+        batch = [
+            compile_spec(QuerySpec("faa", ("name",), (("n", COUNT),)), model, source),
+            compile_spec(QuerySpec("faa", ("name",), (("a", AVG_DELAY),)), model, source),
+            compile_spec(by_label, model, source),
+            # Same relation, but "label" is another column: the sets' one
+            # output column would have two collations.
+            compile_spec(by_label, _labelled(ColumnRef("market")), source),
+            compile_spec(_spec(markets=(5,)), model, source),
+            compile_spec(_spec(markets=tuple(range(20))), model, no_temp_tables),
+            # One relation (a join to "#tt0"), two different temp tables.
+            compile_spec(_spec(markets=(0, 1, 2, 3)), model, source, externalize_threshold=2),
+            compile_spec(_spec(markets=(4, 5, 6, 7)), model, source, externalize_threshold=2),
         ]
-        loner = _spec(markets=(5,))
         with obs.recording() as rec:
-            fuse_batch(fusable + [loner])
-        fused = rec.events("fusion", outcome="fused")
-        declined = rec.events("fusion", outcome="not_fused")
-        assert len(fused) == 1 and len(declined) == 1
-        assert "2 queries over the same relation" in fused[0].reason
-        assert "shares this query's relation" in declined[0].reason
+            (merged,) = fuse_batch(batch, model, source)
+        assert merged.parts == tuple(batch[:3])
+        (record,) = rec.events("fusion", outcome="merged")
+        assert record.attributes["form"] == "grouping-sets"
+        assert record.attributes["sets"] == 2  # the first two share a grain
+        assert record.attributes["members"] == [q.spec.canonical() for q in batch[:3]]
+        alone = rec.events("fusion", outcome="not_merged")
+        declined = {event.attributes["spec"]: event.reason for event in alone}
+        reasons = [declined.pop(q.spec.canonical()) for q in batch[3:]]
+        assert not declined
+        assert "clashes in type or collation" in reasons[0]
+        assert "only query on its relation" in reasons[1]
+        assert "detail mode" in reasons[2] and batch[5].detail_mode
+        assert "only query on its relation" in reasons[3]
+        assert "temp tables differ" in reasons[4]
+
+        def no_record(*_args, **_kwargs):
+            raise AssertionError("a fusion record was built with events off")
+
+        monkeypatch.setattr(obs, "event", no_record)
+        assert len(fuse_batch(batch, model, source)) == 1
 
 
 class TestPoolEvents:

@@ -41,9 +41,11 @@ class TestExplainBatch:
         assert len(reports) == 3
         decisions = [r["decision"] for r in reports]
         assert decisions[2] == "sent remote"
-        assert all("fused into" in d for d in decisions[:2])
+        for decision in decisions[:2]:
+            assert decision == "sent remote in one aggregate query shared by 2 queries"
+        assert [r["merged"]["set"] for r in reports[:2]] == [None, None]
         # Enrichment widened what is sent (the filter field joined the
-        # dimensions), so every member — the lone "sent remote" one too —
+        # dimensions), so every spec — the lone "sent remote" one too —
         # is rolled up locally, exactly as the run does.
         assert [r["post_ops"] for r in reports] == [
             ["LocalAggregate", "LocalProject"],
@@ -161,7 +163,7 @@ class TestExplainEqualsRun:
         markets = (CategoricalFilter("market_id", (0, 1, 2)),)
         specs = [
             QuerySpec("faa", ("name",), (("n", COUNT),), markets),
-            QuerySpec("faa", ("name",), (("s", SUM_DELAY),), markets),  # fuses with the first
+            QuerySpec("faa", ("name",), (("s", SUM_DELAY),), markets),  # the first's grain
             QuerySpec("faa", ("market",), (("a", AVG_DELAY),), markets, (("market", False),), 2),
             QuerySpec("faa", (), (("n", COUNT),), markets),
             QuerySpec("faa", ("name",), (("n", COUNT),)),  # another relation: sent alone
@@ -192,13 +194,14 @@ class TestExplainEqualsRun:
         assert [r["merged"]["set"] for r in merged] == [0, 0, 1, 2]
         assert "GroupingSets(3 sets" in merged[0]["plan"]
         for report in merged:
-            assert "as set" in report["decision"]
-            assert len(report["merged"]["with"]) == 2
+            assert "in one grouping-sets query shared by 4 queries, as set" in report["decision"]
+            assert report["merged"]["form"] == "grouping-sets"
+            assert len(report["merged"]["with"]) == 3
         assert merged[2]["merged"]["columns"][0] == "market"
         # Un-enriched, the third spec keeps its ORDER BY / LIMIT: the sets
         # carry neither, so the split re-applies it.
         assert merged[2]["merged"]["post_ops"] == ([] if enrich else ["LocalTopN"])
-        # The run splits every set out first, then derives each member.
-        splits = [r["merged"]["post_ops"] for r in (merged[0], merged[2], merged[3])]
+        # The run splits every part out first, then derives each spec.
+        splits = [r["merged"]["post_ops"] for r in merged]
         derivations = [r["post_ops"] for r in reports]
         assert applied == sum(splits + derivations, [])

@@ -1,65 +1,79 @@
 """Query fusion and batch-graph tests (paper 3.3, 3.4)."""
 
-import pytest
-
 from repro.core.batch import build_batch_graph
 from repro.core.fusion import fuse_batch
+from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.queries import CategoricalFilter
-from repro.queries.postops import apply_post_ops
-from tests.core.conftest import AVG_DELAY, COUNT, MIN_DELAY, SUM_DELAY, spec
+from repro.queries.compile import compile_spec
+from repro.tde.tql.plan import Aggregate
+from tests.core.conftest import COUNT, MIN_DELAY, SUM_DELAY, spec
+
+
+def _fuse(source, model, *specs):
+    compiled = [compile_spec(s, model, source) for s in specs]
+    return compiled, fuse_batch(compiled, model, source)
 
 
 class TestFusion:
-    def test_same_relation_fuses(self):
+    """Against a SQL source the queries over one relation and grain merge
+    into one plain aggregate: the paper's single πP(R)."""
+
+    def test_same_relation_fuses(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT),))
         b = spec(dimensions=("name",), measures=(("s", SUM_DELAY),))
-        fused = fuse_batch([a, b])
-        assert len(fused) == 1
-        assert len(fused[0].spec.measures) == 2
-        assert set(fused[0].extract_ops) == {a.canonical(), b.canonical()}
+        compiled, merged = _fuse(source, model, a, b)
+        assert len(merged) == 1 and merged[0].form == "aggregate"
+        assert merged[0].parts == tuple(compiled)
+        assert isinstance(merged[0].plan, Aggregate) and len(merged[0].plan.aggs) == 2
+        assert [split.set for split in merged[0].splits] == [None, None]
 
-    def test_shared_measures_deduplicated(self):
+    def test_shared_measures_deduplicated(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT), ("s", SUM_DELAY)))
         b = spec(dimensions=("name",), measures=(("total", SUM_DELAY),))
-        fused = fuse_batch([a, b])
-        assert len(fused) == 1
-        assert len(fused[0].spec.measures) == 2  # SUM shared
+        _, (merged,) = _fuse(source, model, a, b)
+        assert len(merged.plan.aggs) == 2  # SUM shared
+        assert merged.splits[0].columns[2][1] == merged.splits[1].columns[1][1]
 
-    def test_different_filters_do_not_fuse(self):
+    def test_different_filters_do_not_fuse(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT),))
         b = a.with_filters((CategoricalFilter("market_id", (1,)),))
-        assert len(fuse_batch([a, b])) == 2
+        assert _fuse(source, model, a, b)[1] == []
 
-    def test_different_dims_do_not_fuse(self):
+    def test_different_dims_do_not_fuse(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT),))
         b = spec(dimensions=("market",), measures=(("n", COUNT),))
-        assert len(fuse_batch([a, b])) == 2
+        assert _fuse(source, model, a, b)[1] == []
 
-    def test_disabled(self):
+    def test_disabled(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT),))
         b = spec(dimensions=("name",), measures=(("s", SUM_DELAY),))
-        assert len(fuse_batch([a, b], enabled=False)) == 2
+        options = PipelineOptions(enable_fusion=False, enable_batch_graph=False)
+        result = QueryPipeline(source, model, options=options).run_batch([a, b])
+        assert result.remote_queries == 2 and result.fused_away == 0
 
-    def test_extraction_recovers_members(self, raw_pipeline):
+    def test_extraction_recovers_members(self, source, model, raw_pipeline):
         a = spec(dimensions=("name",), measures=(("n", COUNT),), order_by=(("n", False),))
         b = spec(dimensions=("name",), measures=(("s", SUM_DELAY), ("lo", MIN_DELAY)))
-        fused = fuse_batch([a, b])
-        assert len(fused) == 1
-        fused_table = raw_pipeline.run_spec(fused[0].spec)
+        options = PipelineOptions(
+            enable_intelligent_cache=False,
+            enable_literal_cache=False,
+            enable_batch_graph=False,
+            enrich_for_reuse=False,
+        )
+        fused = QueryPipeline(source, model, options=options).run_batch([a, b])
+        assert fused.remote_queries == 1 and fused.fused_away == 1
         for member in (a, b):
-            extracted = apply_post_ops(fused_table, fused[0].extract_ops[member.canonical()])
             direct = raw_pipeline.run_spec(member)
             ordered = bool(member.order_by)
-            assert extracted.approx_equals(direct, ordered=ordered)
+            assert fused.table_for(member).approx_equals(direct, ordered=ordered)
 
-    def test_order_limit_stripped_from_fused(self):
+    def test_order_limit_stripped_from_fused(self, source, model):
         a = spec(dimensions=("name",), measures=(("n", COUNT),), limit=2)
         b = spec(dimensions=("name",), measures=(("s", SUM_DELAY),))
-        fused = fuse_batch([a, b])
-        assert len(fused) == 1
-        assert fused[0].spec.limit is None
-        ops = fused[0].extract_ops[a.canonical()]
-        assert len(ops) == 2  # project + local topn
+        _, (merged,) = _fuse(source, model, a, b)
+        assert isinstance(merged.plan, Aggregate)  # no LIMIT on the shared query
+        assert [type(op).__name__ for op in merged.splits[0].ops] == ["LocalTopN"]
+        assert merged.splits[1].ops == ()
 
 
 class TestBatchGraph:

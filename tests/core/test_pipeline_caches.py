@@ -46,6 +46,21 @@ class TestPipeline:
         assert result.batch_local == 1
         assert len(result.tables) == 3
 
+    def test_two_filters_on_one_field_are_answered_as_asked(self, source, model, raw_pipeline):
+        # No derivation is provable under two filters on one field, so the
+        # spec is sent as asked rather than enriched.
+        s = spec(
+            dimensions=("name",),
+            measures=(("n", COUNT),),
+            filters=(
+                CategoricalFilter("market_id", (0, 1, 2)),
+                CategoricalFilter("market_id", (1, 2)),
+            ),
+        )
+        result = QueryPipeline(source, model).run_batch([s])
+        assert result.ok and result.table_for(s).column_names == ["name", "n"]
+        assert result.table_for(s).approx_equals(raw_pipeline.run_spec(s), ordered=False)
+
     def test_interaction_served_from_cache(self, source, model):
         pipe = QueryPipeline(source, model)
         base = spec(

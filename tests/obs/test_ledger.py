@@ -15,11 +15,12 @@ import tracemalloc
 
 import pytest
 
+from repro.connectors import TdeDataSource
 from repro.core.coalesce import SingleFlightRegistry
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.faults import FaultPlan, FaultRule, FaultyDataSource, VirtualTimeClock
 from repro.obs.ledger import PHASES, LedgerBook, RequestLedger
-from tests.core.conftest import COUNT, make_model, make_source, spec
+from tests.core.conftest import COUNT, ENGINE, SUM_DELAY, make_model, make_source, spec
 from tests.core.test_coalesce import GatedSource
 from tests.difftest.gen import gen_specs
 
@@ -254,6 +255,26 @@ class TestPipelineConservation:
         assert ledger.outcome == "error"
         assert ledger.phases["degrade"] >= 0.0
         assert_conserved(ledger)
+
+    @pytest.mark.parametrize("backend", ["tde", "simdb"])
+    def test_a_spec_answered_from_a_merged_query_finishes_fused(self, backend):
+        """In either form of merge: the TDE's one grouping-sets query for
+        all three, simdb's one plain aggregate for the two of one grain."""
+        source = TdeDataSource(ENGINE) if backend == "tde" else make_source()
+        pipeline = _pipeline(source, enable_batch_graph=False)
+        batch = [
+            spec(dimensions=("name",), measures=(("n", COUNT),)),
+            spec(dimensions=("name",), measures=(("s", SUM_DELAY),)),
+            spec(dimensions=("market",), measures=(("n", COUNT),)),
+        ]
+        result = pipeline.run_batch(batch)
+        assert result.ok
+        merged = 3 if backend == "tde" else 2
+        assert result.fused_away == merged - 1
+        outcomes = [result.ledger_for(s).outcome for s in batch]
+        assert outcomes == ["fused"] * merged + ["fresh"] * (3 - merged)
+        for s in batch:
+            assert_conserved(result.ledger_for(s))
 
     def test_disabled_pipeline_produces_no_ledgers(self):
         pipeline = _pipeline(enable_ledger=False)

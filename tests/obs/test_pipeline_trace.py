@@ -10,8 +10,8 @@ from tests.core.conftest import AVG_DELAY, COUNT, SUM_DELAY, make_model, make_so
 PHASES = [
     "pipeline.cache_probe",
     "pipeline.batch_graph",
-    "pipeline.fusion",
     "pipeline.compile",
+    "pipeline.fusion",
     "pipeline.remote_execution",
     "pipeline.post_processing",
     "pipeline.local_answers",

@@ -24,6 +24,7 @@ from repro.core.pipeline import QueryPipeline
 from repro.dashboard import DashboardSession
 from repro.datatypes import LogicalType as L
 from repro.errors import BindError, ExecutionError, TqlParseError
+from repro.queries.postops import apply_post_ops
 from repro.tde.engine import DataEngine
 from repro.tde.exec import kernels
 from repro.tde.exec.exchange import PExchange
@@ -31,6 +32,7 @@ from repro.tde.exec.fused import PFusedPipeline
 from repro.tde.exec.grouping import PGroupingSets, PSharedInput, slice_set
 from repro.tde.exec.physical import ExecContext, execute_to_table
 from repro.tde.optimizer.parallel import PlannerOptions
+from repro.tde.storage.table import Table
 from repro.tde.tql.binder import bind
 from repro.tde.tql.parser import parse_tql, to_tql
 from repro.tde.tql.plan import SET_COLUMN, GroupingSets
@@ -354,5 +356,7 @@ def test_fig1_is_one_query_whose_sets_equal_the_seven_it_replaces():
     (merged,) = {id(send.merged): send.merged for send in plan.sends}.values()
     assert len(merged.parts) == 7 and plan.wire() == [merged]
     answer = engine.query(merged.text)
-    for position, (part, s) in enumerate(zip(merged.parts, merged.plan.sets)):
-        assert slice_set(answer, position, list(s.columns)).equals(engine.query(part.text))
+    for part, split in zip(merged.parts, merged.splits):
+        rows = slice_set(answer, split.set, [column for _, column in split.columns])
+        rows = Table({name: rows.column(column) for name, column in split.columns})
+        assert apply_post_ops(rows, split.ops).equals(engine.query(part.text))
