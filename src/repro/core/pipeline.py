@@ -706,7 +706,7 @@ class QueryPipeline:
         ``decision`` (routing outcome), and for remote queries
         ``language``/``text``, ``post_ops`` (operator types run locally
         over the fetched result) and ``plan`` — the in-process backend
-        engine's :class:`~repro.obs.explain.ExplainResult` (ANALYZE, run
+        engine's :class:`~repro.tde.explain.ExplainResult` (ANALYZE, run
         once on that engine, with ``analyze=True``), else None. A spec
         whose query travels inside a merged query reports that query's
         text and plan, and under ``merged`` its form, its set (None for a
@@ -764,6 +764,17 @@ class QueryPipeline:
                     "with": [p.spec.canonical() for p in merged.parts if p is not send.compiled],
                 }
         return list(reports.values())
+
+    def explain_cold(self, spec: QuerySpec) -> dict:
+        """A slow-log EXPLAIN capture: one spec's plan as-if cold, as text."""
+        report = self.explain_batch([spec], assume_cold=True)[0]
+        plan = report.get("plan")
+        return {
+            "spec": report["spec"],
+            "decision": report.get("decision"),
+            "query": report.get("text"),
+            "plan": str(plan) if plan is not None else None,
+        }
 
     def _describe(self, compiled: CompiledQuery, backend, breaker, analyze: bool) -> dict:
         """What EXPLAIN says about one query on the wire."""

@@ -12,8 +12,10 @@ package is our equivalent, shared by every layer of the stack:
 * :mod:`repro.obs.events` — the bounded decision-event log: *why* the
   caches hit or missed, what was evicted and for what score, what fused;
 * :mod:`repro.obs.recording` — the exporter: text timeline + JSON;
-* :mod:`repro.obs.explain` — EXPLAIN/ANALYZE rendering for TDE physical
-  plans (imported lazily; it depends on the TDE layer).
+* :mod:`repro.obs.window` — the servers' telemetry plane and ``statz()``.
+
+The package imports only the standard library and itself (a test walks
+every import); EXPLAIN lives with its engine, in :mod:`repro.tde.explain`.
 
 Observability is **off by default** and free when off: the module-level
 :func:`span`, :func:`counter`, :func:`gauge`, :func:`histogram` and

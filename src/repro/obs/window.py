@@ -19,11 +19,16 @@ for a week. This module adds the time axis:
   (the multi-window burn-rate alerting recipe). Breach and recovery emit
   ``slo.breach`` / ``slo.recovered`` decision events.
 
-Everything reads an injectable clock — either a ``() -> float`` callable
-or any object with a ``monotonic()`` method (so
-:class:`repro.faults.clock.VirtualTimeClock` plugs in directly) — which
-makes the whole layer virtual-time compatible: chaos tests drive
-deterministic breach→recovery timelines in microseconds of real time.
+* :class:`Telemetry` — the per-server bundle of the above plus the
+  slow-query log and the trace buffer. :meth:`Telemetry.record` is the
+  one place a served request is recorded, and :func:`compose_statz` the
+  one way a server's ``statz()`` is built.
+
+Everything reads an injectable ``Clock`` — any object with a
+``monotonic()`` method, so :class:`repro.faults.clock.VirtualTimeClock`
+plugs in directly — which makes the whole layer virtual-time compatible:
+chaos tests drive deterministic breach→recovery timelines in
+microseconds of real time.
 """
 
 from __future__ import annotations
@@ -31,19 +36,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
+from .critpath import slowlog_path
 from .metrics import Histogram
-
-
-def _now_fn(clock) -> Callable[[], float]:
-    """Normalize a clock argument to a monotonic ``() -> float``."""
-    if clock is None:
-        return time.monotonic
-    monotonic = getattr(clock, "monotonic", None)
-    if monotonic is not None:
-        return monotonic
-    return clock
+from .sampling import SamplingPolicy, TraceBuffer
+from .slowlog import SlowQueryEntry, SlowQueryLog
 
 
 class WindowedHistogram:
@@ -63,7 +61,7 @@ class WindowedHistogram:
         self.window_s = float(window_s)
         self.buckets = buckets
         self.span_s = self.window_s / buckets
-        self._now = _now_fn(clock)
+        self._now = clock.monotonic if clock is not None else time.monotonic
         self._lock = threading.Lock()
         #: slot -> [epoch, Histogram, exemplar]; a cell is live iff its
         #: epoch is within the trailing window of the current epoch. The
@@ -224,7 +222,7 @@ class SLOMonitor:
             raise ValueError("fast window must not exceed the slow window")
         self.buckets = buckets
         self.span_s = self.objective.slow_window_s / buckets
-        self._now = _now_fn(clock)
+        self._now = clock.monotonic if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._ring: list[list] = [[-1, 0, 0] for _ in range(buckets)]
         self.state = "ok"
@@ -361,16 +359,15 @@ class TelemetryOptions:
 class Telemetry:
     """Windowed metrics + SLO + slow-log, bundled for one serving surface.
 
-    ``VizServer`` and ``DataServer`` each own one; ``observe`` is the
-    single per-request entry point and returns whether the request is a
-    slow-log candidate (so the caller only assembles the expensive
-    capture when it will be kept).
+    ``VizServer``, ``DataServer`` and ``TdeCluster`` each own one;
+    :meth:`record` is the single per-request entry point. ``observe`` is
+    its metrics half: it returns whether the request is a slow-log
+    candidate, so the capture is only assembled when it will be kept.
     """
 
     def __init__(self, options: TelemetryOptions | None = None, *, clock=None):
         self.options = options or TelemetryOptions()
         self._clock = clock
-        self.now = _now_fn(clock)
         self.requests = WindowedHistogram(
             "request_s",
             window_s=self.options.window_s,
@@ -378,16 +375,10 @@ class Telemetry:
             clock=clock,
         )
         self.slo = SLOMonitor(self.options.slo, clock=clock)
-        # Deferred import: slowlog is a sibling obs module, safe, but
-        # kept here so this module's import graph stays metrics-only.
-        from .slowlog import SlowQueryLog
-
         self.slowlog = SlowQueryLog(
             self.options.slowlog_capacity,
             threshold_s=self.options.slow_threshold_s,
         )
-        from .sampling import SamplingPolicy, TraceBuffer
-
         self.traces = TraceBuffer(
             self.options.sampling
             if self.options.sampling is not None
@@ -427,7 +418,7 @@ class Telemetry:
         failed: bool = False,
         trace_id: str | None = None,
     ) -> bool:
-        """Record one served request; True if it's a slow-log candidate.
+        """Count one request in the windows; True if it's a slow-log candidate.
 
         ``trace_id`` (present only while tracing is enabled) flows into
         the window's worst-observation exemplar, so ``statz()``'s p99
@@ -446,9 +437,68 @@ class Telemetry:
         self.slo.record(wall_s)
         return self.slowlog.would_admit(wall_s)
 
-    def offer_trace(self, root, *, force: str | None = None) -> str | None:
-        """Offer a completed request trace to the tail-sampling buffer."""
-        return self.traces.offer(root, force=force)
+    def record(
+        self,
+        root,
+        *,
+        started: float,
+        elapsed: float,
+        cursor: int,
+        key: str,
+        dimensions: dict[str, str],
+        ledgers: Mapping[str, Any] | None = None,
+        context: Callable[[], dict[str, Any]] | None = None,
+        degraded: bool = False,
+        failed: bool = False,
+        explain: Callable[[], dict | None] | None = None,
+    ) -> None:
+        """Record one served request: trace, ledgers, windows, slow log.
+
+        ``root`` is the closed root span (null or None while tracing is
+        off); ``cursor`` is where the request starts in the event ring;
+        ``ledgers`` are widened to the request window. ``context`` and
+        ``explain`` are callbacks so a request that is not admitted builds
+        neither; ``explain`` also needs ``capture_explain``.
+        """
+        trace_id = getattr(root, "trace_id", "") or None
+        outcome = "failed" if failed else "degraded" if degraded else "ok"
+        if trace_id is not None:
+            # Tail-based sampling: errors and degraded serves are always
+            # kept; the rest compete on latency or the 1-in-N sample.
+            force = {"failed": "error", "degraded": "stale"}.get(outcome)
+            self.traces.offer(root, force=force)
+        ledgers = ledgers or {}
+        for ledger in ledgers.values():
+            ledger.close_out(started, started + elapsed)
+        if not self.observe(
+            elapsed, dimensions=dimensions, degraded=degraded, failed=failed, trace_id=trace_id
+        ):
+            return
+        # Imported at call time: this module loads while ``repro.obs``
+        # itself initializes, before the global event log exists.
+        from . import get_events
+
+        events, _next = get_events().events(since_seq=cursor)
+        self.slowlog.admit(
+            SlowQueryEntry(
+                key=key,
+                wall_s=elapsed,
+                t_s=started,
+                outcome=outcome,
+                context=context() if context is not None else {},
+                ledgers={
+                    name: ledger.to_dict() for name, ledger in sorted(ledgers.items())
+                },
+                events=[ev.to_dict() for ev in events],
+                explain=(
+                    explain()
+                    if explain is not None and self.options.capture_explain
+                    else None
+                ),
+                trace_id=trace_id,
+                critical_path=slowlog_path(root, self.traces),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     def statz(self) -> dict[str, Any]:
@@ -467,3 +517,23 @@ class Telemetry:
             "slowlog": self.slowlog.snapshot(),
             "traces": self.traces.snapshot(),
         }
+
+
+def make_telemetry(
+    telemetry: TelemetryOptions | bool | None, *, clock=None
+) -> Telemetry | None:
+    """The plane a server's ``telemetry=`` asks for (True: default options)."""
+    if not telemetry:
+        return None
+    options = telemetry if isinstance(telemetry, TelemetryOptions) else None
+    return Telemetry(options, clock=clock)
+
+
+def compose_statz(skeleton: dict[str, Any], telemetry: Telemetry | None) -> dict[str, Any]:
+    """A server's ``statz()``: its always-present skeleton, then — when
+    ``telemetry_enabled`` — the sections of :meth:`Telemetry.statz`.
+    """
+    snap = {"telemetry_enabled": telemetry is not None, **skeleton}
+    if telemetry is not None:
+        snap.update(telemetry.statz())
+    return snap

@@ -16,24 +16,20 @@ from typing import Callable
 from .. import obs
 from ..core.cache.distributed import DistributedQueryCache
 from ..errors import ServerError
-from ..obs.metrics import Histogram
-from ..obs.window import SLOMonitor, SLOObjective, WindowedHistogram
+from ..obs.window import Telemetry, TelemetryOptions, compose_statz, make_telemetry
 from ..tde.engine import DataEngine
-from ..tde.optimizer.catalog import StorageCatalog
 from ..tde.optimizer.parallel import PlannerOptions
 from ..tde.plancache import normalize_tql
 from ..tde.storage.table import Table
 
 
 class _Node:
-    def __init__(self, node_id: int, engine: DataEngine, window: WindowedHistogram | None):
+    def __init__(self, node_id: int, engine: DataEngine):
         self.node_id = node_id
         self.engine = engine
         self.in_flight = 0
         self.queries_served = 0
         self.failures = 0
-        #: Trailing-window query latency, when cluster telemetry is on.
-        self.window = window
 
 
 class TdeCluster:
@@ -50,8 +46,7 @@ class TdeCluster:
         mode: str = "shared-everything",
         balancer: str = "round-robin",
         options: PlannerOptions | None = None,
-        telemetry: bool = False,
-        slo: SLOObjective | None = None,
+        telemetry: TelemetryOptions | bool | None = None,
         result_store=None,
         clock=None,
     ):
@@ -59,10 +54,10 @@ class TdeCluster:
 
         Shared-everything builds one storage database and points every
         node's engine at it; shared-nothing calls the loader once per
-        node, giving each node its own replica. With ``telemetry=True``
-        each node keeps a trailing-window latency histogram and the
-        cluster evaluates a fleet-level SLO; :meth:`statz` merges the
-        per-node windows into a fleet view.
+        node, giving each node its own replica. With ``telemetry`` on,
+        every query is recorded in the cluster's telemetry plane under
+        the dimension ``node``: the fleet window and SLO cover every
+        query, and ``statz()["dimensions"]["node"]`` splits it per node.
 
         ``result_store`` (a ReplicatedStore) adds a cluster-wide result
         cache in front of the balancer: string queries are keyed on
@@ -81,14 +76,7 @@ class TdeCluster:
         self._lock = threading.Lock()
         self._rr = 0
         self._now = clock.monotonic if clock is not None else time.monotonic
-        self.telemetry = telemetry
-        self.slo = SLOMonitor(slo, clock=clock) if telemetry else None
-
-        def _window(i: int) -> WindowedHistogram | None:
-            if not telemetry:
-                return None
-            return WindowedHistogram(f"node{i}.query_s", clock=clock)
-
+        self.telemetry: Telemetry | None = make_telemetry(telemetry, clock=clock)
         self.result_cache: DistributedQueryCache | None = (
             DistributedQueryCache(result_store, "tde-cluster")
             if result_store is not None
@@ -104,12 +92,12 @@ class TdeCluster:
                 engine = DataEngine(f"node{i}", options=options)
                 engine.database = primary.database  # shared storage
                 engine.catalog = primary.catalog
-                self.nodes.append(_Node(i, engine, _window(i)))
+                self.nodes.append(_Node(i, engine))
         else:
             for i in range(n_nodes):
                 engine = DataEngine(f"node{i}", options=options)
                 loader(engine)
-                self.nodes.append(_Node(i, engine, _window(i)))
+                self.nodes.append(_Node(i, engine))
 
     # ------------------------------------------------------------------ #
     def _pick(self) -> _Node:
@@ -151,6 +139,8 @@ class TdeCluster:
         With a result cache configured, a hit short-circuits the balancer
         entirely and reports ``node_id = -1``.
         """
+        cursor = obs.get_events().cursor() if self.telemetry is not None else 0
+        started = self._now() if self.telemetry is not None else 0.0
         cache_key = None
         if self.result_cache is not None and isinstance(tql, str):
             cache_key = self._result_key(tql)
@@ -166,20 +156,19 @@ class TdeCluster:
                         "without dispatching a node",
                         tier="tde-cluster",
                     )
+                self._record(None, "result_cache", started, cursor, failed=False)
                 return -1, cached
             with self._lock:
                 self.result_cache_misses += 1
         node = self._pick()
-        started = self._now() if self.telemetry else 0.0
         failed = False
         remote_ctx = obs.TraceContext.from_wire(trace_parent) if trace_parent else None
-        trace_id = None
+        sp = None
         try:
             with obs.activate(remote_ctx):
                 with obs.span(
                     "cluster.query", node=node.node_id, balancer=self.balancer
                 ) as sp:
-                    trace_id = getattr(sp, "trace_id", "") or None
                     result = node.engine.query(tql)
         except Exception:
             failed = True
@@ -190,13 +179,25 @@ class TdeCluster:
                 node.queries_served += 1
                 if failed:
                     node.failures += 1
-            if self.telemetry:
-                elapsed = self._now() - started
-                node.window.observe(elapsed, trace_id=trace_id)
-                self.slo.record(elapsed)
+            self._record(sp, f"node{node.node_id}", started, cursor, failed=failed)
         if cache_key is not None:
             self.result_cache.put(cache_key, "tde-cluster", result)
         return node.node_id, result
+
+    def _record(self, sp, node: str, started: float, cursor: int, *, failed: bool) -> None:
+        """Feed one served query (a result-cache hit too) into telemetry."""
+        if self.telemetry is None:
+            return
+        self.telemetry.record(
+            sp,
+            started=started,
+            elapsed=self._now() - started,
+            cursor=cursor,
+            key=f"tde-cluster/{node}/query",
+            dimensions={"node": node},
+            context=lambda: {"node": node, "balancer": self.balancer},
+            failed=failed,
+        )
 
     def in_flight_snapshot(self) -> list[int]:
         """Momentary per-node in-flight counts (consistent snapshot)."""
@@ -233,17 +234,11 @@ class TdeCluster:
         }
 
     def statz(self) -> dict:
-        """Per-node windowed latency merged into a fleet rollup.
-
-        The fleet view folds every node's live window cells into one
-        histogram via ``Histogram.merge`` — the same percentile math a
-        single node uses, so node and fleet numbers are comparable.
-        Each node also reports its plan-cache counters (every node
-        compiles independently even under shared storage), summed into a
-        fleet ``plan_cache`` rollup.
+        """:meth:`health`, plan-cache counters per node (each compiles
+        independently even under shared storage) and summed, the result
+        cache, and the telemetry sections when the plane is on.
         """
         snap = self.health()
-        snap["telemetry_enabled"] = self.telemetry
         plan_fleet = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
         for node in self.nodes:
             stats = node.engine.plan_cache.stats()
@@ -261,12 +256,4 @@ class TdeCluster:
                     "corrupt": self.result_cache.corrupt,
                 }
             snap["cache_tier"] = self.result_cache.store.statz()
-        if not self.telemetry:
-            return snap
-        fleet = Histogram("fleet.query_s")
-        for node in self.nodes:
-            node_hist = node.window.merged()
-            snap["nodes"][f"node{node.node_id}"]["window"] = node_hist.snapshot()
-            fleet.merge(node_hist)
-        snap["fleet"] = {"window": fleet.snapshot(), "slo": self.slo.snapshot()}
-        return snap
+        return compose_statz(snap, self.telemetry)

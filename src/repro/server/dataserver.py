@@ -23,10 +23,8 @@ from typing import Any, Mapping
 from .. import obs
 from ..core.cache.distributed import DistributedQueryCache
 from ..core.pipeline import PipelineOptions, QueryPipeline
-from ..errors import PermissionError_, ServerError, SourceUnavailableError
-from ..obs.critpath import slowlog_path
-from ..obs.slowlog import SlowQueryEntry
-from ..obs.window import Telemetry, TelemetryOptions
+from ..errors import ServerError, SourceUnavailableError
+from ..obs.window import Telemetry, TelemetryOptions, compose_statz, make_telemetry
 from ..queries.model import DataSourceModel
 from ..queries.spec import CategoricalFilter, Filter, QuerySpec
 from ..tde.storage.table import Table
@@ -66,12 +64,7 @@ class DataServer:
         #: restarts and server nodes, and an extract refresh fans its
         #: invalidation out across the tier.
         self.store = store
-        self.telemetry: Telemetry | None = None
-        if telemetry:
-            telemetry_options = (
-                telemetry if isinstance(telemetry, TelemetryOptions) else None
-            )
-            self.telemetry = Telemetry(telemetry_options, clock=clock)
+        self.telemetry: Telemetry | None = make_telemetry(telemetry, clock=clock)
 
     # ------------------------------------------------------------------ #
     def publish(
@@ -159,15 +152,10 @@ class DataServer:
             if backend is not None:
                 entry["plan_cache"] = backend.plan_cache.stats()
             published[name] = entry
-        snap: dict[str, Any] = {
-            "telemetry_enabled": self.telemetry is not None,
-            "published": published,
-        }
+        snap: dict[str, Any] = {"published": published}
         if self.store is not None:
             snap["cache_tier"] = self.store.statz()
-        if self.telemetry is not None:
-            snap.update(self.telemetry.statz())
-        return snap
+        return compose_statz(snap, self.telemetry)
 
 
 class DataServerSession:
@@ -250,12 +238,10 @@ class DataServerSession:
             raise ServerError(
                 f"spec targets {spec.datasource!r}, session is {self.published.name!r}"
             )
-        now = self.published.pipeline.now
         cursor = obs.get_events().cursor() if self.telemetry is not None else 0
-        started = now() if self.telemetry is not None else 0.0
+        started = self.published.pipeline.now() if self.telemetry is not None else 0.0
         remote_ctx = obs.TraceContext.from_wire(trace_parent) if trace_parent else None
-        sp = None
-        batch = None
+        sp = effective = batch = None
         # The proxy hop: client spec → published pipeline → result.
         try:
             with obs.activate(remote_ctx):
@@ -296,86 +282,38 @@ class DataServerSession:
         except SourceUnavailableError:
             # The span is closed here (the raise unwound it), so the
             # error trace is offered whole to the tail sampler.
-            if self.telemetry is not None and batch is not None:
-                self._observe(
-                    effective, batch, started, now() - started, cursor,
-                    failed=True, sp=sp,
-                )
+            self._observe(sp, effective, batch, started, cursor, failed=True)
             raise
-        if self.telemetry is not None:
-            self._observe(
-                effective, batch, started, now() - started, cursor,
-                failed=False, sp=sp,
-            )
+        self._observe(sp, effective, batch, started, cursor, failed=False)
         return result
 
     # ------------------------------------------------------------------ #
-    def _observe(
-        self,
-        effective: QuerySpec,
-        batch,
-        started,
-        elapsed,
-        cursor,
-        *,
-        failed: bool,
-        sp=None,
-    ) -> None:
-        """Feed one proxied query into the server's telemetry plane."""
+    def _observe(self, sp, effective, batch, started, cursor, *, failed: bool) -> None:
+        """Feed one answered (or failed) query into the telemetry plane."""
+        if self.telemetry is None or batch is None:
+            return
         key = effective.canonical()
         ledger = batch.ledgers.get(key)
-        if ledger is not None:
-            ledger.close_out(started, started + elapsed)
-        degraded = batch.is_stale(effective)
-        trace_id = getattr(sp, "trace_id", "") or None
-        if trace_id:
-            # Tail-based sampling: errors and degraded serves are always
-            # kept; the rest compete on latency or the 1-in-N sample.
-            force = "error" if failed else "stale" if degraded else None
-            self.telemetry.offer_trace(sp, force=force)
-        slow = self.telemetry.observe(
-            elapsed,
+        self.telemetry.record(
+            sp,
+            started=started,
+            elapsed=self.published.pipeline.now() - started,
+            cursor=cursor,
+            key=f"{self.user}/{self.published.name}/query",
             dimensions={
                 "source": self.published.name,
                 "session": self.user,
                 "backend": self.published.source.name,
             },
-            degraded=degraded,
+            ledgers={key: ledger} if ledger is not None else None,
+            context=lambda: {
+                "spec": key,
+                "remote_queries": batch.remote_queries,
+                "cache_hits": batch.cache_hits,
+            },
+            degraded=batch.is_stale(effective),
             failed=failed,
-            trace_id=trace_id,
-        )
-        if not slow:
-            return
-        events, _next = obs.get_events().events(since_seq=cursor)
-        explain = None
-        if self.telemetry.options.capture_explain:
-            report = self.published.pipeline.explain_batch(
-                [effective], assume_cold=True
-            )[0]
-            plan = report.get("plan")
-            explain = {
-                "spec": report["spec"],
-                "decision": report.get("decision"),
-                "query": report.get("text"),
-                "plan": str(plan) if plan is not None else None,
-            }
-        self.telemetry.slowlog.admit(
-            SlowQueryEntry(
-                key=f"{self.user}/{self.published.name}/query",
-                wall_s=elapsed,
-                t_s=started,
-                outcome="failed" if failed else "degraded" if degraded else "ok",
-                context={
-                    "spec": key,
-                    "remote_queries": batch.remote_queries,
-                    "cache_hits": batch.cache_hits,
-                },
-                ledgers={key: ledger.to_dict()} if ledger is not None else {},
-                events=[ev.to_dict() for ev in events],
-                explain=explain,
-                trace_id=trace_id,
-                critical_path=slowlog_path(sp, self.telemetry.traces),
-            )
+            explain=lambda: self.published.pipeline.explain_cold(effective),
         )
 
     # ------------------------------------------------------------------ #

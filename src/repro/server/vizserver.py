@@ -30,9 +30,7 @@ from ..core.pipeline import PipelineOptions, QueryPipeline
 from ..dashboard.model import Dashboard
 from ..dashboard.render import DashboardSession, RenderResult
 from ..errors import ServerError
-from ..obs.critpath import slowlog_path
-from ..obs.slowlog import SlowQueryEntry
-from ..obs.window import Telemetry, TelemetryOptions
+from ..obs.window import Telemetry, TelemetryOptions, compose_statz, make_telemetry
 from ..queries.model import DataSourceModel
 
 
@@ -105,12 +103,8 @@ class VizServer:
         # The telemetry plane (windowed latency, SLO burn, slow-query
         # log) needs per-request ledgers, so enabling it forces
         # enable_ledger into every node's pipeline options.
-        self.telemetry: Telemetry | None = None
-        if telemetry:
-            telemetry_options = (
-                telemetry if isinstance(telemetry, TelemetryOptions) else None
-            )
-            self.telemetry = Telemetry(telemetry_options, clock=clock)
+        self.telemetry: Telemetry | None = make_telemetry(telemetry, clock=clock)
+        if self.telemetry is not None:
             options = dataclasses.replace(
                 options or PipelineOptions(), enable_ledger=True
             )
@@ -235,47 +229,20 @@ class VizServer:
         started, elapsed, cursor, sp,
     ) -> None:
         """Feed one served request into the telemetry plane."""
-        # ``sp`` is the request's (now closed) root span — a null span
-        # with an empty trace_id while tracing is off, so every trace
-        # surface below is conditional on that emptiness.
-        trace_id = getattr(sp, "trace_id", "") or None
-        if trace_id is not None:
-            force = (
-                "error" if result.zone_errors
-                else "stale" if result.degraded
-                else None
-            )
-            self.telemetry.offer_trace(sp, force=force)
-        # Widen each zone's ledger to the server request window: routing
-        # and session-lock wait become queue, response assembly render.
-        for ledger in result.zone_ledgers.values():
-            ledger.close_out(started, started + elapsed)
-        slow = self.telemetry.observe(
-            elapsed,
+        self.telemetry.record(
+            sp,
+            started=started,
+            elapsed=elapsed,
+            cursor=cursor,
+            key=f"{user}/{dashboard_name}/{op}",
             dimensions={
                 "dashboard": dashboard_name,
                 "session": user,
                 "node": node.node_id,
                 "backend": node.pipeline.source.name,
             },
-            degraded=result.degraded,
-            failed=bool(result.zone_errors),
-            trace_id=trace_id,
-        )
-        if not slow:
-            return
-        events, _next = obs.get_events().events(since_seq=cursor)
-        outcome = (
-            "failed" if result.zone_errors
-            else "degraded" if result.degraded
-            else "ok"
-        )
-        entry = SlowQueryEntry(
-            key=f"{user}/{dashboard_name}/{op}",
-            wall_s=elapsed,
-            t_s=started,
-            outcome=outcome,
-            context={
+            ledgers=result.zone_ledgers,
+            context=lambda: {
                 "node": node.node_id,
                 "iterations": result.iterations,
                 "remote_queries": result.remote_queries,
@@ -283,20 +250,14 @@ class VizServer:
                 "stale_zones": sorted(result.stale_zones),
                 "zone_errors": dict(result.zone_errors),
             },
-            ledgers={
-                zone: ledger.to_dict()
-                for zone, ledger in sorted(result.zone_ledgers.items())
-            },
-            events=[ev.to_dict() for ev in events],
-            explain=self._explain_worst_zone(node, session, result),
-            trace_id=trace_id,
-            critical_path=slowlog_path(sp, self.telemetry.traces),
+            degraded=result.degraded,
+            failed=bool(result.zone_errors),
+            explain=lambda: self._explain_worst_zone(node, session, result),
         )
-        self.telemetry.slowlog.admit(entry)
 
     def _explain_worst_zone(self, node, session, result) -> dict | None:
         """Auto-capture an EXPLAIN of the slowest zone's query, as-if cold."""
-        if not self.telemetry.options.capture_explain or not result.zone_ledgers:
+        if not result.zone_ledgers:
             return None
         worst_zone = max(
             result.zone_ledgers, key=lambda z: result.zone_ledgers[z].active_s
@@ -306,15 +267,7 @@ class VizServer:
             if zone is None or not zone.has_query:
                 return None
             spec = session.effective_spec(zone)
-        report = node.pipeline.explain_batch([spec], assume_cold=True)[0]
-        plan = report.get("plan")
-        return {
-            "zone": worst_zone,
-            "spec": report["spec"],
-            "decision": report.get("decision"),
-            "query": report.get("text"),
-            "plan": str(plan) if plan is not None else None,
-        }
+        return {"zone": worst_zone, **node.pipeline.explain_cold(spec)}
 
     # ------------------------------------------------------------------ #
     def explain(
@@ -404,26 +357,20 @@ class VizServer:
 
     # ------------------------------------------------------------------ #
     def statz(self) -> dict:
-        """The live telemetry snapshot: windowed latency percentiles
-        (global + per dimension), SLO burn state, and the slow-query log.
-
-        The always-available skeleton (node request counts, coalescing)
-        is returned even with telemetry off, so callers can probe one
-        endpoint unconditionally; ``telemetry_enabled`` says whether the
-        windowed sections are present.
+        """Node request counts, coalescing and the cache tier, plus the
+        telemetry sections when the plane is on (see :func:`compose_statz`).
         """
-        snap = {
-            "telemetry_enabled": self.telemetry is not None,
-            "nodes": {
-                node.node_id: {"requests_handled": node.requests_handled}
-                for node in self.nodes
+        return compose_statz(
+            {
+                "nodes": {
+                    node.node_id: {"requests_handled": node.requests_handled}
+                    for node in self.nodes
+                },
+                "coalesce": self.coalescer.snapshot(),
+                "cache_tier": self.store.statz(),
             },
-            "coalesce": self.coalescer.snapshot(),
-            "cache_tier": self.store.statz(),
-        }
-        if self.telemetry is not None:
-            snap.update(self.telemetry.statz())
-        return snap
+            self.telemetry,
+        )
 
     # ------------------------------------------------------------------ #
     def cache_summary(self) -> dict:

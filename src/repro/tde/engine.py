@@ -18,25 +18,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..errors import StorageError
-from .exec.exchange import PExchange, SharedBuild
-from .exec.physical import (
-    ExecContext,
-    PFilter,
-    PHashAggregate,
-    PHashJoin,
-    PIndexedRleScan,
-    PLimit,
-    PProject,
-    PScan,
-    PSort,
-    PStreamAggregate,
-    PTopN,
-    PhysNode,
-    execute_to_table,
-)
-from .exec.fused import PFusedPipeline
-from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
+from .exec.physical import ExecContext, PhysNode, execute_to_table
+from .explain import _node_label, explain_query
 from .optimizer.catalog import StorageCatalog
 from .optimizer.parallel import PlannerOptions
 from .optimizer.planner import plan_query
@@ -201,7 +184,7 @@ class DataEngine:
     ) -> str:
         """EXPLAIN: the physical plan plus optimizer provenance.
 
-        Returns an :class:`~repro.obs.explain.ExplainResult` — a ``str``
+        Returns an :class:`~repro.tde.explain.ExplainResult` — a ``str``
         (one operator per line, pre-order numbered, with estimated rows
         and the rewrite/culling/parallelization decisions that shaped the
         plan) that also carries the structured form via ``.to_dict()``.
@@ -209,8 +192,6 @@ class DataEngine:
         operator is annotated with actual rows, batches and inclusive
         wall time.
         """
-        from ..obs.explain import explain_query
-
         return explain_query(self, query, analyze=analyze, options=options)
 
     def rewrite(self, query: str | LogicalPlan) -> LogicalPlan:
@@ -243,56 +224,3 @@ def render_plan(node: PhysNode, indent: int = 0) -> str:
     for child in node.children():
         lines.append(render_plan(child, indent + 1))
     return "\n".join(lines)
-
-
-def _node_label(node: PhysNode) -> str:
-    if isinstance(node, PScan):
-        stop = node.table.n_rows if node.stop is None else node.stop
-        pred = " filtered" if node.predicate is not None else ""
-        return f"Scan[{node.start}:{stop}]{pred} {node.table.name or ''}".rstrip()
-    if isinstance(node, PFusedPipeline):
-        ops = "+".join(node.fused_ops)
-        if node.table is not None:
-            stop = node.table.n_rows if node.stop is None else node.stop
-            where = f"[{node.start}:{stop}] {node.table.name or ''}".rstrip()
-            return f"FusedPipeline({ops}) {where}".rstrip()
-        return f"FusedPipeline({ops})"
-    if isinstance(node, PIndexedRleScan):
-        return f"IndexedRleScan({node.column}) {node.table.name or ''}".rstrip()
-    if isinstance(node, PFilter):
-        return "Filter"
-    if isinstance(node, PProject):
-        return f"Project({', '.join(n for n, _ in node.items)})"
-    if isinstance(node, PHashJoin):
-        conds = ", ".join(f"{l}={r}" for l, r in node.conditions)
-        return f"HashJoin[{node.kind}]({conds})"
-    if isinstance(node, PHashAggregate):
-        return f"HashAggregate(by {', '.join(node.groupby) or '<none>'})"
-    if isinstance(node, PStreamAggregate):
-        return f"StreamAggregate(by {', '.join(node.groupby) or '<none>'})"
-    if isinstance(node, PSort):
-        return f"Sort({', '.join(k for k, _ in node.keys)})"
-    if type(node).__name__ == "PWindow":
-        return f"Window({', '.join(i.alias for i in node.items)})"
-    if isinstance(node, PTopN):
-        return f"TopN({node.n})"
-    if isinstance(node, PLimit):
-        return f"Limit({node.n})"
-    if isinstance(node, PExchange):
-        return f"Exchange(degree={node.degree})"
-    if isinstance(node, SharedBuild):
-        return "SharedTable"
-    if isinstance(node, PGroupingSets):
-        return (
-            f"GroupingSets({len(node.sets)} sets, {len(node.partials)} partials "
-            f"over {len(node.fragments)} fragments)"
-        )
-    if isinstance(node, PGroupingSet):
-        by, aggs = ", ".join(node.groupby) or "<none>", ", ".join(node.aggs) or "<none>"
-        return f"Set(by {by}: {aggs}; partial {node.grain})"
-    if isinstance(node, PSharedInput):
-        what = "partial results" if node.columns is None else ", ".join(node.columns)
-        return f"SharedInput({what})"
-    if isinstance(node, PSharedKeys):
-        return f"SharedKeys({node.coded} columns coded, {node.reused} reused)"
-    return type(node).__name__

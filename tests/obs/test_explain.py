@@ -3,7 +3,7 @@
 import json
 import re
 
-from repro.obs.explain import ExplainResult
+from repro.tde.explain import ExplainResult
 
 AGG = '(aggregate (name) ((n (count)) (d (avg delay))) (join inner ((carrier_id id)) (scan "Extract.flights") (scan "Extract.carriers")))'
 RLE = '(aggregate () ((n (count))) (select (= date_ (date "2014-03-05")) (scan "Extract.flights")))'

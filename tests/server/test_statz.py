@@ -147,15 +147,27 @@ class TestTdeClusterStatz:
             cluster.query(QUERY)
         statz = cluster.statz()
         assert statz["telemetry_enabled"] is True
-        per_node = [
-            statz["nodes"][f"node{i}"]["window"]["count"] for i in range(2)
-        ]
+        nodes = statz["dimensions"]["node"]["keys"]
+        per_node = [nodes[f"node{i}"]["count"] for i in range(2)]
         assert per_node == [3, 3]  # round-robin split
-        # The fleet histogram is the merge of the live node windows: node
-        # and fleet percentiles come from the same cells.
-        assert statz["fleet"]["window"]["count"] == 6
-        assert statz["fleet"]["slo"]["state"] == "ok"
-        assert statz["fleet"]["slo"]["good_total"] == 6
+        # The fleet window and SLO see every query the nodes served, in
+        # the same place as on VizServer and DataServer.
+        assert statz["window"]["count"] == 6
+        assert statz["slo"]["state"] == "ok"
+        assert statz["slo"]["good_total"] == 6
+
+    def test_result_cache_hits_count_as_requests(self):
+        tier = ReplicatedStore(("cache0",), replication=1, latency_s=0.0)
+        cluster = TdeCluster(2, _loader, telemetry=True, result_store=tier)
+        for _ in range(3):
+            cluster.query(QUERY)
+        statz = cluster.statz()
+        assert statz["result_cache"]["hits"] == 2
+        # A hit is a served request: the SLO and the window must see it.
+        assert statz["requests"]["total"] == 3
+        assert statz["window"]["count"] == 3
+        nodes = statz["dimensions"]["node"]["keys"]
+        assert nodes["result_cache"]["count"] == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -202,3 +214,48 @@ class TestDataServerStatz:
         assert entry["context"]["spec"] == spec.canonical()
         assert_ledgers_conserved(entry)
         assert entry["explain"]["decision"] is not None
+
+
+# ---------------------------------------------------------------------- #
+TELEMETRY_SECTIONS = ("requests", "window", "dimensions", "slo", "slowlog", "traces")
+
+
+def _vizserver(telemetry):
+    db = DATASET.load_into_simdb(ServerProfile(time_scale=0))
+    server = VizServer(1, SimDbDataSource(db), flights_model(), telemetry=telemetry)
+    server.register_dashboard(fig2_dashboard())
+    return server, lambda: server.load("alice", DASHBOARD)
+
+
+def _dataserver(telemetry):
+    db = DATASET.load_into_simdb(ServerProfile(time_scale=0))
+    server = DataServer(telemetry=telemetry)
+    server.publish("faa", flights_model(), SimDbDataSource(db))
+    session = server.connect("faa", "alice")
+    spec = QuerySpec("faa", dimensions=("carrier_name",), measures=(("n", COUNT),))
+    return server, lambda: session.query(spec)
+
+
+def _cluster(telemetry):
+    cluster = TdeCluster(2, _loader, telemetry=telemetry)
+    return cluster, lambda: cluster.query(QUERY)
+
+
+@pytest.mark.parametrize(
+    "make", [_vizserver, _dataserver, _cluster], ids=["vizserver", "dataserver", "cluster"]
+)
+def test_every_server_reports_the_same_telemetry_sections(make):
+    server, request = make(TelemetryOptions(slow_threshold_s=0.0))
+    request()
+    statz = server.statz()
+    assert statz["telemetry_enabled"] is True
+    assert set(TELEMETRY_SECTIONS) <= set(statz)
+    assert statz["requests"]["total"] == 1
+    assert statz["slowlog"]["admitted"] == 1
+    assert len(statz["slowlog"]["entries"]) == 1
+
+    server, request = make(None)
+    request()
+    statz = server.statz()
+    assert statz["telemetry_enabled"] is False
+    assert not set(TELEMETRY_SECTIONS) & set(statz)
