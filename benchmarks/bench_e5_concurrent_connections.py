@@ -70,7 +70,6 @@ def _options(n_connections: int) -> PipelineOptions:
         enable_batch_graph=False,
         enrich_for_reuse=False,
         concurrent=n_connections > 1,
-        max_workers=n_connections,
         max_connections=n_connections,
     )
 

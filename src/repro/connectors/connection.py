@@ -54,9 +54,6 @@ class Connection:
         self.last_used = self.created_at
         self.queries_executed = 0
         self.is_open = True
-        #: Per-connector statement timeout, advertised by the source
-        #: (enforced at the driver layer; see repro.faults.injector).
-        self.timeout_s: float | None = getattr(data_source, "timeout_s", None)
         self._lock = threading.Lock()
 
     def execute(self, text: str) -> Table:

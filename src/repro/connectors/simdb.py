@@ -13,9 +13,7 @@ profile so that the concurrency experiments reproduce real phenomena:
 * connection limits and admission throttling ("the database is likely to
   throttle them based on available resources or a hard-coded threshold");
 * MARS-style single-connection concurrency vs one-statement-per-connection;
-* session-local temporary tables, with an optional global DDL lock
-  ("in certain databases, session-local DDL operations for temporary
-  structures take a high-level lock").
+* session-local temporary tables, whose creation and rows cost modeled time.
 
 Service times sleep inside worker threads, so wall-clock measurements of
 concurrent workloads are physically meaningful even on a single-core host.
@@ -25,12 +23,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .. import obs
 from ..datatypes import LogicalType
-from ..errors import ConnectionLimitError, SourceError, SourceTimeoutError, SqlError
-from ..expr.ast import Literal
+from ..errors import ConnectionLimitError, SourceError, SqlError
 from ..sql.dialects import ANSI, Capabilities
 from ..sql.parser import (
     CreateTempTable,
@@ -47,6 +44,13 @@ from ..tde.tql.plan import LogicalPlan, TableScan, transform_up
 from .connection import Connection
 
 
+#: Sessions one server accepts before refusing a connection.
+MAX_CONNECTIONS = 32
+#: Modeled cost of creating a temporary table, and of each row put in it.
+TEMP_TABLE_OVERHEAD_S = 0.003
+TEMP_TABLE_ROW_TIME_S = 2e-7
+
+
 @dataclass(frozen=True)
 class ServerProfile:
     """Architecture and timing profile of a simulated backend."""
@@ -55,24 +59,13 @@ class ServerProfile:
     dialect: Capabilities = ANSI
     workers: int = 4
     per_query_parallelism: int = 1
-    max_connections: int = 32
     max_concurrent_queries: int | None = None
     mars: bool = False
     connect_time_s: float = 0.004
     query_overhead_s: float = 0.002
     work_unit_time_s: float = 2e-8
     transfer_row_time_s: float = 2e-7
-    temp_table_overhead_s: float = 0.003
-    temp_table_row_time_s: float = 2e-7
-    ddl_global_lock: bool = False
     time_scale: float = 1.0
-    #: Server-side statement timeout: a query whose modeled service time
-    #: exceeds this burns only the budget, then fails with
-    #: :class:`~repro.errors.SourceTimeoutError` (retryable).
-    statement_timeout_s: float | None = None
-
-    def scaled(self, factor: float) -> "ServerProfile":
-        return replace(self, time_scale=factor)
 
 
 #: Pre-canned profiles used by the experiments.
@@ -111,28 +104,18 @@ class ServerStats:
 
 
 class SimulatedDatabase:
-    """One simulated server instance holding tables and sessions."""
+    """One simulated server instance holding tables and sessions.
 
-    def __init__(
-        self,
-        name: str,
-        profile: ServerProfile | None = None,
-        *,
-        fault_plan=None,
-        engine_options: PlannerOptions | None = None,
-    ):
+    It never fails on its own: faults are injected client-side, by
+    wrapping its data source in a :class:`~repro.faults.FaultyDataSource`.
+    """
+
+    def __init__(self, name: str, profile: ServerProfile | None = None):
         self.name = name
         self.profile = profile or ServerProfile()
-        #: Optional server-side :class:`~repro.faults.plan.FaultPlan` —
-        #: the same op names ("connect"/"execute") the client-side
-        #: injector uses, so one plan can script either layer.
-        self.fault_plan = fault_plan
         # The inner engine runs serially; the *profile* decides how much
         # virtual parallelism the backend claims to have.
-        self.engine = DataEngine(
-            name,
-            options=engine_options or PlannerOptions(max_dop=1),
-        )
+        self.engine = DataEngine(name, options=PlannerOptions(max_dop=1))
         self.stats = ServerStats()
         self._session_counter = 0
         self._connections = 0
@@ -143,7 +126,6 @@ class SimulatedDatabase:
             if self.profile.max_concurrent_queries is not None
             else None
         )
-        self._ddl_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Loading (server-side, not timed)
@@ -158,11 +140,10 @@ class SimulatedDatabase:
     # Sessions
     # ------------------------------------------------------------------ #
     def open_session(self) -> "SimSession":
-        self._apply_fault("connect")
         with self._lock:
-            if self._connections >= self.profile.max_connections:
+            if self._connections >= MAX_CONNECTIONS:
                 raise ConnectionLimitError(
-                    f"{self.name}: connection limit {self.profile.max_connections} reached"
+                    f"{self.name}: connection limit {MAX_CONNECTIONS} reached"
                 )
             self._connections += 1
             self._session_counter += 1
@@ -177,22 +158,6 @@ class SimulatedDatabase:
     @property
     def open_connections(self) -> int:
         return self._connections
-
-    # ------------------------------------------------------------------ #
-    # Faults
-    # ------------------------------------------------------------------ #
-    def _apply_fault(self, op: str) -> None:
-        """Consult the server-side fault plan, if any, for this operation."""
-        if self.fault_plan is None:
-            return
-        decision = self.fault_plan.decide(op, self.name)
-        if decision.clean:
-            return
-        if decision.kind == "latency":
-            # Modeled server slowness: scaled like every other service time.
-            self._sleep(decision.latency_s)
-            return
-        raise decision.to_error(op, self.name)
 
     # ------------------------------------------------------------------ #
     # Timing
@@ -224,18 +189,7 @@ class SimulatedDatabase:
                 ):
                     held += 1
                 elapsed = overhead_s + cpu_seconds / held
-                timeout = self.profile.statement_timeout_s
                 try:
-                    if timeout is not None and elapsed > timeout:
-                        # Burn only the budget, then kill the statement.
-                        self._sleep(timeout)
-                        obs.counter("simdb.statement_timeouts").inc()
-                        raise SourceTimeoutError(
-                            f"{self.name}: statement exceeded the "
-                            f"{timeout:.3f}s server-side timeout "
-                            f"(needed {elapsed:.3f}s)",
-                            timeout_s=timeout,
-                        )
                     self._sleep(elapsed)
                 finally:
                     for _ in range(held):
@@ -272,7 +226,6 @@ class SimSession:
         return self._execute(sql)
 
     def _execute(self, sql: str) -> Table:
-        self.db._apply_fault("execute")
         stmt = parse_statement(sql)
         self.db.stats.record(statements=1)
         if isinstance(stmt, SelectStatement):
@@ -324,7 +277,7 @@ class SimSession:
         else:
             table = Table.from_pydict({name: [] for name, _t in stmt.columns or ()},
                                       types=dict(stmt.columns or ()))
-        self._timed_ddl(self.db.profile.temp_table_overhead_s)
+        self.db._sleep(TEMP_TABLE_OVERHEAD_S)
         self.db.engine.create_table(qualified, table, replace=True)
         self.temp_tables[stmt.name] = qualified
         self.db.stats.record(temp_tables_created=1)
@@ -339,7 +292,7 @@ class SimSession:
         data = {n: [row[i] for row in stmt.rows] for i, n in enumerate(names)}
         incoming = Table.from_pydict(data, types=existing.schema())
         merged = Table.concat([existing, incoming]) if existing.n_rows else incoming
-        self._timed_ddl(len(stmt.rows) * self.db.profile.temp_table_row_time_s)
+        self.db._sleep(len(stmt.rows) * TEMP_TABLE_ROW_TIME_S)
         self.db.engine.create_table(qualified, merged, replace=True)
         return Table({})
 
@@ -348,21 +301,10 @@ class SimSession:
         if not self.db.profile.dialect.supports_temp_tables:
             raise SourceError(f"{self.db.name} does not support temporary tables")
         qualified = f"{self.temp_schema}.{name.replace('.', '_')}"
-        cost = (
-            self.db.profile.temp_table_overhead_s
-            + table.n_rows * self.db.profile.temp_table_row_time_s
-        )
-        self._timed_ddl(cost)
+        self.db._sleep(TEMP_TABLE_OVERHEAD_S + table.n_rows * TEMP_TABLE_ROW_TIME_S)
         self.db.engine.create_table(qualified, table, replace=True)
         self.temp_tables[name] = qualified
         self.db.stats.record(temp_tables_created=1, rows_transferred=table.n_rows)
-
-    def _timed_ddl(self, seconds: float) -> None:
-        if self.db.profile.ddl_global_lock:
-            with self.db._ddl_lock:
-                self.db._sleep(seconds)
-        else:
-            self.db._sleep(seconds)
 
     def _drop(self, name: str) -> None:
         if name in self.temp_tables:
@@ -401,15 +343,10 @@ class SimDbDataSource:
     query_language = "sql"
     in_process = False  # a modeled remote server: callers wait, not compute
 
-    def __init__(self, db: SimulatedDatabase, *, timeout_s: float | None = None):
+    def __init__(self, db: SimulatedDatabase):
         self.db = db
         self.name = db.name
         self.dialect = db.profile.dialect
-        #: Advertised per-connector statement timeout (see Connection);
-        #: defaults to the server's own statement timeout.
-        self.timeout_s = (
-            timeout_s if timeout_s is not None else db.profile.statement_timeout_s
-        )
 
     def connect(self) -> Connection:
         return Connection(self, _SimDbDriver(self.db.open_session()))

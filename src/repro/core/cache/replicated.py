@@ -131,23 +131,19 @@ class ReplicatedStore:
         node_ids=("cache0", "cache1", "cache2"),
         *,
         replication: int = 2,
-        vnodes: int = 64,
         latency_s: float = 0.0008,
         per_mb_s: float = 0.004,
         clock: Clock | None = None,
-        write_quorum: int | None = None,
         ttl_s: float | None = None,
         faults=None,
-        name: str = "cache-tier",
     ):
         node_ids = tuple(node_ids)
         if not node_ids:
             raise ValueError("the cache tier needs at least one node")
         if replication < 1:
             raise ValueError("replication must be >= 1")
-        self.name = name
         self.replication = replication
-        self.write_quorum = write_quorum or (replication // 2 + 1)
+        self.write_quorum = replication // 2 + 1
         self.latency_s = latency_s
         self.per_mb_s = per_mb_s
         self.clock = clock or SYSTEM_CLOCK
@@ -155,7 +151,7 @@ class ReplicatedStore:
         #: Optional seed-keyed FaultPlan consulted once per node call
         #: (op ``kv.get`` / ``kv.put``, source = the node id).
         self.faults = faults
-        self._ring = HashRing(node_ids, vnodes=vnodes)
+        self._ring = HashRing(node_ids)
         self._nodes: dict[str, CacheNode] = {
             node_id: self._make_node(node_id) for node_id in node_ids
         }
@@ -164,7 +160,7 @@ class ReplicatedStore:
         self.stats = TierStats()
         #: Warm-up copies coalesce here: concurrent migration and
         #: read-repair of the same key share one copy instead of racing.
-        self._warm = SingleFlightRegistry(f"{name}-warm", clock=clock)
+        self._warm = SingleFlightRegistry("cache-tier-warm", clock=clock)
         self._warm_timeout_s = 30.0
 
     def _make_node(self, node_id: str) -> CacheNode:
@@ -725,7 +721,7 @@ class ReplicatedStore:
                 node_id: node.statz() for node_id, node in sorted(self._nodes.items())
             }
             snap = {
-                "name": self.name,
+                "name": "cache-tier",
                 "replication": self.replication,
                 "write_quorum": self.write_quorum,
                 "ring": self._ring.snapshot(),

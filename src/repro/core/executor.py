@@ -79,13 +79,11 @@ class ConcurrentQueryExecutor:
         self,
         pool: ConnectionPool,
         *,
-        max_workers: int = 8,
         literal_cache=None,
         retry: RetryPolicy | None = None,
         clock: Clock | None = None,
     ):
         self.pool = pool
-        self.max_workers = max_workers
         self.literal_cache = literal_cache
         self.retry = retry or NO_RETRY
         self.clock = clock
@@ -186,7 +184,8 @@ class ConcurrentQueryExecutor:
             return []
         if not concurrent or len(compiled) == 1 or self.pool.source.in_process:
             return [self.run_one(c, capture_errors=capture_errors) for c in compiled]
-        workers = min(self.max_workers, len(compiled))
+        # A thread beyond the pool's size would only wait at checkout.
+        workers = min(self.pool.max_connections, len(compiled))
         obs.gauge("executor.queue_depth").set(len(compiled))
 
         def work(query: CompiledQuery) -> ExecutionOutcome:

@@ -57,12 +57,15 @@ from .stale import StaleResultStore
 
 @dataclass
 class PipelineOptions:
-    """Feature toggles — each maps to one of the paper's optimizations,
-    so the benchmarks can ablate them independently. The robustness knobs
-    (retry/breaker/stale) default to the seed behaviour: no retries, no
-    breaker, but stale serves on — a failure with no history is an error
-    either way, and one *with* history is a better user experience served
-    stale."""
+    """What one pipeline does; every field is set by a test or a benchmark.
+
+    The seven toggles from ``enable_intelligent_cache`` through
+    ``enable_coalescing`` each turn off one of the paper's optimizations
+    (all off is E25's oracle). ``max_connections`` sizes the pool, and
+    with it the threads of a concurrent batch. The robustness knobs
+    (retry/breaker/stale) default to no retries, no breaker and stale
+    serves on: a failure with no history is an error either way, and one
+    *with* history is a better user experience served stale."""
 
     enable_intelligent_cache: bool = True
     enable_literal_cache: bool = True
@@ -70,13 +73,12 @@ class PipelineOptions:
     enable_batch_graph: bool = True
     concurrent: bool = True
     enrich_for_reuse: bool = True
-    max_workers: int = 8
+    #: Pool size; a concurrent batch also runs at most this many threads.
     max_connections: int = 8
     externalize_threshold: int | None = None
     #: Retry/backoff for transient source errors (None = single attempt).
     retry: RetryPolicy | None = None
-    #: Build a circuit breaker into the pool (ignored when a pool is
-    #: passed in; configure that pool's breaker directly instead).
+    #: Build a circuit breaker into the pool.
     enable_breaker: bool = False
     breaker_threshold: int = 5
     breaker_recovery_s: float = 30.0
@@ -218,10 +220,8 @@ class QueryPipeline:
         model: DataSourceModel,
         *,
         options: PipelineOptions | None = None,
-        pool: ConnectionPool | None = None,
         intelligent_cache: IntelligentCache | None = None,
         literal_cache: LiteralCache | None = None,
-        stale_store: StaleResultStore | None = None,
         coalescer: SingleFlightRegistry | None = None,
         clock=None,
     ):
@@ -234,24 +234,20 @@ class QueryPipeline:
         #: monotonic source, so phase sums stay conserved under a
         #: virtual clock exactly as under the system clock.
         self.now = clock.monotonic if clock is not None else time.monotonic
-        if pool is None:
-            breaker = None
-            if self.options.enable_breaker:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.options.breaker_threshold,
-                    recovery_s=self.options.breaker_recovery_s,
-                    clock=clock,
-                    name=source.name,
-                )
-            pool = ConnectionPool(
-                source,
-                max_connections=self.options.max_connections,
-                breaker=breaker,
+        breaker = None
+        if self.options.enable_breaker:
+            breaker = CircuitBreaker(
+                failure_threshold=self.options.breaker_threshold,
+                recovery_s=self.options.breaker_recovery_s,
+                clock=clock,
+                name=source.name,
             )
-        self.pool = pool
+        self.pool = ConnectionPool(
+            source, max_connections=self.options.max_connections, breaker=breaker
+        )
         self.intelligent_cache = intelligent_cache or IntelligentCache()
         self.literal_cache = literal_cache or LiteralCache()
-        self.stale_store = stale_store or (
+        self.stale_store = (
             StaleResultStore(clock=clock) if self.options.serve_stale else None
         )
         # One registry per source; a VizServer passes the same instance to
@@ -259,7 +255,6 @@ class QueryPipeline:
         self.coalescer = coalescer or SingleFlightRegistry(source.name, clock=clock)
         self.executor = ConcurrentQueryExecutor(
             self.pool,
-            max_workers=self.options.max_workers,
             literal_cache=self.literal_cache if self.options.enable_literal_cache else None,
             retry=self.options.retry,
             clock=clock,

@@ -52,15 +52,6 @@ class LogicalType(enum.Enum):
     def is_temporal(self) -> bool:
         return self in (LogicalType.DATE, LogicalType.DATETIME)
 
-    @property
-    def is_orderable(self) -> bool:
-        return True  # every supported type has a total order
-
-    @property
-    def is_fixed_width(self) -> bool:
-        """Fixed-width types use *array* dictionaries; STR uses *heap* ones."""
-        return self is not LogicalType.STR
-
     def numpy_dtype(self) -> np.dtype:
         """Physical numpy dtype used for plain storage of this type."""
         return _NUMPY_DTYPES[self]

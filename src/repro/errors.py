@@ -115,27 +115,12 @@ class ConnectionLimitError(SourceError):
     """Raised when a simulated server rejects a connection (limit reached)."""
 
 
-class QueryCancelledError(ExecutionError):
-    """Raised when a query is cancelled (connection closed mid-flight)."""
-
-
 class CacheError(ReproError):
     """Raised by the caching layer (corrupt persisted cache, bad key, ...)."""
 
 
 class ServerError(ReproError):
     """Raised by Tableau Server / Data Server components."""
-
-
-class PublishError(ServerError):
-    """Raised when publishing a workbook or data source fails."""
-
-
-class PermissionError_(ServerError):
-    """Raised when a user filter or permission check denies access.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """
 
 
 class WorkloadError(ReproError):

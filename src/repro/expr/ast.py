@@ -226,11 +226,6 @@ def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     raise BindError(f"cannot substitute into {expr!r}")
 
 
-def rename_columns(expr: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename column references (helper over :func:`substitute`)."""
-    return substitute(expr, {old: ColumnRef(new) for old, new in mapping.items()})
-
-
 def conjuncts(predicate: Expr | None) -> list[Expr]:
     """Split a predicate into top-level AND conjuncts."""
     if predicate is None:

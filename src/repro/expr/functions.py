@@ -110,13 +110,6 @@ def _str_map(fn: Callable[[str], object], values: np.ndarray, dtype=object) -> n
     return out
 
 
-def _days_from_temporal(values: np.ndarray, ltype_hint: str) -> np.ndarray:
-    # DATETIME stores microseconds; DATE stores days. The kernel cannot see
-    # the logical type, so temporal kernels receive pre-normalized days via
-    # the evaluator (see eval.py, which passes datetimes through // 86400e6).
-    return values
-
-
 def _ymd(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d64 = days.astype("datetime64[D]")
     months = d64.astype("datetime64[M]")

@@ -12,7 +12,7 @@ States follow the classic machine:
   trip it open.
 * **open** — calls are rejected without touching the source until
   ``recovery_s`` has elapsed on the breaker's clock.
-* **half-open** — up to ``half_open_max`` probe calls are admitted;
+* **half-open** — one probe call is admitted and the rest rejected;
   a success closes the breaker, a failure re-opens it (and restarts the
   recovery window).
 
@@ -41,7 +41,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 5,
         recovery_s: float = 30.0,
-        half_open_max: int = 1,
         clock: Clock | None = None,
         name: str = "",
     ):
@@ -49,13 +48,12 @@ class CircuitBreaker:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.recovery_s = recovery_s
-        self.half_open_max = half_open_max
         self.clock = clock or SYSTEM_CLOCK
         self.name = name
         self._state = CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._half_open_inflight = 0
+        self._probing = False
         self._lock = threading.Lock()
         self.trips = 0
         self.rejections = 0
@@ -78,13 +76,12 @@ class CircuitBreaker:
             and self.clock.monotonic() - self._opened_at >= self.recovery_s
         ):
             self._state = HALF_OPEN
-            self._half_open_inflight = 0
             if obs.events_enabled():
                 obs.event(
                     "breaker.half_open",
                     "probing",
                     f"recovery window of {self.recovery_s:.1f}s elapsed: "
-                    f"admitting up to {self.half_open_max} probe call(s)",
+                    "admitting one probe call",
                     breaker=self.name,
                 )
 
@@ -96,13 +93,13 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return
             if self._state == HALF_OPEN:
-                if self._half_open_inflight < self.half_open_max:
-                    self._half_open_inflight += 1
+                if not self._probing:
+                    self._probing = True
                     return
                 self.rejections += 1
                 raise CircuitOpenError(
                     f"circuit {self.name or 'breaker'} is half-open and its "
-                    "probe slots are taken"
+                    "probe is in flight"
                 )
             self.rejections += 1
             remaining = self.recovery_s - (self.clock.monotonic() - self._opened_at)
@@ -132,7 +129,7 @@ class CircuitBreaker:
             was = self._state
             self._failures = 0
             if was == HALF_OPEN:
-                self._half_open_inflight = 0
+                self._probing = False
                 self._state = CLOSED
                 if obs.events_enabled():
                     obs.event(
@@ -166,7 +163,7 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_by = obs.current_trace_context() if obs.enabled() else None
         self._opened_at = self.clock.monotonic()
-        self._half_open_inflight = 0
+        self._probing = False
         self._failures = 0
         self.trips += 1
         obs.counter("breaker.trips").inc()

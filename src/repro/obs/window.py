@@ -205,26 +205,34 @@ class SLOObjective:
     burn_threshold: float = 2.0
 
 
+#: Counter cells in an SLO ring; each spans a 30th of the slow window.
+SLO_CELLS = 30
+
+
 class SLOMonitor:
     """Evaluates an :class:`SLOObjective` over fast/slow burn windows.
 
-    A ring of ``[epoch, good, bad]`` counter cells spans the slow
-    window; the fast burn reads only the cells inside the fast window.
+    A ring of ``SLO_CELLS`` ``[epoch, good, bad]`` counter cells spans the
+    slow window; the fast burn reads only the cells inside the fast window,
+    so a fast window must span at least one cell.
     Breach requires *both* windows burning (fast ≥ ``burn_threshold``
     and slow ≥ 1.0): the fast window gives detection latency, the slow
     window stops a single bad second from paging. Recovery is when the
     fast burn drops under 1.0 — the budget has stopped burning.
     """
 
-    def __init__(self, objective: SLOObjective | None = None, *, clock=None, buckets: int = 30):
+    def __init__(self, objective: SLOObjective | None = None, *, clock=None):
         self.objective = objective or SLOObjective()
         if self.objective.fast_window_s > self.objective.slow_window_s:
             raise ValueError("fast window must not exceed the slow window")
-        self.buckets = buckets
-        self.span_s = self.objective.slow_window_s / buckets
+        self.span_s = self.objective.slow_window_s / SLO_CELLS
+        if self.objective.fast_window_s < self.span_s:
+            raise ValueError(
+                f"fast window must span at least one ring cell ({self.span_s:g}s)"
+            )
         self._now = clock.monotonic if clock is not None else time.monotonic
         self._lock = threading.Lock()
-        self._ring: list[list] = [[-1, 0, 0] for _ in range(buckets)]
+        self._ring: list[list] = [[-1, 0, 0] for _ in range(SLO_CELLS)]
         self.state = "ok"
         self.breaches = 0
         self.last_transition_t: float | None = None
@@ -237,7 +245,7 @@ class SLOMonitor:
         good = latency_s <= self.objective.threshold_s
         now = self._now()
         epoch = int(now // self.span_s)
-        slot = epoch % self.buckets
+        slot = epoch % SLO_CELLS
         with self._lock:
             cell = self._ring[slot]
             if cell[0] != epoch:
@@ -336,19 +344,16 @@ class SLOMonitor:
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class TelemetryOptions:
-    """Configuration for a server's :class:`Telemetry` plane."""
+    """Configuration for a server's :class:`Telemetry` plane.
 
-    window_s: float = 60.0
-    buckets: int = 12
-    #: Dimension keys a server records per request (beyond the global
-    #: window); each gets a :class:`WindowSet`.
-    max_keys_per_dimension: int = 64
+    Its windows are :class:`WindowedHistogram`'s and :class:`WindowSet`'s
+    defaults: 60 s in 12 cells, at most 64 keys per dimension.
+    """
+
     slo: SLOObjective | None = None
     #: Worst-N slow-query log size and admission floor.
     slowlog_capacity: int = 16
     slow_threshold_s: float = 0.0
-    #: Capture an EXPLAIN of the worst zone for admitted slow queries.
-    capture_explain: bool = True
     #: Tail-based trace retention policy; None uses the default
     #: :class:`~repro.obs.sampling.SamplingPolicy` (the trace buffer
     #: only fills while tracing itself is enabled, so it is free for
@@ -368,12 +373,7 @@ class Telemetry:
     def __init__(self, options: TelemetryOptions | None = None, *, clock=None):
         self.options = options or TelemetryOptions()
         self._clock = clock
-        self.requests = WindowedHistogram(
-            "request_s",
-            window_s=self.options.window_s,
-            buckets=self.options.buckets,
-            clock=clock,
-        )
+        self.requests = WindowedHistogram("request_s", clock=clock)
         self.slo = SLOMonitor(self.options.slo, clock=clock)
         self.slowlog = SlowQueryLog(
             self.options.slowlog_capacity,
@@ -399,13 +399,7 @@ class Telemetry:
             with self._lock:
                 window_set = self._dimensions.get(dimension)
                 if window_set is None:
-                    window_set = WindowSet(
-                        dimension,
-                        window_s=self.options.window_s,
-                        buckets=self.options.buckets,
-                        max_keys=self.options.max_keys_per_dimension,
-                        clock=self._clock,
-                    )
+                    window_set = WindowSet(dimension, clock=self._clock)
                     self._dimensions[dimension] = window_set
         return window_set
 
@@ -458,7 +452,7 @@ class Telemetry:
         off); ``cursor`` is where the request starts in the event ring;
         ``ledgers`` are widened to the request window. ``context`` and
         ``explain`` are callbacks so a request that is not admitted builds
-        neither; ``explain`` also needs ``capture_explain``.
+        neither.
         """
         trace_id = getattr(root, "trace_id", "") or None
         outcome = "failed" if failed else "degraded" if degraded else "ok"
@@ -490,11 +484,7 @@ class Telemetry:
                     name: ledger.to_dict() for name, ledger in sorted(ledgers.items())
                 },
                 events=[ev.to_dict() for ev in events],
-                explain=(
-                    explain()
-                    if explain is not None and self.options.capture_explain
-                    else None
-                ),
+                explain=explain() if explain is not None else None,
                 trace_id=trace_id,
                 critical_path=slowlog_path(root, self.traces),
             )

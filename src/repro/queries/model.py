@@ -92,10 +92,6 @@ class DataSourceModel:
                 return lod
         return None
 
-    def with_calculation(self, name: str, expr: Expr) -> "DataSourceModel":
-        calcs = tuple(c for c in self.calculations if c[0] != name) + ((name, expr),)
-        return DataSourceModel(self.name, self.base_table, self.joins, calcs, self.lod_calculations)
-
     def with_lod(self, name: str, lod: LodCalculation) -> "DataSourceModel":
         lods = tuple(c for c in self.lod_calculations if c[0] != name) + ((name, lod),)
         return DataSourceModel(self.name, self.base_table, self.joins, self.calculations, lods)

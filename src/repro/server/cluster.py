@@ -18,7 +18,6 @@ from ..core.cache.distributed import DistributedQueryCache
 from ..errors import ServerError
 from ..obs.window import Telemetry, TelemetryOptions, compose_statz, make_telemetry
 from ..tde.engine import DataEngine
-from ..tde.optimizer.parallel import PlannerOptions
 from ..tde.plancache import normalize_tql
 from ..tde.storage.table import Table
 
@@ -45,7 +44,6 @@ class TdeCluster:
         *,
         mode: str = "shared-everything",
         balancer: str = "round-robin",
-        options: PlannerOptions | None = None,
         telemetry: TelemetryOptions | bool | None = None,
         result_store=None,
         clock=None,
@@ -86,16 +84,16 @@ class TdeCluster:
         self.result_cache_misses = 0
         self.nodes: list[_Node] = []
         if mode == "shared-everything":
-            primary = DataEngine("tde-cluster", options=options)
+            primary = DataEngine("tde-cluster")
             loader(primary)
             for i in range(n_nodes):
-                engine = DataEngine(f"node{i}", options=options)
+                engine = DataEngine(f"node{i}")
                 engine.database = primary.database  # shared storage
                 engine.catalog = primary.catalog
                 self.nodes.append(_Node(i, engine))
         else:
             for i in range(n_nodes):
-                engine = DataEngine(f"node{i}", options=options)
+                engine = DataEngine(f"node{i}")
                 loader(engine)
                 self.nodes.append(_Node(i, engine))
 

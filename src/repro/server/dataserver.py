@@ -103,13 +103,6 @@ class DataServer:
             self._published[name] = published
             return published
 
-    def unpublish(self, name: str) -> None:
-        with self._lock:
-            published = self._published.pop(name, None)
-        if published is None:
-            raise ServerError(f"no published data source {name!r}")
-        published.pipeline.close()
-
     def published_names(self) -> list[str]:
         return sorted(self._published)
 

@@ -302,15 +302,6 @@ def combine_codes(pairs: list[tuple[np.ndarray, int]], n_rows: int):
     return _dense_ids(combined, domain)
 
 
-def key_arrays(table: Table, keys: list[str]) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Raw (values, mask) pairs for join-key comparison across tables."""
-    out = []
-    for key in keys:
-        col = table.column(key)
-        out.append((col.storage_values(), col.null_mask))
-    return out
-
-
 # ---------------------------------------------------------------------- #
 # Aggregation
 # ---------------------------------------------------------------------- #

@@ -31,10 +31,7 @@ RLE_MIN_AVG_RUN_LENGTH = 4.0
 
 
 def choose_rle_scan(
-    table: Table,
-    conjuncts: list[Expr],
-    *,
-    selectivity_threshold: float = RLE_SELECTIVITY_THRESHOLD,
+    table: Table, conjuncts: list[Expr]
 ) -> tuple[str, Expr, Expr | None] | None:
     """Pick a (column, index_predicate, residual) split, or None.
 
@@ -78,13 +75,13 @@ def choose_rle_scan(
         sel = _exact_run_selectivity(col, predicate)
         if sel is None:
             sel = estimate_selectivity(predicate)
-        if sel >= selectivity_threshold:
+        if sel >= RLE_SELECTIVITY_THRESHOLD:
             if explain:
                 provenance.note(
                     rule,
                     False,
                     f"column {name}: selectivity {sel:.2f} >= threshold "
-                    f"{selectivity_threshold:.2f} — a full scan reads less per row",
+                    f"{RLE_SELECTIVITY_THRESHOLD:.2f} — a full scan reads less per row",
                     column=name,
                 )
             continue
@@ -98,7 +95,7 @@ def choose_rle_scan(
             rule,
             True,
             f"filter on {column} served through the IndexTable "
-            f"(selectivity {sel:.2f} < {selectivity_threshold:.2f}, long runs)",
+            f"(selectivity {sel:.2f} < {RLE_SELECTIVITY_THRESHOLD:.2f}, long runs)",
             column=column,
         )
     residual_parts = [c for c in conjuncts if columns_used(c) != {column}]

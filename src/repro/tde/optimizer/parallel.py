@@ -39,7 +39,6 @@ class PlannerOptions:
     enable_local_global_agg: bool = True
     enable_range_partition_agg: bool = True
     enable_streaming_agg: bool = True
-    rle_selectivity_threshold: float = 0.35
     #: Collapse adjacent Filter/Project/HashAggregate chains into one
     #: PFusedPipeline per-batch pass (paper 4.1: avoid materializing
     #: intermediates between operators).

@@ -217,11 +217,7 @@ def _build_select(
     if isinstance(plan.child, TableScan):
         storage = catalog.storage(plan.child.table)
         if options.enable_rle_index:
-            choice = choose_rle_scan(
-                storage,
-                conjuncts(plan.predicate),
-                selectivity_threshold=options.rle_selectivity_threshold,
-            )
+            choice = choose_rle_scan(storage, conjuncts(plan.predicate))
             if choice is not None:
                 column, index_pred, residual = choice
                 columns = _scan_columns(storage, child_needed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,3 @@ class collect:
     def __exit__(self, exc_type, exc, tb) -> bool:
         _COLLECTOR.reset(self._token)
         return False
-
-
-def iter_notes(collector: ProvenanceCollector) -> Iterator[RuleNote]:
-    return iter(collector.notes)

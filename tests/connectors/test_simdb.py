@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.connectors import SimulatedDatabase
-from repro.connectors.simdb import ServerProfile
+from repro.connectors.simdb import MAX_CONNECTIONS, ServerProfile
 from repro.errors import ConnectionLimitError, SourceError
 from repro.tde.storage import Table
 
@@ -28,15 +28,15 @@ class TestSessions:
         assert sorted(out.to_rows()) == [(1, 3.0), (2, 7.0), (3, 5.0)]
 
     def test_connection_limit(self):
-        db = _db(max_connections=2)
-        s1 = db.open_session()
-        s2 = db.open_session()
+        db = _db()
+        sessions = [db.open_session() for _ in range(MAX_CONNECTIONS)]
         with pytest.raises(ConnectionLimitError):
             db.open_session()
-        s1.close()
-        s3 = db.open_session()  # freed slot is reusable
-        s3.close()
-        s2.close()
+        sessions.pop().close()
+        sessions.append(db.open_session())  # freed slot is reusable
+        for session in sessions:
+            session.close()
+        assert db.open_connections == 0
 
     def test_closed_session_rejects(self):
         session = _db().open_session()

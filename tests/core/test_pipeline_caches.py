@@ -4,6 +4,7 @@ import datetime as dt
 
 import pytest
 
+from repro.connectors import TdeDataSource
 from repro.core.cache.distributed import (
     DistributedQueryCache,
     deserialize_table,
@@ -18,9 +19,13 @@ from repro.core.cache.persistence import (
 )
 from repro.core.cache.intelligent import IntelligentCache
 from repro.core.cache.replicated import ReplicatedStore
+from repro.core import executor
 from repro.core.pipeline import PipelineOptions, QueryPipeline
+from repro.dashboard import DashboardSession
+from repro.faults import FaultPlan, FaultyDataSource
 from repro.queries import CategoricalFilter, RangeFilter, TopNFilter
 from repro.tde.storage import Table
+from repro.workloads import fig1_dashboard, flights_model, generate_flights
 from tests.core.conftest import (
     AVG_DELAY,
     COUNT,
@@ -158,6 +163,29 @@ class TestLiteralCache:
         cache.put("k2", "ds2", Table.from_pydict({"a": [2]}))
         assert cache.invalidate("ds1") == 1
         assert len(cache) == 1
+
+
+def test_a_batch_never_runs_more_threads_than_connections(monkeypatch):
+    # A thread past the pool's size would only wait at checkout, so the
+    # executor's pool is as wide as the connection pool, never wider.
+    pools = []
+
+    class CountingPool(executor.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", CountingPool)
+    dataset = generate_flights(2_000, seed=1)
+    # An inert fault plan: a remote-looking source, so batches use threads.
+    source = FaultyDataSource(TdeDataSource(dataset.load_into_engine()), FaultPlan())
+    options = PipelineOptions(max_connections=3, enable_fusion=False, enable_batch_graph=False)
+    pipeline = QueryPipeline(source, flights_model(), options=options)
+    try:
+        DashboardSession(fig1_dashboard(), pipeline).render()
+    finally:
+        pipeline.close()
+    assert pools and all(workers == 3 for workers in pools), pools
 
 
 def _one_node_tier() -> ReplicatedStore:

@@ -121,7 +121,7 @@ def test_concurrency_preserves_answers(specs, oracle):
     _check_batched(
         specs,
         oracle,
-        _options(concurrent=True, max_workers=8, max_connections=8),
+        _options(concurrent=True, max_connections=8),
         "dop=8",
     )
 

@@ -100,7 +100,7 @@ class TestNeverRaises:
     def test_concurrent_batches_complete_under_injected_faults(self, rate):
         clock = VirtualTimeClock()
         plan = FaultPlan(seed=23, rate=rate, clock=clock)
-        pipeline = _chaos_pipeline(plan, clock, concurrent=True, max_workers=4)
+        pipeline = _chaos_pipeline(plan, clock, concurrent=True, max_connections=4)
         try:
             for chunk in _chunks(gen_specs(SPEC_SEED + 1, 36), 6):
                 result = pipeline.run_batch(chunk)

@@ -177,7 +177,7 @@ class TestCircuitBreaker:
 
     def test_half_open_extra_probes_rejected(self):
         clock = VirtualTimeClock()
-        breaker = self._breaker(clock, half_open_max=1)
+        breaker = self._breaker(clock)
         for _ in range(3):
             breaker.record_failure()
         clock.advance(10.0)

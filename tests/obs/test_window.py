@@ -111,6 +111,21 @@ class TestSLOMonitor:
         with pytest.raises(ValueError):
             SLOMonitor(SLOObjective(fast_window_s=600.0, slow_window_s=300.0))
 
+    def test_fast_window_must_span_a_ring_cell(self):
+        # A 300 s slow window has 10 s cells; a 5 s fast window would read
+        # none of them, so its burn stays 0 and the SLO could never breach.
+        with pytest.raises(ValueError, match="ring cell"):
+            SLOMonitor(SLOObjective(threshold_s=0.1, fast_window_s=5.0, slow_window_s=300.0))
+        clock = VirtualTimeClock()
+        monitor = SLOMonitor(
+            SLOObjective(threshold_s=0.1, fast_window_s=10.0, slow_window_s=300.0),
+            clock=clock,
+        )
+        for _ in range(200):
+            monitor.record(1.0)
+            clock.advance(1.0)
+        assert monitor.state == "breach"
+
     def test_deterministic_breach_and_recovery(self):
         clock = VirtualTimeClock()
         monitor = self._monitor(clock)
