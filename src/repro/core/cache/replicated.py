@@ -13,24 +13,25 @@ a :class:`~repro.core.cache.ring.HashRing`:
   ``replication`` live nodes of the key's preference list; a write acked
   by fewer than the quorum is flagged ``replica.under_quorum`` (the
   caller may treat it as unacknowledged).
-* **Quorum-ish GET with read-repair.** The fast path probes the
-  preference list in order and serves the first hit; a hit found on a
-  later replica back-fills the earlier ones (``replica.read_repair``).
+* **GET with inline read-repair.** The fast path probes the preference
+  list in order and serves the first hit; a hit found on a later replica
+  back-fills the earlier ones (``replica.read_repair``).
   ``mode="quorum"`` probes every live replica, serves the newest version
-  and converges the rest — the sweep the chaos suite quiesces with.
-* **Live topology changes.** :meth:`join` warms a new node by migrating
-  exactly the keys the ring now assigns it; :meth:`leave` drains a
-  node's keys to their new owners before withdrawing it; :meth:`kill`
-  models a crash (data lost, survivors keep serving their replicas).
-  Warm-up copies are deduplicated through a private
-  :class:`~repro.core.coalesce.SingleFlightRegistry`, so a herd of
-  readers racing a migration never copies (or refetches) the same key
-  twice — the same no-herd guarantee the serving path already has.
+  and back-fills the rest.
+* **One convergence rule for topology changes** (:meth:`_converge`).
+  A warm :meth:`join` converges the keys it now owns, :meth:`repair_sweep`
+  every key; :meth:`leave` takes the node off the ring and converges its
+  keys while it is still readable. :meth:`kill` models a crash (data
+  lost, survivors keep serving). Every replica copy, read-repair included, runs through
+  one per-key flight of a private
+  :class:`~repro.core.coalesce.SingleFlightRegistry`, so a herd racing a
+  migration never copies the same key twice.
 * **TTL + invalidation fan-out.** Entries may carry a TTL (lazily
   expired on read against the injectable clock) and
   :meth:`invalidate_prefix` fans a namespace purge out to every live
   node — the extract-refresh/DDL path, mirroring the plan cache's
-  invalidation discipline.
+  invalidation discipline. A node that is down when a purge fans out
+  applies it in :meth:`recover`, before it serves again.
 
 All round trips run on the nodes' modeled-latency clocks and every fault
 decision comes from an (optional) seed-keyed
@@ -62,6 +63,14 @@ def _pack(version: int, expires_at: float, payload: bytes) -> bytes:
 def _unpack(blob: bytes) -> tuple[int, float, bytes]:
     version, expires_at = _ENVELOPE.unpack_from(blob)
     return version, expires_at, blob[_ENVELOPE.size :]
+
+
+def _purge(store: KeyValueStore, prefix: str) -> list[str]:
+    """Delete every key under ``prefix`` from one node's store."""
+    doomed = [key for key in store.keys() if key.startswith(prefix)]
+    for key in doomed:
+        store.delete(key)
+    return doomed
 
 
 class _KeyFlight:
@@ -162,6 +171,8 @@ class ReplicatedStore:
         #: read-repair of the same key share one copy instead of racing.
         self._warm = SingleFlightRegistry("cache-tier-warm", clock=clock)
         self._warm_timeout_s = 30.0
+        #: Prefixes purged while a node was down, applied when it recovers.
+        self._missed: dict[str, set[str]] = {}
 
     def _make_node(self, node_id: str) -> CacheNode:
         return CacheNode(
@@ -226,6 +237,53 @@ class ReplicatedStore:
         node.store.put(key, blob)
         return True
 
+    def _read(self, key: str, nodes) -> dict[str, tuple[int, float, bytes]]:
+        """Probe ``nodes``: the envelope each returned, by node id (newest = max)."""
+        return {node.node_id: found for node in nodes if (found := self._probe(node, key))}
+
+    def _copy(self, key: str, blob: bytes, targets, *, migrate: bool = False) -> int:
+        """Write ``blob`` to ``targets`` under the key's one warm flight, the
+        path of every replica copy; returns the copies that landed (0 when
+        another flight held the key). ``migrate`` copies count as moved
+        keys, the rest as read-repairs."""
+        if not targets:
+            return 0
+        flight, ticket = self._warm.lead_or_join(_KeyFlight(f"warm|{key}"), subsume=False)
+        if ticket is not None:
+            ticket.wait(self._warm_timeout_s, clock=self.clock)
+            return 0
+        landed = 0
+        try:
+            for node in targets:
+                if not self._write(node, key, blob):
+                    continue
+                landed += 1
+                with self._lock:
+                    if migrate:
+                        node.migrated_in += 1
+                    else:
+                        node.repairs_received += 1
+                        self.stats.read_repairs += 1
+                if migrate:
+                    obs.event(
+                        "reshard.copy",
+                        "copied",
+                        "key range moved to its new owner",
+                        key=key[:40],
+                        node=node.node_id,
+                    )
+                else:
+                    obs.event(
+                        "replica.read_repair",
+                        "repaired",
+                        "replica was missing or behind; back-filled the newest version",
+                        key=key[:40],
+                        node=node.node_id,
+                    )
+        finally:
+            self._warm.publish(flight, landed)
+        return landed
+
     # ------------------------------------------------------------------ #
     # GET / PUT / DELETE
     # ------------------------------------------------------------------ #
@@ -235,22 +293,23 @@ class ReplicatedStore:
         ``mode="one"`` (the serving fast path) probes replicas in order
         and serves the first hit, back-filling any earlier replica that
         missed. ``mode="quorum"`` probes every live replica, serves the
-        newest version and repairs the rest — slower, used by the
-        convergence sweep and by callers that need
-        read-your-latest-write across a replica failure.
+        newest version and repairs the rest — slower, for callers that
+        need read-your-latest-write across a replica failure.
         """
         with self._lock:
             self.stats.reads += 1
             owners = self._owner_nodes(key)
         if mode == "quorum":
-            return self._quorum_get(key, owners)
-        missed: list[CacheNode] = []
+            read = self._read(key, owners)
+            if not read:
+                return None
+            best = max(read.values())
+            self._copy(key, _pack(*best), [n for n in owners if read.get(n.node_id) != best])
+            return best[2]
         for idx, node in enumerate(owners):
             found = self._probe(node, key)
             if found is None:
-                missed.append(node)
                 continue
-            version, expires_at, payload = found
             if idx > 0:
                 with self._lock:
                     self.stats.fallback_reads += 1
@@ -264,62 +323,9 @@ class ReplicatedStore:
                         node=node.node_id,
                         replica_index=idx,
                     )
-            if missed:
-                self._repair(key, _pack(version, expires_at, payload), missed)
-            return payload
+                self._copy(key, _pack(*found), owners[:idx])
+            return found[2]
         return None
-
-    def _quorum_get(self, key: str, owners) -> bytes | None:
-        hits: list[tuple[int, float, bytes, CacheNode]] = []
-        missed: list[CacheNode] = []
-        for node in owners:
-            found = self._probe(node, key)
-            if found is None:
-                missed.append(node)
-            else:
-                hits.append((*found, node))
-        if not hits:
-            return None
-        version, expires_at, payload, _node = max(hits, key=lambda h: h[0])
-        stale = [node for v, _e, _p, node in hits if v < version]
-        behind = missed + stale
-        if behind:
-            self._repair(key, _pack(version, expires_at, payload), behind)
-        return payload
-
-    def _repair(self, key: str, blob: bytes, targets) -> int:
-        """Back-fill ``targets`` with the newest version of ``key``.
-
-        Coalesced per key: concurrent repairs (or a repair racing a
-        migration copy) share one flight, so replica convergence never
-        multiplies the work under a read herd.
-        """
-        flight, ticket = self._warm.lead_or_join(
-            _KeyFlight(f"warm|{key}"), subsume=False
-        )
-        if ticket is not None:
-            ticket.wait(self._warm_timeout_s, clock=self.clock)
-            return 0
-        repaired = 0
-        try:
-            for node in targets:
-                if self._write(node, key, blob):
-                    repaired += 1
-                    with self._lock:
-                        node.repairs_received += 1
-                        self.stats.read_repairs += 1
-                    if obs.events_enabled():
-                        obs.event(
-                            "replica.read_repair",
-                            "repaired",
-                            "replica was missing or behind; back-filled the "
-                            "newest version",
-                            key=key[:40],
-                            node=node.node_id,
-                        )
-        finally:
-            self._warm.publish(flight, repaired)
-        return repaired
 
     def put(self, key: str, payload: bytes, *, ttl_s: float | None = None) -> int:
         """Replicate ``key`` to its preference list; returns replicas acked.
@@ -364,20 +370,15 @@ class ReplicatedStore:
             node.store.delete(key)
 
     # ------------------------------------------------------------------ #
-    # Topology: join / leave / kill / fail / recover
+    # Topology: join / leave / kill / fail / recover / repair_sweep
     # ------------------------------------------------------------------ #
     def join(self, node_id: str, *, warm: bool = True) -> dict:
-        """Add a node and (by default) migrate its key ranges onto it.
-
-        Copies land before any surplus replica is dropped, so an entry
-        acked at quorum never transits through fewer live copies than it
-        had — topology changes preserve kill-tolerance.
-        """
+        """Add a node and (by default) converge the keys whose preference
+        list now includes it, which warms it with exactly the keys it owns."""
         with self._lock:
             if node_id in self._nodes:
                 raise ValueError(f"node {node_id!r} already in the tier")
-            node = self._make_node(node_id)
-            self._nodes[node_id] = node
+            self._nodes[node_id] = self._make_node(node_id)
             self._ring.add_node(node_id)
         obs.event(
             "ring.join",
@@ -389,121 +390,17 @@ class ReplicatedStore:
         )
         report = {"node": node_id, "keys_moved": 0, "bytes_moved": 0, "keys_dropped": 0}
         if warm:
-            report.update(self._migrate_onto(node))
+            keys = [k for k in self._held_keys() if node_id in self.owners(k)]
+            report.update(self._converge(keys, f"join of {node_id}", node=node_id))
         return report
 
-    def _migrate_onto(self, node: CacheNode) -> dict:
-        """Warm a joined node with exactly the keys the ring assigns it."""
-        to_copy: list[str] = []
-        to_drop: list[tuple[CacheNode, str]] = []
-        with self._lock:
-            holders = {
-                other.node_id: set(other.store.keys())
-                for other in self._nodes.values()
-                if other is not node and other.alive
-            }
-        for key in sorted(set().union(*holders.values()) if holders else ()):
-            owners = self.owners(key)
-            if node.node_id in owners:
-                to_copy.append(key)
-            for holder_id, held in holders.items():
-                if key in held and holder_id not in owners:
-                    to_drop.append((self._nodes[holder_id], key))
-        obs.event(
-            "reshard.plan",
-            "planned",
-            f"join of {node.node_id}: {len(to_copy)} key(s) to migrate, "
-            f"{len(to_drop)} surplus replica(s) to drop",
-            node=node.node_id,
-            copies=len(to_copy),
-            drops=len(to_drop),
-        )
-        moved = bytes_moved = 0
-        for key in to_copy:
-            blob = self._newest_blob(key, exclude=node.node_id)
-            if blob is None:
-                continue
-            if self._copy_key(key, blob, node):
-                moved += 1
-                bytes_moved += len(blob)
-        # Copies first, drops second: replica count never dips mid-reshard.
-        for holder, key in to_drop:
-            holder.store.delete(key)
-        with self._lock:
-            self.stats.reshards += 1
-            self.stats.keys_moved += moved
-            self.stats.bytes_moved += bytes_moved
-            self.stats.keys_dropped += len(to_drop)
-        obs.event(
-            "reshard.done",
-            "migrated",
-            f"join of {node.node_id} complete: {moved} key(s) "
-            f"({bytes_moved} payload bytes) migrated, {len(to_drop)} dropped",
-            node=node.node_id,
-            keys_moved=moved,
-            bytes_moved=bytes_moved,
-            keys_dropped=len(to_drop),
-        )
-        return {"keys_moved": moved, "bytes_moved": bytes_moved, "keys_dropped": len(to_drop)}
-
-    def _newest_blob(self, key: str, *, exclude: str | None = None) -> bytes | None:
-        """The newest live replica of ``key`` (paying one read round trip)."""
-        with self._lock:
-            candidates = [
-                n
-                for n in self._nodes.values()
-                if n.alive and n.node_id != exclude
-            ]
-        best: tuple[int, bytes] | None = None
-        best_node: CacheNode | None = None
-        for node in candidates:
-            blob = node.store.peek(key)
-            if blob is None:
-                continue
-            version = _unpack(blob)[0]
-            if best is None or version > best[0]:
-                best = (version, blob)
-                best_node = node
-        if best is None or best_node is None:
-            return None
-        return best_node.store.get(key) or best[1]
-
-    def _copy_key(self, key: str, blob: bytes, target: CacheNode) -> bool:
-        """One coalesced migration copy (shares flights with read-repair)."""
-        flight, ticket = self._warm.lead_or_join(
-            _KeyFlight(f"warm|{key}"), subsume=False
-        )
-        if ticket is not None:
-            ticket.wait(self._warm_timeout_s, clock=self.clock)
-            return False
-        try:
-            if not self._write(target, key, blob):
-                return False
-            with self._lock:
-                target.migrated_in += 1
-            if obs.events_enabled():
-                obs.event(
-                    "reshard.copy",
-                    "copied",
-                    "key range moved to its new owner",
-                    key=key[:40],
-                    node=target.node_id,
-                )
-            return True
-        finally:
-            self._warm.publish(flight, True)
-
     def leave(self, node_id: str) -> dict:
-        """Gracefully drain a node: push its newest data to the new owners,
-        then withdraw it from the ring."""
+        """Gracefully drain a node: take it off the ring, converge its keys
+        onto their new owners while it is still readable, then withdraw it.
+        An unreachable node has nothing to drain; its leave is a kill."""
         with self._lock:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise ValueError(f"no node {node_id!r} in the tier")
-            if len(self._ring) <= 1:
-                raise ValueError("cannot drain the last node of the tier")
-            held = sorted(node.store.keys())
-            self._ring.remove_node(node_id)
+            node = self._unring(node_id)
+            held = node.store.keys() if node.alive else ()
         obs.event(
             "ring.leave",
             "draining",
@@ -512,50 +409,16 @@ class ReplicatedStore:
             node=node_id,
             keys=len(held),
         )
-        moved = bytes_moved = 0
-        for key in held:
-            blob = node.store.get(key)
-            if blob is None:
-                continue
-            version, _expires, _payload = _unpack(blob)
-            for owner in self._owner_nodes(key):
-                existing = None if not owner.alive else owner.store.peek(key)
-                if existing is not None and _unpack(existing)[0] >= version:
-                    continue
-                if self._write(owner, key, blob):
-                    moved += 1
-                    bytes_moved += len(blob)
-        with self._lock:
-            node.alive = False
-            node.store.flush()
-            del self._nodes[node_id]
-            self.stats.reshards += 1
-            self.stats.keys_moved += moved
-            self.stats.bytes_moved += bytes_moved
-        obs.event(
-            "reshard.done",
-            "drained",
-            f"leave of {node_id} complete: {moved} replica(s) "
-            f"({bytes_moved} payload bytes) pushed to new owners",
-            node=node_id,
-            keys_moved=moved,
-            bytes_moved=bytes_moved,
-        )
-        return {"node": node_id, "keys_moved": moved, "bytes_moved": bytes_moved}
+        moved = self._converge(held, f"leave of {node_id}", node=node_id)
+        self._withdraw(node)
+        moved.pop("keys_dropped")
+        return {"node": node_id, **moved}
 
     def kill(self, node_id: str) -> None:
         """A crash: the node vanishes with its data; survivors keep serving
         their replicas (read-repair / :meth:`repair_sweep` restore R-way)."""
         with self._lock:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise ValueError(f"no node {node_id!r} in the tier")
-            if len(self._ring) <= 1:
-                raise ValueError("cannot kill the last node of the tier")
-            self._ring.remove_node(node_id)
-            node.alive = False
-            node.store.flush()
-            del self._nodes[node_id]
+            self._withdraw(self._unring(node_id))
         obs.event(
             "ring.kill",
             "crashed",
@@ -564,6 +427,23 @@ class ReplicatedStore:
             node=node_id,
             nodes=len(self._ring),
         )
+
+    def _unring(self, node_id: str) -> CacheNode:
+        """Take a node off the ring (it stays in the tier until withdrawn)."""
+        node = self._nodes.get(node_id)
+        if node is None:
+            raise ValueError(f"no node {node_id!r} in the tier")
+        if len(self._ring) <= 1:
+            raise ValueError("cannot remove the last node of the tier")
+        self._ring.remove_node(node_id)
+        return node
+
+    def _withdraw(self, node: CacheNode) -> None:
+        with self._lock:
+            node.alive = False
+            node.store.flush()
+            del self._nodes[node.node_id]
+            self._missed.pop(node.node_id, None)
 
     def fail(self, node_id: str) -> None:
         """Mark a node unreachable (outage, not crash): it keeps its data
@@ -579,10 +459,14 @@ class ReplicatedStore:
         )
 
     def recover(self, node_id: str) -> None:
-        """The failed node is back — possibly with stale versions, which
-        read-repair (or a sweep) converges."""
+        """The failed node is back. It first applies every invalidation it
+        missed while down; stale versions it still holds converge via
+        read-repair (or a sweep)."""
         with self._lock:
-            self._nodes[node_id].alive = True
+            node = self._nodes[node_id]
+            for prefix in self._missed.pop(node_id, ()):
+                _purge(node.store, prefix)
+            node.alive = True
         obs.event(
             "ring.recover",
             "reachable",
@@ -592,30 +476,69 @@ class ReplicatedStore:
         )
 
     def repair_sweep(self) -> dict:
-        """Quorum-read every key: converges all live replicas to the newest
-        version and restores R-way replication after a kill/recovery."""
-        with self._lock:
-            keys = sorted(
-                set().union(
-                    *(set(n.store.keys()) for n in self._nodes.values() if n.alive)
-                )
-                if self._nodes
-                else ()
-            )
-            repairs_before = self.stats.read_repairs
+        """Converge every key: back-fill lagging and missing owners with
+        the newest version and drop surplus copies on non-owners, which
+        restores R-way placement after a kill, a recovery or a cold join."""
+        keys = self._held_keys()
+        report = self._converge(keys, "repair sweep")
+        return {"keys": len(keys), "repaired": report["keys_moved"]}
+
+    def _converge(self, keys, why: str, *, node: str | None = None) -> dict:
+        """Move each key to where the ring says it lives.
+
+        Per key: probe every live holder, copy the newest version to every
+        ring owner that lacks it or holds an older one, then drop the copy
+        from every live non-owner. Copies land before drops, and a key no
+        owner holds after the copies keeps its surplus copies, so an entry
+        never transits through fewer live copies than it had. A key with a
+        holder that could not be read is left as it is (that copy may be
+        the newest). A ``node``'s join or leave counts its copies as moved.
+        """
+        keys = sorted(keys)
+        migrate = node is not None
+        obs.event(
+            "reshard.plan",
+            "planned",
+            f"{why}: converging {len(keys)} key(s) onto their ring owners",
+            node=node,
+            keys=len(keys),
+        )
+        copies = nbytes = drops = 0
         for key in keys:
-            self.get(key, mode="quorum")
+            with self._lock:
+                owners = self._owner_nodes(key)
+                holders = [n for n in self._nodes.values() if n.alive and n.store.peek(key)]
+            read = self._read(key, holders)
+            if not read or any(n.node_id not in read and n.store.peek(key) for n in holders):
+                continue
+            best = max(read.values())
+            blob = _pack(*best)
+            lacking = [n for n in owners if read.get(n.node_id) != best]
+            landed = self._copy(key, blob, lacking, migrate=migrate)
+            copies += landed
+            nbytes += landed * len(blob)
+            owner_ids = {n.node_id for n in owners}
+            if landed or len(lacking) < len(owners):
+                for holder in holders:
+                    if holder.node_id in read and holder.node_id not in owner_ids:
+                        holder.store.delete(key)
+                        drops += 1
         with self._lock:
-            repaired = self.stats.read_repairs - repairs_before
+            if migrate:
+                self.stats.reshards += 1
+                self.stats.keys_moved += copies
+                self.stats.bytes_moved += nbytes
+            self.stats.keys_dropped += drops
+        report = {"keys_moved": copies, "bytes_moved": nbytes, "keys_dropped": drops}
         obs.event(
             "reshard.done",
-            "swept",
-            f"repair sweep over {len(keys)} key(s): {repaired} replica(s) "
-            "back-filled",
+            "converged",
+            f"{why} complete: {copies} cop(ies) landed on owners, {drops} surplus dropped",
+            node=node,
             keys=len(keys),
-            repaired=repaired,
+            **report,
         )
-        return {"keys": len(keys), "repaired": repaired}
+        return report
 
     # ------------------------------------------------------------------ #
     # Invalidation fan-out (extract refresh / DDL)
@@ -623,16 +546,17 @@ class ReplicatedStore:
     def invalidate_prefix(self, prefix: str) -> int:
         """Fan a namespace purge out to every live node; returns distinct
         keys removed. The cache-tier arm of the refresh/DDL invalidation
-        path the plan cache already walks."""
+        path the plan cache already walks. A down node records the prefix
+        and applies it in :meth:`recover`."""
         doomed: set[str] = set()
         with self._lock:
             nodes = [n for n in self._nodes.values() if n.alive]
+            for node in self._nodes.values():
+                if not node.alive:
+                    self._missed.setdefault(node.node_id, set()).add(prefix)
             self.stats.invalidation_fanouts += 1
         for node in nodes:
-            for key in node.store.keys():
-                if key.startswith(prefix):
-                    doomed.add(key)
-                    node.store.delete(key)
+            doomed.update(_purge(node.store, prefix))
         obs.event(
             "replica.invalidate",
             "fanned_out",
@@ -698,13 +622,13 @@ class ReplicatedStore:
             "note": note,
         }
 
-    def __len__(self) -> int:
+    def _held_keys(self) -> set[str]:
+        """Every key some live node holds (a raw listing, no round trips)."""
         with self._lock:
-            keys: set[str] = set()
-            for node in self._nodes.values():
-                if node.alive:
-                    keys.update(node.store.keys())
-            return len(keys)
+            return set().union(*(n.store.keys() for n in self._nodes.values() if n.alive))
+
+    def __len__(self) -> int:
+        return len(self._held_keys())
 
     def live_nodes(self) -> tuple[str, ...]:
         with self._lock:

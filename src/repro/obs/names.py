@@ -118,7 +118,7 @@ EVENT_REGISTRY: dict[str, str] = {
     "replica.expired": "a TTL'd entry outlived its deadline and was dropped on read",
     "replica.invalidate": "an invalidation (refresh/DDL) fanned out across the tier",
     # -- cache-tier resharding ------------------------------------------- #
-    "reshard.plan": "topology change planned its key copies and surplus drops",
+    "reshard.plan": "a join, leave or repair sweep began converging its keys onto their owners",
     "reshard.copy": "one key range migrated to its new owner",
     "reshard.done": "a migration, drain, or repair sweep finished",
 }

@@ -25,8 +25,10 @@ import json
 import random
 import threading
 
+import pytest
+
 from repro import obs
-from repro.core.cache.replicated import ReplicatedStore, _KeyFlight
+from repro.core.cache.replicated import ReplicatedStore, _KeyFlight, _unpack
 from repro.faults.clock import VirtualTimeClock
 from repro.faults.plan import FaultPlan, FaultRule
 
@@ -154,6 +156,20 @@ class TestReadRepairConvergence:
         assert store.node(primary).store.peek("k") is not None  # repaired
         assert store.stats.read_repairs == 1
 
+    def test_a_recovered_node_drops_what_was_invalidated_while_it_was_down(self):
+        store = _tier(("a", "b", "c"), replication=2)
+        key = "src|SELECT 1"
+        store.put(key, b"before-refresh")
+        primary = store.owners(key)[0]
+        store.fail(primary)  # misses the extract refresh's purge
+        store.invalidate_prefix("src|")
+        assert store.get(key) is None
+        store.recover(primary)
+        assert store.get(key) is None  # the purge was applied on recovery
+        assert store.describe(key) is None
+        assert store.node(primary).store.peek(key) is None
+        assert store.repair_sweep()["repaired"] == 0  # nothing to back-fill
+
     def test_ttl_expiry_is_a_miss_everywhere(self):
         clock = VirtualTimeClock()
         store = _tier(clock=clock, ttl_s=10.0)
@@ -200,6 +216,59 @@ class TestReshardSafety:
         store.repair_sweep()
         _assert_converged(store)
         assert drained["keys_moved"] >= 0
+
+    def test_an_unreachable_node_that_leaves_republishes_nothing(self):
+        store = _tier(("a", "b", "c"), replication=2)
+        keys = [f"src|q{i}" for i in range(4)]
+        for key in keys:
+            store.put(key, b"before-refresh")
+        primary = store.owners(keys[0])[0]
+        store.fail(primary)
+        store.invalidate_prefix("src|")
+        report = store.leave(primary)
+        assert report["keys_moved"] == 0
+        for key in keys:
+            assert store.get(key, mode="quorum") is None
+        assert len(store) == 0
+
+    def test_a_sweep_after_a_cold_join_drops_surplus_replicas(self):
+        store = _tier(("n0", "n1", "n2"), replication=2)
+        keys = [f"zone-{i}" for i in range(60)]
+        for key in keys:
+            store.put(key, _payload(key, 1))
+        store.join("n9", warm=False)
+        store.repair_sweep()
+        assert _assert_converged(store) == len(keys)
+        held = sum(len(store.node(n).store) for n in store.live_nodes())
+        assert held == len(keys) * store.replication
+        for key in keys:
+            assert store.get(key) == _payload(key, 1)
+
+    @pytest.mark.parametrize("change", ["join", "leave"])
+    def test_a_holder_whose_get_fails_keeps_the_newest_version(self, change):
+        clock = VirtualTimeClock()
+        store = _tier(("a", "b", "c"), replication=2, clock=clock)
+        grown = _tier(("a", "b", "c", "d"))
+        key = next(k for k in (f"zone-{i}" for i in range(200)) if "d" in grown.owners(k))
+        stale, newest = store.owners(key)
+        store.put(key, _payload(key, 1))
+        store.fail(stale)
+        store.put(key, _payload(key, 2))  # only `newest` holds version 2
+        store.recover(stale)
+        store.faults = FaultPlan.scripted(
+            [FaultRule("error", op="kv.get", source=newest)], clock=clock
+        )
+        if change == "join":
+            store.join("d")
+        else:
+            store.leave(stale)
+        store.faults = None
+        # The unread version 2 was neither overwritten with version 1 nor dropped.
+        held = [store.node(n).store.peek(key) for n in store.live_nodes()]
+        assert any(blob and _unpack(blob)[2] == _payload(key, 2) for blob in held)
+        store.repair_sweep()
+        assert store.get(key, mode="quorum") == _payload(key, 2)
+        _assert_converged(store)
 
     def test_last_node_cannot_leave_or_die(self):
         store = _tier(("only",), replication=1)
