@@ -117,6 +117,9 @@ class DataSource(Protocol):
     def schema_of(self, table: str) -> dict[str, LogicalType]:  # pragma: no cover
         ...
 
+    def row_count(self, table: str) -> int:  # pragma: no cover
+        ...
+
 
 class _TdeDriver:
     """Driver speaking TQL against an in-process DataEngine."""
@@ -181,6 +184,9 @@ class TdeDataSource:
 
     def schema_of(self, table: str) -> dict[str, LogicalType]:
         return self.engine.table(table).schema()
+
+    def row_count(self, table: str) -> int:
+        return self.engine.table(table).n_rows
 
     def table_names(self) -> list[str]:
         return [f"{s}.{t}" for s, t, _ in self.engine.database.iter_tables()]

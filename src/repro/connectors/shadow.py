@@ -168,6 +168,9 @@ class FileDataSource:
     def schema_of(self, table: str) -> dict[str, LogicalType]:
         return self._ensure_engine().table(table).schema()
 
+    def row_count(self, table: str) -> int:
+        return self._ensure_engine().table(table).n_rows
+
     def table_names(self) -> list[str]:
         engine = self._ensure_engine()
         return [f"{s}.{t}" for s, t, _ in engine.database.iter_tables()]
@@ -229,3 +232,6 @@ class JetLikeDataSource:
         if table != FILE_TABLE:
             raise SourceError(f"legacy file source exposes only {FILE_TABLE}")
         return self._fresh_engine().table(FILE_TABLE).schema()
+
+    def row_count(self, table: str) -> int:
+        return self._fresh_engine().table(table).n_rows

@@ -354,5 +354,8 @@ class SimDbDataSource:
     def schema_of(self, table: str) -> dict[str, LogicalType]:
         return self.db.schema_of(table)
 
+    def row_count(self, table: str) -> int:
+        return self.db.engine.table(table).n_rows
+
     def table_names(self) -> list[str]:
         return [f"{s}.{t}" for s, t, _ in self.db.engine.database.iter_tables()]

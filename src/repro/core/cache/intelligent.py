@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 from ... import obs
 from ...errors import CacheError
-from ...expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, conjoin
+from ...expr.ast import AggExpr, Expr, conjoin
 from ...queries.postops import (
-    LocalAggregate,
     LocalFilter,
-    LocalProject,
     LocalSort,
     LocalTopN,
     PostOp,
     PostOpPlan,
     apply_post_ops,
     compile_post_ops,
+    derive_measures,
 )
 from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
 from ...tde.storage.table import Table
@@ -86,8 +85,7 @@ def match_specs(provider: QuerySpec, request: QuerySpec) -> MatchResult | None:
     for pred_field in _fields_of(extra_predicates):
         if pred_field not in provider.dimensions:
             return None  # can only post-filter on grouped columns
-    rollup = tuple(request.dimensions) != tuple(provider.dimensions)
-    measure_ops = _derive_measures(provider, request, rollup=rollup)
+    measure_ops = derive_measures(provider, request)
     if measure_ops is None:
         return None
     post_ops: list[PostOp] = []
@@ -133,8 +131,7 @@ def explain_mismatch(provider: QuerySpec, request: QuerySpec) -> str:
                 f"cannot post-filter on {pred_field!r}: "
                 "not grouped in the cached result"
             )
-    rollup = tuple(request.dimensions) != tuple(provider.dimensions)
-    if _derive_measures(provider, request, rollup=rollup) is None:
+    if derive_measures(provider, request) is None:
         return (
             "a requested measure cannot be derived from the cached one "
             "(not additive across groups, or its components are missing)"
@@ -205,65 +202,6 @@ def _implies(stronger, weaker) -> bool:
         )
         return low_ok and high_ok
     return False
-
-
-def _derive_measures(
-    provider: QuerySpec, request: QuerySpec, *, rollup: bool
-) -> list[PostOp] | None:
-    """Build the roll-up / projection ops for the requested measures."""
-    by_expr = {agg: alias for alias, agg in provider.measures}
-
-    def find(agg: AggExpr) -> str | None:
-        return by_expr.get(agg)
-
-    if not rollup:
-        items = [(d, ColumnRef(d)) for d in request.dimensions]
-        for alias, agg in request.measures:
-            src = find(agg)
-            if src is None:
-                return None
-            items.append((alias, ColumnRef(src)))
-        return [LocalProject(tuple(items))]
-    rollup_measures: list[tuple[str, AggExpr]] = []
-    final_items: list[tuple[str, Expr]] = [(d, ColumnRef(d)) for d in request.dimensions]
-    needs_final = False
-    for alias, agg in request.measures:
-        if agg.func == "count_distinct":
-            return None  # not additive across groups
-        if agg.func in ("sum", "min", "max"):
-            src = find(agg)
-            if src is None:
-                return None
-            rollup_measures.append((alias, AggExpr(agg.func, ColumnRef(src))))
-            final_items.append((alias, ColumnRef(alias)))
-        elif agg.func == "count":
-            src = find(agg)
-            if src is None:
-                return None
-            rollup_measures.append((alias, AggExpr("sum", ColumnRef(src))))
-            # SUM over zero provider rows is NULL, but COUNT over zero
-            # rows must be 0 — coalesce in the final projection.
-            final_items.append(
-                (alias, Call("ifnull", (ColumnRef(alias), Literal(0))))
-            )
-            needs_final = True
-        elif agg.func == "avg":
-            sum_src = find(AggExpr("sum", agg.arg))
-            cnt_src = find(AggExpr("count", agg.arg))
-            if sum_src is None or cnt_src is None:
-                return None  # avg is not additive without its components
-            s_alias = f"__s_{alias}"
-            c_alias = f"__c_{alias}"
-            rollup_measures.append((s_alias, AggExpr("sum", ColumnRef(sum_src))))
-            rollup_measures.append((c_alias, AggExpr("sum", ColumnRef(cnt_src))))
-            final_items.append((alias, Call("/", (ColumnRef(s_alias), ColumnRef(c_alias)))))
-            needs_final = True
-        else:  # pragma: no cover - defensive
-            return None
-    ops: list[PostOp] = [LocalAggregate(request.dimensions, tuple(rollup_measures))]
-    if needs_final or len(final_items) != len(request.dimensions) + len(rollup_measures):
-        ops.append(LocalProject(tuple(final_items)))
-    return ops
 
 
 # ---------------------------------------------------------------------- #
@@ -478,7 +416,10 @@ class IntelligentCache:
                 if not candidates:
                     reason = "no cached entries for this data source"
                 else:
-                    sample = explain_mismatch(self._specs[candidates[0]], spec)
+                    # The nearest miss: the first entry whose grain covers the request.
+                    dims = set(spec.dimensions)
+                    near = [k for k in candidates if dims <= set(self._specs[k].dimensions)]
+                    sample = explain_mismatch(self._specs[(near or candidates)[0]], spec)
                     reason = (
                         f"none of {tried} candidate(s) subsume the "
                         f"request; e.g. {sample}"

@@ -45,6 +45,7 @@ from ..queries.model import DataSourceModel
 from ..queries.postops import PostOp, apply_post_ops
 from ..queries.spec import QuerySpec
 from ..tde.exec.grouping import slice_set
+from ..tde.optimizer import provenance
 from ..tde.storage.table import Table
 from .batch import build_batch_graph
 from .cache.intelligent import IntelligentCache, enrich_spec, match_specs
@@ -702,7 +703,8 @@ class QueryPipeline:
         ``language``/``text``, ``post_ops`` (operator types run locally
         over the fetched result) and ``plan`` — the in-process backend
         engine's :class:`~repro.tde.explain.ExplainResult` (ANALYZE, run
-        once on that engine, with ``analyze=True``), else None. A spec
+        once on that engine, with ``analyze=True``), else None, and under
+        ``compile`` the compiler's provenance notes, if it made any. A spec
         whose query travels inside a merged query reports that query's
         text and plan, and under ``merged`` its form, its set (None for a
         plain aggregate), the columns split out for it under its own
@@ -730,7 +732,8 @@ class QueryPipeline:
                         )
                     )
             pending.append(spec)
-        plan = self._plan(pending, reuse_fields, traced=False)
+        with provenance.collect() as collected:
+            plan = self._plan(pending, reuse_fields, traced=False)
         for node in plan.local:
             reports[node.key]["decision"] = (
                 f"batch-local: derivable from the result of {node.provider.canonical()}"
@@ -745,6 +748,9 @@ class QueryPipeline:
                 post_ops=[type(op).__name__ for op in send.post_ops()],
                 **described[id(send.merged or send.compiled)],
             )
+            notes = [n for n in collected.notes if n.attributes.get("spec") is send.compiled.spec]
+            if notes:
+                report["compile"] = [str(n) for n in notes]
             merged, split = send.merged, send.split
             if merged is not None:
                 report["decision"] += (

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 from ..datatypes import LogicalType
 from ..errors import BindError, CapabilityError
-from ..expr.ast import ColumnRef, Expr, columns_used, conjoin
+from ..expr.ast import AggExpr, Call, ColumnRef, Expr, columns_used, conjoin, infer_type
 from ..sql.generator import generate_sql, _Generator
+from ..tde.optimizer import provenance
+from ..tde.optimizer.cost import topn_pass_costs
 from ..tde.storage.table import Table
 from ..tde.tql.parser import to_tql
 from ..tde.tql.plan import (
@@ -38,6 +40,7 @@ from .postops import (
     LocalProject,
     LocalTopNFilter,
     PostOp,
+    derive_measures,
     shape_ops,
 )
 from .spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
@@ -54,6 +57,11 @@ class ModelCatalog:
         if table in self.temp_tables:
             return self.temp_tables[table].schema()
         return self.source.schema_of(table)
+
+    def row_count(self, table: str) -> int:
+        if table in self.temp_tables:
+            return self.temp_tables[table].n_rows
+        return self.source.row_count(table)
 
 
 @dataclass
@@ -142,13 +150,19 @@ class _Compiler:
     def _compile_full(self, *, strip_shape: bool) -> CompiledQuery:
         plan = self._calc_plan()
         plan = self._apply_lod_joins(plan)
-        plan = self._apply_filters_remote(plan, allow_detail=False)
-        plan = Aggregate(plan, self.spec.dimensions, self.spec.measures)
+        plan, topn = self._apply_filters_remote(plan)
+        hoisted = self._hoist_topn(plan, topn)
         post_ops: tuple[PostOp, ...] = ()
-        if strip_shape:
-            post_ops = shape_ops(self.spec.order_by, self.spec.limit)
+        if hoisted is not None:
+            plan, post_ops = hoisted
         else:
-            plan = self._shape(plan)
+            for tf in topn:
+                plan = self._topn_join(plan, tf)
+            plan = Aggregate(plan, self.spec.dimensions, self.spec.measures)
+            if strip_shape:
+                post_ops = shape_ops(self.spec.order_by, self.spec.limit)
+            else:
+                plan = self._shape(plan)
         text = self._render(plan)
         return CompiledQuery(
             self.spec,
@@ -196,7 +210,8 @@ class _Compiler:
             plan = Join("left", conditions, plan, sub)
         return plan
 
-    def _apply_filters_remote(self, plan: LogicalPlan, *, allow_detail: bool) -> LogicalPlan:
+    def _apply_filters_remote(self, plan: LogicalPlan) -> tuple[LogicalPlan, list[TopNFilter]]:
+        """The plan under every filter but the Top-N ones, which it returns."""
         simple: list[Expr] = []
         topn: list[TopNFilter] = []
         for f in self.spec.filters:
@@ -208,9 +223,7 @@ class _Compiler:
                 simple.append(f.predicate())
         if simple:
             plan = Select(plan, conjoin(simple))
-        for tf in topn:
-            plan = self._topn_join(plan, tf)
-        return plan
+        return plan, topn
 
     def _should_externalize(self, f: CategoricalFilter) -> bool:
         if f.exclude:
@@ -238,10 +251,53 @@ class _Compiler:
         return Join("inner", ((f.field, f.field),), plan, TableScan(name))
 
     def _topn_join(self, plan: LogicalPlan, tf: TopNFilter) -> LogicalPlan:
-        ranked = Aggregate(plan, (tf.field,), (("__by", tf.by),))
+        """The filter as a second pass over ``plan`` joined back; a NULL key is not ranked."""
+        present = Select(plan, Call("not", (Call("isnull", (ColumnRef(tf.field),)),)))
+        ranked = Aggregate(present, (tf.field,), (("__by", tf.by),))
         top = TopN(ranked, tf.n, (("__by", tf.ascending), (tf.field, True)))
         sub = Project(top, ((tf.field, ColumnRef(tf.field)),))
         return Join("inner", ((tf.field, tf.field),), plan, sub)
+
+    def _hoist_topn(self, plan: LogicalPlan, topn: list[TopNFilter]):
+        """A lone Top-N filter ranked locally: ``plan`` aggregated at the
+        spec's grain plus the filter's field, and post-ops that rank, roll
+        up and shape it. None (the ranking subquery) unless every aggregate
+        re-aggregates exactly, a bound on the rows shipped exists and the
+        second pass costs more than shipping them."""
+        if len(topn) != 1:
+            return None
+        (tf,) = topn
+        dims, measures = self.spec.dimensions, self.spec.measures
+        grain = dims if tf.field in dims else (*dims, tf.field)
+        hoist = False
+        if not all(self._reaggregates(agg) for agg in (tf.by, *(a for _, a in measures))):
+            why = "the ranking or a measure does not re-aggregate exactly"
+        elif (bound := self.model.grain_rows(grain, self.source)) is None:
+            why = "a grain column reads the base table, so nothing bounds the rows shipped"
+        else:
+            catalog = ModelCatalog(self.source, self.temp_tables)
+            ranking, shipping = topn_pass_costs(plan, self._topn_join(plan, tf), bound, catalog)
+            hoist = ranking > shipping
+            why = f"ranking pass {ranking:.0f} work units, shipping <= {bound} rows {shipping:.0f}"
+        why = f"top {tf.n} {tf.field}: {why}"
+        provenance.note("compile.topn_hoist", hoist, why, spec=self.spec)
+        if not hoist:
+            return None
+        alias = next((alias for alias, agg in measures if agg == tf.by), "__by")
+        sent = (*measures, (alias, tf.by)) if alias == "__by" else measures
+        by = AggExpr("sum" if tf.by.func == "count" else tf.by.func, ColumnRef(alias))
+        ops: list[PostOp] = [LocalTopNFilter(tf.field, by, tf.n, tf.ascending)]
+        if grain != dims or len(sent) != len(measures):
+            ops += derive_measures(QuerySpec(self.spec.datasource, grain, sent), self.spec)
+        ops += shape_ops(self.spec.order_by, self.spec.limit)
+        return Aggregate(plan, grain, sent), tuple(ops)
+
+    def _reaggregates(self, agg: AggExpr) -> bool:
+        """Whether ``agg`` over groups' partial results equals ``agg`` over
+        their rows, exactly: counts, integer sums, MIN and MAX."""
+        if agg.func == "sum":
+            return infer_type(agg.arg, self.view_schema) is LogicalType.INT
+        return agg.func in ("count", "min", "max")
 
     def _shape(self, plan: LogicalPlan) -> LogicalPlan:
         if self.spec.order_by and self.spec.limit is not None:

@@ -129,6 +129,19 @@ class DataSourceModel:
             schema[name] = lod.agg.result_type(schema)
         return schema
 
+    def grain_rows(self, fields, source) -> int | None:
+        """A bound on the groups of an aggregate over ``fields``: the product
+        of the row counts of the joined tables they read (a left join adds
+        its NULL); None when one reads the base table or is a LOD."""
+        physical, _calcs, lods = self.expand_fields(set(fields), source)
+        if lods or physical & set(source.schema_of(self.base_table)):
+            return None
+        rows = 1
+        for join in self.joins:
+            if physical & set(source.schema_of(join.table)):
+                rows *= source.row_count(join.table) + (join.kind == "left")
+        return rows
+
     def expand_fields(
         self, fields: set[str], source
     ) -> tuple[set[str], dict[str, Expr], dict[str, LodCalculation]]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..datatypes import LogicalType
-from ..expr.ast import AggExpr, ColumnRef, Expr, infer_type
+from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, infer_type
 from ..expr.eval import evaluate_predicate
 from ..tde.exec.kernels import AggSpec
 from ..tde.exec.physical import aggregate_table, project_table
@@ -121,6 +121,58 @@ def shape_ops(order_by, limit) -> tuple[PostOp, ...]:
     if limit is not None:
         return (LocalTopN(limit, ()),)
     return ()
+
+
+def derive_measures(provider, request) -> list[PostOp] | None:
+    """The ops that turn rows of ``provider``'s grain and measures into
+    ``request``'s (both spec-shaped): a projection, or at another grain a
+    roll-up that re-aggregates each measure (COUNT as the SUM of counts,
+    AVG from its SUM and COUNT). None when one is missing or, like COUNT
+    DISTINCT, does not roll up."""
+    dimensions, measures = request.dimensions, request.measures
+    by_expr = {agg: alias for alias, agg in provider.measures}
+    if tuple(dimensions) == tuple(provider.dimensions):
+        items = [(d, ColumnRef(d)) for d in dimensions]
+        for alias, agg in measures:
+            src = by_expr.get(agg)
+            if src is None:
+                return None
+            items.append((alias, ColumnRef(src)))
+        return [LocalProject(tuple(items))]
+    rollup_measures: list[tuple[str, AggExpr]] = []
+    final_items: list[tuple[str, Expr]] = [(d, ColumnRef(d)) for d in dimensions]
+    needs_final = False
+    for alias, agg in measures:
+        if agg.func in ("sum", "min", "max", "count"):
+            src = by_expr.get(agg)
+            if src is None:
+                return None
+            func = "sum" if agg.func == "count" else agg.func
+            rollup_measures.append((alias, AggExpr(func, ColumnRef(src))))
+            if agg.func != "count":
+                final_items.append((alias, ColumnRef(alias)))
+                continue
+            # SUM over zero provider rows is NULL, but COUNT over zero
+            # rows must be 0 — coalesce in the final projection.
+            final_items.append((alias, Call("ifnull", (ColumnRef(alias), Literal(0)))))
+            needs_final = True
+        elif agg.func == "avg":
+            sum_src = by_expr.get(AggExpr("sum", agg.arg))
+            cnt_src = by_expr.get(AggExpr("count", agg.arg))
+            if sum_src is None or cnt_src is None:
+                return None  # avg is not additive without its components
+            s_alias = f"__s_{alias}"
+            c_alias = f"__c_{alias}"
+            rollup_measures.append((s_alias, AggExpr("sum", ColumnRef(sum_src))))
+            rollup_measures.append((c_alias, AggExpr("sum", ColumnRef(cnt_src))))
+            final_items.append((alias, Call("/", (ColumnRef(s_alias), ColumnRef(c_alias)))))
+            needs_final = True
+        else:
+            return None  # COUNT DISTINCT is not additive across groups
+    ops: list[PostOp] = [LocalAggregate(dimensions, tuple(rollup_measures))]
+    if needs_final or len(final_items) != len(dimensions) + len(rollup_measures):
+        ops.append(LocalProject(tuple(final_items)))
+    return ops
 
 
 Schema = dict[str, LogicalType]
@@ -256,6 +308,10 @@ def _attach_lod(table: Table, op: LocalLod, grouped: PostOpPlan, result_type: Lo
 
 
 def _topn_filter(table: Table, field: str, ranking: PostOpPlan) -> Table:
-    keep_values = set(apply_post_ops(table, ranking).column(field).python_values())
-    mask = [v in keep_values for v in table.column(field).python_values()]
-    return table.filter(np.asarray(mask, dtype=np.bool_))
+    """Keep the rows whose ``field`` ranks in the top n. A NULL ``field``
+    is neither ranked nor kept, as in the compiled ranking subquery."""
+    column = table.column(field)
+    present = np.ones(table.n_rows, np.bool_) if column.null_mask is None else ~column.null_mask
+    ranked = table if column.null_mask is None else table.filter(present)
+    top = apply_post_ops(ranked, ranking).column(field).storage_values()
+    return table.filter(present & np.isin(column.storage_values(), top))

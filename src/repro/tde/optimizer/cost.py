@@ -67,6 +67,9 @@ EXCHANGE_ROW = 0.12
 EXCHANGE_SETUP = 2_000.0
 DEFAULT_SELECTIVITY = 0.25
 EQ_BASE_SELECTIVITY = 0.05
+#: Shipping one result row from a server to the client: the default
+#: simulated server's per-row transfer time over its work-unit time.
+TRANSFER_ROW = 10.0
 
 
 def expr_cost(expr: Expr | AggExpr | None) -> float:
@@ -177,6 +180,14 @@ def estimate_plan(plan: LogicalPlan, catalog: StorageCatalog) -> CostEstimate:
         per_item = n * math.log2(n) * SORT_ROW_LOG + n * 1.5
         return CostEstimate(child.rows, child.cost + per_item * max(len(plan.items), 1))
     raise TypeError(f"unknown plan node {type(plan).__name__}")
+
+
+def topn_pass_costs(relation: LogicalPlan, ranked: LogicalPlan, rows: int, catalog):
+    """``(second pass, transfer)`` of a Top-N filter over ``relation``: the
+    work ``ranked`` (joined to its ranking subquery) adds on the server,
+    and that of shipping ``rows`` aggregate rows for the client to rank."""
+    second_pass = estimate_plan(ranked, catalog).cost - estimate_plan(relation, catalog).cost
+    return second_pass, rows * TRANSFER_ROW
 
 
 # ---------------------------------------------------------------------- #

@@ -162,6 +162,17 @@ class TestSubsumptionEvents:
         assert ev.attributes["candidates"] == 1
         assert "not provably a subset" in ev.reason
 
+    def test_reject_explains_the_first_entry_whose_grain_covers_the_request(self):
+        cache = IntelligentCache()
+        cache.put(_spec(dims=("market",)), _table(), cost_s=0.1)  # another zone's grain
+        cache.put(_spec(markets=(0, 1)), _table(), cost_s=0.1)
+        with obs.recording() as rec:
+            assert cache.lookup(_spec(markets=(0, 1, 2, 3))) is None
+        ev = rec.events("cache.subsumption", outcome="rejected")[0]
+        assert ev.attributes["candidates"] == 2
+        assert "not provably a subset" in ev.reason
+        assert "absent from the cached grain" not in ev.reason
+
     def test_explain_mismatch_is_specific(self):
         a = _spec(dims=("name", "market_id"))
         b = _spec(dims=("name",))

@@ -5,9 +5,10 @@ Draws specs over the flights star schema (tests.conftest) from a
 spec list regardless of PYTHONHASHSEED or platform. The shapes are
 constrained to be *deterministic queries*: whenever a LIMIT is drawn,
 the ORDER BY is forced to a total order (all dimensions first), so
-truncation picks the same rows under every execution strategy. TopN
-filters are deliberately excluded — ties at the cut-off would make the
-reference answer ambiguous.
+truncation picks the same rows under every execution strategy. A Top-N
+filter is deterministic too: a tie at the cut-off goes to the lower key.
+Top-N filters come from a second stream, so whether one spec gets a
+Top-N filter does not shift the draws of the specs after it.
 
 Also hosts the result comparator: tables are compared as sorted row
 multisets with a float tolerance, because parallel execution (DOP > 1)
@@ -21,7 +22,7 @@ import math
 import random
 
 from repro.expr.ast import AggExpr, ColumnRef
-from repro.queries.spec import CategoricalFilter, QuerySpec, RangeFilter
+from repro.queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
 from tests.conftest import CARRIERS, MARKETS
 
 #: Dimensions the generator may group by. ``name`` / ``market`` come from
@@ -83,8 +84,39 @@ _FILTER_FIELDS = (
 )
 
 
-def gen_spec(rng: random.Random, datasource: str = "faa") -> QuerySpec:
-    """Draw one deterministic aggregate spec."""
+#: What a drawn Top-N filter ranks by: aggregates whose partial results
+#: re-aggregate exactly, so that the compiler may rank it locally.
+TOPN_BY = (AggExpr("count"), AggExpr("sum", ColumnRef("distance")))
+#: The dimension tables' keys: they bound the rows an aggregate over them
+#: ships, the other condition of ranking locally.
+_KEYS = ("name", "market")
+
+
+def _with_topn(spec: QuerySpec, rng: random.Random) -> QuerySpec:
+    """``spec`` as drawn, or under a Top-N filter. Most Top-N specs are
+    narrowed to what the compiler ranks locally (key dimensions, measures
+    that re-aggregate exactly); the rest keep the ranking subquery."""
+    if rng.random() >= 0.25:
+        return spec
+    by = rng.choice(TOPN_BY)
+    topn = TopNFilter(rng.choice((*_KEYS, "carrier_id")), by, rng.randint(1, 5), rng.random() < 0.2)
+    if rng.random() < 0.6:
+        dims = tuple(d for d in spec.dimensions if d in _KEYS)
+        exact = [m for m in spec.measures if m[1].func in ("min", "max") or m[1] in TOPN_BY]
+        spec = QuerySpec(
+            spec.datasource,
+            dims,
+            exact or ([] if dims else [("n", AggExpr("count"))]),
+            spec.filters,
+            tuple(key for key in spec.order_by if key[0] in dims),
+            spec.limit if dims else None,
+        )
+    return spec.with_filters((*spec.filters, topn))
+
+
+def gen_spec(rng: random.Random, topn_rng: random.Random, datasource: str = "faa") -> QuerySpec:
+    """Draw one deterministic aggregate spec; ``topn_rng`` decides
+    whether it carries a Top-N filter, and which."""
     dims = tuple(
         sorted(rng.sample(DIMENSIONS, rng.randint(0, min(3, len(DIMENSIONS)))))
     )
@@ -105,7 +137,7 @@ def gen_spec(rng: random.Random, datasource: str = "faa") -> QuerySpec:
         order_by = tuple(
             (d, rng.random() < 0.7) for d in rng.sample(dims, rng.randint(1, len(dims)))
         )
-    return QuerySpec(
+    spec = QuerySpec(
         datasource,
         dimensions=dims,
         measures=measures,
@@ -113,12 +145,14 @@ def gen_spec(rng: random.Random, datasource: str = "faa") -> QuerySpec:
         order_by=order_by,
         limit=limit,
     )
+    return _with_topn(spec, topn_rng)
 
 
 def gen_specs(seed: int, n: int, datasource: str = "faa") -> list[QuerySpec]:
     """``n`` specs drawn deterministically from ``seed`` (duplicates kept)."""
     rng = random.Random(f"difftest|{seed}")
-    return [gen_spec(rng, datasource) for _ in range(n)]
+    topn_rng = random.Random(f"difftest-topn|{seed}")
+    return [gen_spec(rng, topn_rng, datasource) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------- #

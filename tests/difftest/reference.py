@@ -121,38 +121,66 @@ def answer_spec(rows: Sequence[Row], spec) -> list[tuple]:
     """The rows a query spec asks for over the (already joined) view
     ``rows``: its dimensions, then its measures, ordered and cut if it
     says so. ``spec`` is read by attribute only: categorical
-    (``values``/``exclude``) and half-open range (``low``/``high``)
-    filters, measures ``(alias, agg)`` with ``agg.func`` over the column
-    ``agg.arg.name`` (a bare ``count`` counts rows); ``avg`` is sum over
-    count and ``count_distinct`` the number of distinct non-NULL inputs.
+    (``values``/``exclude``), half-open range (``low``/``high``) and
+    Top-N (``by``/``n``/``ascending``) filters, measures ``(alias, agg)``
+    with ``agg.func`` over the column ``agg.arg.name`` (a bare ``count``
+    counts rows); ``avg`` is sum over count and ``count_distinct`` the
+    number of distinct non-NULL inputs. Top-N filters rank the rows the
+    other filters keep, one after another.
     """
-    kept = [row for row in rows if all(_passes(row, f) for f in spec.filters)]
+    kept = [row for row in rows if all(_passes(row, f) for f in spec.filters if not _is_topn(f))]
+    for f in filter(_is_topn, spec.filters):
+        top = _top_values(kept, f)
+        kept = [row for row in kept if row[f.field] is not None and row[f.field] in top]
     groups = group_rows(kept, spec.dimensions)
     if not spec.dimensions and not groups:
         groups = [[]]  # an aggregate over no rows is still one row
     out = []
     for members in groups:
         values = [kept[members[0]][d] for d in spec.dimensions]
-        for _alias, agg in spec.measures:
-            if agg.arg is None:
-                values.append(len(members))
-                continue
-            inputs = [kept[i][agg.arg.name] for i in members if kept[i][agg.arg.name] is not None]
-            if agg.func == "count":
-                values.append(len(inputs))
-            elif agg.func == "count_distinct":
-                values.append(len(set(inputs)))
-            elif not inputs:
-                values.append(None)
-            elif agg.func == "avg":
-                values.append(sum(inputs) / len(inputs))
-            else:
-                values.append({"sum": sum, "min": min, "max": max}[agg.func](inputs))
+        values += [_measure(agg, [kept[i] for i in members]) for _alias, agg in spec.measures]
         out.append(tuple(values))
     names = [*spec.dimensions, *(alias for alias, _agg in spec.measures)]
     for key, ascending in reversed(spec.order_by):  # stable: last key first
         out.sort(key=lambda row: _rank(row[names.index(key)]), reverse=not ascending)
     return out if spec.limit is None else out[: spec.limit]
+
+
+def _measure(agg, rows: Sequence[Row]) -> Any:
+    if agg.arg is None:
+        return len(rows)
+    inputs = [row[agg.arg.name] for row in rows if row[agg.arg.name] is not None]
+    if agg.func == "count":
+        return len(inputs)
+    if agg.func == "count_distinct":
+        return len(set(inputs))
+    if not inputs:
+        return None
+    if agg.func == "avg":
+        return sum(inputs) / len(inputs)
+    return {"sum": sum, "min": min, "max": max}[agg.func](inputs)
+
+
+def _is_topn(f) -> bool:
+    return hasattr(f, "by")
+
+
+def _top_values(rows: Sequence[Row], f) -> list:
+    """The ``f.n`` values of ``f.field`` that rank first by ``f.by``.
+
+    A NULL value is not ranked, so n non-NULL values survive. A NULL
+    ``by`` ranks first in either direction, as the engine's sort puts
+    NULL first; equal ``by`` values go to the lower key.
+    """
+    present = [row for row in rows if row[f.field] is not None]
+    scored = [  # ascending by key: the tie-break, kept by the stable sorts
+        (present[m[0]][f.field], _measure(f.by, [present[i] for i in m]))
+        for m in group_rows(present, [f.field])
+    ]
+    ranked = [s for s in scored if s[1] is None] + sorted(
+        (s for s in scored if s[1] is not None), key=lambda s: s[1], reverse=not f.ascending
+    )
+    return [key for key, _by in ranked[: f.n]]
 
 
 def _passes(row: Row, f) -> bool:

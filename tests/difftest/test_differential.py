@@ -148,6 +148,10 @@ def test_all_optimizations_together(specs, oracle):
 
 @pytest.fixture(scope="module")
 def view_rows():
+    return star_rows()
+
+
+def star_rows() -> list[dict]:
     """The model's star join as plain rows, joined by the reference."""
     tables = {
         name: ENGINE.table(f"Extract.{name}").to_pydict()

@@ -20,6 +20,7 @@ reason this file exists.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,15 +28,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connectors import TdeDataSource
+from repro.core.pipeline import QueryPipeline
 from repro.datatypes import LogicalType
+from repro.expr.ast import AggExpr, ColumnRef
+from repro.queries import compile as compiler
+from repro.queries.spec import TopNFilter
 from repro.tde.exec import ExecContext, PHashJoin, PScan, execute_to_table
 from repro.tde.exec import kernels, physical
 from repro.tde.exec.kernels import AggSpec
 from repro.tde.exec.physical import aggregate_table
 from repro.tde.storage import Column, Table
 
+from tests.core.conftest import ENGINE, make_model, make_source
+
+from . import test_differential as differential
 from . import test_kernel_equivalence as kernel_suite
-from .reference import aggregate_rows, group_rows, join_rows
+from .gen import assert_rows_equal, assert_tables_equal, gen_specs, rows_of
+from .reference import aggregate_rows, answer_spec, group_rows, join_rows
 
 NAN = float("nan")
 
@@ -300,3 +310,42 @@ def test_probe_off_by_one_fails_the_reference_but_not_the_differential_suite():
         with pytest.raises(AssertionError):
             check_join(*JOIN_CASE)
         _differential_suite_is_green()  # both arms joined the same wrong row
+
+
+def test_a_hoist_ranking_by_the_measure_fails_the_reference_but_not_the_backends():
+    """A Top-N filter ranked locally must rank by its own ``by``. Both
+    backends run the compiler's post-ops, so a hoist that ranks by the
+    zone's first measure instead gives the same wrong rows over the TDE
+    and over SQL; only the row-at-a-time reference sees it."""
+    real = compiler._Compiler._hoist_topn
+
+    def ranks_by_the_measure(self, plan, topn):
+        hoisted = real(self, plan, topn)
+        if hoisted is None or not self.spec.measures:
+            return hoisted
+        plan, (ranking, *rest) = hoisted
+        alias, agg = self.spec.measures[0]
+        func = "sum" if agg.func == "count" else agg.func
+        return plan, (replace(ranking, by=AggExpr(func, ColumnRef(alias))), *rest)
+
+    specs = [
+        spec
+        for spec in gen_specs(differential.SEED, differential.N_SPECS)
+        if any(isinstance(f, TopNFilter) for f in spec.filters)
+    ]
+    rows = differential.star_rows()
+    options = differential._options()
+    sql = QueryPipeline(make_source(), make_model(), options=options)
+    tde = QueryPipeline(TdeDataSource(ENGINE), make_model(), options=options)
+    caught = 0
+    with mock.patch.object(compiler._Compiler, "_hoist_topn", ranks_by_the_measure):
+        for spec in specs:
+            answer = sql.run_spec(spec)
+            assert_tables_equal(tde.run_spec(spec), answer, context=spec.canonical())
+            try:
+                assert_rows_equal(rows_of(answer), answer_spec(rows, spec))
+            except AssertionError:
+                caught += 1
+    sql.close()
+    tde.close()
+    assert caught > 0

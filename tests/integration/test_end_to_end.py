@@ -62,6 +62,44 @@ class TestQuirkBackendEndToEnd:
         assert pipeline.run_spec(spec).approx_equals(reference, ordered=False)
 
 
+class TestFig2TopNRankedLocally:
+    """Fig. 2's carrier zone is "filtered to the top 5 carriers". Its
+    aggregate over (code, market) is bounded by the two dimension tables,
+    so each carrier query reads the fact table once and ships the whole
+    aggregate, which the client ranks: no ranking subquery, no LIMIT."""
+
+    def test_a_load_and_three_market_selections(self):
+        db = DATASET.load_into_simdb(ServerProfile(time_scale=0), name="fig2")
+        pipeline = QueryPipeline(SimDbDataSource(db), flights_model())
+        sent = []
+        run_batch = pipeline.executor.run_batch
+
+        def recording(compiled, **kwargs):
+            sent.append(list(compiled))
+            return run_batch(compiled, **kwargs)
+
+        pipeline.executor.run_batch = recording
+        session = DashboardSession(fig2_dashboard(), pipeline)
+        # A zone's own dimension leads its (enriched) spec's.
+        zones = {"market": "market", "code": "carrier", "carrier_name": "airline_name"}
+        remote = []  # per op: the zones whose query went remote
+        for market in (None, "HNL-OGG", "LAX-SFO", "JFK-BOS"):
+            if market is None:
+                session.render()
+            else:
+                session.select("market", [market])
+            remote.append(sorted(zones[q.spec.dimensions[0]] for batch in sent for q in batch))
+            carrier = [q for batch in sent for q in batch if q.spec.dimensions[0] == "code"]
+            assert len(carrier) == 1
+            assert "LIMIT" not in carrier[0].text
+            assert carrier[0].text.count('"Extract"."flights"') == 1
+            sent.clear()
+        # The parent's counts: the same queries go out, only cheaper.
+        assert remote == [["airline_name", "carrier", "market"]] + [["carrier"]] * 3
+        assert db.stats.queries == 6
+        pipeline.close()
+
+
 class TestFailureInjection:
     def test_backend_error_propagates_through_concurrent_batch(self):
         model = flights_model()

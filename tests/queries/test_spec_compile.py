@@ -1,6 +1,7 @@
 """Query spec and compiler tests (paper 3.1)."""
 
 import datetime as dt
+import re
 
 import pytest
 
@@ -228,8 +229,19 @@ class TestCompileAcrossBackends:
                 out, ordered=False
             )
 
-    def test_quirk_uses_detail_mode_for_topn(self):
+    def test_quirk_ranks_a_hoisted_topn_locally(self):
         spec = QuerySpec("faa", ("name",), (("n", COUNT),), (TopNFilter("name", COUNT, 2),))
+        quirk = _quirk_source()
+        compiled = compile_spec(spec, _model(), quirk)
+        assert not compiled.detail_mode
+        assert "LIMIT" not in compiled.text
+        assert [type(op).__name__ for op in compiled.post_ops] == ["LocalTopNFilter"]
+        reference = _run(compile_spec(spec, _model(), TDE), TDE)
+        assert reference.equals_unordered(_run(compiled, quirk))
+
+    def test_quirk_uses_detail_mode_for_a_float_sum_topn(self):
+        by = AggExpr("sum", ColumnRef("delay"))  # float: partial sums reassociate
+        spec = QuerySpec("faa", ("name",), (("n", COUNT),), (TopNFilter("name", by, 2),))
         compiled = compile_spec(spec, _model(), _quirk_source())
         assert compiled.detail_mode
 
@@ -251,6 +263,71 @@ class TestCompileAcrossBackends:
         out = _run(compiled, quirk)
         reference = _run(compile_spec(spec, model, TDE), TDE)
         assert reference.equals_unordered(out)
+
+
+class TestTopNForms:
+    """One Top-N rule in all three compiled forms: a NULL key is not
+    ranked, so n non-NULL members survive, and a tie at rank n goes to
+    the lower key. Here NULL is the most frequent key and c ties d at
+    rank 3."""
+
+    COUNTS = {None: 10, "a": 6, "b": 5, "c": 4, "d": 4}
+    EXPECTED = [("a", 6), ("b", 5), ("c", 4)]
+
+    @staticmethod
+    def _engine():
+        from repro.tde.engine import DataEngine
+
+        keys = list(TestTopNForms.COUNTS)
+        rows = [i for i, key in enumerate(keys) for _ in range(TestTopNForms.COUNTS[key])]
+        engine = DataEngine("topn")
+        engine.load_pydict(
+            "Extract.facts", {"kid": rows, "fact_key": [keys[i] for i in rows]}
+        )
+        engine.load_pydict("Extract.keys", {"id": list(range(len(keys))), "dim_key": keys})
+        return engine
+
+    @pytest.mark.parametrize("backend", ["tde", "ansi", "quirk"])
+    @pytest.mark.parametrize("field", ["fact_key", "dim_key"])
+    def test_null_is_not_ranked_and_ties_go_to_the_lower_key(self, backend, field):
+        engine = self._engine()
+        if backend == "tde":
+            source = TdeDataSource(engine)
+        else:
+            dialect = ANSI if backend == "ansi" else QUIRKDB
+            db = SimulatedDatabase(backend, ServerProfile(dialect=dialect, time_scale=0))
+            for s, t, tab in engine.database.iter_tables():
+                db.load_table(f"{s}.{t}", tab)
+            source = SimDbDataSource(db)
+        model = DataSourceModel(
+            "t", "Extract.facts", joins=(JoinSpec("Extract.keys", (("kid", "id"),)),)
+        )
+        spec = QuerySpec("t", (field,), (("n", COUNT),), (TopNFilter(field, COUNT, 3),))
+        compiled = compile_spec(spec, model, source)
+        # The dimension key is bounded by its table's rows, so it is ranked
+        # locally; the fact key is not, so it keeps the ranking subquery,
+        # which a backend without LIMIT cannot run (detail mode).
+        hoisted = field == "dim_key"
+        assert compiled.detail_mode == (not hoisted and backend == "quirk")
+        assert ("LocalTopNFilter" in str(compiled.post_ops)) == (hoisted or backend == "quirk")
+        out = _run(compiled, source)
+        assert sorted(zip(*out.to_pydict().values())) == self.EXPECTED
+
+
+    def test_the_choice_is_a_provenance_note_stating_both_costs(self):
+        from repro.tde.optimizer import provenance
+
+        spec = QuerySpec("faa", ("name",), (("n", COUNT),), (TopNFilter("name", COUNT, 2),))
+        with provenance.collect() as collector:
+            compile_spec(spec, _model(), _ansi_source())
+            compile_spec(spec, _model(), TDE)
+        assert len(collector.notes) == 2
+        for note in collector.notes:  # six carriers: at most 6 rows, 10 units each
+            assert note.rule == "compile.topn_hoist" and note.fired
+            costs = re.fullmatch(
+                r"top 2 name: ranking pass (\d+) work units, shipping <= 6 rows 60", note.detail
+            )
+            assert costs and int(costs.group(1)) > 60
 
 
 class TestCalculations:
