@@ -34,7 +34,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ...datatypes import LogicalType
 from ...expr.ast import ColumnRef, Expr, columns_used, conjuncts, infer_type
 from ...expr.eval import evaluate, evaluate_predicate
 from ..storage.column import Column
@@ -186,7 +185,6 @@ class PFusedPipeline(PhysNode):
     # Stream mode: fuse the per-batch work above an arbitrary child
     # ------------------------------------------------------------------ #
     def _execute_stream(self, ctx: ExecContext, conjs, cache) -> Iterator[Table]:
-        types: dict[str, LogicalType] | None = None
         parts: list[Table] = []
         emitted = False
         for batch in self.source.execute(ctx):
@@ -195,11 +193,7 @@ class PFusedPipeline(PhysNode):
                 out = batch.filter(mask)
             else:
                 out = batch
-            if self.items is not None:
-                if types is None:
-                    schema = batch.schema()
-                    types = {name: infer_type(expr, schema) for name, expr in self.items}
-                out = _apply_items(out, self.items, types)
+            out = self.project(out)
             if self.is_aggregate:
                 parts.append(out)
                 continue
@@ -211,12 +205,16 @@ class PFusedPipeline(PhysNode):
             source = Table.concat(parts)
             yield aggregate_table(source, list(self.groupby or []), list(self.specs))
 
+    def project(self, batch: Table) -> Table:
+        """``batch`` under the projection ``items`` (as is without one)."""
+        if self.items is None:
+            return batch
+        schema = batch.schema()
+        return _apply_items(batch, self.items, {name: infer_type(e, schema) for name, e in self.items})
+
     def _finish(self, selected: Table, ctx: ExecContext) -> Table:
         """Apply projection and aggregation to the surviving rows."""
-        if self.items is not None:
-            schema = selected.schema()
-            types = {name: infer_type(expr, schema) for name, expr in self.items}
-            selected = _apply_items(selected, self.items, types)
+        selected = self.project(selected)
         if self.is_aggregate:
             return aggregate_table(selected, list(self.groupby or []), list(self.specs))
         return selected

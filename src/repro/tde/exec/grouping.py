@@ -16,18 +16,19 @@ Only a set whose aggregates cannot be split into partial and global
 phases (``count_distinct``) keeps its own columns of every fragment until
 the end, as its standalone query would.
 
-Above the rows, sets whose partials group alike share one (one coding of
-the keys, one pass per distinct measure), and all partials share one
-:class:`~repro.tde.exec.kernels.KeyMemo` per fragment (each key column
-coded once, a known key suffix or permutation reused); EXPLAIN ANALYZE
-shows that coding on its own :class:`PSharedKeys` row. A partial and a
-merge are the operators a lone ``Aggregate`` gets, reading a
-:class:`PSharedInput` leaf instead of a child of their own.
+Above the rows, sets whose partials group alike share one (one pass per
+distinct measure), and the partials share the coding of their keys: per
+fragment each key column is coded once and the keys every partial groups
+by are densified once (:class:`_FragmentKeys`). A partial and a merge are
+the operators a lone ``Aggregate`` gets, reading a :class:`PSharedInput`
+leaf instead of a child of their own.
 """
 
 from __future__ import annotations
 
+import math
 import sys
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -36,12 +37,14 @@ import numpy as np
 
 from ...datatypes import LogicalType
 from ...errors import ExecutionError
+from ...expr.ast import ColumnRef
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector
 from ..tql.plan import SET_COLUMN
-from .kernels import KeyMemo, fill_array, sharing_keys
-from .physical import ExecContext, PhysNode, execute_to_table
+from .fused import PFusedPipeline
+from .kernels import KeyCoding, _direct_bound, _slot_ranks, aggregate_slots, decode_key, fill_array, key_codes
+from .physical import ExecContext, PHashAggregate, PhysNode, execute_to_table
 
 #: The tables the enclosing :class:`PGroupingSets` is handing out right
 #: now: one fragment's rows, later one partial's results. Held in a
@@ -93,27 +96,6 @@ class PGroupingSet(PhysNode):
 
 
 @dataclass
-class PSharedKeys(PhysNode):
-    """The key coding the partials of a :class:`PGroupingSets` share.
-
-    Every partial's group-by goes through one
-    :class:`~repro.tde.exec.kernels.KeyMemo` per fragment, so a key
-    column is coded once however many partials group by it. ``coded`` is
-    the number of key columns the planned partials code per fragment,
-    ``reused`` how many more key references they make. Under EXPLAIN
-    ANALYZE this row holds the time spent factorizing the partials' keys
-    (also inside their own rows) and, as actual rows, the key columns
-    coded. Not executable on its own.
-    """
-
-    coded: int
-    reused: int
-
-    def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        raise ExecutionError("shared keys are coded only inside their grouping-sets operator")
-
-
-@dataclass
 class PGroupingSets(PhysNode):
     """Run ``fragments`` once each, run every one of ``partials`` over
     each fragment's rows, and answer every set from its partial's results.
@@ -127,10 +109,18 @@ class PGroupingSets(PhysNode):
     fragments: list[PhysNode]
     partials: list[PhysNode]
     sets: list[PGroupingSet]
-    keys: PSharedKeys
 
     def children(self) -> tuple[PhysNode, ...]:
-        return (*self.sets, *self.partials, self.keys, *self.fragments)
+        return (*self.sets, *self.partials, *self.fragments)
+
+    @property
+    def shared_keys(self) -> list[str]:
+        """The fragment columns every partial of the shared-key route
+        (:func:`_key_sources`) groups by, in the order most end with."""
+        routed = [keys for keys in map(_key_sources, self.partials) if keys is not None]
+        common = set.intersection(*map(set, routed)) - {None} if routed else set()
+        ends = Counter(tuple(keys[len(keys) - len(common):]) for keys in routed if common)
+        return next((list(end) for end, _ in ends.most_common() if set(end) == common), [])
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         recorder = ctx.recorder
@@ -139,17 +129,26 @@ class PGroupingSets(PhysNode):
         # A fragment is read as one batch: its rows are used as one table
         # anyway, and the planner's split already bounds how many.
         whole = replace(ctx, batch_size=sys.maxsize)
+        shared_keys = self.shared_keys
         for fragment in self.fragments:
             # One read per fragment, shared by every partial; one coding
-            # of each key column, dropped with the fragment.
-            rows = [execute_to_table(fragment, whole)]
-            memo = KeyMemo(clock)
-            with sharing_keys(memo):
-                for partial, out in zip(self.partials, results):
-                    out.append(_run(partial, rows, ctx))
+            # of each key column, dropped with the fragment. Partials run
+            # one at a time, so one partial's input is alive at a time.
+            rows = execute_to_table(fragment, whole)
+            keys = _FragmentKeys(rows, shared_keys, clock)
+            for partial, out in zip(self.partials, results):
+                started = clock()
+                table = keys.aggregate(partial)
+                if table is None:
+                    table = _run(partial, [rows], ctx)
+                elif recorder is not None:
+                    leaf = partial.children()[0]
+                    recorder.record_node(partial, type(partial).__name__, table.n_rows, clock() - started)
+                    recorder.record_node(leaf, type(leaf).__name__, rows.n_rows, 0.0)
+                out.append(table)
             if recorder is not None:
-                recorder.record_node(self.keys, type(self.keys).__name__, memo.coded, memo.seconds)
-            del rows, memo
+                recorder.add_detail(self, "keys_s", keys.seconds)
+            del rows, keys
         # Each partial's results are stacked once, whichever sets merge them.
         stacked = [Table.concat(tables) for tables in results]
         del results
@@ -161,6 +160,99 @@ class PGroupingSets(PhysNode):
                 recorder.record_node(s, type(s).__name__, answer.n_rows, clock() - started)
             answers.append(answer)
         yield _tagged_union(answers)
+
+
+def _key_sources(partial: PhysNode) -> list[str | None] | None:
+    """The fragment column each key of a partial the shared-key route takes
+    reads (None: one its projection computes); None for a partial that
+    takes ``aggregate_table``'s. The route takes a hash aggregate, or a
+    fused one without a predicate, over the fragment's rows by some key."""
+    fused = isinstance(partial, PFusedPipeline) and partial.is_aggregate and partial.predicate is None
+    if not (fused or isinstance(partial, PHashAggregate)) or not partial.groupby:
+        return None
+    if not isinstance(partial.children()[0], PSharedInput):
+        return None
+    if not fused or partial.items is None:
+        return list(partial.groupby)
+    passed = {n: e.name for n, e in partial.items if isinstance(e, ColumnRef)}
+    return [passed.get(k) for k in partial.groupby]
+
+
+class _FragmentKeys:
+    """One fragment's key codes, made in the call that reads its rows and
+    dropped with them (a cached plan runs on several threads).
+
+    Each key column is coded once (:func:`~repro.tde.exec.kernels.key_codes`)
+    and the ``shared`` columns are densified once: each row gets the rank
+    of its shared key tuple among the fragment's ``n_shared``. A partial
+    whose keys end with them addresses a group as ``prefix codes ×
+    n_shared + shared id``, any other by its keys' mixed radix, so slots
+    ascend like its key codes: ``aggregate_slots`` sums over that domain,
+    and the groups come out in ``factorize_table``'s order with their key
+    values decoded from the slot. ``seconds``: time spent coding keys.
+    """
+
+    def __init__(self, rows: Table, shared: list[str], clock):
+        self.rows, self.clock, self.seconds, self._coded = rows, clock, 0.0, {}
+        self.bound, self.ids, self.n_shared = _direct_bound(rows.n_rows), None, 1
+        self.shared = [rows.column(name) for name in shared]
+        coded = [self.code(col) for col in self.shared]
+        started = clock()
+        domain = math.prod(c.card for c in coded) if None not in coded else self.bound + 1
+        if coded and domain <= self.bound:
+            combined = coded[0].codes
+            for c in coded[1:]:
+                combined = combined * c.card + c.codes
+            self.ids, slots = _slot_ranks(combined, domain)
+            self.n_shared, self.at = len(slots), {}
+            for col, c in zip(self.shared[::-1], coded[::-1]):
+                slots, self.at[id(col)] = np.divmod(slots, c.card)
+        self.seconds += clock() - started
+
+    def code(self, col: Column) -> KeyCoding | None:
+        if id(col) not in self._coded:
+            started = self.clock()
+            self._coded[id(col)] = (col, key_codes(col))
+            self.seconds += self.clock() - started
+        return self._coded[id(col)][1]
+
+    def aggregate(self, partial: PhysNode) -> Table | None:
+        """``partial``'s results over the fragment by the shared-key route,
+        or None when it takes ``aggregate_table``'s (see
+        :func:`_key_sources`; also for a key that needs sorting or a
+        domain past the direct bound)."""
+        if _key_sources(partial) is None:
+            return None
+        leaf = partial.children()[0]
+        table = self.rows if leaf.columns is None else self.rows.project(leaf.columns)
+        if isinstance(partial, PFusedPipeline):
+            table = partial.project(table)
+        cols = [table.column(name) for name in partial.groupby]
+        coded = [self.code(col) for col in cols]
+        if None in coded:
+            return None
+        n = len(cols) - len(self.shared)
+        shared = self.ids is not None and n >= 0 and all(a is b for a, b in zip(cols[n:], self.shared))
+        own = coded[:n] if shared else coded
+        domain = math.prod(c.card for c in own) * (self.n_shared if shared else 1)
+        if domain > self.bound:
+            return None
+        slot = own[0].codes if own else self.ids
+        for c in own[1:]:
+            slot = slot * c.card + c.codes
+        if shared and own:
+            slot = slot * self.n_shared + self.ids
+        occupied, measures = aggregate_slots(table, slot, domain, partial.specs)
+        # Each key's code at the occupied slots, read off the slot's digits.
+        rest, sid = np.divmod(occupied, self.n_shared) if shared else (occupied, None)
+        at = []
+        for c in own[::-1]:
+            rest, code = np.divmod(rest, c.card)
+            at.insert(0, code)
+        if shared:
+            at += [self.at[id(col)][sid] for col in self.shared]
+        keys = {name: decode_key(col, c, a) for name, col, c, a in zip(partial.groupby, cols, coded, at)}
+        return Table(keys | measures)
 
 
 def _run(node: PhysNode, shared: list[Table], ctx: ExecContext) -> Table:

@@ -8,10 +8,8 @@ grouping (via dictionary codes ordered by collation) comes for free.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from ...expr.ast import Call, CaseWhen, Expr, columns_used
 from ...expr.eval import evaluate_predicate
 from ..storage.column import Column
 from ..storage.table import Table
-from ..storage.vectors import PlainVector, RleVector
+from ..storage.vectors import ForVector, PlainVector, RleVector
 
 
 # ---------------------------------------------------------------------- #
@@ -80,68 +78,95 @@ def _rank_by_sorting(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, codes.astype(np.int64)
 
 
-def _dense_ids(combined: np.ndarray, domain: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dense ids for codes in ``[0, domain)``: ``(gids, n_groups, reps)``.
-
-    The contract is ``np.unique(combined, return_index=True,
-    return_inverse=True)``'s — ids ascend with the code and ``reps[g]`` is
-    the first row carrying group ``g`` — met without sorting whenever the
-    domain is small next to the input: the codes are addresses. Mark the
-    occupied slots, rank them in slot order, gather each row's rank, and
-    scatter row numbers to their group in *reverse* row order (numpy
-    keeps the last write of a repeated index, so the first row wins).
-    """
-    n = len(combined)
-    if domain > _direct_bound(n):
-        uniq, reps, gids = np.unique(combined, return_index=True, return_inverse=True)
-        return gids.astype(np.int64), len(uniq), reps.astype(np.int64)
+def _slot_ranks(combined: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, slots)`` for codes in ``[0, domain)``, a domain within the
+    direct-addressing bound: the occupied codes ascending, and each row's
+    rank among them. The codes are addresses: mark the occupied slots,
+    rank them in slot order, gather each row's rank — no sort."""
     occupied = np.zeros(domain, dtype=np.bool_)
     occupied[combined] = True
     slots = np.flatnonzero(occupied)
     rank = np.empty(domain, dtype=np.int64)
     rank[slots] = np.arange(len(slots), dtype=np.int64)
-    gids = rank[combined]
+    return rank[combined], slots
+
+
+def _dense_ids(combined: np.ndarray, domain: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Dense ids for codes in ``[0, domain)``: ``(gids, n_groups, reps)``.
+
+    The contract is ``np.unique(combined, return_index=True,
+    return_inverse=True)``'s — ids ascend with the code and ``reps[g]`` is
+    the first row carrying group ``g`` — met by :func:`_slot_ranks`
+    whenever the domain is small next to the input, the first rows found
+    by scattering row numbers to their group in *reverse* row order
+    (numpy keeps the last write of a repeated index, so the first row wins).
+    """
+    n = len(combined)
+    if domain > _direct_bound(n):
+        uniq, reps, gids = np.unique(combined, return_index=True, return_inverse=True)
+        return gids.astype(np.int64), len(uniq), reps.astype(np.int64)
+    gids, slots = _slot_ranks(combined, domain)
     reps = np.empty(len(slots), dtype=np.int64)
     reps[gids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
     return gids, len(slots), reps
 
 
-def _column_codes(values: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """Order-preserving codes for one key column; NULL becomes the highest.
+class KeyCoding(NamedTuple):
+    """One key column's codes, ordered like its values, in ``[0, card)``;
+    a code other than ``null`` (NULL's, or −1) is the stored value less
+    ``lo`` in ``dtype`` (``dtype`` None: ranks, which do not decode)."""
 
-    A bool or integer column spanning few values next to its row count is
-    its own code, ``value − min`` (codes need not be dense, only bounded
-    and ordered like the values); floats, wide integers and strings are
-    ranked by sorting.
+    codes: np.ndarray
+    card: int
+    lo: int
+    dtype: np.dtype | None
+    null: int
+
+
+def key_codes(col: Column, ranked: bool = False) -> KeyCoding | None:
+    """A key column coded without sorting, or None when it cannot be (or
+    its ranks among its sorted distinct values when ``ranked``).
+
+    A frame-of-reference vector's offsets are its codes as stored, with
+    the span recorded at encode time; a dictionary column's codes already
+    order its values by collation; a bool or integer column spanning few
+    values next to its row count is its own code, ``value − min`` (codes
+    need not be dense, only bounded). Floats, wide integers and plain
+    strings need sorting. NULL is the highest code.
     """
-    span = _small_span(values)
-    if span is not None:
-        lo, card = span
-        codes = values.astype(np.int64, copy=False) - lo
+    vec, dtype = col.physical, None
+    if isinstance(vec, ForVector):
+        codes, card, lo, dtype = vec.offsets.astype(np.int64), vec.span, vec.base, vec.dtype
     else:
-        uniq, codes = _rank_by_sorting(values)
-        card = len(uniq)
-    if mask is not None and mask.any():
-        codes[mask] = card
-        card += 1
-    return codes, card
-
-
-def _dictionary_codes(col: Column) -> tuple[np.ndarray, int]:
-    """A dictionary column's codes as its key codes: they already order
-    its values by collation. NULL becomes the highest."""
-    codes = col.physical.materialize().astype(np.int64)
-    card = len(col.dictionary)
+        values = vec.materialize()
+        span = (0, len(col.dictionary)) if col.is_dictionary_encoded else _small_span(values)
+        if span is not None:
+            (lo, card), dtype = span, values.dtype
+            codes = np.subtract(values, lo, dtype=np.int64)
+        elif not ranked:
+            return None
+        else:
+            uniq, codes = _rank_by_sorting(values)
+            lo, card = 0, len(uniq)
+    null = -1
     if col.null_mask is not None and col.null_mask.any():
-        codes[col.null_mask] = card
+        codes[col.null_mask] = null = card
         card += 1
-    return codes, card
+    return KeyCoding(codes, card, lo, dtype, null)
 
 
-def _key_codes(col: Column) -> tuple[np.ndarray, int]:
-    if col.is_dictionary_encoded:
-        return _dictionary_codes(col)
-    return _column_codes(col.storage_values(), col.null_mask)
+def decode_key(col: Column, coded: KeyCoding, codes: np.ndarray) -> Column:
+    """``col``'s values at groups coded ``codes``: what gathering a row of
+    each group gives (a NULL's slot holds the fill, code 0 when coded)."""
+    values = np.add(codes, coded.lo, dtype=np.int64).astype(coded.dtype, copy=False)
+    mask = codes == coded.null if coded.null >= 0 else None
+    if mask is not None and mask.any():
+        values[mask] = 0 if col.is_dictionary_encoded else col.ltype.fill_value()
+    else:
+        mask = None
+    return Column(
+        col.ltype, PlainVector(values), dictionary=col.dictionary, null_mask=mask, collation=col.collation
+    )
 
 
 def factorize_table(table: Table, keys: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
@@ -150,130 +175,10 @@ def factorize_table(table: Table, keys: list[str]) -> tuple[np.ndarray, int, np.
     Returns ``(gids, n_groups, representatives)`` where ``representatives``
     holds, per group, the index of its first occurrence in row order —
     used to gather the output key values. The three arrays are the
-    ``np.unique`` contract over the keys' codes (ids ascend with the
-    lexicographic code order), so every route to them — a
-    :class:`KeyMemo` included — returns the same arrays.
+    ``np.unique`` contract over the keys' codes: ids ascend with the
+    lexicographic code order.
     """
-    columns = [table.column(key) for key in keys]
-    memo = _KEY_MEMO.get()
-    if memo is not None and columns:
-        return memo.factorize(columns, table.n_rows)
-    return combine_codes([_key_codes(col) for col in columns], table.n_rows)
-
-
-class KeyMemo:
-    """Key codes made once for one input and reused by every group-by of it.
-
-    While :class:`~repro.tde.exec.grouping.PGroupingSets` hands a fragment
-    to its sets, their group-bys factorize through one memo (see
-    :func:`sharing_keys`). It is keyed by the identity of the fragment's
-    ``Column`` objects, which a set's projection passes through unchanged,
-    and holds a reference to each so an identity cannot be reused while
-    it lives. It keeps
-
-    * each key column's codes, made once;
-    * the ordered codes of every key *suffix* folded so far: a key list
-      that puts columns in front of a known suffix folds only those, from
-      the right (``codes · domain + suffix``, the same mixed radix
-      ``combine_codes`` builds from the left);
-    * every finished factorization, also by key *set*: a permutation of
-      a factorized key list ranks its ``n_groups`` representatives in the
-      new order instead of coding the rows again.
-
-    ``coded`` counts key columns coded; ``seconds`` is the time spent in
-    :meth:`factorize` by ``clock``.
-    """
-
-    def __init__(self, clock=lambda: 0.0):
-        self._clock = clock
-        self._held: dict[int, Column] = {}
-        self._codes: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
-        self._groups: dict[tuple[int, ...], tuple[np.ndarray, int, np.ndarray]] = {}
-        self._by_set: dict[frozenset[int], tuple[int, ...]] = {}
-        self.coded = 0
-        self.seconds = 0.0
-
-    def factorize(self, columns: list[Column], n_rows: int) -> tuple[np.ndarray, int, np.ndarray]:
-        started = self._clock()
-        try:
-            return self._factorize(columns, n_rows)
-        finally:
-            self.seconds += self._clock() - started
-
-    def _factorize(self, columns, n_rows):
-        ids = tuple(id(col) for col in columns)
-        for col in columns:
-            self._held.setdefault(id(col), col)
-        found = self._groups.get(ids) or self._permuted(ids, columns)
-        if found is None:
-            found = _dense_ids(*self._ordered(ids, columns, n_rows))
-            self._remember(ids, found)
-        return found
-
-    def _remember(self, ids, groups) -> None:
-        self._groups[ids] = groups
-        self._codes[ids] = groups[:2]
-        if len(set(ids)) == len(ids):
-            self._by_set.setdefault(frozenset(ids), ids)
-
-    def _column(self, col: Column) -> tuple[np.ndarray, int]:
-        codes = self._codes.get((id(col),))
-        if codes is None:
-            codes = self._codes[(id(col),)] = _key_codes(col)
-            self.coded += 1
-        return codes
-
-    def _permuted(self, ids, columns):
-        """Factorization of ``ids`` from one of the same key set in
-        another order, or None: the groups are the same, only their
-        order differs, so rank each group's codes at its first row."""
-        known = self._by_set.get(frozenset(ids))
-        if known is None or known == ids or len(set(ids)) != len(ids):
-            return None
-        gids, n_groups, reps = self._groups[known]
-        at_reps = [(codes[reps], card) for codes, card in map(self._column, columns)]
-        rank, _, _ = combine_codes(at_reps, n_groups)
-        new_reps = np.empty(n_groups, dtype=np.int64)
-        new_reps[rank] = reps
-        found = (rank[gids], n_groups, new_reps)
-        self._remember(ids, found)
-        return found
-
-    def _ordered(self, ids, columns, n_rows) -> tuple[np.ndarray, int]:
-        """Codes ordered like the rows' key tuples, and their domain."""
-        start = len(ids) - 1
-        for i in range(len(ids)):
-            base = self._codes.get(ids[i:]) or self._permuted(ids[i:], columns[i:])
-            if base is not None:
-                start = i
-                break
-        else:
-            base = self._column(columns[start])
-        combined, domain = base[0], int(base[1])
-        bound = _direct_bound(n_rows)
-        for j in range(start - 1, -1, -1):
-            codes, card = self._column(columns[j])
-            if domain * card > bound:
-                combined, domain, _ = _dense_ids(combined, domain)
-                if domain * card > _INT64_MAX:
-                    codes, card, _ = _dense_ids(codes, card)
-            combined = codes * domain + combined
-            domain *= card
-            self._codes[ids[j:]] = (combined, domain)
-        return combined, domain
-
-
-_KEY_MEMO: ContextVar[KeyMemo | None] = ContextVar("tde-key-memo", default=None)
-
-
-@contextmanager
-def sharing_keys(memo: KeyMemo) -> Iterator[KeyMemo]:
-    """Route every :func:`factorize_table` in this context through ``memo``."""
-    token = _KEY_MEMO.set(memo)
-    try:
-        yield memo
-    finally:
-        _KEY_MEMO.reset(token)
+    return combine_codes([key_codes(table.column(key), True)[:2] for key in keys], table.n_rows)
 
 
 def combine_codes(pairs: list[tuple[np.ndarray, int]], n_rows: int):
@@ -327,67 +232,99 @@ def aggregate_groups(
     Each distinct ``(function, argument column, result type)`` is
     computed once, whatever names it goes by (an ``avg``'s partial sum
     and a ``sum`` of the same column are one pass), and every measure of
-    one argument shares its non-NULL rows and their per-group count.
+    one argument shares its per-group non-NULL count. No row is gathered
+    to drop NULLs: a group's non-NULL count is its rows less a count of
+    its NULL positions, and a sum or an extremum reads a NULL slot as the
+    value that changes nothing (+0.0, or the extremum's starting value).
     """
+    return _measures(table, gids, n_groups, specs, {"keep": None})
+
+
+def aggregate_slots(
+    table: Table, slots: np.ndarray, domain: int, specs: list[AggSpec]
+) -> tuple[np.ndarray, dict[str, Column]]:
+    """:func:`aggregate_groups` over rows addressed by slots of a sparse
+    ``domain``: ``(occupied slots ascending, their aggregate columns)``.
+    The ``bincount`` kernels sum over the whole domain and every result
+    keeps the occupied slots, so no row is mapped to a dense group id."""
+    rows = np.bincount(slots, minlength=domain)
+    occupied = np.flatnonzero(rows)
+    shared = {"keep": occupied, "rows": rows[occupied].astype(np.int64)}
+    return occupied, _measures(table, slots, domain, specs, shared)
+
+
+def _measures(table: Table, gids: np.ndarray, k: int, specs: list[AggSpec], shared: dict):
     out: dict[str, Column] = {}
     done: dict[tuple, Column] = {}
-    nonnull_rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for spec in specs:
         col = None if spec.arg is None else table.column(spec.arg)
-        key = (spec.func, id(col), spec.result_type)
+        key = (spec.func, id(col), spec.result_type.value)
         if key not in done:
-            done[key] = _aggregate_one(col, gids, n_groups, spec, nonnull_rows)
+            done[key] = _aggregate_one(col, gids, k, spec, shared)
         out[spec.name] = done[key]
     return out
 
 
-def _aggregate_one(col: Column | None, gids: np.ndarray, k: int, spec: AggSpec, nonnull_rows) -> Column:
+def _per_group(gids: np.ndarray, k: int, shared: dict, weights: np.ndarray | None = None) -> np.ndarray:
+    """``np.bincount`` over the ``k`` groups, at the kept ones only."""
+    sums = np.bincount(gids, weights=weights, minlength=k)
+    return sums if shared["keep"] is None else sums[shared["keep"]]
+
+
+def _aggregate_one(col: Column | None, gids: np.ndarray, k: int, spec: AggSpec, shared: dict) -> Column:
+    """One measure; ``shared`` holds what the measures of one call share:
+    the groups kept, each one's rows and, per argument column, its
+    values, per-group non-NULL count and NULL positions."""
+    if "rows" not in shared:
+        shared["rows"] = _per_group(gids, k, shared).astype(np.int64)
+    rows = shared["rows"]
     if spec.func == "count_star":
-        counts = np.bincount(gids, minlength=k).astype(np.int64)
-        return Column(LogicalType.INT, PlainVector(counts))
-    shared = nonnull_rows.get(id(col))
-    if shared is None:
-        values = col.storage_values()
-        if col.null_mask is None:  # nothing to drop: no gather
-            vg, vv = gids, values
-        else:
-            valid = ~col.null_mask
-            vg, vv = gids[valid], values[valid]
-        shared = nonnull_rows[id(col)] = (vg, vv, np.bincount(vg, minlength=k).astype(np.int64))
-    vg, vv, nonnull = shared
+        return Column(LogicalType.INT, PlainVector(rows))
+    if id(col) not in shared:
+        nulls = None if col.null_mask is None else np.flatnonzero(col.null_mask)
+        nonnull = rows if nulls is None else rows - _per_group(gids[nulls], k, shared)
+        shared[id(col)] = (col.storage_values(), nonnull, nulls)
+    values, nonnull, nulls = shared[id(col)]
     if spec.func == "count":
         return Column(LogicalType.INT, PlainVector(nonnull))
     if spec.func == "count_distinct":
+        vg, vv = (gids, values) if nulls is None else (np.delete(gids, nulls), np.delete(values, nulls))
         if vv.dtype == object:
-            pair_codes, _ = _column_codes(vv, None)
+            pair_codes = _rank_by_sorting(vv)[1]
         else:
             _, pair_codes = np.unique(vv, return_inverse=True)
         combined = vg * (int(pair_codes.max()) + 1 if len(pair_codes) else 1) + pair_codes
         uniq_pairs = np.unique(combined)
         distinct_gids = uniq_pairs // (int(pair_codes.max()) + 1 if len(pair_codes) else 1)
-        counts = np.bincount(distinct_gids.astype(np.int64), minlength=k).astype(np.int64)
+        counts = _per_group(distinct_gids.astype(np.int64), k, shared).astype(np.int64)
         return Column(LogicalType.INT, PlainVector(counts))
     null_groups = nonnull == 0
     group_mask = null_groups if null_groups.any() else None
-    if spec.func == "sum":
-        if spec.result_type is LogicalType.INT:
+    if spec.func in ("sum", "avg"):
+        # bincount sums each group in row order from +0.0, so a +0.0 slot
+        # leaves every sum as it was without the NULL rows.
+        if nulls is not None and np.any(values[nulls] != 0):
+            values = values.copy()
+            values[nulls] = 0
+        if spec.func == "sum" and spec.result_type is LogicalType.INT:
             sums = np.zeros(k, dtype=np.int64)
-            np.add.at(sums, vg, vv.astype(np.int64))
+            np.add.at(sums, gids, values.astype(np.int64, copy=False))
+            sums = sums if shared["keep"] is None else sums[shared["keep"]]
         else:
-            sums = np.bincount(vg, weights=vv.astype(np.float64), minlength=k)
-        return Column(spec.result_type, PlainVector(sums.astype(spec.result_type.numpy_dtype())), null_mask=group_mask)
-    if spec.func == "avg":
-        sums = np.bincount(vg, weights=vv.astype(np.float64), minlength=k)
+            sums = _per_group(gids, k, shared, values.astype(np.float64, copy=False))
+        if spec.func == "sum":
+            return Column(spec.result_type, PlainVector(sums.astype(spec.result_type.numpy_dtype())), null_mask=group_mask)
         with np.errstate(invalid="ignore", divide="ignore"):
             avgs = np.where(nonnull > 0, sums / np.maximum(nonnull, 1), 0.0)
         return Column(LogicalType.FLOAT, PlainVector(avgs), null_mask=group_mask)
     if spec.func in ("min", "max"):
-        return _minmax(vg, vv, k, spec, group_mask, col)
+        return _minmax(gids, values, nulls, k, spec, group_mask, col, shared["keep"])
     raise ExecutionError(f"unknown aggregate {spec.func}")
 
 
-def _minmax(vg, vv, k, spec: AggSpec, group_mask, col: Column) -> Column:
-    if vv.dtype == object:
+def _minmax(gids, values, nulls, k, spec: AggSpec, group_mask, col: Column, keep) -> Column:
+    if values.dtype == object:
+        vg, vv = (gids, values) if nulls is None else (np.delete(gids, nulls), np.delete(values, nulls))
         fill: Any = None
         out = np.empty(k, dtype=object)
         out[:] = fill
@@ -401,26 +338,29 @@ def _minmax(vg, vv, k, spec: AggSpec, group_mask, col: Column) -> Column:
                 cur = out[g]
                 if cur is None or v > cur:
                     out[g] = v
+        out = out if keep is None else out[keep]
         str_fill = fill_array(spec.result_type, 1)[0]
-        for i in range(k):
+        for i in range(len(out)):
             if out[i] is None:
                 out[i] = str_fill
         return Column(spec.result_type, PlainVector(out), null_mask=group_mask, collation=col.collation)
-    if vv.dtype == np.bool_:
-        vv = vv.astype(np.int64)
+    vv = values.astype(np.int64) if values.dtype == np.bool_ else values
+    integral = vv.dtype.kind == "i"
+    if spec.func == "min":
+        init, into = (np.iinfo(np.int64).max if integral else np.inf), np.minimum
+    else:
+        init, into = (np.iinfo(np.int64).min if integral else -np.inf), np.maximum
+    if nulls is not None:
+        vv = vv.copy()
+        vv[nulls] = init
+    out = np.full(k, init, dtype=vv.dtype)
     # NaN is a value, not a NULL: a group holding one has min = max = NaN
     # (np.minimum/np.maximum propagate it), in fused and unfused plans
     # alike. numpy flags that propagation as "invalid value"; it is the
     # pinned semantics, so the warning is silenced rather than escalated.
     with np.errstate(invalid="ignore"):
-        if spec.func == "min":
-            init = np.iinfo(np.int64).max if vv.dtype.kind == "i" else np.inf
-            out = np.full(k, init, dtype=vv.dtype)
-            np.minimum.at(out, vg, vv)
-        else:
-            init = np.iinfo(np.int64).min if vv.dtype.kind == "i" else -np.inf
-            out = np.full(k, init, dtype=vv.dtype)
-            np.maximum.at(out, vg, vv)
+        into.at(out, gids, vv)
+    out = out if keep is None else out[keep]
     if group_mask is not None:
         out[group_mask] = 0
     if spec.result_type is LogicalType.BOOL:

@@ -79,6 +79,7 @@ class OpRecorder:
         self._lock = threading.Lock()
         self._ops: dict[str, list[float]] = {}  # name -> [rows, seconds, batches]
         self._nodes: dict[int, list[float]] = {}  # id(node) -> same shape
+        self._details: dict[int, dict[str, float]] = {}  # id(node) -> named extras
 
     def iterate(
         self, name: str, batches: Iterator[Table], node: "PhysNode | None" = None
@@ -101,6 +102,13 @@ class OpRecorder:
         """Record one already-measured execution (non-iterator operators)."""
         key = id(node) if self.per_node else None
         self._add(name, rows, seconds, batches, key)
+
+    def add_detail(self, node: "PhysNode", name: str, amount: float) -> None:
+        """Add to a named figure shown beside ``node``'s stats (``per_node`` only)."""
+        if self.per_node:
+            with self._lock:
+                details = self._details.setdefault(id(node), {})
+                details[name] = details.get(name, 0.0) + amount
 
     def _add(
         self, name: str, rows: int, seconds: float, batches: int, key: int | None = None
@@ -127,7 +135,7 @@ class OpRecorder:
         """Per-instance stats keyed by ``id(node)`` (``per_node`` only)."""
         with self._lock:
             return {
-                key: {"rows": acc[0], "seconds": acc[1], "batches": acc[2]}
+                key: {"rows": acc[0], "seconds": acc[1], "batches": acc[2], **self._details.get(key, {})}
                 for key, acc in self._nodes.items()
             }
 

@@ -27,7 +27,7 @@ from typing import Any
 
 from .exec.exchange import PExchange, SharedBuild
 from .exec.fused import PFusedPipeline
-from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
+from .exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
 from .exec.physical import (
     ExecContext,
     OpRecorder,
@@ -46,7 +46,7 @@ from .exec.physical import (
     execute_to_table,
 )
 from .optimizer import provenance
-from .optimizer.cost import estimate_selectivity
+from .optimizer.cost import operator_work
 from .optimizer.planner import plan_query
 
 
@@ -70,80 +70,6 @@ class ExplainResult(str):
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self._data, indent=indent, default=str)
-
-
-# ---------------------------------------------------------------------- #
-# Cardinality estimation over *physical* nodes
-# ---------------------------------------------------------------------- #
-def estimate_physical_rows(node: PhysNode) -> int:
-    """Estimated output rows of a physical operator (bottom-up).
-
-    Mirrors the logical cost model's cardinality rules
-    (:func:`repro.tde.optimizer.cost.estimate_plan`) applied to the
-    post-planning tree, so fractions, exchanges and local/global splits
-    each get their own estimate.
-    """
-    if isinstance(node, PScan):
-        stop = node.table.n_rows if node.stop is None else node.stop
-        base = max(0, stop - node.start)
-        if node.predicate is None or base == 0:
-            return base
-        return max(1, int(base * estimate_selectivity(node.predicate)))
-    if isinstance(node, PIndexedRleScan):
-        base = node.table.n_rows
-        sel = estimate_selectivity(node.predicate)
-        if node.residual is not None:
-            sel *= estimate_selectivity(node.residual)
-        return max(1, int(base * sel)) if base else 0
-    if isinstance(node, PFilter):
-        child = estimate_physical_rows(node.child)
-        return max(1, int(child * estimate_selectivity(node.predicate))) if child else 0
-    if isinstance(node, PProject):
-        return estimate_physical_rows(node.child)
-    if isinstance(node, PHashJoin):
-        # FK joins keep probe-side cardinality (same rule as the logical
-        # model); the build side only bounds the match rate.
-        return estimate_physical_rows(node.probe)
-    if isinstance(node, (PHashAggregate, PStreamAggregate)):
-        child = estimate_physical_rows(node.child)
-        if not node.groupby:
-            return 1
-        return max(1, min(child, int(child**0.75)))
-    if isinstance(node, PSort):
-        return estimate_physical_rows(node.child)
-    if isinstance(node, PTopN):
-        return min(estimate_physical_rows(node.child), node.n)
-    if isinstance(node, PLimit):
-        return min(estimate_physical_rows(node.child), node.n)
-    if isinstance(node, PWindow):
-        return estimate_physical_rows(node.child)
-    if isinstance(node, PFusedPipeline):
-        if node.table is not None:
-            stop = node.table.n_rows if node.stop is None else node.stop
-            base = max(0, stop - node.start)
-        else:
-            base = estimate_physical_rows(node.source)
-        if node.predicate is not None and base:
-            base = max(1, int(base * estimate_selectivity(node.predicate)))
-        if node.specs is not None:
-            if not node.groupby:
-                return 1
-            return max(1, min(base, int(base**0.75))) if base else 0
-        return base
-    if isinstance(node, PExchange):
-        return sum(estimate_physical_rows(child) for child in node.inputs)
-    if isinstance(node, SharedBuild):
-        return estimate_physical_rows(node.child)
-    if isinstance(node, PSharedInput):
-        return node.est_rows
-    if isinstance(node, PSharedKeys):
-        return node.coded  # "rows" of this row: key columns coded per fragment
-    if isinstance(node, PGroupingSets):
-        return sum(estimate_physical_rows(s) for s in node.sets)
-    children = node.children()
-    if children:
-        return estimate_physical_rows(children[0])
-    return 0
 
 
 def _node_label(node: PhysNode) -> str:
@@ -186,7 +112,7 @@ def _node_label(node: PhysNode) -> str:
     if isinstance(node, PGroupingSets):
         return (
             f"GroupingSets({len(node.sets)} sets, {len(node.partials)} partials "
-            f"over {len(node.fragments)} fragments)"
+            f"over {len(node.fragments)} fragments; shared keys {', '.join(node.shared_keys) or '<none>'})"
         )
     if isinstance(node, PGroupingSet):
         by, aggs = ", ".join(node.groupby) or "<none>", ", ".join(node.aggs) or "<none>"
@@ -194,8 +120,6 @@ def _node_label(node: PhysNode) -> str:
     if isinstance(node, PSharedInput):
         what = "partial results" if node.columns is None else ", ".join(node.columns)
         return f"SharedInput({what})"
-    if isinstance(node, PSharedKeys):
-        return f"SharedKeys({node.coded} columns coded, {node.reused} reused)"
     return type(node).__name__
 
 
@@ -210,23 +134,17 @@ def _build_tree(
     """Pre-order tree of plain dicts; ``op`` is the stable plan position."""
     index = counter[0]
     counter[0] += 1
-    entry: dict[str, Any] = {
-        "op": index,
-        "label": _node_label(node),
-        "est_rows": estimate_physical_rows(node),
-    }
+    entry: dict[str, Any] = {"op": index, "label": _node_label(node)}
+    children = [_build_tree(child, counter, stats) for child in node.children()]
+    # Estimated rows: the cost model's row formula, which the simulator
+    # replays too, over the children's estimates.
+    entry["est_rows"] = int(operator_work(node, [c["est_rows"] for c in children])[1])
     if stats is not None:
         acc = stats.get(id(node))
         entry["actual"] = (
-            None
-            if acc is None
-            else {
-                "rows": int(acc["rows"]),
-                "batches": int(acc["batches"]),
-                "seconds": acc["seconds"],
-            }
+            None if acc is None else dict(acc, rows=int(acc["rows"]), batches=int(acc["batches"]))
         )
-    entry["children"] = [_build_tree(child, counter, stats) for child in node.children()]
+    entry["children"] = children
     return entry
 
 
@@ -242,6 +160,8 @@ def _render_tree(entry: dict[str, Any], indent: int, lines: list[str], analyze: 
                 f"; actual={acc['rows']} rows, {acc['batches']} batches, "
                 f"{acc['seconds'] * 1000.0:.2f}ms"
             )
+            if "keys_s" in acc:
+                annot += f", keys coded in {acc['keys_s'] * 1000.0:.2f}ms"
     lines.append(f"{pad}#{entry['op']} {entry['label']}  ({annot})")
     for child in entry["children"]:
         _render_tree(child, indent + 1, lines, analyze)

@@ -22,7 +22,7 @@ from ...expr.ast import AggExpr, Call, CaseWhen, Cast, ColumnRef, Expr, Literal
 from ...expr.functions import function_cost
 from ..exec.exchange import PExchange, SharedBuild
 from ..exec.fused import PFusedPipeline
-from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
+from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
 from ..exec.physical import (
     PFilter,
     PHashAggregate,
@@ -214,9 +214,6 @@ def operator_work(node: PhysNode, rows_in: Sequence[float]) -> tuple[float, floa
         return own, scanned
     if isinstance(node, PSharedInput):
         return 0.0, node.est_rows
-    if isinstance(node, PSharedKeys):
-        # The sets' aggregate formulas already charge their key hashing.
-        return 0.0, node.coded
     if isinstance(node, PFusedPipeline):
         own = 0.0
         if node.table is not None:

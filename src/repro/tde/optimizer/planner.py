@@ -23,7 +23,7 @@ from __future__ import annotations
 from ...errors import OptimizerError
 from ...expr.ast import ColumnRef, columns_used, conjuncts
 from ..exec.exchange import FractionTable, SharedBuild
-from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput, PSharedKeys
+from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
 from ..exec.kernels import AggSpec
 from ..exec.physical import (
     PFilter,
@@ -477,9 +477,6 @@ def _build_grouping_sets(
     partials: list[PhysNode] = []
     grains: dict[tuple, int] = {}
     sets = []
-    # Per key a partial groups by in each fragment: the shared column it
-    # reads, or None for one its set's projection computes.
-    key_sources: list[str | None] = []
     for i, (asked, (s, joins), columns) in enumerate(zip(plan.sets, planned, reads)):
         # A set that reads nothing (a bare COUNT(*)) still needs rows to
         # count: it takes the shared columns as they are.
@@ -513,13 +510,8 @@ def _build_grouping_sets(
             partials[grain] = _shared_partial(partials[grain], partial)
         else:
             partials.append(partial)
-            if groups_per_fragment:
-                passed = {n: e.name for n, e in s.items or () if isinstance(e, ColumnRef)}
-                key_sources += [k if s.items is None else passed.get(k) for k in s.groupby]
         sets.append(PGroupingSet(list(asked.groupby), [n for n, _ in asked.aggs], grain, merge))
-    coded = len({k for k in key_sources if k is not None}) + key_sources.count(None)
-    keys = PSharedKeys(coded, len(key_sources) - coded)
-    return Fragments([PGroupingSets(list(shared.nodes), partials, sets, keys)])
+    return Fragments([PGroupingSets(list(shared.nodes), partials, sets)])
 
 
 def _shared_partial(mine, theirs):

@@ -223,7 +223,7 @@ class Column:
         return from_storage(raw, self.ltype)
 
     # ------------------------------------------------------------------ #
-    # Row selection (results are plain-encoded but keep the dictionary)
+    # Row selection (results decoded, or a free view; dictionary kept)
     # ------------------------------------------------------------------ #
     def take(self, indices: np.ndarray) -> "Column":
         taken = self.physical.take(indices)
@@ -242,13 +242,12 @@ class Column:
         return self.take(np.flatnonzero(keep))
 
     def slice(self, start: int, stop: int) -> "Column":
-        part = self.physical.slice(start, stop)
         mask = self.null_mask[start:stop] if self.null_mask is not None else None
         if mask is not None and not mask.any():
             mask = None
         return Column(
             self.ltype,
-            PlainVector(part),
+            self.physical.window(start, stop),
             dictionary=self.dictionary,
             null_mask=mask,
             collation=self.collation,

@@ -11,8 +11,8 @@ We mirror the directory-per-namespace layout inside a ZIP container:
     <schema>/<table>/<column>.json       (string values, heap side)
     <schema>/<table>/<column>.mask.npy   (null mask, when any NULLs)
 
-Columns are stored decoded; dictionary compression and lightweight
-encodings are rebuilt at load time from recorded hints, which keeps the
+Columns are stored decoded; dictionary compression and each column's
+encoding are rebuilt at load time from recorded hints, which keeps the
 format simple and version-tolerant at the cost of some load-time work.
 """
 
@@ -101,8 +101,7 @@ def unpack_database(path) -> Database:
                     else:
                         values = _read_npy(zf, f"{base}.npy")
                     mask = _read_npy(zf, f"{base}.mask.npy") if entry["has_nulls"] else None
-                    encoding = entry["encoding"]
-                    hint = encoding if encoding in ("rle", "delta") and len(values) else None
+                    hint = entry["encoding"] if len(values) else None
                     cols[col_name] = Column.from_numpy(
                         values,
                         ltype,

@@ -1,9 +1,10 @@
 """Physical vectors: the on-disk/in-memory representations of column data.
 
 The TDE distinguishes *dictionary compression* (visible outside the storage
-layer) from *encodings* (run-length, delta) which are "a storage format that
-is typically invisible outside this layer" (paper 4.1.1). This module
-implements the encodings; ``dictionary.py`` implements compression.
+layer) from *encodings* (run-length, delta, frame-of-reference) which are
+"a storage format that is typically invisible outside this layer" (paper
+4.1.1). This module implements the encodings; ``dictionary.py`` implements
+compression.
 
 A :class:`PhysicalVector` stores a sequence of fixed-width values (int64,
 float64, bool) or — for plain vectors only — object-dtype strings. Columns
@@ -42,6 +43,10 @@ class PhysicalVector:
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Decode the given row positions."""
         return self.materialize()[indices]
+
+    def window(self, start: int, stop: int) -> "PhysicalVector":
+        """Rows [start, stop) as a vector (decoded unless a view is free)."""
+        return PlainVector(self.slice(start, stop))
 
     @property
     def nbytes(self) -> int:
@@ -239,6 +244,48 @@ class DeltaVector(PhysicalVector):
         return int(self.deltas.nbytes + self._checkpoints.nbytes) + 8
 
 
+class ForVector(PhysicalVector):
+    """Frame-of-reference encoding: ``value − base`` in the narrowest
+    unsigned dtype that holds the span, ``(base, span)`` recorded when
+    encoding. The offsets are order-preserving codes in ``[0, span)`` that
+    a group-by reads as they are; decoding is one add per row, no running
+    sum, so :meth:`window` is a view of the offsets."""
+
+    encoding = "for"
+
+    def __init__(self, base: int, offsets: np.ndarray, span: int, dtype: np.dtype = np.dtype(np.int64)):
+        self.base, self.offsets, self.span, self.dtype = int(base), offsets, int(span), np.dtype(dtype)
+
+    @classmethod
+    def from_plain(cls, values: np.ndarray) -> "ForVector":
+        lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, -1)
+        if not 0 <= hi - lo <= np.iinfo(np.uint16).max:
+            raise StorageError(f"{len(values)} values spanning {hi - lo + 1} take no 16-bit offsets")
+        width = np.uint8 if hi - lo <= np.iinfo(np.uint8).max else np.uint16
+        return cls(lo, (values.astype(np.int64) - lo).astype(width), hi - lo + 1, values.dtype)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def take(self, indices) -> np.ndarray:
+        out = self.offsets[indices].astype(self.dtype)
+        out += self.base
+        return out
+
+    def materialize(self) -> np.ndarray:
+        return self.take(slice(None))
+
+    def slice(self, start: int, stop: int) -> np.ndarray:
+        return self.take(slice(start, stop))
+
+    def window(self, start: int, stop: int) -> "ForVector":
+        return ForVector(self.base, self.offsets[start:stop], self.span, self.dtype)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.offsets.nbytes) + 16
+
+
 #: Minimum average run length for RLE to be chosen over plain storage.
 RLE_MIN_AVG_RUN = 2.0
 
@@ -246,21 +293,19 @@ RLE_MIN_AVG_RUN = 2.0
 def encode_best(values: np.ndarray, *, prefer: str | None = None) -> PhysicalVector:
     """Choose a storage encoding for a plain array.
 
-    ``prefer`` forces ``"plain"``, ``"rle"`` or ``"delta"``; otherwise the
-    encoder picks RLE when the average run length is at least
-    ``RLE_MIN_AVG_RUN``, delta for monotone-ish int64 data whose deltas fit
-    in 16 bits, and plain otherwise. Object (string) arrays are never
-    encoded here — they go through dictionary compression first, after
-    which their codes can be encoded.
+    ``prefer`` forces ``"plain"``, ``"rle"``, ``"delta"`` or ``"for"``;
+    otherwise the encoder picks RLE when the average run length is at
+    least ``RLE_MIN_AVG_RUN``, delta for monotone int64 data whose deltas
+    fit in 16 bits, frame-of-reference for other integers whose span fits
+    16 bits, and plain otherwise. Object (string) arrays are never encoded
+    here — they go through dictionary compression first, after which their
+    codes can be encoded.
     """
-    if prefer == "plain":
-        return PlainVector(values)
-    if prefer == "rle":
-        return RleVector.from_plain(values)
-    if prefer == "delta":
-        return DeltaVector.from_plain(values)
     if prefer is not None:
-        raise StorageError(f"unknown encoding preference {prefer!r}")
+        encoders = {"plain": PlainVector, "rle": RleVector, "delta": DeltaVector, "for": ForVector}
+        if prefer not in encoders:
+            raise StorageError(f"unknown encoding preference {prefer!r}")
+        return PlainVector(values) if prefer == "plain" else encoders[prefer].from_plain(values)
     n = len(values)
     if n == 0 or values.dtype == object:
         return PlainVector(values)
@@ -269,6 +314,8 @@ def encode_best(values: np.ndarray, *, prefer: str | None = None) -> PhysicalVec
         return rle
     if values.dtype.kind == "i" and n >= 2:
         diffs = np.diff(values.astype(np.int64))
-        if len(diffs) and diffs.min() >= -32768 and diffs.max() <= 32767:
+        if (diffs.min() >= 0 or diffs.max() <= 0) and -32768 <= diffs.min() and diffs.max() <= 32767:
             return DeltaVector.from_plain(values)
+        if int(values.max()) - int(values.min()) <= np.iinfo(np.uint16).max:
+            return ForVector.from_plain(values)
     return PlainVector(values)

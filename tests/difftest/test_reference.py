@@ -35,9 +35,10 @@ from repro.expr.ast import AggExpr, ColumnRef
 from repro.queries import compile as compiler
 from repro.queries.spec import TopNFilter
 from repro.tde.exec import ExecContext, PHashJoin, PScan, execute_to_table
-from repro.tde.exec import kernels, physical
+from repro.tde.exec import grouping, kernels, physical
+from repro.tde.exec.grouping import PGroupingSets, PSharedInput
 from repro.tde.exec.kernels import AggSpec
-from repro.tde.exec.physical import aggregate_table
+from repro.tde.exec.physical import PHashAggregate, aggregate_table
 from repro.tde.storage import Column, Table
 
 from tests.core.conftest import ENGINE, make_model, make_source
@@ -100,6 +101,15 @@ def _unnan(rows):
 # ---------------------------------------------------------------------- #
 # Group-by
 # ---------------------------------------------------------------------- #
+AGGS = [
+    ("n", "count_star", None),
+    ("c", "count", "v"),
+    ("s", "sum", "v"),
+    ("lo", "min", "v"),
+    ("hi", "max", "v"),
+]
+
+
 @st.composite
 def grouped_tables(draw):
     n = draw(st.integers(0, 40))
@@ -127,16 +137,9 @@ def check_group_by(keys: dict, measure: list) -> None:
     assert members == expected
     assert reps.tolist() == [group[0] for group in expected]
 
-    aggs = [
-        ("n", "count_star", None),
-        ("c", "count", "v"),
-        ("s", "sum", "v"),
-        ("lo", "min", "v"),
-        ("hi", "max", "v"),
-    ]
-    specs = [AggSpec(name, func, arg, LogicalType.INT) for name, func, arg in aggs]
+    specs = [AggSpec(name, func, arg, LogicalType.INT) for name, func, arg in AGGS]
     got = aggregate_table(table, names, specs).to_rows()
-    assert _unnan(got) == _unnan(aggregate_rows(rows, names, aggs))
+    assert _unnan(got) == _unnan(aggregate_rows(rows, names, AGGS))
 
 
 @bounds
@@ -149,33 +152,45 @@ def test_group_ids_match_the_reference(bound, spec):
 
 @st.composite
 def key_lists_of_one_table(draw):
-    keys, _measure = draw(grouped_tables())
+    keys, measure = draw(grouped_tables())
     lists = []
     for _ in range(draw(st.integers(1, 6))):
         order = draw(st.permutations(list(keys)))
         lists.append(order[draw(st.integers(0, len(order) - 1)):])
-    return keys, lists
+    return keys, measure, lists
 
 
 @bounds
 @given(key_lists_of_one_table())
 @settings(max_examples=30, deadline=None)
-def test_the_key_memo_returns_what_factorize_table_does(bound, spec):
-    """Group-bys of one table in several key orders, through one memo:
-    reused columns, suffix folds and permutations ranked over the
-    groups must all give the arrays checked against the reference."""
-    keys, lists = spec
-    table = Table({name: _column(kind, values) for name, (kind, values) in keys.items()})
-    memo = kernels.KeyMemo()
+def test_the_shared_key_route_returns_what_aggregate_table_does(bound, spec):
+    """Partials of one fragment in several key orders, through one coding
+    of its key columns and one densification of the keys they all share:
+    each partial's table is ``aggregate_table``'s, NULL keys and
+    dictionary codes included. Only a key that needs sorting (float,
+    wide integer, plain string) or a domain past the direct bound sends a
+    partial to ``aggregate_table``'s route."""
+    keys, measure, lists = spec
+    table = Table(
+        {name: _column(kind, values) for name, (kind, values) in keys.items()}
+        | {"v": _column("dense_int", measure)}
+    )
+    specs = [AggSpec(name, func, arg, LogicalType.INT) for name, func, arg in AGGS]
+    partials = [PHashAggregate(PSharedInput(None), names, specs) for names in lists]
     with _bounds(bound):
-        for names in lists:
-            gids, n_groups, reps = kernels.factorize_table(table, names)
-            with kernels.sharing_keys(memo):
-                got = kernels.factorize_table(table, names)
-            assert got[1] == n_groups
-            for mine, theirs in ((got[0], gids), (got[2], reps)):
-                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    assert memo.coded == len({name for names in lists for name in names})
+        coded = grouping._FragmentKeys(table, PGroupingSets([], partials, []).shared_keys, lambda: 0.0)
+        for names, partial in zip(lists, partials):
+            got = coded.aggregate(partial)
+            if got is None:
+                direct = [kernels.key_codes(table.column(name)) for name in names]
+                assert None in direct or np.prod([d.card for d in direct], dtype=object) > (
+                    kernels._direct_bound(table.n_rows)
+                )
+                continue
+            expected = aggregate_table(table, names, specs)
+            kernel_suite.assert_byte_identical(got, expected, context=str(names))
+            for name in names:
+                assert got.column(name).dictionary is expected.column(name).dictionary
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ from repro.datatypes import LogicalType as L
 from repro.errors import BindError, ExecutionError, TqlParseError
 from repro.queries.postops import apply_post_ops
 from repro.tde.engine import DataEngine
-from repro.tde.exec import kernels
+from repro.tde.exec import grouping, kernels
 from repro.tde.exec.exchange import PExchange
 from repro.tde.exec.fused import PFusedPipeline
 from repro.tde.exec.grouping import PGroupingSets, PSharedInput, slice_set
@@ -139,8 +139,9 @@ RENAMED = {"region": "r", "status": "s2", "priority": "p", "day": "d", "qty": "q
 @st.composite
 def sets_sharing_keys(draw):
     """Sets over one key list in several orders, with keys put in front
-    of its suffixes, some through a renaming projection: every route of
-    the per-fragment key memo (column reuse, suffix fold, permutation)."""
+    of its suffixes, some through a renaming projection: partials whose
+    keys end with the shared ones, partials in another order, and column
+    codes reused across partials of one fragment."""
     relation, extra_keys = draw(st.sampled_from(RELATIONS))
     pool = FACT_KEYS + extra_keys
     base = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True))
@@ -169,22 +170,24 @@ def test_sets_sharing_keys_equal_their_standalone_queries_under_tight_bounds(que
         _check_sets(query, options)
 
 
-def test_no_key_memo_outlives_its_fragment(monkeypatch):
+def test_no_key_code_outlives_its_fragment(monkeypatch):
     seen = []
-    factorize = kernels.KeyMemo.factorize
+    key_codes = kernels.key_codes
 
-    def watching(self, columns, n_rows):
-        seen.extend(weakref.ref(col) for col in columns)
-        return factorize(self, columns, n_rows)
+    def watching(col):
+        coded = key_codes(col)
+        seen.extend((weakref.ref(col), weakref.ref(coded.codes)))
+        return coded
 
-    monkeypatch.setattr(kernels.KeyMemo, "factorize", watching)
+    monkeypatch.setattr(grouping, "key_codes", watching)
     query = (
         "(grouping-sets (set (region status) ((n (count)))) (set (status region) ((s (sum amount)))) "
         f"(set (day status) ()) {EVENTS})"
     )
     ENGINE.query(query, options=FOUR_WAY)
-    # The first two sets share one partial: two partials of two keys.
-    assert len(seen) >= 2 * 2 * 4
+    # The first two sets share one partial: three key columns coded in
+    # each of four fragments, status for both partials.
+    assert len(seen) == 2 * 3 * 4
     assert all(ref() is None for ref in seen)
 
 
@@ -323,11 +326,12 @@ def test_explain_shows_each_shared_partial_once_and_each_sets_joins():
         actual_rows(by_carrier), actual_rows(by_carrier), actual_rows(by_both)
     ]
     assert actual_rows(market_joins[0]) == actual_rows(by_both)
-    # The key coding the partials share has its own row: carrier_id is
-    # coded once for two partials, and the row counts the columns coded.
-    (keys,) = [line for line in lines if "SharedKeys(" in line]
-    assert keys.startswith("  #") and "SharedKeys(3 columns coded, 1 reused)" in keys
-    assert f"actual={3 * fragments} rows, {fragments} batches" in keys
+    # The operator names the keys its partials share — none here: the set
+    # by cancelled shares no key with the others — and, analyzed, the time
+    # spent coding keys; without that set both partials share carrier_id.
+    assert "; shared keys <none>)" in lines[1] and ", keys coded in " in lines[1]
+    fewer = str(engine.explain(query.replace("(set (cancelled) ()) ", ""))).splitlines()[1]
+    assert "(3 sets, 2 partials over" in fewer and "; shared keys carrier_id)" in fewer
     notes = {
         n["detail"]: n["attributes"]["sets"]
         for n in explained.to_dict()["provenance"]

@@ -7,6 +7,8 @@ keep dictionary codes through ``Table.concat``, one Fig-1 render over
 string values one Python dict probe at a time.
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro.connectors import SimDbDataSource, TdeDataSource
@@ -16,27 +18,38 @@ from repro.dashboard import DashboardSession
 from repro.tde.engine import DataEngine
 from repro.tde.exec import kernels, physical
 from repro.tde.exec.physical import ExecContext, PScan
-from repro.tde.storage import Column, DeltaVector, Dictionary, Table
+from repro.tde.exec import grouping
+from repro.tde.storage import Column, DeltaVector, Dictionary, ForVector, PlainVector, RleVector, Table
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
+
+
+#: Every encoded vector type; only a plain vector materializes for free.
+ENCODED = (RleVector, DeltaVector, ForVector)
 
 
 def test_fig1_render_never_rematerializes_or_reencodes(monkeypatch):
     engine = generate_flights(20_000, seed=1).load_into_engine()
-    encodings = {c.encoding for c in engine.table("Extract.flights").columns.values()}
-    assert "delta" in encodings  # the guard below would otherwise be vacuous
+    present = {type(c.physical) for c in engine.table("Extract.flights").columns.values()}
+    # Each encoded type the fact table holds is watched below (the key
+    # columns are frame-of-reference; distance's span left delta unused).
+    assert ForVector in present and present - {PlainVector} <= set(ENCODED)
     materialized = []
     encoded = []
-    materialize, encode = DeltaVector.materialize, Dictionary.encode.__func__
+    encode = Dictionary.encode.__func__
 
-    def counting_materialize(self):
-        materialized.append(len(self))
-        return materialize(self)
+    def counting(materialize):
+        def counting_materialize(self):
+            materialized.append((type(self).__name__, len(self)))
+            return materialize(self)
+
+        return counting_materialize
 
     def counting_encode(cls, values, **kwargs):
         encoded.append(len(values))
         return encode(cls, values, **kwargs)
 
-    monkeypatch.setattr(DeltaVector, "materialize", counting_materialize)
+    for vector in ENCODED:
+        monkeypatch.setattr(vector, "materialize", counting(vector.materialize))
     monkeypatch.setattr(Dictionary, "encode", classmethod(counting_encode))
     pipeline = QueryPipeline(TdeDataSource(engine), flights_model())
     try:
@@ -60,11 +73,13 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
     groupings fall on four foreign-key grains, one partial each; each of
     the six distinct key columns is coded once per fragment (25 codings
     when each set coded its own keys, 7 when the sets grouped by the
-    dimension columns); and no partial computes a measure twice (the
+    dimension columns); the three keys all four partials group by are
+    densified once per fragment (each partial densified its own keys, 16
+    times a render); and no partial computes a measure twice (the
     ``avg`` split and the ``__reuse`` measures both ask for ``sum`` and
     ``count`` of one column)."""
     dataset = generate_flights(20_000, seed=1)
-    queries, ranges, codings, measures, probes = [], [], [], [], []
+    queries, ranges, codings, densified, measures, probes = [], [], [], [], [], []
     query, slice_ = DataEngine.query, Table.slice
 
     def counting_query(self, text, **kwargs):
@@ -76,19 +91,21 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
             ranges.append((start, stop))
         return slice_(self, start, stop)
 
-    def counting_codes(code):
-        def coding(*args):
-            codes, card = code(*args)
-            codings.append(len(codes))
-            return codes, card
+    key_codes, slot_ranks = kernels.key_codes, kernels._slot_ranks
 
-        return coding
+    def coding(col, *ranked):
+        codings.append(len(col))
+        return key_codes(col, *ranked)
+
+    def densifying(combined, domain):
+        densified.append(len(combined))
+        return slot_ranks(combined, domain)
 
     aggregate_groups, aggregate_one = kernels.aggregate_groups, kernels._aggregate_one
 
-    def one_call(table, gids, n_groups, specs):
+    def one_call(table, gids, n_groups, specs, aggregate=aggregate_groups):
         measures.append((table.n_rows, []))
-        return aggregate_groups(table, gids, n_groups, specs)
+        return aggregate(table, gids, n_groups, specs)
 
     def one_measure(col, gids, k, spec, shared):
         measures[-1][1].append((spec.func, spec.arg))
@@ -100,9 +117,11 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
         probes.append(probe.n_rows)
         return probe_index(index, probe, keys)
 
-    monkeypatch.setattr(kernels, "_column_codes", counting_codes(kernels._column_codes))
-    monkeypatch.setattr(kernels, "_dictionary_codes", counting_codes(kernels._dictionary_codes))
+    for module in (kernels, grouping):
+        monkeypatch.setattr(module, "key_codes", coding)
+        monkeypatch.setattr(module, "_slot_ranks", densifying)
     monkeypatch.setattr(physical, "aggregate_groups", one_call)
+    monkeypatch.setattr(grouping, "aggregate_slots", partial(one_call, aggregate=kernels.aggregate_slots))
     monkeypatch.setattr(kernels, "_aggregate_one", one_measure)
     monkeypatch.setattr(physical, "probe_index", one_probe)
 
@@ -129,6 +148,7 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
     assert sum(stop - start for start, stop in ranges) == 20_000
     fragment_rows = {stop - start for start, stop in ranges}
     assert len([n for n in codings if n in fragment_rows]) == 6 * fragments
+    assert len([n for n in densified if n in fragment_rows]) == fragments
     assert len([n for n, _ in measures if n in fragment_rows]) == 4 * fragments
     assert all(len(set(m)) == len(m) for _, m in measures)
     assert probes and not [n for n in probes if n in fragment_rows]

@@ -1,5 +1,6 @@
 """Unit and property tests for the storage encodings (paper 4.1.1)."""
 
+import io
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datatypes import LogicalType
 from repro.errors import StorageError
+from repro.tde.storage import Column, Database, Table, pack_database, unpack_database
 from repro.tde.storage.vectors import (
     DeltaVector,
+    ForVector,
     PlainVector,
     RleVector,
     encode_best,
@@ -223,7 +227,58 @@ class TestDeltaVector:
         assert max(seen) <= 100 + DeltaVector.CHECKPOINT_ROWS
 
 
+class TestForVector:
+    def test_offsets_are_codes_from_the_minimum(self):
+        arr = np.array([103, 100, 355, 100, 101], dtype=np.int64)
+        vec = ForVector.from_plain(arr)
+        assert (vec.base, vec.span, vec.offsets.dtype) == (100, 256, np.uint8)
+        assert list(vec.offsets) == [3, 0, 255, 0, 1]
+        assert ForVector.from_plain(np.resize(arr, 1000)).nbytes < arr.nbytes * 200 / 4
+
+    def test_width_follows_the_span(self):
+        assert ForVector.from_plain(np.array([0, 256])).offsets.dtype == np.uint16
+        with pytest.raises(StorageError):
+            ForVector.from_plain(np.array([0, 2**16]))
+        with pytest.raises(StorageError):
+            ForVector.from_plain(np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("width", [np.uint8, np.uint16])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_slice_take_property(self, width, data):
+        """``slice``/``take``/``window`` equal indexing the materialized
+        column, for each offset width, with ranges on and off the column."""
+        span = np.iinfo(width).max
+        base = data.draw(st.integers(-(2**40), 2**40))
+        # 0 and the span force the width; the rest come in any order.
+        offsets = [span, 0] + data.draw(st.lists(st.integers(0, span), max_size=40))
+        arr = np.asarray(offsets, dtype=np.int64) + base
+        start = data.draw(st.integers(0, len(arr) + 2))
+        stop = data.draw(st.integers(0, len(arr) + 2))
+        idx = np.asarray(data.draw(st.lists(st.integers(0, len(arr) - 1), max_size=20)), dtype=np.int64)
+        vec = ForVector.from_plain(arr)
+        assert vec.offsets.dtype == width
+        window = vec.window(start, stop)
+        assert isinstance(window, ForVector) and window.offsets.base is vec.offsets  # a view
+        for got, expected in [
+            (vec.materialize(), arr),
+            (vec.slice(start, stop), arr[start:stop]),
+            (window.materialize(), arr[start:stop]),
+            (vec.take(idx), arr[idx]),
+        ]:
+            assert got.dtype == arr.dtype and np.array_equal(got, expected)
+
+
 class TestEncodeBest:
+    def test_prefers_for_for_unsorted_small_spans(self):
+        rng = np.random.default_rng(0)
+        assert encode_best(rng.integers(0, 20, size=500)).encoding == "for"
+        assert encode_best(rng.integers(120, 2800, size=500)).encoding == "for"
+        # Past a 16-bit span only a monotone column is worth encoding.
+        walk = np.cumsum(rng.integers(-30000, 30001, size=500))
+        assert encode_best(walk).encoding == "plain"
+        assert encode_best(np.sort(walk)).encoding == "delta"
+
     def test_prefers_rle_for_runs(self):
         arr = np.repeat(np.arange(10), 50)
         assert encode_best(arr).encoding == "rle"
@@ -242,6 +297,7 @@ class TestEncodeBest:
         assert encode_best(arr, prefer="rle").encoding == "rle"
         assert encode_best(arr, prefer="plain").encoding == "plain"
         assert encode_best(arr, prefer="delta").encoding == "delta"
+        assert encode_best(arr, prefer="for").encoding == "for"
 
     def test_unknown_preference(self):
         with pytest.raises(StorageError):
@@ -257,3 +313,30 @@ class TestEncodeBest:
         arr = np.asarray(values, dtype=np.int64)
         vec = encode_best(arr)
         assert list(vec.materialize()) == values
+
+
+def test_pack_and_unpack_keep_every_encoding():
+    rng = np.random.default_rng(1)
+    table = Table(
+        {
+            "plain": Column.from_numpy(rng.integers(-(2**40), 2**40, size=300), LogicalType.INT),
+            "rle": Column.from_numpy(np.repeat(np.arange(30), 10), LogicalType.INT),
+            "delta": Column.from_numpy(np.arange(0, 900, 3), LogicalType.INT),
+            "for": Column.from_numpy(rng.integers(0, 40, size=300), LogicalType.INT),
+            "forced": Column.from_numpy(np.arange(300), LogicalType.INT, encoding="plain"),
+            "codes": Column.from_values([str(v) for v in rng.integers(0, 9, size=300)]),
+        }
+    )
+    db = Database("packed")
+    db.add_table("Extract.t", table)
+    buf = io.BytesIO()
+    pack_database(db, buf)
+    reloaded = unpack_database(io.BytesIO(buf.getvalue())).table("Extract.t")
+    encodings = {name: col.encoding for name, col in table.columns.items()}
+    assert encodings == {
+        "plain": "plain", "rle": "rle", "delta": "delta", "for": "for", "forced": "plain", "codes": "for"
+    }
+    assert {name: col.encoding for name, col in reloaded.columns.items()} == encodings
+    assert reloaded.equals(table)
+    listed = db.table("SYS.columns").to_pydict()
+    assert dict(zip(listed["column_name"], listed["encoding"])) == encodings
