@@ -37,7 +37,7 @@ from repro import obs
 from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.cache.replicated import ReplicatedStore
-from repro.faults.clock import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.faults.injector import FaultyDataSource
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs.window import SLOObjective, Telemetry, TelemetryOptions
@@ -198,7 +198,7 @@ def _slo_burn_demo() -> dict:
             timeline["recover_t"] = clock.monotonic()
         clock.advance(1.0)
 
-    with obs.recording(clock=clock.monotonic) as rec:
+    with obs.recording(clock=clock) as rec:
         while clock.monotonic() < OUTAGE_FROM_S:  # healthy baseline traffic
             tick()
         assert telemetry.slo.state == "ok"

@@ -37,7 +37,7 @@ from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.cache.replicated import ReplicatedStore
 from repro.core.pipeline import PipelineOptions
-from repro.faults.clock import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.faults.injector import FaultyDataSource
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs.critpath import aggregate_report, critical_path, link_resolver
@@ -183,7 +183,7 @@ def _attribution_run() -> dict:
     server.register_dashboard(fig1_dashboard())
     server.register_dashboard(fig2_dashboard())
     visits = ([fig1_dashboard().name, fig2_dashboard().name] * 3)[:ATTRIBUTION_VISITS]
-    with obs.recording(clock=clock.monotonic):
+    with obs.recording(clock=clock):
         for i, dashboard in enumerate(visits):
             server.load(f"user{i}", dashboard)
     buffer = server.telemetry.traces

@@ -2,19 +2,18 @@
 
 A :class:`DataSource` mints :class:`Connection` objects; a connection
 executes textual queries (SQL for remote servers, TQL for the embedded
-TDE), owns session-local temporary tables, and records usage statistics
-used by the pool's eviction policy.
+TDE), owns session-local temporary tables, and counts its queries; the
+pool that owns it stamps when it went idle.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Protocol
+from typing import Protocol
 
 from ..datatypes import LogicalType
-from ..errors import ConnectionDiedError, SourceError
-from ..sql.dialects import Capabilities
+from ..errors import ConnectionDiedError
+from ..sql.dialects import ANSI, Capabilities
 from ..tde.engine import DataEngine
 from ..tde.storage.table import Table
 
@@ -50,8 +49,8 @@ class Connection:
         self.driver = driver
         self.connection_id = next(Connection._ids)
         self.temp_tables: dict[str, dict[str, LogicalType]] = {}
-        self.created_at = time.monotonic()
-        self.last_used = self.created_at
+        #: When the connection last went idle, on its pool's clock.
+        self.last_used = 0.0
         self.queries_executed = 0
         self.is_open = True
         self._lock = threading.Lock()
@@ -67,7 +66,6 @@ class Connection:
             self.close()
             raise
         with self._lock:
-            self.last_used = time.monotonic()
             self.queries_executed += 1
         return result
 
@@ -81,7 +79,6 @@ class Connection:
             raise
         with self._lock:
             self.temp_tables[name] = table.schema()
-            self.last_used = time.monotonic()
 
     def has_temp_table(self, name: str) -> bool:
         return name in self.temp_tables
@@ -90,9 +87,6 @@ class Connection:
         if name in self.temp_tables:
             self.driver.drop_temp_table(name)
             del self.temp_tables[name]
-
-    def idle_seconds(self) -> float:
-        return time.monotonic() - self.last_used
 
     def close(self) -> None:
         if self.is_open:
@@ -168,8 +162,6 @@ class TdeDataSource:
     in_process = True
 
     def __init__(self, engine: DataEngine, name: str | None = None):
-        from ..sql.dialects import ANSI
-
         self.engine = engine
         self.name = name or f"tde:{engine.database.name}"
         self.dialect = ANSI  # capability-complete; text is TQL, not SQL

@@ -23,11 +23,11 @@ retries onto a sick backend. Callers report query failures through
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import SourceError, TransientSourceError
 from .connection import Connection, DataSource
 
@@ -52,11 +52,13 @@ class ConnectionPool:
         max_connections: int = 8,
         idle_ttl_s: float = 300.0,
         breaker=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.source = source
         self.max_connections = max_connections
         self.idle_ttl_s = idle_ttl_s
         self.breaker = breaker
+        self.clock = clock
         self.stats = PoolStats()
         self._idle: list[Connection] = []
         self._busy: set[Connection] = set()
@@ -117,7 +119,7 @@ class ConnectionPool:
                     break
                 self.stats.wait_events += 1
                 if wait_started is None:
-                    wait_started = time.monotonic()
+                    wait_started = self.clock.monotonic()
                 self._lock.wait()
         try:
             with obs.span("pool.connect", source=self.source.name):
@@ -166,7 +168,7 @@ class ConnectionPool:
         obs.counter(f"pool.{how}").inc()
         waited = None
         if wait_started is not None:
-            waited = time.monotonic() - wait_started
+            waited = self.clock.monotonic() - wait_started
             obs.histogram("pool.wait_s").observe(waited)
         if obs.events_enabled():
             if waited is not None:
@@ -205,6 +207,7 @@ class ConnectionPool:
             if self._holders:
                 self._last_holder[id(conn)] = self._holders.pop(id(conn), None)
             if conn.is_open and not self._closed:
+                conn.last_used = self.clock.monotonic()
                 self._idle.append(conn)
             self._lock.notify()
         if self.breaker is not None:
@@ -249,19 +252,20 @@ class ConnectionPool:
             self.release(conn)
 
     # ------------------------------------------------------------------ #
-    def evict_idle(self, *, older_than_s: float | None = None) -> int:
+    def evict_idle(self) -> int:
         """Close idle connections unused for longer than the TTL."""
-        ttl = self.idle_ttl_s if older_than_s is None else older_than_s
+        ttl = self.idle_ttl_s
         evicted = 0
+        now = self.clock.monotonic()
         with self._lock:
             keep: list[Connection] = []
             for conn in self._idle:
-                if conn.idle_seconds() > ttl:
+                if now - conn.last_used > ttl:
                     if obs.events_enabled():
                         obs.event(
                             "pool",
                             "evicted",
-                            f"idle for {conn.idle_seconds():.1f}s, over the "
+                            f"idle for {now - conn.last_used:.1f}s, over the "
                             f"{ttl:.1f}s limit: closed to release remote "
                             f"resources",
                             source=self.source.name,

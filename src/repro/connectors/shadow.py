@@ -28,9 +28,10 @@ from ..datatypes import LogicalType
 from ..errors import SourceError, SourceUnavailableError
 from ..sql.dialects import ANSI
 from ..tde.engine import DataEngine
+from ..tde.optimizer.catalog import StorageCatalog
 from ..tde.storage.filepack import pack_database, unpack_database
 from ..tde.storage.table import Table
-from .connection import Connection, TdeDataSource, _TdeDriver
+from .connection import Connection, _TdeDriver
 from .textfile import JET_PARSE_LIMIT_BYTES, parse_text_file, parse_workbook
 
 #: Table name under which a file's rows are exposed.
@@ -59,7 +60,6 @@ class ShadowExtractStore:
             self.hits += 1
             engine = DataEngine(path.stem)
             engine.database = unpack_database(key)
-            from ..tde.optimizer.catalog import StorageCatalog
 
             engine.catalog = StorageCatalog(engine.database)
             return engine

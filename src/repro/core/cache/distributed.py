@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import threading
 
+from ...clock import SYSTEM_CLOCK, Clock
 from ...errors import CacheError, StorageError
-from ...faults.clock import SYSTEM_CLOCK, Clock
 from ...tde.storage.table import Table
 from ...tde.storage.wire import decode_table, encode_table
 from .eviction import CacheEntry, EvictionPolicy
@@ -34,7 +34,7 @@ from .eviction import CacheEntry, EvictionPolicy
 class KeyValueStore:
     """One cache node's byte map, with modeled round-trip latency.
 
-    Round trips sleep on an injectable :class:`~repro.faults.clock.Clock`
+    Round trips sleep on an injectable :class:`~repro.clock.Clock`
     so the tier can run the same modeled latencies in virtual time
     (microseconds of wall clock, identical timings every run).
     """
@@ -44,11 +44,11 @@ class KeyValueStore:
         *,
         latency_s: float = 0.0008,
         per_mb_s: float = 0.004,
-        clock: Clock | None = None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.latency_s = latency_s
         self.per_mb_s = per_mb_s
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self._data: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self.gets = 0
@@ -158,12 +158,14 @@ class DistributedQueryCache:
         *,
         l1_policy: EvictionPolicy | None = None,
         use_l1: bool = True,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.store = store
         self.namespace = namespace
         self._prefix = f"{namespace}|"
         self.use_l1 = use_l1
         self.l1_policy = l1_policy or EvictionPolicy(max_entries=128)
+        self.clock = clock
         self._l1: dict[str, CacheEntry] = {}
         self._lock = threading.Lock()
         self.l1_hits = 0
@@ -176,7 +178,7 @@ class DistributedQueryCache:
             with self._lock:
                 entry = self._l1.get(key)
                 if entry is not None:
-                    entry.touch()
+                    entry.touch(self.clock.monotonic())
                     self.l1_hits += 1
                     return entry.value
         payload = self.store.get(self._prefix + key)
@@ -206,8 +208,9 @@ class DistributedQueryCache:
 
     def _remember(self, key: str, table: Table) -> None:
         with self._lock:
-            self._l1[key] = CacheEntry(key, self.namespace, table, table.nbytes)
-            self.l1_policy.purge(self._l1)
+            now = self.clock.monotonic()
+            self._l1[key] = CacheEntry(key, self.namespace, table, table.nbytes, now)
+            self.l1_policy.purge(self._l1, now)
 
     def invalidate(self, datasource: str | None = None) -> int:
         """Drop this namespace from the L1 and from every node of the tier.

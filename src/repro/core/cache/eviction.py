@@ -4,11 +4,14 @@
 upon a combination of entry age, usage, and the expense of re-evaluating
 the query. Entries are also purged when a connection to a data source is
 closed or refreshed." (paper 3.2)
+
+Ages are read off the owning cache's clock: the cache stamps ``created_at``
+and ``last_used`` and passes ``now`` to :meth:`EvictionPolicy.purge`, so a
+cache on a virtual clock ages its entries in virtual seconds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -23,18 +26,20 @@ class CacheEntry:
     datasource: str
     value: Any  # a Table (or payload bytes for the distributed layer)
     size_bytes: int
+    created_at: float  # the owning cache's clock reading at insert
     cost_s: float = 0.0  # expense of re-evaluating the query
-    created_at: float = field(default_factory=time.monotonic)
-    last_used: float = field(default_factory=time.monotonic)
     uses: int = 0
+    last_used: float = field(init=False)
 
-    def touch(self) -> None:
-        self.last_used = time.monotonic()
+    def __post_init__(self) -> None:
+        self.last_used = self.created_at
+
+    def touch(self, now: float) -> None:
+        self.last_used = now
         self.uses += 1
 
-    def retention_score(self, now: float | None = None) -> float:
+    def retention_score(self, now: float) -> float:
         """Higher = keep longer. Combines age, usage, and re-eval cost."""
-        now = time.monotonic() if now is None else now
         age = max(now - self.last_used, 0.0)
         return (self.cost_s + 1e-3) * (1.0 + self.uses) / (1.0 + age)
 
@@ -47,15 +52,15 @@ class EvictionPolicy:
     max_bytes: int = 256 * 1024 * 1024
     max_age_s: float = float("inf")
 
-    def purge(self, entries: dict[str, CacheEntry]) -> list[str]:
-        """Remove entries until within capacity; return evicted keys.
+    def purge(self, entries: dict[str, CacheEntry], now: float) -> list[str]:
+        """Remove entries until within capacity at time ``now`` (the
+        cache's clock); return evicted keys.
 
         Every victim is reported as a ``cache.eviction`` decision event
         carrying the three retention inputs the paper names — entry age,
         usage, and re-evaluation expense — plus the combined score, so a
         recording shows *why* that entry lost.
         """
-        now = time.monotonic()
         expired = [e for e in entries.values() if now - e.created_at > self.max_age_s]
         evicted: list[str] = []
         for entry in expired:

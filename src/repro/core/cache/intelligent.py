@@ -24,8 +24,8 @@ import threading
 from dataclasses import dataclass
 
 from ... import obs
-from ...errors import CacheError
-from ...expr.ast import AggExpr, Expr, conjoin
+from ...clock import SYSTEM_CLOCK, Clock
+from ...expr.ast import AggExpr, Expr, columns_used, conjoin
 from ...queries.postops import (
     LocalFilter,
     LocalSort,
@@ -39,6 +39,7 @@ from ...queries.postops import (
 from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
 from ...tde.storage.table import Table
 from .eviction import CacheEntry, EvictionPolicy
+from .index import CacheIndex
 
 
 @dataclass
@@ -144,8 +145,6 @@ def _topn_signature(spec: QuerySpec) -> frozenset[str]:
 
 
 def _fields_of(predicates: list[Expr]) -> set[str]:
-    from ...expr.ast import columns_used
-
     out: set[str] = set()
     for pred in predicates:
         out |= columns_used(pred)
@@ -290,10 +289,10 @@ class IntelligentCache:
         *,
         choose_best: bool = False,
         use_index: bool = False,
+        clock: Clock = SYSTEM_CLOCK,
     ):
-        from .index import CacheIndex
-
         self.policy = policy or EvictionPolicy()
+        self.clock = clock
         self.choose_best = choose_best
         self.use_index = use_index
         self.index = CacheIndex() if use_index else None
@@ -320,8 +319,9 @@ class IntelligentCache:
         origin = obs.current_trace_context() if obs.enabled() else None
         with self._lock:
             self._proofs.clear()
+            now = self.clock.monotonic()
             self._entries[key] = CacheEntry(
-                key, spec.datasource, result, result.nbytes, cost_s
+                key, spec.datasource, result, result.nbytes, now, cost_s
             )
             self._specs[key] = spec
             if origin is not None:
@@ -330,7 +330,7 @@ class IntelligentCache:
                 self._origins.pop(key, None)
             if self.index is not None:
                 self.index.add(key, spec)
-            for evicted in self.policy.purge(self._entries):
+            for evicted in self.policy.purge(self._entries, now):
                 self._specs.pop(evicted, None)
                 self._origins.pop(evicted, None)
                 if self.index is not None:
@@ -351,7 +351,7 @@ class IntelligentCache:
         with self._lock:
             exact = self._entries.get(key)
             if exact is not None:
-                exact.touch()
+                exact.touch(self.clock.monotonic())
                 self.stats.exact_hits += 1
                 self._link_origin(key)
                 obs.counter("cache.intelligent.exact_hits").inc()
@@ -368,7 +368,7 @@ class IntelligentCache:
                 if proof is None:
                     return None
             entry, plan = proof
-            entry.touch()
+            entry.touch(self.clock.monotonic())
             self.stats.subsumption_hits += 1
             self._link_origin(entry.key)
             obs.counter("cache.intelligent.subsumption_hits").inc()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 
 from ... import obs
+from ...clock import SYSTEM_CLOCK, Clock
 from ...tde.storage.table import Table
 from .eviction import CacheEntry, EvictionPolicy
 
@@ -31,8 +32,11 @@ class LiteralCacheStats:
 class LiteralCache:
     """Text-keyed result cache."""
 
-    def __init__(self, policy: EvictionPolicy | None = None):
+    def __init__(
+        self, policy: EvictionPolicy | None = None, *, clock: Clock = SYSTEM_CLOCK
+    ):
         self.policy = policy or EvictionPolicy()
+        self.clock = clock
         self.stats = LiteralCacheStats()
         self._entries: dict[str, CacheEntry] = {}
         self._lock = threading.RLock()
@@ -50,7 +54,7 @@ class LiteralCache:
                     key=key[:40],
                 )
                 return None
-            entry.touch()
+            entry.touch(self.clock.monotonic())
             self.stats.hits += 1
             obs.counter("cache.literal.hits").inc()
             obs.event(
@@ -64,9 +68,12 @@ class LiteralCache:
 
     def put(self, key: str, datasource: str, result: Table, *, cost_s: float = 0.0) -> None:
         with self._lock:
-            self._entries[key] = CacheEntry(key, datasource, result, result.nbytes, cost_s)
+            now = self.clock.monotonic()
+            self._entries[key] = CacheEntry(
+                key, datasource, result, result.nbytes, now, cost_s
+            )
             self.stats.puts += 1
-            self.stats.evictions += len(self.policy.purge(self._entries))
+            self.stats.evictions += len(self.policy.purge(self._entries, now))
 
     def invalidate(self, datasource: str | None = None) -> int:
         with self._lock:

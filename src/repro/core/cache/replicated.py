@@ -48,7 +48,7 @@ import threading
 from dataclasses import dataclass
 
 from ... import obs
-from ...faults.clock import SYSTEM_CLOCK, Clock
+from ...clock import SYSTEM_CLOCK, Clock
 from ..coalesce import SingleFlightRegistry
 from .distributed import KeyValueStore
 from .ring import HashRing
@@ -142,7 +142,7 @@ class ReplicatedStore:
         replication: int = 2,
         latency_s: float = 0.0008,
         per_mb_s: float = 0.004,
-        clock: Clock | None = None,
+        clock: Clock = SYSTEM_CLOCK,
         ttl_s: float | None = None,
         faults=None,
     ):
@@ -155,7 +155,7 @@ class ReplicatedStore:
         self.write_quorum = replication // 2 + 1
         self.latency_s = latency_s
         self.per_mb_s = per_mb_s
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self.ttl_s = ttl_s
         #: Optional seed-keyed FaultPlan consulted once per node call
         #: (op ``kv.get`` / ``kv.put``, source = the node id).

@@ -25,7 +25,7 @@ not earn from its own stale store.
 
 Waits run on real ``threading.Event`` primitives (followers genuinely
 block while another thread works) but wait *durations* are read off the
-injectable :class:`~repro.faults.clock.Clock`, so replayed virtual-time
+injectable :class:`~repro.clock.Clock`, so replayed virtual-time
 runs report deterministic timings. Every decision lands in the
 ``obs.events`` ring as a ``coalesce.*`` event and in the
 ``coalesce.wait_s`` histogram.
@@ -37,8 +37,8 @@ import threading
 from dataclasses import dataclass, field
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import SourceError, SourceUnavailableError
-from ..faults.clock import SYSTEM_CLOCK, Clock
 from ..queries.postops import PostOp
 from ..queries.spec import QuerySpec
 from .cache.intelligent import match_specs
@@ -103,8 +103,7 @@ class JoinTicket:
     leader_key: str = ""
     subsumed: bool = False
 
-    def wait(self, timeout_s: float | None, *, clock: Clock | None = None) -> WaitOutcome:
-        clock = clock or SYSTEM_CLOCK
+    def wait(self, timeout_s: float | None, *, clock: Clock = SYSTEM_CLOCK) -> WaitOutcome:
         started = clock.monotonic()
         completed = self.flight._done.wait(timeout_s)
         waited = clock.monotonic() - started
@@ -144,9 +143,9 @@ class SingleFlightRegistry:
     per node.
     """
 
-    def __init__(self, name: str = "", *, clock: Clock | None = None):
+    def __init__(self, name: str = "", *, clock: Clock = SYSTEM_CLOCK):
         self.name = name
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self._flights: dict[str, Flight] = {}
         self._lock = threading.Lock()
         self.stats = CoalesceStats()

@@ -33,14 +33,13 @@ peak concurrency), an ``executor.queue_depth`` gauge and an
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..connectors.pool import ConnectionPool
 from ..errors import SourceError
-from ..faults.clock import Clock
 from ..faults.retry import NO_RETRY, RetryPolicy, call_with_retry
 from ..queries.compile import CompiledQuery
 from ..queries.postops import apply_post_ops
@@ -81,16 +80,15 @@ class ConcurrentQueryExecutor:
         *,
         literal_cache=None,
         retry: RetryPolicy | None = None,
-        clock: Clock | None = None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.pool = pool
         self.literal_cache = literal_cache
         self.retry = retry or NO_RETRY
-        self.clock = clock
         # All outcome timings read the injected clock so a request
         # ledger (same clock) can subtract them without skew — virtual
         # time included.
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         self.remote_queries_sent = 0
         self._stats_lock = threading.Lock()
 
@@ -122,12 +120,12 @@ class ConcurrentQueryExecutor:
         return outcome
 
     def _run_one(self, compiled: CompiledQuery) -> ExecutionOutcome:
-        started = self._now()
+        started = self.clock.monotonic()
         if self.literal_cache is not None:
             cached = self.literal_cache.get(compiled.literal_key)
             if cached is not None:
                 result = apply_post_ops(cached, compiled.post_ops)
-                return ExecutionOutcome(result, self._now() - started, True)
+                return ExecutionOutcome(result, self.clock.monotonic() - started, True)
 
         attempts = [0]
         checkout = [0.0]
@@ -138,9 +136,9 @@ class ConcurrentQueryExecutor:
             # The pool's context manager discards the member (feeding the
             # breaker) when this attempt dies with a transient error, so
             # the next attempt starts from a fresh connection.
-            t_checkout = self._now()
+            t_checkout = self.clock.monotonic()
             with self.pool.connection(prefer_temp_table=prefer) as conn:
-                checkout[0] += self._now() - t_checkout
+                checkout[0] += self.clock.monotonic() - t_checkout
                 for name, table in compiled.temp_tables.items():
                     if not conn.has_temp_table(name):
                         conn.create_temp_table(name, table)
@@ -155,7 +153,7 @@ class ConcurrentQueryExecutor:
         )
         with self._stats_lock:
             self.remote_queries_sent += 1
-        elapsed = self._now() - started
+        elapsed = self.clock.monotonic() - started
         if self.literal_cache is not None:
             self.literal_cache.put(
                 compiled.literal_key, compiled.datasource, raw, cost_s=elapsed
@@ -163,7 +161,7 @@ class ConcurrentQueryExecutor:
         result = apply_post_ops(raw, compiled.post_ops)
         return ExecutionOutcome(
             result,
-            self._now() - started,
+            self.clock.monotonic() - started,
             attempts=attempts[0],
             checkout_wait_s=checkout[0],
         )

@@ -31,10 +31,10 @@ failing the whole dashboard. Every degrade decision lands in the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..connectors.pool import ConnectionPool
 from ..errors import SourceError, SourceUnavailableError
 from ..faults.breaker import CircuitBreaker
@@ -224,17 +224,16 @@ class QueryPipeline:
         intelligent_cache: IntelligentCache | None = None,
         literal_cache: LiteralCache | None = None,
         coalescer: SingleFlightRegistry | None = None,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.source = source
         self.model = model
         self.options = options or PipelineOptions()
+        #: Ledger charges, executor timings, cache ages, batch elapsed and
+        #: the render/server windows around a batch all read this one
+        #: clock, so phase sums stay conserved under a virtual clock
+        #: exactly as under the system clock.
         self.clock = clock
-        #: Ledger charges, executor timings, batch elapsed and the
-        #: render/server windows around a batch all read this one
-        #: monotonic source, so phase sums stay conserved under a
-        #: virtual clock exactly as under the system clock.
-        self.now = clock.monotonic if clock is not None else time.monotonic
         breaker = None
         if self.options.enable_breaker:
             breaker = CircuitBreaker(
@@ -244,10 +243,13 @@ class QueryPipeline:
                 name=source.name,
             )
         self.pool = ConnectionPool(
-            source, max_connections=self.options.max_connections, breaker=breaker
+            source,
+            max_connections=self.options.max_connections,
+            breaker=breaker,
+            clock=clock,
         )
-        self.intelligent_cache = intelligent_cache or IntelligentCache()
-        self.literal_cache = literal_cache or LiteralCache()
+        self.intelligent_cache = intelligent_cache or IntelligentCache(clock=clock)
+        self.literal_cache = literal_cache or LiteralCache(clock=clock)
         self.stale_store = (
             StaleResultStore(clock=clock) if self.options.serve_stale else None
         )
@@ -269,11 +271,11 @@ class QueryPipeline:
     def run_batch(
         self, specs: list[QuerySpec], *, reuse_fields: frozenset[str] = frozenset()
     ) -> BatchResult:
-        started = self.now()
+        started = self.clock.monotonic()
         result = BatchResult({})
         book: LedgerBook | NullLedgerBook = NULL_BOOK
         if self.options.enable_ledger or obs.enabled():
-            book = LedgerBook(self.now)
+            book = LedgerBook(self.clock)
             result.ledgers = book.ledgers
         with obs.span("pipeline.run_batch", specs=len(specs)) as batch_span:
             ordered = _distinct(specs)
@@ -307,7 +309,7 @@ class QueryPipeline:
                     self._resolve_flights(flights, result)
                 if followers:
                     self._await_followers(followers, result, reuse_fields, book)
-            result.elapsed_s = self.now() - started
+            result.elapsed_s = self.clock.monotonic() - started
             # The safety net for a path that answered without a finish.
             book.close()
             batch_span.set(

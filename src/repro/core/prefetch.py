@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .. import obs
 from ..queries.spec import CategoricalFilter, QuerySpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..dashboard.render import DashboardSession
 
 
 @dataclass
@@ -35,7 +32,9 @@ class PrefetchStats:
 
 
 class InteractionPrefetcher:
-    """Warms caches with the predicted next interactions of a session."""
+    """Warms caches with the predicted next interactions of a session (a
+    ``repro.dashboard`` ``DashboardSession``, which sits above this
+    package and so is not imported here)."""
 
     def __init__(
         self,
@@ -52,7 +51,7 @@ class InteractionPrefetcher:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def observe(self, session: "DashboardSession", zone_name: str, selected) -> int:
+    def observe(self, session: Any, zone_name: str, selected) -> int:
         """Called after a selection; returns the number of predicted specs.
 
         Prefetching goes through the same pipeline (and therefore the same
@@ -107,7 +106,7 @@ class InteractionPrefetcher:
 
     # ------------------------------------------------------------------ #
     def predict(
-        self, session: "DashboardSession", zone_name: str, selected: tuple[Any, ...]
+        self, session: Any, zone_name: str, selected: tuple[Any, ...]
     ) -> list[QuerySpec]:
         """Hypothetical target-zone specs for the likeliest next clicks."""
         dashboard = session.dashboard
@@ -151,7 +150,7 @@ class InteractionPrefetcher:
 
     def _warm(
         self,
-        session: "DashboardSession",
+        session: Any,
         specs: list[QuerySpec],
         trigger=None,
     ) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..faults.clock import SYSTEM_CLOCK, Clock
+from ..clock import SYSTEM_CLOCK, Clock
 from ..tde.storage.table import Table
 
 
@@ -30,9 +30,9 @@ class StaleResultStore:
     schedules (virtual time) report identical ages on every run.
     """
 
-    def __init__(self, max_entries: int = 256, *, clock: Clock | None = None):
+    def __init__(self, max_entries: int = 256, *, clock: Clock = SYSTEM_CLOCK):
         self.max_entries = max_entries
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self._entries: OrderedDict[str, tuple[Table, float]] = OrderedDict()
         self._lock = threading.Lock()
         self.stale_serves = 0

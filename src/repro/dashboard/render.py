@@ -124,7 +124,7 @@ class DashboardSession:
         with self.lock, obs.span(
             "dashboard.render", dashboard=self.dashboard.name
         ) as render_span:
-            now = self.pipeline.now
+            now = self.pipeline.clock.monotonic
             t_start = now()
             result = self._render()
             if result.zone_ledgers:

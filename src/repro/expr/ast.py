@@ -8,11 +8,12 @@ against an input schema, which keeps nodes reusable across schemas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping
 
 from ..datatypes import LogicalType, can_cast, infer_type as infer_literal_type, promote
 from ..errors import BindError, TypeMismatchError
+from .functions import FUNCTIONS
 
 
 class Expr:
@@ -165,8 +166,6 @@ def infer_type(expr: Expr, schema: Mapping[str, LogicalType]) -> LogicalType:
     Raises :class:`BindError` for unresolved columns and
     :class:`TypeMismatchError` for ill-typed applications.
     """
-    from .functions import FUNCTIONS  # local import to avoid a cycle
-
     if isinstance(expr, ColumnRef):
         if expr.name not in schema:
             raise BindError(f"unknown column {expr.name!r}; have {sorted(schema)}")

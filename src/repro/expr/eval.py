@@ -3,22 +3,21 @@
 ``evaluate`` returns ``(values, null_mask)`` in storage representation
 (dates as day counts, datetimes as microseconds). It is used by the TDE's
 Select/Project operators, by the simulated SQL servers, and by the
-intelligent cache's local post-processing stage.
+intelligent cache's local post-processing stage. A table is anything
+with the storage ``Table`` interface (``column``, ``n_rows``, ...): the
+evaluator sits below the storage layer in the package order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
-from ..datatypes import LogicalType, from_storage, to_storage
+from ..datatypes import LogicalType, from_storage, to_storage, infer_type as infer_literal
 from ..errors import BindError, ExecutionError
 from .ast import Call, CaseWhen, Cast, ColumnRef, Expr, Literal, infer_type
 from .functions import FUNCTIONS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..tde.storage.table import Table
 
 #: Functions whose temporal argument must be normalized to *days*.
 _DAY_FUNCS = {"year", "month", "day", "weekday"}
@@ -26,13 +25,13 @@ _DAY_FUNCS = {"year", "month", "day", "weekday"}
 _MICROS_PER_DAY = 86_400_000_000
 
 
-def evaluate(expr: Expr, table: "Table") -> tuple[np.ndarray, np.ndarray | None]:
+def evaluate(expr: Expr, table: Any) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate ``expr`` over every row of ``table``."""
     schema = table.schema()
     return _eval(expr, table, schema)
 
 
-def evaluate_predicate(expr: Expr, table: "Table") -> np.ndarray:
+def evaluate_predicate(expr: Expr, table: Any) -> np.ndarray:
     """Evaluate a BOOL predicate; NULL results are treated as False."""
     values, mask = evaluate(expr, table)
     keep = values.astype(np.bool_)
@@ -41,7 +40,7 @@ def evaluate_predicate(expr: Expr, table: "Table") -> np.ndarray:
     return keep
 
 
-def _eval(expr: Expr, table: "Table", schema) -> tuple[np.ndarray, np.ndarray | None]:
+def _eval(expr: Expr, table: Any, schema) -> tuple[np.ndarray, np.ndarray | None]:
     n = table.n_rows
     if isinstance(expr, ColumnRef):
         if not table.has_column(expr.name):
@@ -75,8 +74,6 @@ def _eval(expr: Expr, table: "Table", schema) -> tuple[np.ndarray, np.ndarray | 
 
 
 def _element_type(lit: Literal) -> LogicalType:
-    from ..datatypes import infer_type as infer_literal
-
     for v in lit.value:
         if v is not None:
             return infer_literal(v)

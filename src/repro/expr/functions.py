@@ -19,11 +19,11 @@ Kernels come in two flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..datatypes import LogicalType
+from ..datatypes import LogicalType, promote
 from ..errors import TypeMismatchError
 
 Mask = "np.ndarray | None"
@@ -51,8 +51,6 @@ def _require(cond: bool, msg: str) -> None:
 # Type rules
 # ---------------------------------------------------------------------- #
 def _t_numeric_binary(ts: list[LogicalType]) -> LogicalType:
-    from ..datatypes import promote
-
     _require(all(t.is_numeric for t in ts), f"numeric op over {[t.name for t in ts]}")
     return promote(ts[0], ts[1])
 
@@ -63,8 +61,6 @@ def _t_float_binary(ts: list[LogicalType]) -> LogicalType:
 
 
 def _t_comparison(ts: list[LogicalType]) -> LogicalType:
-    from ..datatypes import promote
-
     if ts[0] != ts[1]:
         promote(ts[0], ts[1])  # raises if incomparable
     return LogicalType.BOOL

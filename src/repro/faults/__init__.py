@@ -8,8 +8,8 @@ needs at production scale, in two parts:
 * **Injection** — :class:`FaultPlan` (seed-driven or scripted schedules
   of errors, latency spikes, timeouts, connection deaths),
   :class:`FaultyDataSource` (wraps any data source and realizes the
-  plan), and :class:`VirtualTimeClock` (so every schedule — including
-  each backoff wait — replays byte-identically in microseconds).
+  plan), both on :mod:`repro.clock`'s ``VirtualTimeClock`` in tests (so
+  every schedule — each backoff wait too — replays byte-identically).
 * **Robustness** — :class:`RetryPolicy` / :func:`call_with_retry`
   (exponential backoff with deterministic jitter, used by the executor)
   and :class:`CircuitBreaker` (wired into the connection pool). The
@@ -24,7 +24,6 @@ degraded run explains *why* each request was slow, stale or failed.
 from __future__ import annotations
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .clock import SYSTEM_CLOCK, Clock, SystemClock, VirtualTimeClock
 from .injector import FaultyDataSource
 from .plan import CLEAN, FaultDecision, FaultPlan, FaultRule, ScheduledFault
 from .retry import NO_RETRY, RetryPolicy, call_with_retry
@@ -32,7 +31,6 @@ from .retry import NO_RETRY, RetryPolicy, call_with_retry
 __all__ = [
     "CLEAN",
     "CLOSED",
-    "Clock",
     "CircuitBreaker",
     "FaultDecision",
     "FaultPlan",
@@ -42,9 +40,6 @@ __all__ = [
     "NO_RETRY",
     "OPEN",
     "RetryPolicy",
-    "SYSTEM_CLOCK",
     "ScheduledFault",
-    "SystemClock",
-    "VirtualTimeClock",
     "call_with_retry",
 ]

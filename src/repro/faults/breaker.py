@@ -25,8 +25,8 @@ from __future__ import annotations
 import threading
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import CircuitOpenError
-from .clock import SYSTEM_CLOCK, Clock
 
 CLOSED = "closed"
 OPEN = "open"
@@ -41,14 +41,14 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 5,
         recovery_s: float = 30.0,
-        clock: Clock | None = None,
+        clock: Clock = SYSTEM_CLOCK,
         name: str = "",
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.recovery_s = recovery_s
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self.name = name
         self._state = CLOSED
         self._failures = 0

@@ -19,10 +19,11 @@ from __future__ import annotations
 from typing import Any
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..connectors.connection import Connection
 from ..datatypes import LogicalType
+from ..errors import ConnectionDiedError, SourceTimeoutError
 from ..tde.storage.table import Table
-from .clock import SYSTEM_CLOCK, Clock
 from .plan import FaultDecision, FaultPlan
 
 
@@ -34,12 +35,12 @@ class FaultyDataSource:
         inner,
         plan: FaultPlan,
         *,
-        clock: Clock | None = None,
+        clock: Clock = SYSTEM_CLOCK,
         timeout_s: float | None = None,
     ):
         self.inner = inner
         self.plan = plan
-        self.clock = clock or SYSTEM_CLOCK
+        self.clock = clock
         self.timeout_s = timeout_s
         self.name = inner.name
         self.dialect = inner.dialect
@@ -78,8 +79,6 @@ class FaultyDataSource:
         self._realize(decision, op)
 
     def _realize(self, decision: FaultDecision, op: str) -> None:
-        from ..errors import SourceTimeoutError
-
         if decision.kind == "latency":
             budget = self.timeout_s
             if budget is not None and decision.latency_s > budget:
@@ -129,8 +128,6 @@ class _FaultDriver:
         self.inner_conn = inner_conn
 
     def _guard(self, op: str) -> None:
-        from ..errors import ConnectionDiedError
-
         try:
             self.source._apply(op)
         except ConnectionDiedError:

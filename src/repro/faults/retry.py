@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import TransientSourceError
-from .clock import SYSTEM_CLOCK, Clock
 
 T = TypeVar("T")
 
@@ -58,7 +58,7 @@ def call_with_retry(
     fn: Callable[[], T],
     *,
     policy: RetryPolicy,
-    clock: Clock | None = None,
+    clock: Clock = SYSTEM_CLOCK,
     key: str = "",
     retry_on: tuple[type[BaseException], ...] = (TransientSourceError,),
 ) -> T:
@@ -69,7 +69,6 @@ def call_with_retry(
     propagates immediately. The last transient error propagates once
     attempts are exhausted.
     """
-    clock = clock or SYSTEM_CLOCK
     attempt = 0
     prior_ctx = None
     while True:

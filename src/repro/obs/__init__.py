@@ -39,6 +39,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from ..clock import SYSTEM_CLOCK, Clock
 from .events import NULL_EVENTS, DecisionEvent, EventLog, NullEventLog
 from .ledger import PHASES, LedgerBook, RequestLedger
 from .metrics import (
@@ -190,7 +191,7 @@ def set_events(events: EventLog | NullEventLog) -> EventLog | NullEventLog:
 
 
 def enable(
-    clock: Callable[[], float] | None = None,
+    clock: Clock = SYSTEM_CLOCK,
     *,
     sink: Callable[[Span], Any] | None = None,
 ) -> PerformanceRecording:
@@ -229,9 +230,7 @@ def disable() -> None:
 
 
 @contextmanager
-def recording(
-    clock: Callable[[], float] | None = None,
-) -> Iterator[PerformanceRecording]:
+def recording(clock: Clock = SYSTEM_CLOCK) -> Iterator[PerformanceRecording]:
     """Enable observability for a block, restoring prior state after.
 
     Yields the :class:`PerformanceRecording`, which stays readable after

@@ -30,7 +30,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
+
+from ..clock import SYSTEM_CLOCK, Clock
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,8 @@ class EventLog:
 
     enabled = True
 
-    def __init__(self, maxlen: int = 4096, clock: Callable[[], float] | None = None):
-        import time
-
-        self.clock = clock or time.perf_counter
+    def __init__(self, maxlen: int = 4096, clock: Clock = SYSTEM_CLOCK):
+        self.clock = clock
         self._events: deque[DecisionEvent] = deque(maxlen=maxlen)
         self._lock = threading.Lock()
         self._seq = 0
@@ -85,7 +85,7 @@ class EventLog:
             if len(self._events) == self._events.maxlen:
                 self.dropped += 1
             self._events.append(
-                DecisionEvent(seq, self.clock(), kind, outcome, reason, attributes)
+                DecisionEvent(seq, self.clock.monotonic(), kind, outcome, reason, attributes)
             )
 
     # ------------------------------------------------------------------ #

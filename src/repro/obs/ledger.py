@@ -21,17 +21,18 @@ single spec's wall time into exclusive, conserved phases —
 * ``degrade`` — deciding and serving the stale fallback (or the error).
 * ``render`` — dashboard-side work after the pipeline answered.
 
-Ledgers read an injectable clock (any ``() -> float`` monotonic
-callable, e.g. ``VirtualTimeClock.monotonic``), so fault/chaos tests can
-drive them deterministically on virtual time. The pipeline books every
-batch against one object: a fresh :class:`LedgerBook` when ledgers are
-on, the shared :data:`NULL_BOOK` when they are off — same calls, no
-clock reads, nothing allocated.
+Ledgers read the pipeline's :class:`~repro.clock.Clock`, so fault/chaos
+tests can drive them deterministically on a ``VirtualTimeClock``. The
+pipeline books every batch against one object: a fresh
+:class:`LedgerBook` when ledgers are on, the shared :data:`NULL_BOOK`
+when they are off — same calls, no clock reads, nothing allocated.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
+
+from ..clock import Clock
 
 #: The exclusive phase taxonomy, in pipeline order.
 PHASES = (
@@ -148,9 +149,9 @@ class LedgerBook:
 
     __slots__ = ("now", "t0", "ledgers")
 
-    def __init__(self, now: Callable[[], float]):
-        self.now = now
-        self.t0 = now()
+    def __init__(self, clock: Clock):
+        self.now = clock.monotonic
+        self.t0 = self.now()
         self.ledgers: dict[str, RequestLedger] = {}
 
     def open(self, key: str) -> RequestLedger:

@@ -43,19 +43,20 @@ Two properties matter for a tracer that lives on the hot path:
   :meth:`Tracer.current` at submit time and re-attaches it inside the
   worker).
 
-A ``clock`` callable (default ``time.perf_counter``) timestamps spans;
-tests pass ``VirtualTimeClock().monotonic`` (:mod:`repro.faults.clock`)
-so their traces are deterministic.
+A :class:`~repro.clock.Clock` (default the system clock) timestamps
+spans; tests pass ``Tracer(clock=VirtualTimeClock())`` so their traces
+are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
+
+from ..clock import SYSTEM_CLOCK, Clock
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ class _SpanContext:
     def __enter__(self) -> Span:
         tracer = self._tracer
         parent = tracer._current.get()
-        span = Span(self._name, tracer.clock(), parent=parent)
+        span = Span(self._name, tracer.clock.monotonic(), parent=parent)
         span.span_id = tracer._mint_span_id()
         if self._attributes:
             span.attributes.update(self._attributes)
@@ -317,7 +318,7 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         span = self._span
-        span.end_s = self._tracer.clock()
+        span.end_s = self._tracer.clock.monotonic()
         if exc_type is not None:
             span.attributes.setdefault("error", repr(exc))
         self._tracer._current.reset(self._token)
@@ -383,8 +384,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] | None = None):
-        self.clock = clock or time.perf_counter
+    def __init__(self, clock: Clock = SYSTEM_CLOCK):
+        self.clock = clock
         self._current: ContextVar[Span | None] = ContextVar("repro-obs-span", default=None)
         self._remote: ContextVar[TraceContext | None] = ContextVar(
             "repro-obs-remote", default=None

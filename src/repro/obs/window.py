@@ -24,20 +24,18 @@ for a week. This module adds the time axis:
   one place a served request is recorded, and :func:`compose_statz` the
   one way a server's ``statz()`` is built.
 
-Everything reads an injectable ``Clock`` — any object with a
-``monotonic()`` method, so :class:`repro.faults.clock.VirtualTimeClock`
-plugs in directly — which makes the whole layer virtual-time compatible:
-chaos tests drive deterministic breach→recovery timelines in
-microseconds of real time.
+Everything reads the server's :class:`~repro.clock.Clock`, which makes
+the whole layer virtual-time compatible: chaos tests drive deterministic
+breach→recovery timelines in microseconds of real time.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from ..clock import SYSTEM_CLOCK, Clock
 from .critpath import slowlog_path
 from .metrics import Histogram
 from .sampling import SamplingPolicy, TraceBuffer
@@ -53,7 +51,7 @@ class WindowedHistogram:
         *,
         window_s: float = 60.0,
         buckets: int = 12,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         if window_s <= 0 or buckets < 1:
             raise ValueError("window_s must be > 0 and buckets >= 1")
@@ -61,7 +59,7 @@ class WindowedHistogram:
         self.window_s = float(window_s)
         self.buckets = buckets
         self.span_s = self.window_s / buckets
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         self._lock = threading.Lock()
         #: slot -> [epoch, Histogram, exemplar]; a cell is live iff its
         #: epoch is within the trailing window of the current epoch. The
@@ -72,7 +70,7 @@ class WindowedHistogram:
 
     # ------------------------------------------------------------------ #
     def observe(self, value: float, *, trace_id: str | None = None) -> None:
-        epoch = int(self._now() // self.span_s)
+        epoch = int(self.clock.monotonic() // self.span_s)
         slot = epoch % self.buckets
         with self._lock:
             cell = self._ring[slot]
@@ -91,7 +89,7 @@ class WindowedHistogram:
     def merged(self, horizon_s: float | None = None) -> Histogram:
         """The live cells folded into one histogram (trailing window)."""
         horizon = self.window_s if horizon_s is None else min(horizon_s, self.window_s)
-        now_epoch = int(self._now() // self.span_s)
+        now_epoch = int(self.clock.monotonic() // self.span_s)
         oldest = now_epoch - int(horizon / self.span_s)
         out = Histogram(self.name)
         with self._lock:
@@ -104,7 +102,7 @@ class WindowedHistogram:
     def exemplar(self, horizon_s: float | None = None) -> dict[str, Any] | None:
         """The worst traced observation in the window: p99's "go look here"."""
         horizon = self.window_s if horizon_s is None else min(horizon_s, self.window_s)
-        now_epoch = int(self._now() // self.span_s)
+        now_epoch = int(self.clock.monotonic() // self.span_s)
         oldest = now_epoch - int(horizon / self.span_s)
         worst: tuple[float, str] | None = None
         with self._lock:
@@ -143,13 +141,13 @@ class WindowSet:
         window_s: float = 60.0,
         buckets: int = 12,
         max_keys: int = 64,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.name = name
         self.window_s = window_s
         self.buckets = buckets
         self.max_keys = max_keys
-        self._clock = clock
+        self.clock = clock
         self._lock = threading.Lock()
         self._windows: dict[str, WindowedHistogram] = {}
         self.overflowed = 0
@@ -167,7 +165,7 @@ class WindowSet:
                         f"{self.name}.{key}",
                         window_s=self.window_s,
                         buckets=self.buckets,
-                        clock=self._clock,
+                        clock=self.clock,
                     )
                     self._windows[key] = window
         window.observe(value)
@@ -221,7 +219,7 @@ class SLOMonitor:
     fast burn drops under 1.0 — the budget has stopped burning.
     """
 
-    def __init__(self, objective: SLOObjective | None = None, *, clock=None):
+    def __init__(self, objective: SLOObjective | None = None, *, clock: Clock = SYSTEM_CLOCK):
         self.objective = objective or SLOObjective()
         if self.objective.fast_window_s > self.objective.slow_window_s:
             raise ValueError("fast window must not exceed the slow window")
@@ -230,7 +228,7 @@ class SLOMonitor:
             raise ValueError(
                 f"fast window must span at least one ring cell ({self.span_s:g}s)"
             )
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         self._lock = threading.Lock()
         self._ring: list[list] = [[-1, 0, 0] for _ in range(SLO_CELLS)]
         self.state = "ok"
@@ -243,7 +241,7 @@ class SLOMonitor:
     def record(self, latency_s: float) -> str:
         """Record one request and re-evaluate; returns the current state."""
         good = latency_s <= self.objective.threshold_s
-        now = self._now()
+        now = self.clock.monotonic()
         epoch = int(now // self.span_s)
         slot = epoch % SLO_CELLS
         with self._lock:
@@ -274,7 +272,7 @@ class SLOMonitor:
     def evaluate(self, now: float | None = None) -> str:
         """Re-evaluate burn rates (also handles recovery by time passing)."""
         if now is None:
-            now = self._now()
+            now = self.clock.monotonic()
         now_epoch = int(now // self.span_s)
         with self._lock:
             fast = self._burn(self.objective.fast_window_s, now_epoch)
@@ -312,16 +310,13 @@ class SLOMonitor:
 
     @staticmethod
     def _emit(kind: str, outcome: str, reason: str, **attributes) -> None:
-        # Imported at call time (transitions are rare): obs.window is
-        # imported while ``repro.obs`` itself initializes, so a
-        # module-level ``from .. import obs`` would be cycle-prone.
-        from repro import obs
+        from repro import obs  # cycle: repro.obs/__init__ imports this module
 
         obs.event(kind, outcome, reason, **attributes)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, Any]:
-        now_epoch = int(self._now() // self.span_s)
+        now_epoch = int(self.clock.monotonic() // self.span_s)
         with self._lock:
             fast = self._burn(self.objective.fast_window_s, now_epoch)
             slow = self._burn(self.objective.slow_window_s, now_epoch)
@@ -370,9 +365,9 @@ class Telemetry:
     candidate, so the capture is only assembled when it will be kept.
     """
 
-    def __init__(self, options: TelemetryOptions | None = None, *, clock=None):
+    def __init__(self, options: TelemetryOptions | None = None, *, clock: Clock = SYSTEM_CLOCK):
         self.options = options or TelemetryOptions()
-        self._clock = clock
+        self.clock = clock
         self.requests = WindowedHistogram("request_s", clock=clock)
         self.slo = SLOMonitor(self.options.slo, clock=clock)
         self.slowlog = SlowQueryLog(
@@ -399,7 +394,7 @@ class Telemetry:
             with self._lock:
                 window_set = self._dimensions.get(dimension)
                 if window_set is None:
-                    window_set = WindowSet(dimension, clock=self._clock)
+                    window_set = WindowSet(dimension, clock=self.clock)
                     self._dimensions[dimension] = window_set
         return window_set
 
@@ -468,9 +463,7 @@ class Telemetry:
             elapsed, dimensions=dimensions, degraded=degraded, failed=failed, trace_id=trace_id
         ):
             return
-        # Imported at call time: this module loads while ``repro.obs``
-        # itself initializes, before the global event log exists.
-        from . import get_events
+        from . import get_events  # cycle: repro.obs/__init__ imports this module
 
         events, _next = get_events().events(since_seq=cursor)
         self.slowlog.admit(
@@ -510,7 +503,7 @@ class Telemetry:
 
 
 def make_telemetry(
-    telemetry: TelemetryOptions | bool | None, *, clock=None
+    telemetry: TelemetryOptions | bool | None, *, clock: Clock = SYSTEM_CLOCK
 ) -> Telemetry | None:
     """The plane a server's ``telemetry=`` asks for (True: default options)."""
     if not telemetry:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Union
 
 from ..errors import WorkloadError
-from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, conjoin
+from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, columns_used, conjoin
 from ..expr.sexpr import to_sexpr
 
 
@@ -145,8 +145,6 @@ class QuerySpec:
 
     def fields_used(self) -> set[str]:
         """Every view field the spec touches (for calculation expansion)."""
-        from ..expr.ast import columns_used
-
         out = set(self.dimensions)
         for _n, agg in self.measures:
             out |= columns_used(agg.arg)

@@ -10,10 +10,10 @@ dispatches queries to different nodes in the TDE cluster."
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..core.cache.distributed import DistributedQueryCache
 from ..errors import ServerError
 from ..obs.window import Telemetry, TelemetryOptions, compose_statz, make_telemetry
@@ -46,7 +46,7 @@ class TdeCluster:
         balancer: str = "round-robin",
         telemetry: TelemetryOptions | bool | None = None,
         result_store=None,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         """``loader`` populates one engine with tables and constraints.
 
@@ -73,10 +73,10 @@ class TdeCluster:
         self.balancer = balancer
         self._lock = threading.Lock()
         self._rr = 0
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         self.telemetry: Telemetry | None = make_telemetry(telemetry, clock=clock)
         self.result_cache: DistributedQueryCache | None = (
-            DistributedQueryCache(result_store, "tde-cluster")
+            DistributedQueryCache(result_store, "tde-cluster", clock=clock)
             if result_store is not None
             else None
         )
@@ -138,7 +138,7 @@ class TdeCluster:
         entirely and reports ``node_id = -1``.
         """
         cursor = obs.get_events().cursor() if self.telemetry is not None else 0
-        started = self._now() if self.telemetry is not None else 0.0
+        started = self.clock.monotonic() if self.telemetry is not None else 0.0
         cache_key = None
         if self.result_cache is not None and isinstance(tql, str):
             cache_key = self._result_key(tql)
@@ -189,7 +189,7 @@ class TdeCluster:
         self.telemetry.record(
             sp,
             started=started,
-            elapsed=self._now() - started,
+            elapsed=self.clock.monotonic() - started,
             cursor=cursor,
             key=f"tde-cluster/{node}/query",
             dimensions={"node": node},

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..core.cache.distributed import DistributedQueryCache
 from ..core.pipeline import PipelineOptions, QueryPipeline
 from ..errors import ServerError, SourceUnavailableError
@@ -52,12 +52,11 @@ class DataServer:
         *,
         store=None,
         telemetry: TelemetryOptions | bool | None = None,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self._published: dict[str, PublishedDataSource] = {}
         self._lock = threading.Lock()
-        self._clock = clock
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         #: Optional shared cache tier (a ReplicatedStore): when present,
         #: every published pipeline's literal cache is a client of it
         #: (namespaced per source), so results stay warm across proxy
@@ -91,14 +90,19 @@ class DataServer:
                 model,
                 options=options,
                 literal_cache=(
-                    DistributedQueryCache(self.store, name)
+                    DistributedQueryCache(self.store, name, clock=self.clock)
                     if self.store is not None
                     else None
                 ),
-                clock=self._clock,
+                clock=self.clock,
             )
             published = PublishedDataSource(
-                name, model, source, pipeline, TempTableState(), dict(user_filters or {})
+                name,
+                model,
+                source,
+                pipeline,
+                TempTableState(clock=self.clock),
+                dict(user_filters or {}),
             )
             self._published[name] = published
             return published
@@ -232,7 +236,7 @@ class DataServerSession:
                 f"spec targets {spec.datasource!r}, session is {self.published.name!r}"
             )
         cursor = obs.get_events().cursor() if self.telemetry is not None else 0
-        started = self.published.pipeline.now() if self.telemetry is not None else 0.0
+        started = self.published.pipeline.clock.monotonic() if self.telemetry is not None else 0.0
         remote_ctx = obs.TraceContext.from_wire(trace_parent) if trace_parent else None
         sp = effective = batch = None
         # The proxy hop: client spec → published pipeline → result.
@@ -290,7 +294,7 @@ class DataServerSession:
         self.telemetry.record(
             sp,
             started=started,
-            elapsed=self.published.pipeline.now() - started,
+            elapsed=self.published.pipeline.clock.monotonic() - started,
             cursor=cursor,
             key=f"{self.user}/{self.published.name}/query",
             dimensions={

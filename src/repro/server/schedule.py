@@ -13,10 +13,10 @@ is the paper's 3.2 purge-on-refresh rule working end to end.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import ServerError
 from .dataserver import DataServer
 
@@ -42,9 +42,9 @@ class RefreshEvent:
 class RefreshScheduler:
     """Interval-based refresh schedules over a DataServer."""
 
-    def __init__(self, server: DataServer, *, clock: Callable[[], float] | None = None):
+    def __init__(self, server: DataServer, *, clock: Clock = SYSTEM_CLOCK):
         self.server = server
-        self.clock = clock or time.monotonic
+        self.clock = clock
         self._heap: list[_ScheduledRefresh] = []
         self._by_name: dict[str, _ScheduledRefresh] = {}
         self.history: list[RefreshEvent] = []
@@ -65,7 +65,7 @@ class RefreshScheduler:
         if name in self._by_name:
             raise ServerError(f"{name!r} already has a schedule")
         delay = interval_s if first_delay_s is None else first_delay_s
-        entry = _ScheduledRefresh(self.clock() + delay, name, interval_s, refresher)
+        entry = _ScheduledRefresh(self.clock.monotonic() + delay, name, interval_s, refresher)
         self._by_name[name] = entry
         heapq.heappush(self._heap, entry)
 
@@ -86,7 +86,7 @@ class RefreshScheduler:
     # ------------------------------------------------------------------ #
     def run_due(self) -> list[RefreshEvent]:
         """Fire every schedule whose time has come; returns the events."""
-        now = self.clock()
+        now = self.clock.monotonic()
         fired: list[RefreshEvent] = []
         while self._heap and (not self._heap[0].enabled or self._heap[0].next_fire <= now):
             entry = heapq.heappop(self._heap)

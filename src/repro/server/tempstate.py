@@ -11,10 +11,11 @@ definitions are removed when all references to them are removed."
 
 from __future__ import annotations
 
+import hashlib
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import ServerError
 from ..tde.storage.table import Table
 
@@ -26,16 +27,16 @@ class _SharedDefinition:
     name: str
     table: Table
     fingerprint: str
-    refs: int = 0
-    created_at: float = field(default_factory=time.monotonic)
-    last_used: float = field(default_factory=time.monotonic)
+    last_used: float  # the owning state's clock reading
+    refs: int = 1
 
 
 class TempTableState:
     """Shared in-memory temp-table definitions, refcounted per session."""
 
-    def __init__(self, *, idle_ttl_s: float = 600.0):
+    def __init__(self, *, idle_ttl_s: float = 600.0, clock: Clock = SYSTEM_CLOCK):
         self.idle_ttl_s = idle_ttl_s
+        self.clock = clock
         self._defs: dict[str, _SharedDefinition] = {}
         self._by_fingerprint: dict[str, str] = {}
         self._lock = threading.Lock()
@@ -56,12 +57,14 @@ class TempTableState:
             if existing is not None:
                 shared = self._defs[existing]
                 shared.refs += 1
-                shared.last_used = time.monotonic()
+                shared.last_used = self.clock.monotonic()
                 self.shared_hits += 1
                 return shared.name
             if name in self._defs:
                 name = f"{name}_{len(self._defs)}"
-            self._defs[name] = _SharedDefinition(name, table, fingerprint, refs=1)
+            self._defs[name] = _SharedDefinition(
+                name, table, fingerprint, self.clock.monotonic()
+            )
             self._by_fingerprint[fingerprint] = name
             self.definitions_created += 1
             return name
@@ -71,7 +74,7 @@ class TempTableState:
             if name not in self._defs:
                 raise ServerError(f"no temp table {name!r}")
             shared = self._defs[name]
-            shared.last_used = time.monotonic()
+            shared.last_used = self.clock.monotonic()
             return shared.table
 
     def has(self, name: str) -> bool:
@@ -91,7 +94,7 @@ class TempTableState:
 
     def expire_idle(self) -> int:
         """Reclaim definitions idle beyond the TTL (expired sessions)."""
-        now = time.monotonic()
+        now = self.clock.monotonic()
         with self._lock:
             doomed = [
                 n for n, d in self._defs.items() if now - d.last_used > self.idle_ttl_s
@@ -107,8 +110,6 @@ class TempTableState:
 
 
 def _fingerprint(table: Table) -> str:
-    import hashlib
-
     digest = hashlib.sha256()
     digest.update("|".join(table.column_names).encode())
     for row in table.to_rows():

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from collections import OrderedDict
 
 from .. import obs
+from ..clock import SYSTEM_CLOCK, Clock
 from ..core.cache.distributed import DistributedQueryCache
 from ..core.cache.eviction import EvictionPolicy
 from ..core.cache.replicated import ReplicatedStore
@@ -47,7 +47,7 @@ class ServerNode:
         options: PipelineOptions | None = None,
         use_l1: bool = True,
         coalescer: SingleFlightRegistry | None = None,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         self.node_id = node_id
         self.distributed = DistributedQueryCache(
@@ -55,6 +55,7 @@ class ServerNode:
             getattr(source, "name", "source"),
             l1_policy=EvictionPolicy(max_entries=64),
             use_l1=use_l1,
+            clock=clock,
         )
         self.pipeline = QueryPipeline(
             source,
@@ -88,7 +89,7 @@ class VizServer:
         options: PipelineOptions | None = None,
         use_l1: bool = True,
         telemetry: TelemetryOptions | bool | None = None,
-        clock=None,
+        clock: Clock = SYSTEM_CLOCK,
     ):
         if n_nodes < 1:
             raise ServerError("VizServer needs at least one node")
@@ -99,7 +100,7 @@ class VizServer:
             if store is not None
             else ReplicatedStore(("cache0",), replication=1, clock=clock)
         )
-        self._now = clock.monotonic if clock is not None else time.monotonic
+        self.clock = clock
         # The telemetry plane (windowed latency, SLO burn, slow-query
         # log) needs per-request ledgers, so enabling it forces
         # enable_ledger into every node's pipeline options.
@@ -186,7 +187,7 @@ class VizServer:
         # decision-event ring; the slow-query log drains from here so a
         # captured entry carries exactly this request's decisions.
         cursor = obs.get_events().cursor() if self.telemetry is not None else 0
-        started = self._now()
+        started = self.clock.monotonic()
         # ``trace_parent`` is the wire form of the caller's TraceContext
         # (a front-end tier, a test's synthetic hop). Activating it makes
         # this request's span a new root adopting the caller's trace_id,
@@ -205,7 +206,7 @@ class VizServer:
                     session.pipeline = node.pipeline
                     result = action(session)
                 self._note_degradation(sp, result)
-        elapsed = self._now() - started
+        elapsed = self.clock.monotonic() - started
         obs.histogram("vizserver.request_s").observe(elapsed)
         if self.telemetry is not None:
             self._observe_request(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from ..datatypes import LogicalType
 from ..errors import CapabilityError, SqlError
 from ..expr.ast import AggExpr, Call, CaseWhen, Cast, ColumnRef, Expr, Literal
+from ..tde.tql.binder import bind
 from ..tde.tql.plan import (
     Aggregate,
     Distinct,
@@ -159,7 +160,6 @@ class _Generator:
     def _join_block(self, plan: Join) -> _Block:
         if self.catalog is None:
             raise SqlError("generating SQL for joins requires a catalog")
-        from ..tde.tql.binder import bind
 
         left_schema = bind(plan.left, self.catalog)
         right_schema = bind(plan.right, self.catalog)

@@ -10,16 +10,9 @@ A read-only column store with:
 * a vectorized Volcano-style execution engine with Exchange-based
   parallelism — ``repro.tde.exec``
 
-The top-level entry point is :class:`repro.tde.engine.DataEngine`, imported
-lazily so that the storage layer can be used standalone.
+The top-level entry point is :class:`repro.tde.engine.DataEngine`.
 """
 
+from .engine import DataEngine
+
 __all__ = ["DataEngine"]
-
-
-def __getattr__(name: str):
-    if name == "DataEngine":
-        from .engine import DataEngine
-
-        return DataEngine
-    raise AttributeError(name)

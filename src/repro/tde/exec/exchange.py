@@ -72,13 +72,13 @@ class SharedBuild(PhysNode):
             if self._table is None:
                 recorder = ctx.recorder
                 if recorder is not None:
-                    started = recorder.clock()
+                    started = recorder.clock.monotonic()
                     self._table = execute_to_table(self.child, ctx)
                     recorder.record_node(
                         self,
                         type(self).__name__,
                         self._table.n_rows,
-                        recorder.clock() - started,
+                        recorder.clock.monotonic() - started,
                     )
                 else:
                     self._table = execute_to_table(self.child, ctx)

@@ -39,7 +39,7 @@ from ...expr.eval import evaluate, evaluate_predicate
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector, RleVector
-from .kernels import AggSpec, code_space_safe, predicate_mask
+from .kernels import AggSpec, code_space_safe, predicate_codes, predicate_mask
 from .physical import ExecContext, PhysNode, aggregate_table, narrow_to_read
 
 
@@ -164,7 +164,7 @@ class PFusedPipeline(PhysNode):
             key = (i, id(col.dictionary))
             verdict = cache.get(key)
             if verdict is None:
-                verdict = col.dictionary.predicate_codes(conj, name, col.ltype, col.collation)
+                verdict = predicate_codes(col, conj, name)
                 cache[key] = verdict
             if isinstance(vec, RleVector):
                 mask = vec.expand_runs(verdict[vec.values], start, stop)

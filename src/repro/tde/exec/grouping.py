@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ...clock import SYSTEM_CLOCK, Clock
 from ...datatypes import LogicalType
 from ...errors import ExecutionError
 from ...expr.ast import ColumnRef
@@ -124,7 +125,7 @@ class PGroupingSets(PhysNode):
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         recorder = ctx.recorder
-        clock = recorder.clock if recorder is not None else (lambda: 0.0)
+        clock = recorder.clock if recorder is not None else SYSTEM_CLOCK
         results: list[list[Table]] = [[] for _ in self.partials]
         # A fragment is read as one batch: its rows are used as one table
         # anyway, and the planner's split already bounds how many.
@@ -137,13 +138,14 @@ class PGroupingSets(PhysNode):
             rows = execute_to_table(fragment, whole)
             keys = _FragmentKeys(rows, shared_keys, clock)
             for partial, out in zip(self.partials, results):
-                started = clock()
+                started = clock.monotonic()
                 table = keys.aggregate(partial)
                 if table is None:
                     table = _run(partial, [rows], ctx)
                 elif recorder is not None:
                     leaf = partial.children()[0]
-                    recorder.record_node(partial, type(partial).__name__, table.n_rows, clock() - started)
+                    seconds = clock.monotonic() - started
+                    recorder.record_node(partial, type(partial).__name__, table.n_rows, seconds)
                     recorder.record_node(leaf, type(leaf).__name__, rows.n_rows, 0.0)
                 out.append(table)
             if recorder is not None:
@@ -154,10 +156,11 @@ class PGroupingSets(PhysNode):
         del results
         answers = []
         for s in self.sets:
-            started = clock()
+            started = clock.monotonic()
             answer = _run(s.merge, [stacked[s.grain]], ctx)
             if recorder is not None:
-                recorder.record_node(s, type(s).__name__, answer.n_rows, clock() - started)
+                seconds = clock.monotonic() - started
+                recorder.record_node(s, type(s).__name__, answer.n_rows, seconds)
             answers.append(answer)
         yield _tagged_union(answers)
 
@@ -192,12 +195,12 @@ class _FragmentKeys:
     values decoded from the slot. ``seconds``: time spent coding keys.
     """
 
-    def __init__(self, rows: Table, shared: list[str], clock):
+    def __init__(self, rows: Table, shared: list[str], clock: Clock):
         self.rows, self.clock, self.seconds, self._coded = rows, clock, 0.0, {}
         self.bound, self.ids, self.n_shared = _direct_bound(rows.n_rows), None, 1
         self.shared = [rows.column(name) for name in shared]
         coded = [self.code(col) for col in self.shared]
-        started = clock()
+        started = clock.monotonic()
         domain = math.prod(c.card for c in coded) if None not in coded else self.bound + 1
         if coded and domain <= self.bound:
             combined = coded[0].codes
@@ -207,13 +210,13 @@ class _FragmentKeys:
             self.n_shared, self.at = len(slots), {}
             for col, c in zip(self.shared[::-1], coded[::-1]):
                 slots, self.at[id(col)] = np.divmod(slots, c.card)
-        self.seconds += clock() - started
+        self.seconds += clock.monotonic() - started
 
     def code(self, col: Column) -> KeyCoding | None:
         if id(col) not in self._coded:
-            started = self.clock()
+            started = self.clock.monotonic()
             self._coded[id(col)] = (col, key_codes(col))
-            self.seconds += self.clock() - started
+            self.seconds += self.clock.monotonic() - started
         return self._coded[id(col)][1]
 
     def aggregate(self, partial: PhysNode) -> Table | None:

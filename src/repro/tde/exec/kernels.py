@@ -394,6 +394,21 @@ def code_space_safe(expr: Expr) -> bool:
     return True
 
 
+def predicate_codes(col: Column, predicate: Expr, name: str) -> np.ndarray:
+    """Evaluate a single-column predicate once per entry of ``col``'s
+    dictionary.
+
+    Returns a bool array of the dictionary's length whose ``i``-th slot
+    says whether rows coded ``i`` satisfy the predicate. This is the
+    code-space execution primitive (paper 4.1): the predicate runs over
+    the (small) distinct-value domain, and callers reduce the per-row work
+    to an integer gather ``verdict[codes]``. NULL rows carry an arbitrary
+    code, so callers must still AND out the null mask.
+    """
+    entries = Column(col.ltype, PlainVector(col.dictionary.values), collation=col.collation)
+    return evaluate_predicate(predicate, Table({name: entries}))
+
+
 def conjunct_mask_code_space(
     batch: Table, conj: Expr, cache_key: int, cache: dict | None
 ) -> np.ndarray | None:
@@ -418,7 +433,7 @@ def conjunct_mask_code_space(
     key = (cache_key, id(col.dictionary))
     verdict = cache.get(key) if cache is not None else None
     if verdict is None:
-        verdict = col.dictionary.predicate_codes(conj, name, col.ltype, col.collation)
+        verdict = predicate_codes(col, conj, name)
         if cache is not None:
             cache[key] = verdict
     vec = col.physical

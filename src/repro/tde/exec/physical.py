@@ -9,21 +9,21 @@ never mutate input batches.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ... import obs
-
+from ...clock import SYSTEM_CLOCK, Clock
 from ...datatypes import LogicalType
 from ...errors import ExecutionError
-from ...expr.ast import ColumnRef, Expr, columns_used, infer_type
+from ...expr.ast import Call, ColumnRef, Expr, columns_used, infer_type
 from ...expr.eval import evaluate, evaluate_predicate
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector, RleVector
+from ..tql.binder import _window_type
 from .kernels import (
     AggSpec,
     aggregate_groups,
@@ -73,7 +73,7 @@ class OpRecorder:
     which translates identities into stable plan positions.
     """
 
-    def __init__(self, clock=time.perf_counter, *, per_node: bool = False):
+    def __init__(self, clock: Clock = SYSTEM_CLOCK, *, per_node: bool = False):
         self.clock = clock
         self.per_node = per_node
         self._lock = threading.Lock()
@@ -84,16 +84,16 @@ class OpRecorder:
     def iterate(
         self, name: str, batches: Iterator[Table], node: "PhysNode | None" = None
     ) -> Iterator[Table]:
-        clock = self.clock
+        now = self.clock.monotonic
         key = id(node) if (self.per_node and node is not None) else None
         while True:
-            started = clock()
+            started = now()
             try:
                 batch = next(batches)
             except StopIteration:
-                self._add(name, 0, clock() - started, 0, key)
+                self._add(name, 0, now() - started, 0, key)
                 return
-            self._add(name, batch.n_rows, clock() - started, 1, key)
+            self._add(name, batch.n_rows, now() - started, 1, key)
             yield batch
 
     def record_node(
@@ -178,7 +178,7 @@ def execute_to_table(node: PhysNode, ctx: ExecContext | None = None) -> Table:
         # Time operators on the tracer's clock so virtual-time recordings
         # stay deterministic (real per-op seconds would leak wall time
         # into otherwise seeded span attributes).
-        ctx.recorder = OpRecorder(clock=getattr(obs.get_tracer(), "clock", None) or time.perf_counter)
+        ctx.recorder = OpRecorder(clock=obs.get_tracer().clock)
         with obs.span("tde.execute", root=type(node).__name__) as sp:
             batches = list(node.execute(ctx))
             operators = ctx.recorder.snapshot()
@@ -287,8 +287,6 @@ class PIndexedRleScan(PhysNode):
             # Planner should not have chosen this operator; degrade safely.
             fallback_pred = self.predicate
             if self.residual is not None:
-                from ...expr.ast import Call
-
                 fallback_pred = Call("and", (self.predicate, self.residual))
             yield from PScan(self.table, self.columns, fallback_pred).execute(ctx)
             return
@@ -397,7 +395,7 @@ class PHashJoin(PhysNode):
         return (self.probe, self.build_source)
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        from .exchange import SharedBuild
+        from .exchange import SharedBuild  # cycle: exchange imports this module
 
         if isinstance(self.build_source, SharedBuild):
             build_table = self.build_source.get(ctx)
@@ -581,8 +579,6 @@ class PWindow(PhysNode):
         return (self.child,)
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        from ..tql.binder import _window_type
-
         source = execute_to_table(self.child, ctx)
         first = self.items[0]
         base_keys = [(p, True) for p in first.partition_by] + list(first.order_by)

@@ -208,9 +208,9 @@ def explain_query(
     if analyze:
         recorder = OpRecorder(per_node=True)
         ctx = ExecContext(batch_size=engine.batch_size, recorder=recorder)
-        started = recorder.clock()
+        started = recorder.clock.monotonic()
         result = execute_to_table(physical, ctx)
-        elapsed = recorder.clock() - started
+        elapsed = recorder.clock.monotonic() - started
         result_rows = result.n_rows
         stats = recorder.node_stats()
 

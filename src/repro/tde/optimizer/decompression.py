@@ -17,9 +17,12 @@ anyway, and index scans reduce the available degree of parallelism.
 
 from __future__ import annotations
 
+from ...errors import ReproError
 from ...expr.ast import Expr, columns_used, conjoin
+from ...expr.eval import evaluate_predicate
+from ..storage.column import Column
 from ..storage.table import Table
-from ..storage.vectors import RleVector
+from ..storage.vectors import PlainVector, RleVector
 from . import provenance
 from .cost import estimate_selectivity
 
@@ -109,12 +112,6 @@ def _exact_run_selectivity(col, predicate) -> float | None:
     against it is far cheaper than a scan — this is the same "use the
     compression as an index" insight as the rewrite itself.
     """
-    from ...errors import ReproError
-    from ..storage.column import Column
-    from ..storage.table import Table
-    from ..storage.vectors import PlainVector
-    from ...expr.eval import evaluate_predicate
-
     vec = col.physical
     try:
         values, counts, _starts = vec.index_table()

@@ -20,6 +20,7 @@ from ...expr.ast import Call, ColumnRef, Expr
 from ..exec.exchange import PExchange
 from ..exec.kernels import AggSpec
 from ..exec.physical import PhysNode
+from . import provenance
 
 
 @dataclass
@@ -70,8 +71,6 @@ class Fragments:
 
 def decide_dop(rows: int, row_cost_hint: float, options: PlannerOptions) -> int:
     """Choose how many fractions a scan should split into."""
-    from . import provenance
-
     if options.max_dop <= 1:
         provenance.note("parallel.decide_dop", False, "max_dop=1: scans are not split")
         return 1

@@ -36,6 +36,7 @@ from ..exec.physical import (
     PSort,
     PStreamAggregate,
     PTopN,
+    PWindow,
     PhysNode,
 )
 from ..storage.table import Table
@@ -149,8 +150,6 @@ def _build(
         )
         return Fragments([PLimit(close_fragments(frags), plan.n)])
     if isinstance(plan, Window):
-        from ..exec.physical import PWindow
-
         # Window calculations need every input column (the output carries
         # them all) and are stop-and-go: close any parallelism first.
         frags = _build(

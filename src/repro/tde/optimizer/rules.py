@@ -14,7 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ...datatypes import LogicalType
+from ... import obs
+from ...datatypes import LogicalType, from_storage
 from ...errors import ReproError
 from ...expr.ast import (
     Call,
@@ -24,8 +25,12 @@ from ...expr.ast import (
     columns_used,
     conjoin,
     conjuncts,
+    infer_type,
     substitute,
 )
+from ...expr.eval import evaluate
+from ..exec import physical as ph
+from ..exec.fused import PFusedPipeline
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector
@@ -45,6 +50,8 @@ from ..tql.plan import (
     Window,
     transform_up,
 )
+from . import provenance
+from .culling import cull_joins
 
 _TRUE = Literal(True)
 _FALSE = Literal(False)
@@ -66,10 +73,6 @@ _FOLD_TABLE = Table(
 
 def _fold(expr: Expr) -> Expr:
     """Evaluate a constant expression down to a literal."""
-    from ...expr.eval import evaluate
-    from ...expr.ast import infer_type
-    from ...datatypes import from_storage
-
     try:
         ltype = infer_type(expr, {})
         values, mask = evaluate(expr, _FOLD_TABLE)
@@ -304,9 +307,6 @@ def rewrite_logical(plan: LogicalPlan, catalog) -> LogicalPlan:
     Each stage reports provenance (see :mod:`.provenance`): whether it
     changed the plan, so EXPLAIN can list the rewrites that shaped it.
     """
-    from . import provenance
-    from .culling import cull_joins
-
     stages = {
         "distinct_to_aggregate": distinct_to_aggregate,
         "simplify_predicates": simplify_plan_predicates,
@@ -358,11 +358,6 @@ def fuse_pipelines(root, options):
     ``plan_query`` call, so no sharing hazard exists (cached plans are
     fused *before* they enter the plan cache).
     """
-    from ... import obs
-    from ..exec import physical as ph
-    from ..exec.fused import PFusedPipeline
-    from . import provenance
-
     fused_chains: list[tuple[str, ...]] = []
 
     def try_fuse(node):

@@ -153,29 +153,6 @@ class Dictionary:
             return left, len(self.values)
         raise StorageError(f"code_range does not support operator {op!r}")
 
-    def predicate_codes(self, predicate, name: str, ltype, collation=None) -> np.ndarray:
-        """Evaluate a single-column predicate once per dictionary entry.
-
-        Returns a bool array of length ``len(self)`` whose ``i``-th slot
-        says whether rows coded ``i`` satisfy the predicate. This is the
-        code-space execution primitive (paper 4.1): the predicate runs
-        over the (small) distinct-value domain, and callers reduce the
-        per-row work to an integer gather ``verdict[codes]``. NULL rows
-        carry an arbitrary code, so callers must still AND out the null
-        mask.
-        """
-        from ...expr.eval import evaluate_predicate
-        from .column import Column
-        from .table import Table
-        from .vectors import PlainVector
-
-        entry_col = Column(
-            ltype,
-            PlainVector(self.values),
-            collation=collation if collation is not None else self.collation,
-        )
-        return evaluate_predicate(predicate, Table({name: entry_col}))
-
     @property
     def nbytes(self) -> int:
         if self.kind == "heap":

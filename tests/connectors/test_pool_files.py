@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.clock import VirtualTimeClock
 from repro.connectors import (
     ConnectionPool,
     FileDataSource,
@@ -66,6 +67,18 @@ class TestConnectionPool:
         assert pool.evict_idle() == 1
         assert pool.idle_count() == 0
         assert pool.stats.evicted == 1
+        # On the pool's virtual clock a connection is idle from its release,
+        # and is closed only once virtual time passes the TTL.
+        clock = VirtualTimeClock()
+        pool = ConnectionPool(sim_source, max_connections=4, idle_ttl_s=300.0, clock=clock)
+        with pool.connection():
+            clock.advance(1000.0)  # busy time is not idle time
+        clock.advance(300.0)
+        assert pool.evict_idle() == 0
+        assert pool.idle_count() == 1
+        clock.advance(0.5)
+        assert pool.evict_idle() == 1
+        assert pool.idle_count() == 0
 
     def test_closed_pool(self, sim_source):
         pool = ConnectionPool(sim_source)

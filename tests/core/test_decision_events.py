@@ -8,11 +8,12 @@ the event, and the chosen victim must follow the documented ordering
 (expired entries first, then lowest retention score).
 """
 
-import time
+import json
 
 import pytest
 
 from repro import obs
+from repro.clock import VirtualTimeClock
 from repro.connectors import ConnectionPool
 from repro.core.cache.eviction import CacheEntry, EvictionPolicy
 from repro.core.cache.intelligent import IntelligentCache, explain_mismatch
@@ -26,7 +27,7 @@ from repro.queries.compile import compile_spec
 from repro.sql.dialects import QUIRKDB
 from repro.tde.storage import Table
 
-from .conftest import AVG_DELAY, COUNT, ENGINE, make_model, make_source
+from .conftest import AVG_DELAY, COUNT, ENGINE, make_model, make_source, spec
 
 
 @pytest.fixture(autouse=True)
@@ -39,9 +40,13 @@ def _table(rows: int = 4) -> Table:
     return Table.from_pydict({"x": list(range(rows))})
 
 
+#: The cache clock every entry is stamped on; nothing advances it.
+CLOCK = VirtualTimeClock(10_000.0)
+
+
 def _entry(key: str, *, uses: int, cost_s: float, idle_s: float) -> CacheEntry:
-    now = time.monotonic()
-    entry = CacheEntry(key, "db", _table(), 64, cost_s)
+    now = CLOCK.monotonic()
+    entry = CacheEntry(key, "db", _table(), 64, now, cost_s)
     entry.uses = uses
     entry.last_used = now - idle_s
     return entry
@@ -59,7 +64,7 @@ class TestEvictionEvents:
             ]
         }
         with obs.recording() as rec:
-            evicted = policy.purge(entries)
+            evicted = policy.purge(entries, CLOCK.monotonic())
         assert evicted == ["victim"]
         events = rec.events("cache.eviction")
         assert len(events) == 1
@@ -89,20 +94,20 @@ class TestEvictionEvents:
                 _entry("d", uses=1, cost_s=4.0, idle_s=5.0),
             ]
         }
-        now = time.monotonic()
+        now = CLOCK.monotonic()
         expected_victim = min(entries.values(), key=lambda e: e.retention_score(now))
         with obs.recording() as rec:
-            evicted = policy.purge(entries)
+            evicted = policy.purge(entries, CLOCK.monotonic())
         assert evicted == [expected_victim.key]
         assert rec.events("cache.eviction")[0].attributes["key"] == expected_victim.key
 
     def test_expired_entries_evict_first_with_reason(self):
         policy = EvictionPolicy(max_age_s=10.0)
         stale = _entry("stale", uses=100, cost_s=9.0, idle_s=0.0)
-        stale.created_at = time.monotonic() - 60.0
+        stale.created_at = CLOCK.monotonic() - 60.0
         entries = {"stale": stale, "fresh": _entry("fresh", uses=0, cost_s=0.0, idle_s=0.0)}
         with obs.recording() as rec:
-            evicted = policy.purge(entries)
+            evicted = policy.purge(entries, CLOCK.monotonic())
         # Expired beats score: "stale" has a far better score than "fresh".
         assert evicted == ["stale"]
         ev = rec.events("cache.eviction")[0]
@@ -118,8 +123,39 @@ class TestEvictionEvents:
                 _entry("y", uses=0, cost_s=0.0, idle_s=2.0),
             ]
         }
-        policy.purge(entries)  # obs off: must not raise, must still purge
+        # obs off: must not raise, must still purge
+        policy.purge(entries, CLOCK.monotonic())
         assert len(entries) == 1
+
+    @pytest.mark.parametrize("kind", ["literal", "intelligent"])
+    def test_eviction_replays_on_the_cache_clock(self, kind):
+        """Ages are virtual seconds on the cache's clock: an entry past
+        ``max_age_s`` expires (not "age 0.0s under capacity pressure"), and
+        two replays log byte-identical eviction records."""
+
+        def replay() -> list[str]:
+            clock = VirtualTimeClock()
+            policy = EvictionPolicy(max_entries=3, max_age_s=12.0)
+            cache = (
+                LiteralCache(policy, clock=clock)
+                if kind == "literal"
+                else IntelligentCache(policy, clock=clock)
+            )
+            with obs.recording(clock) as rec:
+                for i in range(5):  # one put every 5 virtual seconds
+                    if kind == "literal":
+                        cache.put(f"q{i}", "db", _table(i + 1), cost_s=0.01)
+                    else:
+                        cache.put(spec(dimensions=("carrier",), limit=i + 1), _table(i + 1))
+                    clock.advance(5.0)
+            return [json.dumps(e.to_dict(), sort_keys=True) for e in rec.events("cache.eviction")]
+
+        first = replay()
+        assert first == replay()
+        events = [json.loads(line) for line in first]
+        # q0 and q1 are each 15 virtual seconds old when the next put purges.
+        assert [e["reason"].split(":")[0] for e in events] == ["expired", "expired"]
+        assert all(e["attributes"]["age_s"] == 15.0 for e in events)
 
 
 def _labelled(label) -> DataSourceModel:

@@ -1,10 +1,9 @@
 """Eviction policy and local post-op unit tests."""
 
-import time
-
 import numpy as np
 import pytest
 
+from repro.clock import VirtualTimeClock
 from repro.core.cache.eviction import CacheEntry, EvictionPolicy
 from repro.expr.ast import AggExpr, Call, ColumnRef, Literal
 from repro.queries.postops import (
@@ -19,33 +18,36 @@ from repro.queries.postops import (
 from repro.tde.storage import Table
 
 
+#: The cache clock every entry is stamped on; nothing advances it, so an
+#: entry's age is exactly what the test backdates it by.
+CLOCK = VirtualTimeClock(10_000.0)
+
+
 def _entry(key, *, size=10, cost=0.0, uses=0, age_s=0.0):
-    entry = CacheEntry(key, "ds", None, size, cost)
+    entry = CacheEntry(key, "ds", None, size, CLOCK.monotonic() - age_s, cost)
     entry.uses = uses
-    entry.created_at -= age_s
-    entry.last_used -= age_s
     return entry
 
 
 class TestEvictionPolicy:
     def test_within_capacity_no_eviction(self):
         entries = {f"k{i}": _entry(f"k{i}") for i in range(3)}
-        assert EvictionPolicy(max_entries=3).purge(entries) == []
+        assert EvictionPolicy(max_entries=3).purge(entries, CLOCK.monotonic()) == []
         assert len(entries) == 3
 
     def test_entry_cap(self):
         entries = {f"k{i}": _entry(f"k{i}") for i in range(5)}
-        evicted = EvictionPolicy(max_entries=2).purge(entries)
+        evicted = EvictionPolicy(max_entries=2).purge(entries, CLOCK.monotonic())
         assert len(evicted) == 3 and len(entries) == 2
 
     def test_byte_cap(self):
         entries = {f"k{i}": _entry(f"k{i}", size=100) for i in range(4)}
-        EvictionPolicy(max_entries=100, max_bytes=250).purge(entries)
+        EvictionPolicy(max_entries=100, max_bytes=250).purge(entries, CLOCK.monotonic())
         assert len(entries) == 2
 
     def test_age_cap(self):
         entries = {"old": _entry("old", age_s=100.0), "new": _entry("new")}
-        evicted = EvictionPolicy(max_age_s=10.0).purge(entries)
+        evicted = EvictionPolicy(max_age_s=10.0).purge(entries, CLOCK.monotonic())
         assert evicted == ["old"]
         assert "new" in entries
 
@@ -57,7 +59,7 @@ class TestEvictionPolicy:
             "expensive": _entry("expensive", cost=10.0, uses=0, age_s=5),
             "popular": _entry("popular", cost=0.001, uses=50, age_s=5),
         }
-        EvictionPolicy(max_entries=2).purge(entries)
+        EvictionPolicy(max_entries=2).purge(entries, CLOCK.monotonic())
         assert set(entries) == {"expensive", "popular"}
 
     def test_recency_matters(self):
@@ -65,11 +67,11 @@ class TestEvictionPolicy:
             "stale": _entry("stale", uses=1, age_s=1000.0),
             "fresh": _entry("fresh", uses=1, age_s=0.0),
         }
-        EvictionPolicy(max_entries=1).purge(entries)
+        EvictionPolicy(max_entries=1).purge(entries, CLOCK.monotonic())
         assert set(entries) == {"fresh"}
 
     def test_retention_score_monotonicity(self):
-        now = time.monotonic()
+        now = CLOCK.monotonic()
         low = _entry("a", cost=0.1, uses=1, age_s=100)
         high = _entry("b", cost=0.1, uses=1, age_s=1)
         assert high.retention_score(now) > low.retention_score(now)

@@ -225,7 +225,7 @@ def test_distributed_cache_tier_preserves_answers(specs, oracle):
     """
     from repro.core.cache.distributed import DistributedQueryCache
     from repro.core.cache.replicated import ReplicatedStore
-    from repro.faults.clock import VirtualTimeClock
+    from repro.clock import VirtualTimeClock
 
     store = ReplicatedStore(
         ("c0", "c1", "c2"),

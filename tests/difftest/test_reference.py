@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clock import VirtualTimeClock
 from repro.connectors import TdeDataSource
 from repro.core.pipeline import QueryPipeline
 from repro.datatypes import LogicalType
@@ -178,7 +179,8 @@ def test_the_shared_key_route_returns_what_aggregate_table_does(bound, spec):
     specs = [AggSpec(name, func, arg, LogicalType.INT) for name, func, arg in AGGS]
     partials = [PHashAggregate(PSharedInput(None), names, specs) for names in lists]
     with _bounds(bound):
-        coded = grouping._FragmentKeys(table, PGroupingSets([], partials, []).shared_keys, lambda: 0.0)
+        shared = PGroupingSets([], partials, []).shared_keys
+        coded = grouping._FragmentKeys(table, shared, VirtualTimeClock())
         for names, partial in zip(lists, partials):
             got = coded.aggregate(partial)
             if got is None:

@@ -26,14 +26,8 @@ from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.dashboard import DashboardSession
 from repro.errors import SourceUnavailableError
-from repro.faults import (
-    CLOSED,
-    FaultPlan,
-    FaultRule,
-    FaultyDataSource,
-    RetryPolicy,
-    VirtualTimeClock,
-)
+from repro.clock import VirtualTimeClock
+from repro.faults import CLOSED, FaultPlan, FaultRule, FaultyDataSource, RetryPolicy
 from repro.tde.engine import DataEngine
 from repro.workloads import fig1_dashboard, fig2_dashboard, flights_model, generate_flights
 from tests.core.conftest import make_model, make_source
@@ -248,7 +242,7 @@ class TestDeterministicReplay:
         plan = FaultPlan(seed=seed, rate=0.35, clock=clock)
         pipeline = _chaos_pipeline(plan, clock)
         specs = gen_specs(SPEC_SEED, 40)
-        with obs.recording(clock=clock.monotonic) as rec:
+        with obs.recording(clock=clock) as rec:
             try:
                 for chunk in _chunks(specs, 5):
                     pipeline.run_batch(chunk)

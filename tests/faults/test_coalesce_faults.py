@@ -21,7 +21,8 @@ from repro import obs
 from repro.core.coalesce import SingleFlightRegistry
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.errors import SourceUnavailableError
-from repro.faults import FaultPlan, FaultRule, FaultyDataSource, VirtualTimeClock
+from repro.clock import SYSTEM_CLOCK, VirtualTimeClock
+from repro.faults import FaultPlan, FaultRule, FaultyDataSource
 from tests.core.conftest import AVG_DELAY, COUNT, SUM_DELAY, make_model, make_source, spec
 
 WIDE = spec(
@@ -68,7 +69,7 @@ class _Gated:
         return conn
 
 
-def _pipe(source, registry, *, clock=None, **overrides):
+def _pipe(source, registry, *, clock=SYSTEM_CLOCK, **overrides):
     options = dict(
         enable_intelligent_cache=False,
         enable_literal_cache=False,
@@ -294,7 +295,7 @@ class TestDeterministicReplay:
         oracle_pipe = _pipe(make_source(), SingleFlightRegistry("oracle"))
         wide_table = oracle_pipe.run_spec(WIDE)
         try:
-            with obs.recording(clock=clock.monotonic) as rec:
+            with obs.recording(clock=clock) as rec:
                 # Round 1: an in-flight WIDE leader publishes the moment
                 # the (subsumed) NARROW follower joins.
                 flight, _ = registry.lead_or_join(WIDE)

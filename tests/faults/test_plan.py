@@ -5,12 +5,8 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.faults import (
-    CLEAN,
-    FaultPlan,
-    FaultRule,
-    VirtualTimeClock,
-)
+from repro.clock import VirtualTimeClock
+from repro.faults import CLEAN, FaultPlan, FaultRule
 
 OPS = ("connect", "execute", "create_temp_table")
 SOURCES = ("warehouse", "files")

@@ -29,7 +29,7 @@ import pytest
 
 from repro import obs
 from repro.core.cache.replicated import ReplicatedStore, _KeyFlight, _unpack
-from repro.faults.clock import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.faults.plan import FaultPlan, FaultRule
 
 SEED = 2024
@@ -326,7 +326,7 @@ class TestScriptedChaosReplay:
         )
         store = _tier(clock=clock, faults=plan, replication=2)
         rng = random.Random(SEED)
-        with obs.recording(clock=clock.monotonic) as rec:
+        with obs.recording(clock=clock) as rec:
             for step in range(220):
                 key = f"zone-{int(rng.paretovariate(1.2)) % 48}"
                 if rng.random() < 0.4:

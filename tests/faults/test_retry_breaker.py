@@ -11,6 +11,7 @@ from repro.errors import (
     SourceTimeoutError,
     TransientSourceError,
 )
+from repro.clock import VirtualTimeClock
 from repro.faults import (
     CLOSED,
     HALF_OPEN,
@@ -18,7 +19,6 @@ from repro.faults import (
     OPEN,
     CircuitBreaker,
     RetryPolicy,
-    VirtualTimeClock,
     call_with_retry,
 )
 

@@ -30,7 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.cache.replicated import ReplicatedStore, _unpack
-from repro.faults.clock import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.faults.plan import FaultPlan, FaultRule
 
 from .test_reshard_chaos import _assert_converged

@@ -1,6 +1,7 @@
 """The decision-event log: ring buffer, queries, wiring, null path."""
 
 from repro import obs
+from repro.clock import VirtualTimeClock
 from repro.obs import NULL_EVENTS, DecisionEvent, EventLog
 
 
@@ -45,7 +46,7 @@ class TestEventLog:
         assert log.kinds() == {"a": 1, "b": 2}
 
     def test_str_and_to_dict(self):
-        log = EventLog(clock=lambda: 1.5)
+        log = EventLog(clock=VirtualTimeClock(1.5))
         log.emit("pool", "opened", "no idle connection", source="db", n=2)
         ev = log.events()[0]
         assert isinstance(ev, DecisionEvent)

@@ -18,7 +18,8 @@ import pytest
 from repro.connectors import TdeDataSource
 from repro.core.coalesce import SingleFlightRegistry
 from repro.core.pipeline import PipelineOptions, QueryPipeline
-from repro.faults import FaultPlan, FaultRule, FaultyDataSource, VirtualTimeClock
+from repro.clock import SYSTEM_CLOCK, VirtualTimeClock
+from repro.faults import FaultPlan, FaultRule, FaultyDataSource
 from repro.obs.ledger import PHASES, LedgerBook, RequestLedger
 from tests.core.conftest import COUNT, ENGINE, SUM_DELAY, make_model, make_source, spec
 from tests.core.test_coalesce import GatedSource
@@ -43,7 +44,7 @@ def assert_conserved(ledger: RequestLedger) -> None:
     assert phases["queue"] >= -1e-9, ledger
 
 
-def _pipeline(source=None, *, coalescer=None, clock=None, **overrides):
+def _pipeline(source=None, *, coalescer=None, clock=SYSTEM_CLOCK, **overrides):
     options = dict(enable_ledger=True)
     options.update(overrides)
     return QueryPipeline(
@@ -126,17 +127,17 @@ class TestRequestLedger:
 
 class TestLedgerBook:
     def test_open_is_idempotent_per_key(self):
-        book = LedgerBook(lambda: 0.0)
+        book = LedgerBook(VirtualTimeClock())
         assert book.open("a") is book.open("a")
 
     def test_close_finishes_stragglers(self):
-        t = [0.0]
-        book = LedgerBook(lambda: t[0])
+        clock = VirtualTimeClock()
+        book = LedgerBook(clock)
         book.open("a")
-        t[0] = 2.0
+        clock.advance(2.0)
         book.finish("a", "fresh")
         book.charge("b", "execute", 0.5)
-        t[0] = 3.0
+        clock.advance(1.0)
         ledgers = book.close(default_outcome="batch_local")
         assert ledgers["a"].outcome == "fresh"
         assert ledgers["b"].outcome == "batch_local"

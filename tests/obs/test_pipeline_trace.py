@@ -3,7 +3,8 @@ phase-sum ≈ elapsed, and the new derived_hits accounting."""
 
 from repro import obs
 from repro.core.pipeline import PipelineOptions, QueryPipeline
-from repro.faults import FaultPlan, FaultRule, FaultyDataSource, VirtualTimeClock
+from repro.clock import VirtualTimeClock
+from repro.faults import FaultPlan, FaultRule, FaultyDataSource
 from repro.queries import CategoricalFilter
 from tests.core.conftest import AVG_DELAY, COUNT, SUM_DELAY, make_model, make_source, spec
 
@@ -48,7 +49,7 @@ class TestPipelineTrace:
         slow = FaultPlan.scripted([FaultRule("latency", op="execute", latency_s=0.25)])
         source = FaultyDataSource(make_source(), slow, clock=clock)
         pipe = QueryPipeline(source, make_model(), clock=clock)
-        with obs.recording(clock=clock.monotonic) as rec:
+        with obs.recording(clock=clock) as rec:
             result = pipe.run_batch(fusable_batch())
         root = rec.find("pipeline.run_batch")
         phase_total = sum(c.duration_s for c in root.children)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs import (
     SCHEMA_VERSION,
     MetricsRegistry,
@@ -16,7 +16,7 @@ from repro.sim.metrics import Recorder
 
 def make_recording():
     clock = VirtualTimeClock()
-    tracer = Tracer(clock=clock.monotonic)
+    tracer = Tracer(clock=clock)
     metrics = MetricsRegistry()
     with tracer.span("pipeline.run_batch", specs=2):
         with tracer.span("pipeline.cache_probe"):

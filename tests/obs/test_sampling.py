@@ -2,7 +2,7 @@
 
 import json
 
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs import SamplingPolicy, Span, TraceBuffer, TraceContext
 from repro.obs.trace import Tracer
 
@@ -115,7 +115,7 @@ class TestBoundsAndExport:
 
     def test_export_jsonl_round_trips(self):
         clock = VirtualTimeClock()
-        tracer = Tracer(clock=clock.monotonic)
+        tracer = Tracer(clock=clock)
         with tracer.span("vizserver.request", user="u1"):
             clock.advance(0.4)
             with tracer.span("pipeline.run_batch"):

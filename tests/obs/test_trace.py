@@ -4,7 +4,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs import NULL_TRACER, Tracer
 
 
@@ -34,7 +34,7 @@ class TestSpanNesting:
 
     def test_find_and_durations(self):
         clock = VirtualTimeClock()
-        tracer = Tracer(clock=clock.monotonic)
+        tracer = Tracer(clock=clock)
         with tracer.span("outer"):
             clock.advance(1.0)
             with tracer.span("inner"):
@@ -58,7 +58,7 @@ class TestSpanNesting:
         assert tracer.current() is None
 
     def test_to_dict_shape(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("a", n=1):
             with tracer.span("b"):
                 pass

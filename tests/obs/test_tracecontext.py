@@ -3,7 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs import Span, TraceContext, Tracer, stitch
 
 
@@ -21,7 +21,7 @@ def _workload(tracer: Tracer, clock: VirtualTimeClock) -> list[Span]:
 
 class TestDeterministicIdentity:
     def test_ids_are_counters_not_entropy(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
@@ -39,13 +39,13 @@ class TestDeterministicIdentity:
         runs = []
         for _ in range(2):
             clock = VirtualTimeClock()
-            roots = _workload(Tracer(clock=clock.monotonic), clock)
+            roots = _workload(Tracer(clock=clock), clock)
             runs.append([r.to_dict() for r in roots])
         assert runs[0] == runs[1]
 
     def test_distinct_requests_get_distinct_trace_ids(self):
         clock = VirtualTimeClock()
-        roots = _workload(Tracer(clock=clock.monotonic), clock)
+        roots = _workload(Tracer(clock=clock), clock)
         ids = [r.trace_id for r in roots]
         assert len(set(ids)) == 3
 
@@ -65,7 +65,7 @@ class TestWireFormat:
         assert TraceContext.from_wire({"trace_id": "", "span_id": "y"}) is None
 
     def test_span_context_property(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("a") as sp:
             ctx = sp.context
         assert ctx == TraceContext(sp.trace_id, sp.span_id)
@@ -75,7 +75,7 @@ class TestWireFormat:
 
 class TestActivate:
     def test_next_root_adopts_wire_identity(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("vizserver.request") as near:
             wire = near.context.to_wire()
         remote = TraceContext.from_wire(wire)
@@ -87,7 +87,7 @@ class TestActivate:
         assert far.parent_span_id == near.span_id
 
     def test_activate_detaches_the_local_stack(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("outer") as outer:
             with tracer.activate(TraceContext("00ff", "aa")):
                 assert tracer.current() is None
@@ -99,7 +99,7 @@ class TestActivate:
         assert tracer.roots[1].trace_id == "00ff"
 
     def test_activate_none_is_a_transparent_noop(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("outer") as outer:
             with tracer.activate(None):
                 with tracer.span("inner") as inner:
@@ -107,7 +107,7 @@ class TestActivate:
         assert len(tracer.roots) == 1
 
     def test_stitch_reassembles_the_hop(self):
-        tracer = Tracer(clock=VirtualTimeClock().monotonic)
+        tracer = Tracer(clock=VirtualTimeClock())
         with tracer.span("vizserver.request") as near:
             wire = near.context.to_wire()
             with tracer.activate(TraceContext.from_wire(wire)):
@@ -138,7 +138,7 @@ class TestModuleSurfaces:
 
     def test_bind_carries_the_span_into_workers(self):
         clock = VirtualTimeClock()
-        with obs.recording(clock=clock.monotonic):
+        with obs.recording(clock=clock):
             with obs.span("pipeline.remote_execution") as parent:
 
                 def work(i):
@@ -165,7 +165,7 @@ class TestModuleSurfaces:
 
     def test_enable_with_sink_diverts_roots(self):
         seen = []
-        obs.enable(VirtualTimeClock().monotonic, sink=seen.append)
+        obs.enable(VirtualTimeClock(), sink=seen.append)
         try:
             with obs.span("vizserver.request"):
                 pass

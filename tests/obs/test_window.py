@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs.window import (
     SLOMonitor,
     SLOObjective,
@@ -20,14 +20,6 @@ from repro.obs.window import (
 )
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def monotonic(self) -> float:
-        return self.t
-
-
 class TestWindowedHistogram:
     def test_rejects_degenerate_windows(self):
         with pytest.raises(ValueError):
@@ -36,38 +28,38 @@ class TestWindowedHistogram:
             WindowedHistogram("w", window_s=10.0, buckets=0)
 
     def test_merged_sees_only_the_trailing_window(self):
-        clock = FakeClock()
+        clock = VirtualTimeClock()
         window = WindowedHistogram("w", window_s=60.0, buckets=6, clock=clock)
         window.observe(1.0)
-        clock.t = 30.0
+        clock.advance(30.0)
         window.observe(2.0)
         assert window.merged().snapshot()["count"] == 2
-        clock.t = 65.0  # the t=0 cell has aged out; t=30 is still live
+        clock.advance(35.0)  # t=65: the t=0 cell has aged out; t=30 is still live
         assert window.merged().snapshot()["count"] == 1
-        clock.t = 200.0
+        clock.advance(135.0)
         assert window.merged().snapshot()["count"] == 0
 
     def test_stale_cell_is_recycled_on_write(self):
-        clock = FakeClock()
+        clock = VirtualTimeClock()
         window = WindowedHistogram("w", window_s=10.0, buckets=2, clock=clock)
         window.observe(1.0)
-        clock.t = 10.0  # same slot (epoch 2 -> slot 0), new epoch
+        clock.advance(10.0)  # same slot (epoch 2 -> slot 0), new epoch
         window.observe(2.0)
         merged = window.merged()
         assert merged.snapshot()["count"] == 1
         assert window.observed == 2  # the total never forgets
 
     def test_horizon_narrows_the_read(self):
-        clock = FakeClock()
+        clock = VirtualTimeClock()
         window = WindowedHistogram("w", window_s=60.0, buckets=6, clock=clock)
         window.observe(1.0)
-        clock.t = 55.0
+        clock.advance(55.0)
         window.observe(2.0)
         assert window.merged().snapshot()["count"] == 2
         assert window.merged(horizon_s=10.0).snapshot()["count"] == 1
 
     def test_snapshot_carries_window_metadata(self):
-        window = WindowedHistogram("w", window_s=30.0, clock=FakeClock())
+        window = WindowedHistogram("w", window_s=30.0, clock=VirtualTimeClock())
         window.observe(0.5)
         snap = window.snapshot()
         assert snap["window_s"] == 30.0
@@ -77,7 +69,7 @@ class TestWindowedHistogram:
 
 class TestWindowSet:
     def test_keys_get_independent_windows(self):
-        ws = WindowSet("dash", clock=FakeClock())
+        ws = WindowSet("dash", clock=VirtualTimeClock())
         ws.observe("a", 1.0)
         ws.observe("b", 2.0)
         ws.observe("b", 3.0)
@@ -86,7 +78,7 @@ class TestWindowSet:
         assert snap["keys"]["b"]["count"] == 2
 
     def test_key_cap_counts_overflow_instead_of_growing(self):
-        ws = WindowSet("session", max_keys=2, clock=FakeClock())
+        ws = WindowSet("session", max_keys=2, clock=VirtualTimeClock())
         for key in ("a", "b", "c", "d"):
             ws.observe(key, 1.0)
         assert ws.keys() == ["a", "b"]
@@ -178,7 +170,7 @@ class TestSLOMonitor:
 
     def test_transitions_emit_decision_events(self):
         clock = VirtualTimeClock()
-        with obs.recording(clock=clock.monotonic) as rec:
+        with obs.recording(clock=clock) as rec:
             monitor = self._monitor(clock)
             for latency, n in ((0.05, 120), (1.0, 40), (0.05, 120)):
                 for _ in range(n):
@@ -202,7 +194,7 @@ class TestSLOMonitor:
 
 class TestTelemetryHub:
     def test_observe_feeds_every_surface(self):
-        clock = FakeClock()
+        clock = VirtualTimeClock()
         telemetry = Telemetry(
             TelemetryOptions(slo=SLOObjective(threshold_s=0.25)), clock=clock
         )
@@ -217,7 +209,7 @@ class TestTelemetryHub:
 
     def test_slow_threshold_filters_candidates(self):
         telemetry = Telemetry(
-            TelemetryOptions(slow_threshold_s=0.5), clock=FakeClock()
+            TelemetryOptions(slow_threshold_s=0.5), clock=VirtualTimeClock()
         )
         assert not telemetry.observe(0.1)
         assert telemetry.observe(0.9)

@@ -27,7 +27,7 @@ from repro.core.cache.distributed import deserialize_table
 from repro.core.cache.replicated import ReplicatedStore
 from repro.core.pipeline import PipelineOptions
 from repro.expr.ast import AggExpr
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.queries import QuerySpec
 from repro.server import DataServer, TdeCluster, VizServer
 from repro.tde.storage import Database, pack_database

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clock import VirtualTimeClock
 from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.errors import ServerError
@@ -149,6 +150,18 @@ class TestTempTableState:
     def test_expiry(self):
         state = TempTableState(idle_ttl_s=0.0)
         state.register("a", Table.from_pydict({"x": [1]}))
+        assert state.expire_idle() == 1
+        assert len(state) == 0
+        # On the owner's virtual clock a definition is reclaimed only once
+        # virtual time passes the TTL since its last use.
+        clock = VirtualTimeClock()
+        state = TempTableState(idle_ttl_s=60.0, clock=clock)
+        name = state.register("a", Table.from_pydict({"x": [1]}))
+        clock.advance(45.0)
+        state.get(name)  # a use restarts the idle window
+        clock.advance(60.0)
+        assert state.expire_idle() == 0
+        clock.advance(0.5)
         assert state.expire_idle() == 1
         assert len(state) == 0
 

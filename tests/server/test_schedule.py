@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clock import VirtualTimeClock
 from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.errors import ServerError
@@ -12,24 +13,13 @@ from repro.server.schedule import RefreshScheduler
 from repro.workloads import flights_model, generate_flights
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 @pytest.fixture()
 def env():
     dataset = generate_flights(500, seed=51)
     db = dataset.load_into_simdb(ServerProfile(time_scale=0))
     server = DataServer()
     server.publish("faa", flights_model(), SimDbDataSource(db))
-    clock = FakeClock()
+    clock = VirtualTimeClock()
     return server, RefreshScheduler(server, clock=clock), clock
 
 
@@ -60,7 +50,7 @@ class TestScheduling:
         assert len(events) == 1
         assert server.get("faa").refresh_count == 1
         name, next_fire = scheduler.next_due()
-        assert next_fire > clock.now
+        assert next_fire > clock.monotonic()
 
     def test_first_delay_override(self, env):
         _server, scheduler, clock = env

@@ -14,7 +14,7 @@ from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.cache.replicated import ReplicatedStore
 from repro.expr.ast import AggExpr
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.obs.window import TelemetryOptions
 from repro.queries import QuerySpec
 from repro.server import DataServer, TdeCluster, VizServer

@@ -23,7 +23,7 @@ from repro.core.cache import distributed
 from repro.core.cache.replicated import ReplicatedStore
 from repro.datatypes import LogicalType
 from repro.errors import CacheError, StorageError
-from repro.faults import VirtualTimeClock
+from repro.clock import VirtualTimeClock
 from repro.server import VizServer
 from repro.tde.storage import wire
 from repro.tde.storage.column import Column
