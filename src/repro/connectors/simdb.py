@@ -176,13 +176,15 @@ class SimulatedDatabase:
         CPUs when they exist but degrades under concurrency.
         """
         self.stats.enter()
-        queued = time.monotonic()
+        # The wall is read for the queue wait only when a histogram takes it.
+        queued = time.monotonic() if obs.get_metrics().enabled else None
         try:
             if self._admission is not None:
                 self._admission.acquire()
             try:
                 self._worker_slots.acquire()
-                obs.histogram("simdb.queue_wait_s").observe(time.monotonic() - queued)
+                if queued is not None:
+                    obs.histogram("simdb.queue_wait_s").observe(time.monotonic() - queued)
                 held = 1
                 while held < self.profile.per_query_parallelism and self._worker_slots.acquire(
                     blocking=False

@@ -29,6 +29,9 @@ class CacheEntry:
     created_at: float  # the owning cache's clock reading at insert
     cost_s: float = 0.0  # expense of re-evaluating the query
     uses: int = 0
+    #: what derivations from ``value`` share (the intelligent cache's
+    #: ``TableMemo``): it lives and dies with the entry
+    memo: Any = None
     last_used: float = field(init=False)
 
     def __post_init__(self) -> None:

@@ -32,6 +32,7 @@ from ...queries.postops import (
     LocalTopN,
     PostOp,
     PostOpPlan,
+    TableMemo,
     apply_post_ops,
     compile_post_ops,
     derive_measures,
@@ -48,11 +49,6 @@ class MatchResult:
 
     post_ops: tuple[PostOp, ...]
 
-    @property
-    def work(self) -> int:
-        """Crude post-processing effort rank (for choose_best)."""
-        return len(self.post_ops)
-
 
 # ---------------------------------------------------------------------- #
 # Subsumption proof between two specs
@@ -63,56 +59,28 @@ def match_specs(provider: QuerySpec, request: QuerySpec) -> MatchResult | None:
     Returns the post-op chain (roll-up, filtering, projection, ordering)
     or ``None`` when no sound derivation exists.
     """
+    proof = _proof(provider, request)
+    return proof if isinstance(proof, MatchResult) else None
+
+
+def explain_mismatch(provider: QuerySpec, request: QuerySpec) -> str:
+    """Why :func:`match_specs` returned None, as a human-readable reason:
+    the first gate the pair failed. Only called on the slow path
+    (decision-event emission)."""
+    proof = _proof(provider, request)
+    return proof if isinstance(proof, str) else "no mismatch found (the pair matches)"
+
+
+def _proof(provider: QuerySpec, request: QuerySpec) -> MatchResult | str:
+    """The derivation, or the reason there is none."""
     if provider.datasource != request.datasource:
-        return None
+        return "cached entry belongs to a different data source"
     if provider.canonical() == request.canonical():
         return MatchResult(())
     # A truncated provider result (LIMIT) cannot answer anything else.
     if provider.limit is not None:
-        return None
-    # Top-n filters are not relaxable: they must agree exactly.
-    if _topn_signature(provider) != _topn_signature(request):
-        return None
-    if not set(request.dimensions) <= set(provider.dimensions):
-        return None
-    extra_predicates = _filter_difference(provider, request)
-    if extra_predicates is None:
-        return None
-    if extra_predicates and _topn_signature(provider):
-        # A top-n filter's surviving set depends on the other filters:
-        # narrowing them would demand re-ranking, which post-processing
-        # cannot do soundly from the truncated provider result.
-        return None
-    for pred_field in _fields_of(extra_predicates):
-        if pred_field not in provider.dimensions:
-            return None  # can only post-filter on grouped columns
-    measure_ops = derive_measures(provider, request)
-    if measure_ops is None:
-        return None
-    post_ops: list[PostOp] = []
-    if extra_predicates:
-        post_ops.append(LocalFilter(conjoin(extra_predicates)))
-    post_ops.extend(measure_ops)
-    if request.order_by and request.limit is not None:
-        post_ops.append(LocalTopN(request.limit, request.order_by))
-    elif request.order_by:
-        post_ops.append(LocalSort(request.order_by))
-    elif request.limit is not None:
-        post_ops.append(LocalTopN(request.limit, tuple()))
-    return MatchResult(tuple(post_ops))
-
-
-def explain_mismatch(provider: QuerySpec, request: QuerySpec) -> str:
-    """Why :func:`match_specs` returned None, as a human-readable reason.
-
-    Re-proves the failure along the same check order, so the returned
-    reason names the first gate the pair failed. Only called on the slow
-    path (decision-event emission); the hot path never pays for it.
-    """
-    if provider.datasource != request.datasource:
-        return "cached entry belongs to a different data source"
-    if provider.limit is not None:
         return "cached result is LIMIT-truncated and cannot answer anything else"
+    # Top-n filters are not relaxable: they must agree exactly.
     if _topn_signature(provider) != _topn_signature(request):
         return "top-n filter signatures differ (top-n is not relaxable)"
     if not set(request.dimensions) <= set(provider.dimensions):
@@ -125,19 +93,30 @@ def explain_mismatch(provider: QuerySpec, request: QuerySpec) -> str:
             "(a cached filter is not implied by the request's)"
         )
     if extra_predicates and _topn_signature(provider):
+        # A top-n filter's surviving set depends on the other filters:
+        # narrowing them would demand re-ranking, which post-processing
+        # cannot do soundly from the truncated provider result.
         return "narrowing filters under a top-n filter would require re-ranking"
     for pred_field in _fields_of(extra_predicates):
         if pred_field not in provider.dimensions:
-            return (
-                f"cannot post-filter on {pred_field!r}: "
-                "not grouped in the cached result"
-            )
-    if derive_measures(provider, request) is None:
+            return f"cannot post-filter on {pred_field!r}: not grouped in the cached result"
+    measure_ops = derive_measures(provider, request)
+    if measure_ops is None:
         return (
             "a requested measure cannot be derived from the cached one "
             "(not additive across groups, or its components are missing)"
         )
-    return "no mismatch found (the pair matches)"  # pragma: no cover
+    post_ops: list[PostOp] = []
+    if extra_predicates:
+        post_ops.append(LocalFilter(conjoin(extra_predicates)))
+    post_ops.extend(measure_ops)
+    if request.order_by and request.limit is not None:
+        post_ops.append(LocalTopN(request.limit, request.order_by))
+    elif request.order_by:
+        post_ops.append(LocalSort(request.order_by))
+    elif request.limit is not None:
+        post_ops.append(LocalTopN(request.limit, tuple()))
+    return MatchResult(tuple(post_ops))
 
 
 def _topn_signature(spec: QuerySpec) -> frozenset[str]:
@@ -309,7 +288,10 @@ class IntelligentCache:
         #: every invalidate empties it: between two mutations the
         #: candidates, their order and their specs are fixed and the proof
         #: is deterministic, so a remembered proof is what a search would
-        #: find. It holds proofs only, never a derived table.
+        #: find. A derivation is bound to its provider's table: what is its
+        #: own (a filter's kept rows) sits in its plan, and the group ids
+        #: and key columns it shares with other derivations in the entry's
+        #: ``memo``, counted in the entry's ``size_bytes`` and gone with it.
         self._proofs: dict[str, tuple[CacheEntry, PostOpPlan]] = {}
         self._lock = threading.RLock()
 
@@ -321,7 +303,7 @@ class IntelligentCache:
             self._proofs.clear()
             now = self.clock.monotonic()
             self._entries[key] = CacheEntry(
-                key, spec.datasource, result, result.nbytes, now, cost_s
+                key, spec.datasource, result, result.nbytes, now, cost_s, memo=TableMemo()
             )
             self._specs[key] = spec
             if origin is not None:
@@ -433,7 +415,10 @@ class IntelligentCache:
                 )
             return None, tried
         match, entry = best
-        proof = (entry, compile_post_ops(entry.value.schema(), match.post_ops))
+        held = entry.memo.nbytes
+        plan = compile_post_ops(entry.value.schema(), match.post_ops, entry.value, entry.memo)
+        entry.size_bytes += entry.memo.nbytes - held
+        proof = (entry, plan)
         if len(self._proofs) >= MAX_PROOFS:
             del self._proofs[next(iter(self._proofs))]
         self._proofs[key] = proof

@@ -52,14 +52,24 @@ class Zone:
         return self.kind != "legend" and (bool(self.dimensions) or bool(self.measures))
 
     def spec(self, datasource: str, extra_filters: tuple[Filter, ...]) -> QuerySpec:
-        return QuerySpec(
-            datasource,
-            self.dimensions,
-            self.measures,
-            self.filters + tuple(extra_filters),
-            self.order_by,
-            self.limit,
-        )
+        """The zone's query on ``datasource`` under ``extra_filters``.
+
+        The unfiltered one is built once per data source and kept on the
+        zone, outside the dataclass fields, as ``QuerySpec.canonical``
+        keeps its text: every render then reuses it and its text."""
+        kept = self.__dict__.setdefault("_specs", {}) if not extra_filters else {}
+        spec = kept.get(datasource)
+        if spec is None:
+            spec = QuerySpec(
+                datasource,
+                self.dimensions,
+                self.measures,
+                self.filters + tuple(extra_filters),
+                self.order_by,
+                self.limit,
+            )
+            kept[datasource] = spec
+        return spec
 
 
 @dataclass(frozen=True)

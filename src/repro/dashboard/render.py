@@ -19,7 +19,7 @@ from .. import obs
 from ..core.pipeline import BatchResult, QueryPipeline
 from ..errors import WorkloadError
 from ..obs.ledger import RequestLedger
-from ..queries.spec import CategoricalFilter, Filter, QuerySpec
+from ..queries.spec import CategoricalFilter, QuerySpec
 from ..tde.storage.table import Table
 from .model import Dashboard, Zone
 
@@ -86,6 +86,8 @@ class DashboardSession:
         self.selections: dict[str, tuple[Any, ...]] = {}
         self.zone_tables: dict[str, Table] = {}
         self._rendered_specs: dict[str, str] = {}
+        #: zone -> (the selections acting on it, its spec under them)
+        self._zone_specs: dict[str, tuple[list, QuerySpec]] = {}
         #: Reentrant so a server can atomically swap ``pipeline`` and
         #: render without deadlocking against the render's own locking.
         self.lock = threading.RLock()
@@ -112,13 +114,18 @@ class DashboardSession:
     # Rendering
     # ------------------------------------------------------------------ #
     def effective_spec(self, zone: Zone) -> QuerySpec:
-        """The zone's query under the current selection state."""
-        extra: list[Filter] = []
-        for action in self.dashboard.actions_onto(zone.name):
-            selected = self.selections.get(action.source)
-            if selected:
-                extra.append(CategoricalFilter(action.field, selected))
-        return zone.spec(self.dashboard.datasource, tuple(extra))
+        """The zone's query under the current selection state, rebuilt
+        only when the selections acting on the zone change."""
+        state = [
+            (action.field, self.selections.get(action.source))
+            for action in self.dashboard.actions_onto(zone.name)
+        ]
+        kept = self._zone_specs.get(zone.name)
+        if kept is None or kept[0] != state:
+            extra = tuple([CategoricalFilter(name, chosen) for name, chosen in state if chosen])
+            spec = zone.spec(self.dashboard.datasource, extra)
+            kept = self._zone_specs[zone.name] = (state, spec)
+        return kept[1]
 
     def render(self) -> RenderResult:
         with self.lock, obs.span(
@@ -176,11 +183,11 @@ class DashboardSession:
             # Hint the pipeline about fields future interactions will
             # filter on, so cached results include them as dimensions
             # ("as long as the filtering columns are included", 3.2).
-            reuse = frozenset(
-                action.field
+            reuse = frozenset([
+                field_name
                 for zone_name, _s in batch_specs
-                for action in self.dashboard.actions_onto(zone_name)
-            )
+                for field_name, _chosen in self._zone_specs[zone_name][0]
+            ])
             with obs.span(
                 "dashboard.iteration",
                 index=iteration,
@@ -191,6 +198,7 @@ class DashboardSession:
                 )
                 batches.append(result)
                 zone_rows: dict[str, int] = {}
+                metrics = obs.get_metrics()
                 for zone_name, spec in batch_specs:
                     key = spec.canonical()
                     ledger = result.ledgers.get(key)
@@ -204,9 +212,9 @@ class DashboardSession:
                         zone_errors[zone_name] = result.errors[key]
                         obs.counter("dashboard.zone_errors").inc()
                         continue
-                    table = result.table_for(spec)
+                    table = result.tables[key]
                     self.zone_tables[zone_name] = table
-                    if result.is_stale(spec):
+                    if key in result.stale_keys:
                         # A degraded (last-known-good) serve: show it but
                         # leave the spec un-recorded so the next render
                         # retries the source.
@@ -215,7 +223,8 @@ class DashboardSession:
                     else:
                         self._rendered_specs[zone_name] = key
                     zone_rows[zone_name] = table.n_rows
-                    obs.counter(f"dashboard.zone.{zone_name}.renders").inc()
+                    if metrics.enabled:
+                        metrics.counter(f"dashboard.zone.{zone_name}.renders").inc()
                 iter_span.set(zone_rows=zone_rows)
                 if stale_zones or zone_errors:
                     iter_span.set(

@@ -36,6 +36,8 @@ Typical benchmark usage::
 
 from __future__ import annotations
 
+import collections
+import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -110,6 +112,7 @@ __all__ = [
     "attach",
     "bind",
     "component_of",
+    "count_calls",
     "counter",
     "critical_path",
     "current_span",
@@ -319,3 +322,37 @@ def histogram(name: str):
 def event(kind: str, outcome: str, reason: str, **attributes: Any) -> None:
     """Record one decision event (no-op when observability is off)."""
     _events.emit(kind, outcome, reason, **attributes)
+
+
+# ---------------------------------------------------------------------- #
+# Counted work
+# ---------------------------------------------------------------------- #
+@contextmanager
+def count_calls() -> Iterator[collections.Counter]:
+    """Count the Python call events the calling thread makes in the block,
+    by package: ``repro.<package>`` (``repro.tde.<package>`` inside the
+    engine), ``numpy`` or ``other``.
+
+    Unlike time, the counts repeat exactly from run to run, so a work
+    budget can assert them. The ``sys.setprofile`` hook is installed only
+    while the block runs, and nothing here reads a clock.
+    """
+    counts: collections.Counter = collections.Counter()
+    previous = sys.getprofile()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            counts[_package(frame.f_globals.get("__name__", ""))] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
+
+
+def _package(module: str) -> str:
+    parts = module.split(".", 3)
+    if parts[0] == "repro":
+        return ".".join(parts[: 3 if parts[1:2] == ["tde"] else 2])
+    return "numpy" if parts[0] == "numpy" else "other"

@@ -24,8 +24,10 @@ from .. import obs
 from ..datatypes import LogicalType
 from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, infer_type
 from ..expr.eval import evaluate_predicate
-from ..tde.exec.kernels import AggSpec
-from ..tde.exec.physical import aggregate_table, project_table
+from ..tde.exec.kernels import (
+    AggSpec, aggregate_groups, aggregate_slots, combine_codes, factorize_table
+)
+from ..tde.exec.physical import aggregate_table, bind_projection
 from ..tde.storage.column import Column
 from ..tde.storage.table import Table
 
@@ -183,30 +185,70 @@ Step = Callable[[Table], Table]
 class PostOpPlan:
     """A post-op chain compiled against one input schema.
 
-    ``steps`` run ``ops``, one per op, with every type and aggregate
-    already resolved. A plan is valid only for inputs of the schema it was
-    compiled against. It iterates as its ``Local*`` ops because
-    :func:`apply_post_ops` takes a plan or a raw op sequence, and a
-    wrapper of that function reads either one as ops.
+    ``steps`` run ``ops`` with every type and aggregate already resolved,
+    and ``counters`` name each op's counter. A plan is valid only for
+    inputs of the schema it was compiled against (a plan bound to its
+    input, only for that table). It iterates as its ``Local*`` ops
+    because :func:`apply_post_ops` takes a plan or a raw op sequence, and
+    a wrapper of that function reads either one as ops.
     """
 
     ops: tuple[PostOp, ...]
     steps: tuple[Step, ...]
+    counters: tuple[str, ...]
 
     def __iter__(self):
         return iter(self.ops)
 
 
-def compile_post_ops(schema: Mapping[str, LogicalType], ops: Iterable[PostOp]) -> PostOpPlan:
+class TableMemo(dict):
+    """What the plans bound to one table share: per tuple of key columns,
+    ``factorize_table``'s ``(gids, n_groups, reps)`` over them and, where
+    a plan reads them, the keys at each group's first row. It grows only
+    while a plan is compiled and what it holds never changes, so plans
+    read it unlocked; ``nbytes`` counts it."""
+
+    nbytes = 0
+
+    def grouping(self, table: Table, keys: tuple[str, ...]):
+        got = self.get(keys)
+        if got is None:
+            # Each key's ids order its groups as its codes do, so combining
+            # them numbers the groups as factorizing every key would.
+            if len(keys) > 1:
+                ids = [self.grouping(table, (key,))[:2] for key in keys]
+                got = combine_codes(ids, table.n_rows)
+            else:
+                got = factorize_table(table, list(keys))
+            self[keys] = got
+            self.nbytes += got[0].nbytes + got[2].nbytes
+        return got
+
+    def firsts(self, table: Table, keys: tuple[str, ...]) -> dict[str, Column]:
+        got = self.get(("firsts", keys))
+        if got is None:
+            reps = self.grouping(table, keys)[2]
+            got = self[("firsts", keys)] = {key: table.column(key).take(reps) for key in keys}
+            self.nbytes += sum(col.nbytes for col in got.values())
+        return got
+
+
+def compile_post_ops(
+    schema: Mapping[str, LogicalType], ops: Iterable[PostOp], table=None, memo=None
+) -> PostOpPlan:
     """Resolve ``ops`` once against an input of ``schema``, carrying the
-    schema from each op to the next."""
+    schema from each op to the next. Given the one ``table`` the plan will
+    run on and its ``memo``, the plan's leading filter and roll-up are
+    bound to that table (:func:`_bind`)."""
     ops = tuple(ops)
     schema = dict(schema)
-    steps = []
-    for op in ops:
+    steps, rest = [], ops
+    if memo is not None and table.n_rows:
+        steps, schema, rest = _bind(ops, schema, table, memo)
+    for op in rest:
         step, schema = _compile(op, schema)
         steps.append(step)
-    return PostOpPlan(ops, tuple(steps))
+    return PostOpPlan(ops, tuple(steps), tuple(f"postops.{type(op).__name__}" for op in ops))
 
 
 def apply_post_ops(table: Table, post_ops: PostOpPlan | Iterable[PostOp]) -> Table:
@@ -214,8 +256,11 @@ def apply_post_ops(table: Table, post_ops: PostOpPlan | Iterable[PostOp]) -> Tab
     as given, a raw op sequence compiled first against ``table``."""
     if not isinstance(post_ops, PostOpPlan):
         post_ops = compile_post_ops(table.schema(), post_ops)
-    for op, step in zip(post_ops.ops, post_ops.steps):
-        obs.counter(f"postops.{type(op).__name__}").inc()
+    metrics = obs.get_metrics()
+    if metrics.enabled:
+        for name in post_ops.counters:
+            metrics.counter(name).inc()
+    for step in post_ops.steps:
         table = step(table)
     return table
 
@@ -226,11 +271,14 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
         predicate = op.predicate
         return (lambda t: t.filter(evaluate_predicate(predicate, t))), schema
     if isinstance(op, LocalProject):
-        items = op.items
-        types = {name: infer_type(expr, schema) for name, expr in items}
-        return (lambda t: project_table(t, items, types)), types
+        types = {name: infer_type(expr, schema) for name, expr in op.items}
+        return bind_projection(op.items, types), types
     if isinstance(op, LocalAggregate):
-        return _compile_aggregate(op, schema)
+        dims, specs, pre_items, out = _aggregate_specs(op, schema)
+        if pre_items is None:
+            return (lambda t: aggregate_table(t, dims, specs)), out
+        project = bind_projection(pre_items, {n: infer_type(e, schema) for n, e in pre_items})
+        return (lambda t: aggregate_table(project(t), dims, specs)), out
     if isinstance(op, LocalSort):
         keys = list(op.keys)
         return (lambda t: t.sort_by(keys)), schema
@@ -256,9 +304,10 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
     raise TypeError(f"unknown post-op {op!r}")
 
 
-def _compile_aggregate(op: LocalAggregate, schema: Schema) -> tuple[Step, Schema]:
-    """The group-by as kernel specs over named columns; an argument that
-    is an expression is projected into a column first."""
+def _aggregate_specs(op: LocalAggregate, schema: Schema):
+    """The group-by as ``(keys, kernel specs over named columns, the
+    projection that first puts an argument that is an expression into a
+    column or None, output schema)``."""
     dims = list(op.dimensions)
     specs: list[AggSpec] = []
     pre_items: list[tuple[str, Expr]] = [(d, ColumnRef(d)) for d in dims]
@@ -282,10 +331,46 @@ def _compile_aggregate(op: LocalAggregate, schema: Schema) -> tuple[Step, Schema
         specs.append(AggSpec(name, agg.func, arg_name, result))
     out = {d: infer_type(ColumnRef(d), schema) for d in dims}
     out.update((spec.name, spec.result_type) for spec in specs)
-    if not needs_pre:
-        return (lambda t: aggregate_table(t, dims, specs)), out
-    pre_types = {name: infer_type(expr, schema) for name, expr in pre_items}
-    return (lambda t: aggregate_table(project_table(t, pre_items, pre_types), dims, specs)), out
+    return dims, specs, (pre_items if needs_pre else None), out
+
+
+def _bind(ops: tuple[PostOp, ...], schema: Schema, table: Table, memo: TableMemo):
+    """``(steps, schema, ops left)``: a leading filter and the roll-up
+    after it, run over ``table`` alone.
+
+    The filter runs once, here: its rows are fixed for this table. The
+    roll-up runs the aggregate kernels over its grain's memoized ids at
+    those rows; groups compact in id order and take their keys at their
+    first kept row, which is the table filtering and then factorizing
+    builds. COUNT DISTINCT and arguments that are expressions keep the
+    generic roll-up."""
+    filtered = bool(ops) and isinstance(ops[0], LocalFilter)
+    rows = np.flatnonzero(evaluate_predicate(ops[0].predicate, table)) if filtered else None
+    rest = ops[1:] if filtered else ops
+    agg = rest[0] if rest and isinstance(rest[0], LocalAggregate) else None
+    if agg is not None:
+        dims, specs, pre_items, out = _aggregate_specs(agg, schema)
+    if agg is None or pre_items is not None or any(spec.func == "count_distinct" for spec in specs):
+        return ([lambda t: t.take(rows)] if filtered else []), schema, rest
+    gids, n_groups, _reps = memo.grouping(table, agg.dimensions)
+    if filtered and not len(rows):
+        return [lambda t: aggregate_table(t.take(rows), dims, specs)], out, rest[1:]
+    if filtered:
+        kept = gids[rows]
+        first = np.empty(n_groups, dtype=np.int64)
+        first[kept[::-1]] = rows[::-1]
+        occupied = np.flatnonzero(np.bincount(kept, minlength=n_groups))
+        keys = {d: table.column(d).take(first[occupied]) for d in dims}
+    else:
+        keys = memo.firsts(table, agg.dimensions)
+
+    def rollup(t: Table) -> Table:
+        if not filtered:
+            return Table._of({**keys, **aggregate_groups(t, gids, n_groups, specs)}, n_groups)
+        measures = aggregate_slots(t, kept, n_groups, specs, rows)[1]
+        return Table._of({**keys, **measures}, len(occupied))
+
+    return [rollup], out, rest[1:]
 
 
 def _attach_lod(table: Table, op: LocalLod, grouped: PostOpPlan, result_type: LogicalType) -> Table:

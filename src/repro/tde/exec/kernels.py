@@ -241,15 +241,21 @@ def aggregate_groups(
 
 
 def aggregate_slots(
-    table: Table, slots: np.ndarray, domain: int, specs: list[AggSpec]
+    table: Table,
+    slots: np.ndarray,
+    domain: int,
+    specs: list[AggSpec],
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, Column]]:
     """:func:`aggregate_groups` over rows addressed by slots of a sparse
     ``domain``: ``(occupied slots ascending, their aggregate columns)``.
     The ``bincount`` kernels sum over the whole domain and every result
-    keeps the occupied slots, so no row is mapped to a dense group id."""
-    rows = np.bincount(slots, minlength=domain)
-    occupied = np.flatnonzero(rows)
-    shared = {"keep": occupied, "rows": rows[occupied].astype(np.int64)}
+    keeps the occupied slots, so no row is mapped to a dense group id.
+    ``rows``, when given, are the rows of ``table`` that ``slots``
+    address, in order; the others are not aggregated."""
+    counts = np.bincount(slots, minlength=domain)
+    occupied = np.flatnonzero(counts)
+    shared = {"keep": occupied, "rows": counts[occupied].astype(np.int64), "take": rows}
     return occupied, _measures(table, slots, domain, specs, shared)
 
 
@@ -281,9 +287,12 @@ def _aggregate_one(col: Column | None, gids: np.ndarray, k: int, spec: AggSpec, 
     if spec.func == "count_star":
         return Column(LogicalType.INT, PlainVector(rows))
     if id(col) not in shared:
-        nulls = None if col.null_mask is None else np.flatnonzero(col.null_mask)
+        values, null_mask, take = col.storage_values(), col.null_mask, shared.get("take")
+        if take is not None:
+            values, null_mask = values[take], None if null_mask is None else null_mask[take]
+        nulls = None if null_mask is None else np.flatnonzero(null_mask)
         nonnull = rows if nulls is None else rows - _per_group(gids[nulls], k, shared)
-        shared[id(col)] = (col.storage_values(), nonnull, nulls)
+        shared[id(col)] = (values, nonnull, nulls)
     values, nonnull, nulls = shared[id(col)]
     if spec.func == "count":
         return Column(LogicalType.INT, PlainVector(nonnull))

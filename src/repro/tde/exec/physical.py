@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ... import obs
 from ...clock import SYSTEM_CLOCK, Clock
-from ...datatypes import LogicalType
+from ...datatypes import LogicalType, to_storage
 from ...errors import ExecutionError
-from ...expr.ast import Call, ColumnRef, Expr, columns_used, infer_type
+from ...expr.ast import Call, ColumnRef, Expr, Literal, columns_used, infer_type
 from ...expr.eval import evaluate, evaluate_predicate
+from ...expr.functions import FUNCTIONS
 from ..storage.column import Column
 from ..storage.table import Table
 from ..storage.vectors import PlainVector, RleVector
@@ -327,25 +328,63 @@ class PProject(PhysNode):
         return (self.child,)
 
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
-        types: dict[str, LogicalType] | None = None
+        project = None
         for batch in self.child.execute(ctx):
-            if types is None:
+            if project is None:
                 schema = batch.schema()
                 types = {name: infer_type(expr, schema) for name, expr in self.items}
-            yield project_table(batch, self.items, types)
+                project = bind_projection(self.items, types)
+            yield project(batch)
 
 
-def project_table(table: Table, items, types: dict[str, LogicalType]) -> Table:
-    """``items`` (``(name, expr)`` pairs) over ``table``; a column
-    reference passes its column through, ``types`` types the rest."""
-    cols: dict[str, Column] = {}
-    for name, expr in items:
-        if isinstance(expr, ColumnRef):
-            cols[name] = table.column(expr.name)
-            continue
-        values, mask = evaluate(expr, table)
-        cols[name] = Column(types[name], PlainVector(np.asarray(values)), null_mask=mask)
-    return Table(cols)
+def bind_projection(items, types: dict[str, LogicalType]) -> Callable[[Table], Table]:
+    """``items`` (``(name, expr)`` pairs) bound once, for tables of one
+    schema: a column reference passes its column through, ``ifnull`` and
+    ``/`` over columns and numeric literals call their kernels, and the
+    rest is evaluated; ``types`` types the computed columns."""
+    bound = [(name, _bind_expr(expr), types.get(name)) for name, expr in items]
+
+    def project(table: Table) -> Table:
+        cols: dict[str, Column] = {}
+        for name, source, ltype in bound:
+            if isinstance(source, str):
+                cols[name] = table.column(source)
+                continue
+            values, mask = source(table)
+            cols[name] = Column(ltype, PlainVector(np.asarray(values)), null_mask=mask)
+        return Table._of(cols, table.n_rows if cols else 0)
+
+    return project
+
+
+def _bind_expr(expr: Expr):
+    """A column name to pass through, or ``table -> (values, mask)``."""
+    if isinstance(expr, ColumnRef):
+        return expr.name
+    if isinstance(expr, Call) and expr.func in ("ifnull", "/"):
+        args = [_bind_arg(arg) for arg in expr.args]
+        if None not in args:
+            kernel = FUNCTIONS[expr.func].kernel
+            return lambda t: kernel([arg(t) for arg in args], t.n_rows)
+    return lambda t: evaluate(expr, t)
+
+
+_NOT_NUMERIC = (None, LogicalType.STR)
+
+
+def _bind_arg(expr: Expr):
+    """A kernel argument: a column's values, or a non-NULL numeric literal's."""
+    if isinstance(expr, ColumnRef):
+
+        def column(table: Table):
+            col = table.columns[expr.name]
+            return col.storage_values(), col.null_mask
+
+        return column
+    if isinstance(expr, Literal) and expr.value is not None and expr.ltype not in _NOT_NUMERIC:
+        value, dtype = to_storage(expr.value, expr.ltype), expr.ltype.numpy_dtype()
+        return lambda t: (np.full(t.n_rows, value, dtype=dtype), None)
+    return None
 
 
 @dataclass

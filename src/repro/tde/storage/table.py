@@ -70,6 +70,14 @@ class Table:
         }
         return cls(cols, sort_keys=sort_keys, name=name)
 
+    @classmethod
+    def _of(cls, columns: dict[str, Column], n_rows: int, name: str | None = None) -> "Table":
+        """Internal: a table over ``columns``, each already known to hold
+        ``n_rows`` rows, built without checking them again."""
+        table = cls.__new__(cls)
+        table.columns, table.name, table.n_rows, table.sort_keys = columns, name, n_rows, ()
+        return table
+
     @staticmethod
     def empty_like(table: "Table") -> "Table":
         return table.slice(0, 0)
@@ -132,7 +140,8 @@ class Table:
     # Row selection
     # ------------------------------------------------------------------ #
     def take(self, indices: np.ndarray) -> "Table":
-        return Table({k: c.take(indices) for k, c in self.columns.items()}, name=self.name)
+        n_rows = len(indices) if self.columns else 0
+        return Table._of({k: c.take(indices) for k, c in self.columns.items()}, n_rows, self.name)
 
     def filter(self, keep: np.ndarray) -> "Table":
         return self.take(np.flatnonzero(keep))

@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..connectors.simdb import ServerProfile, SimulatedDatabase
 from ..expr.ast import Call, ColumnRef, Literal
 from ..queries.model import DataSourceModel, JoinSpec
@@ -62,15 +64,41 @@ _CARRIERS_BY_MARKET = {
 }
 
 
+#: Numpy types of the fact columns (the rest are bool or float64), and
+#: the columns that hold NULLs.
+_FACT_TYPES = {
+    "date_": "datetime64[D]",
+    **dict.fromkeys(
+        ("hour", "carrier_id", "market_id", "origin_state_id", "dest_state_id", "distance"),
+        np.int16,
+    ),
+}
+_NULLABLE = ("dep_delay", "arr_delay")
+
+
 @dataclass
 class FlightsDataset:
-    """Generated column data for the star schema."""
+    """Generated column data for the star schema.
 
-    flights: dict[str, list]
+    The fact table stays resident while it is served, so it is held as
+    typed numpy columns (``fact``: the values, and the NULL mask of a
+    column that has NULLs); ``flights`` reads it back as Python lists."""
+
+    fact: dict[str, tuple[np.ndarray, np.ndarray | None]]
     carriers: dict[str, list]
     markets: dict[str, list]
     states: dict[str, list]
     n_rows: int
+
+    @property
+    def flights(self) -> dict[str, list]:
+        out = {}
+        for name, (values, nulls) in self.fact.items():
+            column = values.tolist()
+            if nulls is not None:
+                column = [None if null else value for value, null in zip(column, nulls.tolist())]
+            out[name] = column
+        return out
 
     # ------------------------------------------------------------------ #
     def load_into_engine(
@@ -185,6 +213,14 @@ def generate_flights(
         flights["distance"].append(rng.randrange(120, 2800))
         flights["cancelled"].append(cancelled)
         flights["diverted"].append(diverted)
+    fact = {}
+    for name, column in flights.items():
+        nulls = np.array([value is None for value in column]) if name in _NULLABLE else None
+        if nulls is not None:
+            column = [0.0 if value is None else value for value in column]
+        elif name == "date_":
+            column = np.datetime64(start, "D") + np.array([(day - start).days for day in column])
+        fact[name] = (np.array(column, dtype=_FACT_TYPES.get(name)), nulls)
 
     carriers = {
         "id": list(range(len(CARRIERS))),
@@ -198,7 +234,7 @@ def generate_flights(
         "dest_airport": [m[0].split("-")[1] for m in MARKETS],
     }
     states = {"sid": list(range(len(STATES))), "state": list(STATES)}
-    return FlightsDataset(flights, carriers, markets, states, n_rows)
+    return FlightsDataset(fact, carriers, markets, states, n_rows)
 
 
 def flights_model(name: str = "faa") -> DataSourceModel:

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+import repro.connectors.simdb as simdb
+from repro import obs
 from repro.connectors import SimulatedDatabase
 from repro.connectors.simdb import MAX_CONNECTIONS, ServerProfile
 from repro.errors import ConnectionLimitError, SourceError
@@ -51,6 +53,27 @@ class TestSessions:
         session.execute('SELECT * FROM "Extract"."t"')
         assert db.stats.queries == 2
         assert db.stats.rows_transferred == 10
+
+
+    def test_the_queue_wait_reads_the_wall_only_for_a_live_histogram(self, monkeypatch):
+        reads = []
+
+        class Wall:
+            sleep = staticmethod(time.sleep)
+
+            @staticmethod
+            def monotonic():
+                reads.append(1)
+                return time.monotonic()
+
+        monkeypatch.setattr(simdb, "time", Wall)
+        session = _db().open_session()
+        session.execute('SELECT * FROM "Extract"."t"')
+        assert reads == []
+        with obs.recording() as rec:
+            session.execute('SELECT * FROM "Extract"."t"')
+        assert len(reads) == 2
+        assert rec.metrics.snapshot()["simdb.queue_wait_s"]["count"] == 1
 
 
 class TestTempTables:

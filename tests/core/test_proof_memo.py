@@ -10,10 +10,12 @@ keep proofs across a mutation must fail it.
 """
 
 import gc
+import hashlib
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -33,7 +35,10 @@ from repro.expr.ast import AggExpr, ColumnRef, conjoin
 from repro.queries import CategoricalFilter, QuerySpec, RangeFilter
 from repro.queries.postops import LocalAggregate, LocalFilter, LocalSort, apply_post_ops
 from repro.tde.storage import Table
+from repro.tde.storage.wire import encode_table
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
+from tests.core.conftest import make_model, make_source
+from tests.difftest.gen import gen_specs
 
 COUNT = AggExpr("count")
 SUM_V = AggExpr("sum", ColumnRef("v"))
@@ -358,3 +363,109 @@ def test_warm_renders_do_not_grow_the_heap(fig1_source):
         )
     )
     assert grown / renders < 10, f"{grown / renders:.1f} B per warm render"
+
+
+# ---------------------------------------------------------------------- #
+# What a derivation keeps on its provider's entry
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("mutation", ["evict", "invalidate_source", "invalidate_all"])
+def test_memoized_groupings_die_with_their_entry(mutation):
+    cache = IntelligentCache(EvictionPolicy(max_entries=1))
+    provider = _spec("a", ("g", "h"), ())
+    cache.put(provider, _answer(provider, 0))
+    # A selection rolled up to g, and g's roll-up: g's ids, then its keys.
+    for request in (_spec("a", ("g",), (CategoricalFilter("h", (0, 1)),)), _spec("a", ("g",), ())):
+        assert cache.lookup(request).equals(_answer(request, 0))
+    entry = cache._entries[provider.canonical()]
+    assert set(entry.memo) == {("g",), ("firsts", ("g",))}
+    assert entry.size_bytes == entry.value.nbytes + entry.memo.nbytes > entry.value.nbytes
+    held = [weakref.ref(entry.memo), weakref.ref(entry.memo[("g",)][0])]
+    held += [weakref.ref(col) for col in entry.memo[("firsts", ("g",))].values()]
+    del entry
+    if mutation == "evict":
+        # Dearer to re-evaluate than the provider: the provider goes.
+        cache.put(_filler("a", 0), _answer(provider, 0), cost_s=100.0)
+        assert provider.canonical() not in cache._entries
+    else:
+        cache.invalidate("a" if mutation == "invalidate_source" else None)
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
+
+
+def _wire_sha(table):
+    return hashlib.sha256(encode_table(table)).hexdigest()
+
+
+def _refreshed(table):
+    """The same rows in the order a refresh might return them."""
+    return table.take(list(range(table.n_rows - 1, -1, -1)))
+
+
+@pytest.fixture(scope="module")
+def difftest_entries():
+    """The difftest's specs, and what the intelligent cache holds after a
+    pipeline with every cache on has answered them."""
+    specs = gen_specs(1337, 220)
+    pipeline = QueryPipeline(make_source(), make_model())
+    try:
+        for start in range(0, len(specs), 8):
+            pipeline.run_batch(specs[start : start + 8])
+        return specs, pipeline.intelligent_cache.entries()
+    finally:
+        pipeline.close()
+
+
+def _selections(provider, table):
+    """A selection of two marks on each of the provider's dimensions,
+    rolled up to its other dimensions."""
+    out = []
+    for dim in provider.dimensions:
+        marks = [v for v in dict.fromkeys(table.column(dim).python_values()) if v is not None]
+        rest = [d for d in provider.dimensions if d != dim]
+        if not (rest or provider.measures):
+            continue
+        selected = provider.filters + (CategoricalFilter(dim, tuple(marks[:2])),)
+        out.append(provider.with_dimensions(rest).with_filters(selected))
+    return out
+
+
+def _check_derivations(cache_type, specs, entries):
+    """Each cached provider alone in a cache, before and after a refresh:
+    every difftest spec it can answer and a selection on each of its
+    dimensions, derived twice (proof, then memo), must be byte for byte
+    what the generic post-ops build from it."""
+    pairs = 0
+    for provider, table in entries:
+        requests = []
+        for request in specs + _selections(provider, table):
+            match = match_specs(provider, request)
+            if match is not None and match.post_ops:
+                requests.append((request, match.post_ops))
+        cache = cache_type()
+        for version in (table, _refreshed(table)):
+            cache.invalidate(provider.datasource)
+            cache.put(provider, version)
+            for request, ops in requests * 2:
+                want = _wire_sha(apply_post_ops(version, ops))
+                assert _wire_sha(cache.lookup(request)) == want, (provider, request)
+                pairs += 1
+    return pairs
+
+
+def test_compiled_derivations_equal_generic_ones_byte_for_byte(difftest_entries):
+    assert _check_derivations(IntelligentCache, *difftest_entries) > 1500
+
+
+class _KeepsMemoAcrossRefresh(IntelligentCache):
+    """Hands a re-put entry the memo its key had before: a planted bug."""
+
+    def put(self, spec, result, **kwargs):
+        super().put(spec, result, **kwargs)
+        kept = self.__dict__.setdefault("_kept", {})
+        entry = self._entries[spec.canonical()]
+        entry.memo = kept.setdefault(spec.canonical(), entry.memo)
+
+
+def test_a_memo_that_outlives_a_refresh_fails_the_property(difftest_entries):
+    with pytest.raises(AssertionError):
+        _check_derivations(_KeepsMemoAcrossRefresh, *difftest_entries)

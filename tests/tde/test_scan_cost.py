@@ -15,6 +15,7 @@ from repro.connectors import SimDbDataSource, TdeDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import QueryPipeline
 from repro.dashboard import DashboardSession
+from repro.queries import postops
 from repro.tde.engine import DataEngine
 from repro.tde.exec import kernels, physical
 from repro.tde.exec.physical import ExecContext, PScan
@@ -121,6 +122,8 @@ def test_fig1_render_scans_the_fact_table_once(monkeypatch):
         monkeypatch.setattr(module, "key_codes", coding)
         monkeypatch.setattr(module, "_slot_ranks", densifying)
     monkeypatch.setattr(physical, "aggregate_groups", one_call)
+    # An unfiltered roll-up of a cached result calls the kernel from the post-ops.
+    monkeypatch.setattr(postops, "aggregate_groups", one_call)
     monkeypatch.setattr(grouping, "aggregate_slots", partial(one_call, aggregate=kernels.aggregate_slots))
     monkeypatch.setattr(kernels, "_aggregate_one", one_measure)
     monkeypatch.setattr(physical, "probe_index", one_probe)
