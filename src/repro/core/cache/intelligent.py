@@ -38,6 +38,7 @@ from ...queries.postops import (
     derive_measures,
 )
 from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
+from ...tde.exec.kernels import ROLLUP
 from ...tde.storage.table import Table
 from .eviction import CacheEntry, EvictionPolicy
 from .index import CacheIndex
@@ -195,15 +196,15 @@ def enrich_spec(spec: QuerySpec, *, reuse_fields: frozenset[str] = frozenset()) 
       as long as the filtering columns are included");
     * ``reuse_fields`` — fields the caller expects future filters on
       (e.g. a dashboard's action fields) — join the dimensions too;
-    * AVG measures are accompanied by their SUM/COUNT components so the
-      result can be rolled up later;
+    * a measure of several parts (AVG: SUM and COUNT, by ``ROLLUP``) is
+      accompanied by each part so the result can be rolled up later;
     * ORDER BY / LIMIT are dropped from the remote query (re-applied
       locally) so the cached result is not truncated.
     """
     dims = list(spec.dimensions)
-    # COUNT DISTINCT cannot be rolled up, so widening the grain would make
-    # the enriched result useless for the original request; keep the grain.
-    widenable = all(agg.func != "count_distinct" for _a, agg in spec.measures)
+    # A measure with no partial (COUNT DISTINCT) does not roll up, so a
+    # wider grain could not answer the original request; keep the grain.
+    widenable = all(agg.func in ROLLUP for _a, agg in spec.measures)
     if widenable:
         for f in spec.filters:
             if isinstance(f, TopNFilter):
@@ -215,9 +216,11 @@ def enrich_spec(spec: QuerySpec, *, reuse_fields: frozenset[str] = frozenset()) 
                 dims.append(field_name)
     measures = list(spec.measures)
     present = {agg for _a, agg in measures}
-    for _alias, agg in list(spec.measures):
-        if agg.func == "avg":
-            for extra in (AggExpr("sum", agg.arg), AggExpr("count", agg.arg)):
+    for _alias, agg in spec.measures:
+        parts = ROLLUP.get(agg.func, ())
+        if len(parts) > 1:
+            for part in parts:
+                extra = AggExpr(part.partial, agg.arg)
                 if extra not in present:
                     measures.append((f"__reuse{len(measures)}", extra))
                     present.add(extra)

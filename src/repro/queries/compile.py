@@ -17,6 +17,7 @@ from ..datatypes import LogicalType
 from ..errors import BindError, CapabilityError
 from ..expr.ast import AggExpr, Call, ColumnRef, Expr, columns_used, conjoin, infer_type
 from ..sql.generator import generate_sql, _Generator
+from ..tde.exec.kernels import ROLLUP
 from ..tde.optimizer import provenance
 from ..tde.optimizer.cost import topn_pass_costs
 from ..tde.storage.table import Table
@@ -285,7 +286,8 @@ class _Compiler:
             return None
         alias = next((alias for alias, agg in measures if agg == tf.by), "__by")
         sent = (*measures, (alias, tf.by)) if alias == "__by" else measures
-        by = AggExpr("sum" if tf.by.func == "count" else tf.by.func, ColumnRef(alias))
+        (part,) = ROLLUP[tf.by.func]  # it re-aggregates exactly: one part
+        by = AggExpr(part.merge, ColumnRef(alias))
         ops: list[PostOp] = [LocalTopNFilter(tf.field, by, tf.n, tf.ascending)]
         if grain != dims or len(sent) != len(measures):
             ops += derive_measures(QuerySpec(self.spec.datasource, grain, sent), self.spec)

@@ -25,7 +25,7 @@ from ..datatypes import LogicalType
 from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, infer_type
 from ..expr.eval import evaluate_predicate
 from ..tde.exec.kernels import (
-    AggSpec, aggregate_groups, aggregate_slots, combine_codes, factorize_table
+    COUNTS, ROLLUP, aggregate_groups, aggregate_slots, combine_codes, factorize_table, lower_aggregates
 )
 from ..tde.exec.physical import aggregate_table, bind_projection
 from ..tde.storage.column import Column
@@ -128,9 +128,9 @@ def shape_ops(order_by, limit) -> tuple[PostOp, ...]:
 def derive_measures(provider, request) -> list[PostOp] | None:
     """The ops that turn rows of ``provider``'s grain and measures into
     ``request``'s (both spec-shaped): a projection, or at another grain a
-    roll-up that re-aggregates each measure (COUNT as the SUM of counts,
-    AVG from its SUM and COUNT). None when one is missing or, like COUNT
-    DISTINCT, does not roll up."""
+    roll-up that merges each measure's parts by ``ROLLUP`` (COUNT as the
+    SUM of counts, AVG from its SUM and COUNT). None when a part is
+    missing or, like COUNT DISTINCT, a measure has none."""
     dimensions, measures = request.dimensions, request.measures
     by_expr = {agg: alias for alias, agg in provider.measures}
     if tuple(dimensions) == tuple(provider.dimensions):
@@ -145,32 +145,24 @@ def derive_measures(provider, request) -> list[PostOp] | None:
     final_items: list[tuple[str, Expr]] = [(d, ColumnRef(d)) for d in dimensions]
     needs_final = False
     for alias, agg in measures:
-        if agg.func in ("sum", "min", "max", "count"):
-            src = by_expr.get(agg)
+        parts = ROLLUP.get(agg.func)
+        if parts is None:
+            return None
+        several = len(parts) > 1
+        names = []
+        for part in parts:
+            # A measure of one part is that part.
+            src = by_expr.get(AggExpr(part.partial, agg.arg) if several else agg)
             if src is None:
                 return None
-            func = "sum" if agg.func == "count" else agg.func
-            rollup_measures.append((alias, AggExpr(func, ColumnRef(src))))
-            if agg.func != "count":
-                final_items.append((alias, ColumnRef(alias)))
-                continue
-            # SUM over zero provider rows is NULL, but COUNT over zero
-            # rows must be 0 — coalesce in the final projection.
-            final_items.append((alias, Call("ifnull", (ColumnRef(alias), Literal(0)))))
-            needs_final = True
-        elif agg.func == "avg":
-            sum_src = by_expr.get(AggExpr("sum", agg.arg))
-            cnt_src = by_expr.get(AggExpr("count", agg.arg))
-            if sum_src is None or cnt_src is None:
-                return None  # avg is not additive without its components
-            s_alias = f"__s_{alias}"
-            c_alias = f"__c_{alias}"
-            rollup_measures.append((s_alias, AggExpr("sum", ColumnRef(sum_src))))
-            rollup_measures.append((c_alias, AggExpr("sum", ColumnRef(cnt_src))))
-            final_items.append((alias, Call("/", (ColumnRef(s_alias), ColumnRef(c_alias)))))
-            needs_final = True
-        else:
-            return None  # COUNT DISTINCT is not additive across groups
+            name = f"__{part.partial[0]}_{alias}" if several else alias
+            rollup_measures.append((name, AggExpr(part.merge, ColumnRef(src))))
+            names.append(ColumnRef(name))
+        final = Call("/", tuple(names)) if several else names[0]
+        if agg.func in COUNTS:  # a merge over no provider rows is NULL
+            final = Call("ifnull", (final, Literal(0)))
+        final_items.append((alias, final))
+        needs_final |= final is not names[0]
     ops: list[PostOp] = [LocalAggregate(dimensions, tuple(rollup_measures))]
     if needs_final or len(final_items) != len(dimensions) + len(rollup_measures):
         ops.append(LocalProject(tuple(final_items)))
@@ -274,7 +266,8 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
         types = {name: infer_type(expr, schema) for name, expr in op.items}
         return bind_projection(op.items, types), types
     if isinstance(op, LocalAggregate):
-        dims, specs, pre_items, out = _aggregate_specs(op, schema)
+        dims = list(op.dimensions)
+        specs, pre_items, out = lower_aggregates(dims, op.measures, schema)
         if pre_items is None:
             return (lambda t: aggregate_table(t, dims, specs)), out
         project = bind_projection(pre_items, {n: infer_type(e, schema) for n, e in pre_items})
@@ -304,36 +297,6 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
     raise TypeError(f"unknown post-op {op!r}")
 
 
-def _aggregate_specs(op: LocalAggregate, schema: Schema):
-    """The group-by as ``(keys, kernel specs over named columns, the
-    projection that first puts an argument that is an expression into a
-    column or None, output schema)``."""
-    dims = list(op.dimensions)
-    specs: list[AggSpec] = []
-    pre_items: list[tuple[str, Expr]] = [(d, ColumnRef(d)) for d in dims]
-    present = set(dims)
-    needs_pre = False
-    for i, (name, agg) in enumerate(op.measures):
-        result = agg.result_type(schema)
-        if agg.arg is None:
-            specs.append(AggSpec(name, "count_star", None, result))
-            continue
-        if isinstance(agg.arg, ColumnRef):
-            arg_name = agg.arg.name
-            if arg_name not in present:
-                pre_items.append((arg_name, agg.arg))
-                present.add(arg_name)
-        else:
-            arg_name = f"__arg{i}"
-            pre_items.append((arg_name, agg.arg))
-            present.add(arg_name)
-            needs_pre = True
-        specs.append(AggSpec(name, agg.func, arg_name, result))
-    out = {d: infer_type(ColumnRef(d), schema) for d in dims}
-    out.update((spec.name, spec.result_type) for spec in specs)
-    return dims, specs, (pre_items if needs_pre else None), out
-
-
 def _bind(ops: tuple[PostOp, ...], schema: Schema, table: Table, memo: TableMemo):
     """``(steps, schema, ops left)``: a leading filter and the roll-up
     after it, run over ``table`` alone.
@@ -349,7 +312,8 @@ def _bind(ops: tuple[PostOp, ...], schema: Schema, table: Table, memo: TableMemo
     rest = ops[1:] if filtered else ops
     agg = rest[0] if rest and isinstance(rest[0], LocalAggregate) else None
     if agg is not None:
-        dims, specs, pre_items, out = _aggregate_specs(agg, schema)
+        dims = list(agg.dimensions)
+        specs, pre_items, out = lower_aggregates(dims, agg.measures, schema)
     if agg is None or pre_items is not None or any(spec.func == "count_distinct" for spec in specs):
         return ([lambda t: t.take(rows)] if filtered else []), schema, rest
     gids, n_groups, _reps = memo.grouping(table, agg.dimensions)

@@ -8,9 +8,9 @@ data partitioning in a distributed architecture."
 This module realizes that plan with machinery the paper already describes:
 the fact table is range-sharded across shared-nothing TDE nodes
 (dimensions replicated), and aggregate queries run scatter-gather using
-the *same local/global decomposition* as the intra-node parallel
-aggregation of 4.2.3 — each shard computes partial aggregates, the
-coordinator merges them. COUNT DISTINCT is handled by widening the local
+the *same local/global split* (``split_local_global``) as the intra-node
+parallel aggregation of 4.2.3 — each shard computes partial aggregates,
+the coordinator merges them. COUNT DISTINCT is handled by widening the local
 grain with the distinct column (shards may then repeat a (group, value)
 pair, which the coordinator's distinct count absorbs). Non-aggregate
 queries concatenate shard results, with order/top-n/limit re-applied at
@@ -23,21 +23,18 @@ from typing import Callable
 
 import numpy as np
 
-from ..datatypes import LogicalType
 from ..errors import ServerError
-from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal
+from ..expr.ast import AggExpr, Call, ColumnRef, Literal
 from ..queries.postops import LocalProject, apply_post_ops
 from ..tde.engine import DataEngine
-from ..tde.exec.kernels import AggSpec
+from ..tde.exec.kernels import COUNTS, ROLLUP, lower_aggregates
 from ..tde.exec.physical import aggregate_table
-from ..tde.optimizer.parallel import PlannerOptions
+from ..tde.optimizer.parallel import PlannerOptions, split_local_global
 from ..tde.optimizer.rules import rewrite_logical
 from ..tde.storage.table import Table
 from ..tde.tql.binder import bind
 from ..tde.tql.parser import parse_tql
-from ..tde.tql.plan import Aggregate, Limit, LogicalPlan, Order, TopN
-
-_ZERO = Literal(0)
+from ..tde.tql.plan import Aggregate, Limit, LogicalPlan, Order, Project, TopN
 
 
 class ShardedTdeCluster:
@@ -114,54 +111,30 @@ class ShardedTdeCluster:
     # ------------------------------------------------------------------ #
     def _scatter_aggregate(self, plan: Aggregate) -> Table:
         """Local/global decomposition across shards (cf. paper 4.2.3)."""
-        child_schema = bind(plan.child, self.nodes[0].catalog)
-        distinct_cols: list[str] = []
-        for _alias, agg in plan.aggs:
-            if agg.func == "count_distinct":
-                if not isinstance(agg.arg, ColumnRef):
-                    raise ServerError(
-                        "scatter COUNT DISTINCT requires a plain column argument"
-                    )
-                if agg.arg.name not in distinct_cols:
-                    distinct_cols.append(agg.arg.name)
-        local_groupby = list(plan.groupby) + [
-            c for c in distinct_cols if c not in plan.groupby
+        distinct = [agg.arg for _alias, agg in plan.aggs if agg.func not in ROLLUP]
+        if not all(isinstance(arg, ColumnRef) for arg in distinct):
+            raise ServerError("scatter COUNT DISTINCT requires a plain column argument")
+        grain = list(dict.fromkeys([*plan.groupby, *(arg.name for arg in distinct)]))
+        schema = bind(plan.child, self.nodes[0].catalog)
+        specs, pre_items, _ = lower_aggregates(grain, plan.aggs, schema)
+        local, global_, final, _ = split_local_global(
+            list(plan.groupby), [spec for spec in specs if spec.func in ROLLUP]
+        )
+        child = plan.child if pre_items is None else Project(plan.child, pre_items)
+        aggs = [  # only COUNT(*) lowers to a spec without an argument
+            (s.name, AggExpr("count") if s.arg is None else AggExpr(s.func, ColumnRef(s.arg)))
+            for s in local
         ]
-        local_aggs: list[tuple[str, AggExpr]] = []
-        global_specs: list[AggSpec] = []
-        final_items: list[tuple[str, Expr]] = [(g, ColumnRef(g)) for g in plan.groupby]
-        needs_final = False
-        for alias, agg in plan.aggs:
-            result_type = agg.result_type(child_schema)
-            if agg.func in ("sum", "min", "max"):
-                local_aggs.append((alias, agg))
-                global_specs.append(AggSpec(alias, agg.func, alias, result_type))
-                final_items.append((alias, ColumnRef(alias)))
-            elif agg.func == "count":
-                local_aggs.append((alias, agg))
-                global_specs.append(AggSpec(alias, "sum", alias, LogicalType.INT))
-                final_items.append((alias, Call("ifnull", (ColumnRef(alias), _ZERO))))
-                needs_final = True
-            elif agg.func == "avg":
-                s_alias, c_alias = f"__s_{alias}", f"__c_{alias}"
-                local_aggs.append((s_alias, AggExpr("sum", agg.arg)))
-                local_aggs.append((c_alias, AggExpr("count", agg.arg)))
-                global_specs.append(AggSpec(s_alias, "sum", s_alias, LogicalType.FLOAT))
-                global_specs.append(AggSpec(c_alias, "sum", c_alias, LogicalType.INT))
-                final_items.append(
-                    (alias, Call("/", (ColumnRef(s_alias), ColumnRef(c_alias))))
-                )
-                needs_final = True
-            elif agg.func == "count_distinct":
-                global_specs.append(
-                    AggSpec(alias, "count_distinct", agg.arg.name, LogicalType.INT)
-                )
-                final_items.append((alias, ColumnRef(alias)))
-            else:  # pragma: no cover - AggExpr validates its func
-                raise ServerError(f"cannot scatter aggregate {agg.func}")
-        local_plan = Aggregate(plan.child, local_groupby, local_aggs)
-        partials = self._gather(local_plan)
-        merged = aggregate_table(partials, list(plan.groupby), global_specs)
-        if needs_final:
-            merged = apply_post_ops(merged, [LocalProject(tuple(final_items))])
-        return merged
+        partials = self._gather(Aggregate(child, grain, aggs))
+        finished = dict(final)
+        if distinct:
+            # Partials of a finer grain: a scalar aggregate may merge none.
+            for spec in specs:
+                if spec.func not in ROLLUP:
+                    global_.append(spec)
+                elif spec.func in COUNTS:
+                    finished[spec.name] = Call("ifnull", (finished[spec.name], Literal(0)))
+        table = aggregate_table(partials, list(plan.groupby), global_)
+        names = [*plan.groupby, *(spec.name for spec in specs)]
+        items = [(name, finished.get(name, ColumnRef(name))) for name in names]
+        return apply_post_ops(table, [LocalProject(items)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from ...datatypes import LogicalType
 from ...errors import ExecutionError
-from ...expr.ast import Call, CaseWhen, Expr, columns_used
+from ...expr.ast import Call, CaseWhen, ColumnRef, Expr, columns_used, infer_type
 from ...expr.eval import evaluate_predicate
 from ..storage.column import Column
 from ..storage.table import Table
@@ -222,6 +222,59 @@ class AggSpec:
     func: str  # sum|min|max|avg|count|count_distinct|count_star
     arg: str | None
     result_type: LogicalType
+
+
+class Part(NamedTuple):
+    """One part of an aggregate: ``partial`` runs over rows, ``merge`` over
+    partial results."""
+
+    partial: str
+    merge: str
+
+
+#: The one roll-up rule, read by the engine's local/global split (paper
+#: 4.2.3), the sharded cluster (§7), the cache's roll-ups (§3.2), the
+#: hoisted Top-N's ranking and foreign-key space. An aggregate of one part
+#: is that part merged; AVG's two finish as SUM over COUNT. COUNT DISTINCT
+#: has no entry: no partial of it merges.
+ROLLUP: dict[str, tuple[Part, ...]] = {
+    "sum": (Part("sum", "sum"),),
+    "min": (Part("min", "min"),),
+    "max": (Part("max", "max"),),
+    "count": (Part("count", "sum"),),
+    "count_star": (Part("count_star", "sum"),),
+    "avg": (Part("sum", "sum"), Part("count", "sum")),
+}
+
+#: The counts: INT, and 0 over no rows, not NULL. A merge over no partials
+#: is NULL, so a roll-up that may merge none coalesces these.
+COUNTS = frozenset({"count", "count_star", "count_distinct"})
+
+
+def lower_aggregates(groupby, aggs, schema):
+    """``(specs, pre_items, out)``: kernel specs for ``aggs`` (``(name,
+    AggExpr)`` pairs) over an input of ``schema`` grouped by ``groupby``,
+    the projection that first puts each argument into a column (None when
+    every argument already is one) and the output schema. COUNT(*) lowers
+    to ``count_star``, an argument that is an expression to ``__arg{i}``."""
+    items: dict[str, Expr] = {}
+    out: dict[str, LogicalType] = {}
+    for g in groupby:
+        items[g] = ColumnRef(g)
+        out[g] = infer_type(items[g], schema)
+    specs: list[AggSpec] = []
+    computed = False
+    for i, (name, agg) in enumerate(aggs):
+        out[name] = result = agg.result_type(schema)
+        if agg.arg is None:
+            specs.append(AggSpec(name, "count_star", None, result))
+            continue
+        plain = isinstance(agg.arg, ColumnRef)
+        arg = agg.arg.name if plain else f"__arg{i}"
+        items.setdefault(arg, agg.arg)
+        computed |= not plain
+        specs.append(AggSpec(name, agg.func, arg, result))
+    return specs, (list(items.items()) if computed else None), out
 
 
 def aggregate_groups(

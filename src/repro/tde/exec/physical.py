@@ -26,6 +26,7 @@ from ..storage.table import Table
 from ..storage.vectors import PlainVector, RleVector
 from ..tql.binder import _window_type
 from .kernels import (
+    COUNTS,
     AggSpec,
     aggregate_groups,
     build_index,
@@ -523,7 +524,7 @@ def _empty_input_aggregate(source: Table, specs: list[AggSpec]) -> Table:
     """SQL: a global aggregate over zero rows yields exactly one row."""
     cols: dict[str, Column] = {}
     for spec in specs:
-        if spec.func in ("count", "count_star", "count_distinct"):
+        if spec.func in COUNTS:
             cols[spec.name] = Column(LogicalType.INT, PlainVector(np.zeros(1, dtype=np.int64)))
         else:
             fill = fill_array(spec.result_type, 1)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...expr.ast import ColumnRef, columns_used
+from ..exec.kernels import ROLLUP
 from ..tql.plan import (
     Aggregate,
     GroupingSet,
@@ -335,8 +336,8 @@ def _verdict(s, reads, join: Join, filtered, conditions, fragment_rows: int, cat
         fk = _find_fk(join.left, left_keys, table, keys, catalog)
         if join.kind == "left" or (fk is not None and fk.total):
             return _SKIP  # not read, and joining it changes no row
-    if any(agg.func == "count_distinct" for _, agg in s.aggs):
-        return "count_distinct has no partial to merge"
+    if unmerged := [agg.func for _, agg in s.aggs if agg.func not in ROLLUP]:
+        return f"{unmerged[0]} has no partial to merge"
     if not s.groupby:
         return "the aggregate has no keys: an empty partial would lose its one row"
     rows = catalog.row_count(table)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ...datatypes import LogicalType
 from ...expr.ast import Call, ColumnRef, Expr
 from ..exec.exchange import PExchange
-from ..exec.kernels import AggSpec
+from ..exec.kernels import COUNTS, ROLLUP, AggSpec
 from ..exec.physical import PhysNode
 from . import provenance
 
@@ -104,36 +104,33 @@ def close_fragments(frags: Fragments) -> PhysNode:
 def split_local_global(
     groupby: list[str], specs: list[AggSpec], prefix: str = ""
 ) -> tuple[list[AggSpec], list[AggSpec], list[tuple[str, Expr]], bool] | None:
-    """Rewrite aggregates into local/global phases (paper 4.2.3).
+    """Rewrite aggregates into local/global phases (paper 4.2.3) by
+    :data:`~repro.tde.exec.kernels.ROLLUP`.
 
     Returns ``(local_specs, global_specs, final_items, needs_final)`` or
-    ``None`` when the split is impossible (COUNT DISTINCT cannot be merged
-    from partial results without group-disjoint partitions). Partial
-    columns are named ``prefix`` + their global names.
+    ``None`` when an aggregate has no partial to merge (COUNT DISTINCT,
+    without group-disjoint partitions). Partial columns are named
+    ``prefix`` + their global names; a part of an aggregate of several is
+    named ``__l<initial of its partial>_<name>``. A group's merge always
+    has a partial row (a scalar partial is one row per fragment), so no
+    count needs coalescing.
     """
     local: list[AggSpec] = []
     global_: list[AggSpec] = []
     final: list[tuple[str, Expr]] = [(g, ColumnRef(g)) for g in groupby]
     needs_final = False
     for spec in specs:
-        if spec.func == "count_distinct":
+        parts = ROLLUP.get(spec.func)
+        if parts is None:
             return None
-        if spec.func in ("sum", "min", "max", "count", "count_star"):
-            merge = "sum" if spec.func in ("count", "count_star") else spec.func
-            local.append(AggSpec(prefix + spec.name, spec.func, spec.arg, spec.result_type))
-            global_.append(AggSpec(spec.name, merge, prefix + spec.name, spec.result_type))
-            final.append((spec.name, ColumnRef(spec.name)))
-        elif spec.func == "avg":
-            part_sum = f"__ls_{spec.name}"
-            part_cnt = f"__lc_{spec.name}"
-            local.append(AggSpec(prefix + part_sum, "sum", spec.arg, LogicalType.FLOAT))
-            local.append(AggSpec(prefix + part_cnt, "count", spec.arg, LogicalType.INT))
-            global_.append(AggSpec(part_sum, "sum", prefix + part_sum, LogicalType.FLOAT))
-            global_.append(AggSpec(part_cnt, "sum", prefix + part_cnt, LogicalType.INT))
-            final.append(
-                (spec.name, Call("/", (ColumnRef(part_sum), ColumnRef(part_cnt))))
-            )
-            needs_final = True
-        else:  # pragma: no cover - defensive
-            return None
+        several = len(parts) > 1
+        names = []
+        for part in parts:
+            name = f"__l{part.partial[0]}_{spec.name}" if several else spec.name
+            ltype = LogicalType.INT if part.partial in COUNTS else spec.result_type
+            local.append(AggSpec(prefix + name, part.partial, spec.arg, ltype))
+            global_.append(AggSpec(name, part.merge, prefix + name, ltype))
+            names.append(ColumnRef(name))
+        final.append((spec.name, Call("/", tuple(names)) if several else names[0]))
+        needs_final |= several
     return local, global_, final, needs_final

@@ -24,7 +24,7 @@ from ...errors import OptimizerError
 from ...expr.ast import ColumnRef, columns_used, conjuncts
 from ..exec.exchange import FractionTable, SharedBuild
 from ..exec.grouping import PGroupingSet, PGroupingSets, PSharedInput
-from ..exec.kernels import AggSpec
+from ..exec.kernels import lower_aggregates
 from ..exec.physical import (
     PFilter,
     PHashAggregate,
@@ -361,6 +361,7 @@ def _aggregate_phases(
     options: PlannerOptions,
     merge: tuple[tuple[str, ...], tuple[Join, ...]] | None = None,
     prefix: str = "",
+    builds: dict[tuple, SharedBuild] | None = None,
 ):
     """Plan ``plan`` over the already built fragments of its child.
 
@@ -368,11 +369,12 @@ def _aggregate_phases(
     the partials together already are the answer (``finish`` is None),
     the function building the global phase over their merged output.
     ``merge`` = ``(groupby, joins)``: ``plan`` is in foreign-key space, and
-    its global phase joins ``joins`` before grouping by ``groupby``. The
-    partial columns' names start with ``prefix``.
+    its global phase joins ``joins`` before grouping by ``groupby``, each
+    to its build in ``builds`` (by default their own). The partial
+    columns' names start with ``prefix``.
     """
-    specs, pre_items, needs_pre = _make_specs(plan, bind(plan.child, catalog))
-    if needs_pre:
+    specs, pre_items, _ = lower_aggregates(plan.groupby, plan.aggs, bind(plan.child, catalog))
+    if pre_items is not None:
         frags = Fragments(
             [PProject(node, pre_items) for node in frags.nodes], frags.range_partitioned_on
         )
@@ -423,13 +425,12 @@ def _aggregate_phases(
                 degree=frags.degree,
             )
             local_specs, global_specs, final_items, needs_final = split
+            if joins and builds is None:
+                builds = _dimension_builds(catalog, [(merge_by, joins)])
 
             def finish(merged: PhysNode) -> PhysNode:
                 for join in joins:
-                    # The rule moves only small base tables: one serial scan.
-                    storage = catalog.storage(join.right.table)
-                    needed = set(merge_by) | {r for _, r in join.conditions}
-                    build = SharedBuild(PScan(storage, _scan_columns(storage, needed)))
+                    build = builds[id(join), tuple(merge_by)]
                     merged = PHashJoin(join.kind, list(join.conditions), merged, build)
                 out: PhysNode = PHashAggregate(merged, list(merge_by), global_specs)
                 return PProject(out, final_items) if needs_final else out
@@ -445,6 +446,30 @@ def _aggregate_phases(
     return frags, lambda merged: PHashAggregate(merged, groupby, specs)
 
 
+def _dimension_builds(catalog: StorageCatalog, merges) -> dict[tuple, SharedBuild]:
+    """``(id(join), groupby) → build`` for the joins of the ``(groupby,
+    joins)`` merges: one serial scan per table (the rule moves only small
+    base tables) of the columns any of them reads, narrowed once for the
+    merges that read fewer."""
+    reads: dict[str, dict[tuple[str, ...], list[tuple]]] = {}
+    for merge_by, joins in merges:
+        for join in joins:
+            storage = catalog.storage(join.right.table)
+            columns = _scan_columns(storage, {*merge_by, *(r for _, r in join.conditions)})
+            key = (id(join), tuple(merge_by))
+            reads.setdefault(join.right.table, {}).setdefault(tuple(columns), []).append(key)
+    builds = {}
+    for table, by_columns in reads.items():
+        storage = catalog.storage(table)
+        scan = SharedBuild(PScan(storage, _scan_columns(storage, set().union(*by_columns))))
+        for columns, keys in by_columns.items():
+            build = scan
+            if list(columns) != scan.child.columns:
+                build = SharedBuild(PProject(scan, [(c, ColumnRef(c)) for c in columns]))
+            builds.update(dict.fromkeys(keys, build))
+    return builds
+
+
 def _build_grouping_sets(
     plan: GroupingSets, catalog: StorageCatalog, options: PlannerOptions, hint: float
 ) -> Fragments:
@@ -454,10 +479,11 @@ def _build_grouping_sets(
     ``Aggregate`` would be (in foreign-key space where the rule allows),
     the fragments built once, reading what any set reads, without the
     joins every set moved above its partial. Sets whose partials group
-    alike share one; each keeps its own merge. The scan splits as it
-    would for the costliest set alone; once that is ``max_dop`` ways
-    (any extract large enough to matter) every set sees the fragment
-    bounds — and returns the bits — of its own query.
+    alike share one; each keeps its own merge, and the merges joining one
+    table share one scan of it. The scan splits as it would for the
+    costliest set alone; once that is ``max_dop`` ways (any extract large
+    enough to matter) every set sees the fragment bounds — and returns the
+    bits — of its own query.
     """
     relation, planned = _foreign_key_space(plan.sets, plan.child, catalog, options)
     reads = [s.reads() for s, _ in planned]
@@ -473,6 +499,7 @@ def _build_grouping_sets(
         partition_req=(),
     )
     rows_in = estimate_plan(relation, catalog).rows // shared.degree
+    builds = _dimension_builds(catalog, [(a.groupby, j) for a, (_, j) in zip(plan.sets, planned)])
     partials: list[PhysNode] = []
     grains: dict[tuple, int] = {}
     sets = []
@@ -489,6 +516,7 @@ def _build_grouping_sets(
             options,
             (asked.groupby, joins) if joins else None,
             prefix=f"__{i}_",
+            builds=builds,
         )
         partial = phases.nodes[0]
         groups_per_fragment = isinstance(partial, (PHashAggregate, PStreamAggregate))
@@ -521,28 +549,3 @@ def _shared_partial(mine, theirs):
         columns = set(leaf.columns or ()) | set(theirs.child.columns or ())
         leaf = PSharedInput(sorted(columns) or None, leaf.est_rows)
     return type(mine)(leaf, mine.groupby, mine.specs + theirs.specs)
-
-
-def _make_specs(plan: Aggregate, child_schema) -> tuple[list[AggSpec], list, bool]:
-    """Translate AggExprs into kernel specs plus an argument projection."""
-    pre_items: list[tuple[str, object]] = [(g, ColumnRef(g)) for g in plan.groupby]
-    present = {g for g in plan.groupby}
-    specs: list[AggSpec] = []
-    needs_pre = False
-    for i, (name, agg) in enumerate(plan.aggs):
-        result = agg.result_type(child_schema)
-        if agg.arg is None:
-            specs.append(AggSpec(name, "count_star", None, result))
-            continue
-        if isinstance(agg.arg, ColumnRef):
-            arg_name = agg.arg.name
-            if arg_name not in present:
-                pre_items.append((arg_name, ColumnRef(arg_name)))
-                present.add(arg_name)
-        else:
-            arg_name = f"__arg{i}"
-            pre_items.append((arg_name, agg.arg))
-            present.add(arg_name)
-            needs_pre = True
-        specs.append(AggSpec(name, agg.func, arg_name, result))
-    return specs, pre_items, needs_pre

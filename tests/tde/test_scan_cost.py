@@ -183,3 +183,29 @@ def test_scan_slices_only_planned_columns(monkeypatch):
         np.concatenate([b.column("dep_delay").storage_values() for b in batches]),
         flights.column("dep_delay").storage_values(),
     )
+
+
+def test_a_plan_cache_miss_scans_each_dimension_once(monkeypatch):
+    """A cold Fig-1 render after a plan-cache miss plans one grouping-sets
+    query whose seven merges join ``carriers`` to their partials' results.
+    They share one scan of it (seven when each merge built its own), over
+    the columns any of them reads; a cached plan keeps the built table, so
+    the next render scans it not at all."""
+    engine = generate_flights(5_000, seed=1).load_into_engine()
+    scans = []
+    execute = PScan._execute
+
+    def counting(self, ctx):
+        scans[-1] += self.table.name == "Extract.carriers"
+        return execute(self, ctx)
+
+    monkeypatch.setattr(PScan, "_execute", counting)
+    engine.plan_cache.invalidate()
+    for _ in range(2):
+        scans.append(0)
+        pipeline = QueryPipeline(TdeDataSource(engine), flights_model())
+        try:
+            assert not DashboardSession(fig1_dashboard(), pipeline).render().degraded
+        finally:
+            pipeline.close()
+    assert scans == [1, 0]
