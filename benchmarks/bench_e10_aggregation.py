@@ -15,7 +15,6 @@ partitioning wins again over local/global; with a skewed/low-cardinality
 partition key the planner refuses range partitioning (the caveat).
 """
 
-import pytest
 
 from repro.sim import MachineModel, simulate_plan
 from repro.sim.metrics import Recorder

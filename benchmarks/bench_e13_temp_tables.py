@@ -16,7 +16,6 @@ size and query count for inline, but stay flat for sets; the externalized
 temp-table join also beats a giant IN predicate on the backend.
 """
 
-import pytest
 
 from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import PipelineOptions

@@ -12,13 +12,11 @@ re-extraction. Expected shape: warehouse scan count and storage both drop
 by a factor of N.
 """
 
-import pytest
 
 from repro.connectors import TdeDataSource
 from repro.server import DataServer
 from repro.sim.metrics import Recorder
 from repro.tde import DataEngine
-from repro.workloads import flights_model
 
 from .conftest import make_backend, record
 

@@ -11,7 +11,6 @@ across fact-table sizes. Expected shape: with culling the latency is flat
 the gap widening to orders of magnitude.
 """
 
-import pytest
 
 from repro.sim.metrics import Recorder, time_call
 from repro.tde.tql.plan import Join, TableScan

@@ -10,7 +10,6 @@ aggregation across shared-nothing nodes. Two shapes to verify:
   each node scans 1/N of the fact table).
 """
 
-import pytest
 
 from repro.server import ShardedTdeCluster
 from repro.sim import MachineModel, simulate_plan

@@ -13,14 +13,12 @@ Expected shape: remote count drops 8 → 3 with the graph; wall time drops
 again with concurrency (roughly by the source count, minus overheads).
 """
 
-import datetime as dt
 
-import pytest
 
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.sim.metrics import Recorder
 
-from .conftest import AVG_DELAY, COUNT, SUM_DELAY, make_backend, record, spec
+from .conftest import COUNT, SUM_DELAY, make_backend, record, spec
 
 
 def _paper_batch():

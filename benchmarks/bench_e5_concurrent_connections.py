@@ -19,11 +19,8 @@ backend, early saturation for the parallel backend, hard ceiling ~2× for
 the throttled one.
 """
 
-import pytest
 
-from repro.connectors.pool import ConnectionPool
 from repro.connectors.simdb import ServerProfile
-from repro.core.executor import ConcurrentQueryExecutor
 from repro.core.pipeline import PipelineOptions, QueryPipeline
 from repro.queries import CategoricalFilter
 from repro.sim.metrics import Recorder

@@ -8,7 +8,6 @@ An interaction *trace* then shows the hit-rate the dashboard scenario
 produces.
 """
 
-import pytest
 
 from repro import obs
 from repro.core.pipeline import PipelineOptions, QueryPipeline

@@ -8,7 +8,6 @@ cores up to the fragment count; on one core the parallel plan pays a small
 overhead; expensive per-row expressions raise the chosen degree.
 """
 
-import pytest
 
 from repro.sim import MachineModel, simulate_plan
 from repro.sim.metrics import Recorder

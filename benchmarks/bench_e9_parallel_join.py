@@ -14,11 +14,10 @@ The query filters on the dimension's ``name``. Without the filter,
 joins ``carriers`` above them, and Figure 4 no longer appears.
 """
 
-import pytest
 
 from repro.sim import MachineModel, simulate_plan
 from repro.sim.metrics import Recorder
-from repro.tde.exec import PExchange, PHashJoin, SharedBuild
+from repro.tde.exec import PHashJoin, SharedBuild
 from repro.tde.exec.physical import ExecContext, execute_to_table
 from repro.tde.optimizer.parallel import PlannerOptions
 from tests.conftest import build_flights_engine

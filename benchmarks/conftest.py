@@ -21,7 +21,7 @@ from typing import Any
 import pytest
 
 from repro.connectors import SimDbDataSource
-from repro.connectors.simdb import ServerProfile, SimulatedDatabase
+from repro.connectors.simdb import ServerProfile
 from repro.expr.ast import AggExpr, ColumnRef
 from repro.obs import SCHEMA_VERSION, PerformanceRecording
 from repro.queries import QuerySpec

@@ -16,7 +16,7 @@ remains well-founded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..queries.spec import QuerySpec
 from .cache.intelligent import match_specs

@@ -20,7 +20,7 @@ experiment E17 measures the effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...queries.spec import QuerySpec, TopNFilter
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from ... import obs
 from ...clock import SYSTEM_CLOCK, Clock
+from ...datatypes import LogicalType
 from ...expr.ast import AggExpr, Expr, columns_used, conjoin
 from ...queries.postops import (
     LocalFilter,
@@ -36,6 +37,7 @@ from ...queries.postops import (
     apply_post_ops,
     compile_post_ops,
     derive_measures,
+    rank_locally,
 )
 from ...queries.spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
 from ...tde.exec.kernels import ROLLUP
@@ -54,13 +56,17 @@ class MatchResult:
 # ---------------------------------------------------------------------- #
 # Subsumption proof between two specs
 # ---------------------------------------------------------------------- #
-def match_specs(provider: QuerySpec, request: QuerySpec) -> MatchResult | None:
+def match_specs(
+    provider: QuerySpec, request: QuerySpec, table: Table | None = None
+) -> MatchResult | None:
     """Prove that ``provider``'s result can answer ``request`` locally.
 
     Returns the post-op chain (roll-up, filtering, projection, ordering)
-    or ``None`` when no sound derivation exists.
+    or ``None`` when no sound derivation exists. ``table``, the
+    provider's result, types its measures: without it no Top-N is ranked
+    by a SUM of the provider's.
     """
-    proof = _proof(provider, request)
+    proof = _proof(provider, request, table)
     return proof if isinstance(proof, MatchResult) else None
 
 
@@ -68,11 +74,11 @@ def explain_mismatch(provider: QuerySpec, request: QuerySpec) -> str:
     """Why :func:`match_specs` returned None, as a human-readable reason:
     the first gate the pair failed. Only called on the slow path
     (decision-event emission)."""
-    proof = _proof(provider, request)
+    proof = _proof(provider, request, None)
     return proof if isinstance(proof, str) else "no mismatch found (the pair matches)"
 
 
-def _proof(provider: QuerySpec, request: QuerySpec) -> MatchResult | str:
+def _proof(provider: QuerySpec, request: QuerySpec, table: Table | None) -> MatchResult | str:
     """The derivation, or the reason there is none."""
     if provider.datasource != request.datasource:
         return "cached entry belongs to a different data source"
@@ -81,9 +87,9 @@ def _proof(provider: QuerySpec, request: QuerySpec) -> MatchResult | str:
     # A truncated provider result (LIMIT) cannot answer anything else.
     if provider.limit is not None:
         return "cached result is LIMIT-truncated and cannot answer anything else"
-    # Top-n filters are not relaxable: they must agree exactly.
+    # A ranked provider answers only the Top-N filters it ranked by.
     if _topn_signature(provider) != _topn_signature(request):
-        return "top-n filter signatures differ (top-n is not relaxable)"
+        return _ranked_locally(provider, request, table)
     if not set(request.dimensions) <= set(provider.dimensions):
         missing = sorted(set(request.dimensions) - set(provider.dimensions))
         return f"requested dimensions {missing} are absent from the cached grain"
@@ -118,6 +124,28 @@ def _proof(provider: QuerySpec, request: QuerySpec) -> MatchResult | str:
     elif request.limit is not None:
         post_ops.append(LocalTopN(request.limit, tuple()))
     return MatchResult(tuple(post_ops))
+
+
+def _ranked_locally(provider: QuerySpec, request: QuerySpec, table: Table | None) -> MatchResult | str:
+    """``request``'s lone Top-N filter ranked over ``provider``, which
+    carries none: ``provider`` answers the ranked spec (the request's
+    grain plus the filter's field, under its other filters), and the
+    ranking by an aggregate that re-aggregates exactly (counts, MIN, MAX,
+    an INT SUM) ranks, rolls up and shapes it (:func:`rank_locally`)."""
+    topn = [f for f in request.filters if isinstance(f, TopNFilter)]
+    if len(topn) != 1 or _topn_signature(provider):
+        return "top-n filter signatures differ (top-n is not relaxable)"
+    (tf,) = topn
+    by = next((alias for alias, agg in provider.measures if agg == tf.by), None)
+    exact = tf.by.func in ("count", "min", "max") or (
+        tf.by.func == "sum" and table is not None and table.schema().get(by) is LogicalType.INT
+    )
+    chain = rank_locally(request, tf) if exact else None
+    if chain is None:
+        return "the top-n ranking or a measure does not re-aggregate exactly from the cached grain"
+    ranked, ops = chain
+    proof = _proof(provider, ranked, table)
+    return proof if isinstance(proof, str) else MatchResult((*proof.post_ops, *ops))
 
 
 def _topn_signature(spec: QuerySpec) -> frozenset[str]:
@@ -386,7 +414,7 @@ class IntelligentCache:
             if entry is None:
                 continue
             tried += 1
-            match = match_specs(self._specs[entry_key], spec)
+            match = match_specs(self._specs[entry_key], spec, entry.value)
             if match is None:
                 continue
             if not self.choose_best:
@@ -457,7 +485,7 @@ class IntelligentCache:
                 return True
             return any(
                 entry.datasource == spec.datasource
-                and match_specs(self._specs[k], spec) is not None
+                and match_specs(self._specs[k], spec, entry.value) is not None
                 for k, entry in self._entries.items()
             )
 

@@ -12,7 +12,6 @@ files held a packed one-table database per entry and are refused.
 from __future__ import annotations
 
 import datetime as _dt
-import io
 import json
 import zipfile
 from pathlib import Path

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..errors import WorkloadError
 from ..expr.ast import AggExpr

@@ -29,7 +29,7 @@ import hashlib
 import json
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import (
     ConnectionDiedError,

@@ -17,7 +17,6 @@ from ..datatypes import LogicalType
 from ..errors import BindError, CapabilityError
 from ..expr.ast import AggExpr, Call, ColumnRef, Expr, columns_used, conjoin, infer_type
 from ..sql.generator import generate_sql, _Generator
-from ..tde.exec.kernels import ROLLUP
 from ..tde.optimizer import provenance
 from ..tde.optimizer.cost import topn_pass_costs
 from ..tde.storage.table import Table
@@ -41,10 +40,10 @@ from .postops import (
     LocalProject,
     LocalTopNFilter,
     PostOp,
-    derive_measures,
+    rank_locally,
     shape_ops,
 )
-from .spec import CategoricalFilter, QuerySpec, RangeFilter, TopNFilter
+from .spec import CategoricalFilter, QuerySpec, TopNFilter
 
 
 class ModelCatalog:
@@ -284,15 +283,8 @@ class _Compiler:
         provenance.note("compile.topn_hoist", hoist, why, spec=self.spec)
         if not hoist:
             return None
-        alias = next((alias for alias, agg in measures if agg == tf.by), "__by")
-        sent = (*measures, (alias, tf.by)) if alias == "__by" else measures
-        (part,) = ROLLUP[tf.by.func]  # it re-aggregates exactly: one part
-        by = AggExpr(part.merge, ColumnRef(alias))
-        ops: list[PostOp] = [LocalTopNFilter(tf.field, by, tf.n, tf.ascending)]
-        if grain != dims or len(sent) != len(measures):
-            ops += derive_measures(QuerySpec(self.spec.datasource, grain, sent), self.spec)
-        ops += shape_ops(self.spec.order_by, self.spec.limit)
-        return Aggregate(plan, grain, sent), tuple(ops)
+        ranked, ops = rank_locally(self.spec, tf)
+        return Aggregate(plan, grain, ranked.measures), tuple(ops)
 
     def _reaggregates(self, agg: AggExpr) -> bool:
         """Whether ``agg`` over groups' partial results equals ``agg`` over

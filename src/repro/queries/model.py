@@ -12,7 +12,7 @@ calculated fields Data Server publishes, paper 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..datatypes import LogicalType

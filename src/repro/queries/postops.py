@@ -25,11 +25,12 @@ from ..datatypes import LogicalType
 from ..expr.ast import AggExpr, Call, ColumnRef, Expr, Literal, infer_type
 from ..expr.eval import evaluate_predicate
 from ..tde.exec.kernels import (
-    COUNTS, ROLLUP, aggregate_groups, aggregate_slots, combine_codes, factorize_table, lower_aggregates
+    COUNTS, ROLLUP, aggregate_groups, combine_codes, factorize_table, lower_aggregates
 )
 from ..tde.exec.physical import aggregate_table, bind_projection
 from ..tde.storage.column import Column
 from ..tde.storage.table import Table
+from .spec import QuerySpec
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,30 @@ def derive_measures(provider, request) -> list[PostOp] | None:
     return ops
 
 
+def rank_locally(spec, tf):
+    """``spec``'s lone Top-N filter ``tf`` ranked on the client: ``(the
+    spec it ranks, the ops)``. The ranked spec is ``spec``'s grain plus
+    ``tf``'s field, with ``tf.by`` among its measures and ``spec``'s other
+    filters; the ops rank it (no NULL key; ties by ``by``, then the field
+    ascending), roll it up to ``spec``'s grain and shape it. None when a
+    measure cannot roll up from the ranked grain; ``tf.by`` must
+    re-aggregate exactly (one ``ROLLUP`` part)."""
+    dims, measures = spec.dimensions, spec.measures
+    grain = dims if tf.field in dims else (*dims, tf.field)
+    alias = next((alias for alias, agg in measures if agg == tf.by), "__by")
+    sent = (*measures, (alias, tf.by)) if alias == "__by" else measures
+    others = tuple(f for f in spec.filters if f is not tf)
+    ranked = QuerySpec(spec.datasource, grain, sent, others)
+    (part,) = ROLLUP[tf.by.func]
+    ops = [LocalTopNFilter(tf.field, AggExpr(part.merge, ColumnRef(alias)), tf.n, tf.ascending)]
+    if grain != dims or len(sent) != len(measures):
+        rollup = derive_measures(ranked, spec)
+        if rollup is None:
+            return None
+        ops += rollup
+    return ranked, [*ops, *shape_ops(spec.order_by, spec.limit)]
+
+
 Schema = dict[str, LogicalType]
 Step = Callable[[Table], Table]
 
@@ -279,14 +304,8 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
         n, keys = op.n, list(op.keys)
         return (lambda t: t.sort_by(keys).head(n)), schema
     if isinstance(op, LocalTopNFilter):
-        ranking = compile_post_ops(
-            schema,
-            (
-                LocalAggregate((op.field,), (("__by", op.by),)),
-                LocalTopN(op.n, (("__by", op.ascending), (op.field, True))),
-            ),
-        )
-        return (lambda t: _topn_filter(t, op.field, ranking)), schema
+        ranking = _ranking(op, schema)
+        return (lambda t: t.filter(_topn_mask(t, op.field, ranking))), schema
     if isinstance(op, LocalLod):
         grouped = compile_post_ops(schema, (LocalAggregate(op.dimensions, ((op.name, op.agg),)),))
         result_type = op.agg.result_type(schema)
@@ -298,15 +317,16 @@ def _compile(op: PostOp, schema: Schema) -> tuple[Step, Schema]:
 
 
 def _bind(ops: tuple[PostOp, ...], schema: Schema, table: Table, memo: TableMemo):
-    """``(steps, schema, ops left)``: a leading filter and the roll-up
-    after it, run over ``table`` alone.
+    """``(steps, schema, ops left)``: a leading filter, the roll-up after
+    it and a Top-N filter on its rows, run over ``table`` alone.
 
-    The filter runs once, here: its rows are fixed for this table. The
-    roll-up runs the aggregate kernels over its grain's memoized ids at
-    those rows; groups compact in id order and take their keys at their
-    first kept row, which is the table filtering and then factorizing
-    builds. COUNT DISTINCT and arguments that are expressions keep the
-    generic roll-up."""
+    The filter runs once, here: its rows are fixed for this table. So is
+    the roll-up's ranking: it runs once too, and the rows of the groups
+    it drops leave the kept rows. The roll-up runs the aggregate kernels
+    over its grain's memoized ids at those rows; groups compact in id
+    order and take their keys at their first kept row, which is the
+    table filtering and then factorizing builds. Arguments that are
+    expressions keep the generic roll-up."""
     filtered = bool(ops) and isinstance(ops[0], LocalFilter)
     rows = np.flatnonzero(evaluate_predicate(ops[0].predicate, table)) if filtered else None
     rest = ops[1:] if filtered else ops
@@ -314,27 +334,42 @@ def _bind(ops: tuple[PostOp, ...], schema: Schema, table: Table, memo: TableMemo
     if agg is not None:
         dims = list(agg.dimensions)
         specs, pre_items, out = lower_aggregates(dims, agg.measures, schema)
-    if agg is None or pre_items is not None or any(spec.func == "count_distinct" for spec in specs):
+    if agg is None or pre_items is not None:
         return ([lambda t: t.take(rows)] if filtered else []), schema, rest
-    gids, n_groups, _reps = memo.grouping(table, agg.dimensions)
-    if filtered and not len(rows):
-        return [lambda t: aggregate_table(t.take(rows), dims, specs)], out, rest[1:]
-    if filtered:
-        kept = gids[rows]
-        first = np.empty(n_groups, dtype=np.int64)
-        first[kept[::-1]] = rows[::-1]
-        occupied = np.flatnonzero(np.bincount(kept, minlength=n_groups))
-        keys = {d: table.column(d).take(first[occupied]) for d in dims}
-    else:
-        keys = memo.firsts(table, agg.dimensions)
+    rest = rest[1:]
+    at = 1 if rest and isinstance(rest[0], LocalProject) else 0
+    if len(rest) > at and isinstance(rest[at], LocalTopNFilter):
+        rows = np.arange(table.n_rows) if rows is None else rows
+        if len(rows):
+            gids, n_groups, _reps = memo.grouping(table, agg.dimensions)
+            rolled = apply_post_ops(_rollup(table, memo, dims, specs, rows)(table), rest[:at])
+            ranked = _topn_mask(rolled, rest[at].field, _ranking(rest[at], rolled.schema()))
+            keep = np.zeros(n_groups, np.bool_)
+            keep[np.flatnonzero(np.bincount(gids[rows], minlength=n_groups))[ranked]] = True
+            rows = rows[keep[gids[rows]]]
+        rest = (*rest[:at], *rest[at + 1 :])
+    if rows is not None and not len(rows):
+        return [lambda t: aggregate_table(t.take(rows), dims, specs)], out, rest
+    return [_rollup(table, memo, dims, specs, rows)], out, rest
 
-    def rollup(t: Table) -> Table:
-        if not filtered:
-            return Table._of({**keys, **aggregate_groups(t, gids, n_groups, specs)}, n_groups)
-        measures = aggregate_slots(t, kept, n_groups, specs, rows)[1]
-        return Table._of({**keys, **measures}, len(occupied))
 
-    return [rollup], out, rest[1:]
+def _rollup(table: Table, memo: TableMemo, dims: list[str], specs, rows) -> Step:
+    """The roll-up of ``table``'s ``rows`` (all when None) to ``dims``
+    over its memoized group ids: groups in id order, renumbered densely,
+    with their keys at their first row."""
+    gids, n_groups, _reps = memo.grouping(table, tuple(dims))
+    if rows is None:
+        keys = memo.firsts(table, tuple(dims))
+        return lambda t: Table._of({**keys, **aggregate_groups(t, gids, n_groups, specs)}, n_groups)
+    kept = gids[rows]
+    first = np.empty(n_groups, dtype=np.int64)
+    first[kept[::-1]] = rows[::-1]
+    occupied = np.flatnonzero(np.bincount(kept, minlength=n_groups))
+    keys = {d: table.column(d).take(first[occupied]) for d in dims}
+    dense = np.zeros(n_groups, dtype=np.int64)
+    dense[occupied] = np.arange(len(occupied))
+    kept, n = dense[kept], len(occupied)
+    return lambda t: Table._of({**keys, **aggregate_groups(t, kept, n, specs, rows)}, n)
 
 
 def _attach_lod(table: Table, op: LocalLod, grouped: PostOpPlan, result_type: LogicalType) -> Table:
@@ -356,11 +391,23 @@ def _attach_lod(table: Table, op: LocalLod, grouped: PostOpPlan, result_type: Lo
     return table.with_column(op.name, column)
 
 
-def _topn_filter(table: Table, field: str, ranking: PostOpPlan) -> Table:
-    """Keep the rows whose ``field`` ranks in the top n. A NULL ``field``
-    is neither ranked nor kept, as in the compiled ranking subquery."""
+def _ranking(op: LocalTopNFilter, schema: Schema) -> PostOpPlan:
+    """``op``'s ranking over an input of ``schema``: its top ``n`` values
+    of ``field`` by ``by``, ties to the lower value."""
+    return compile_post_ops(
+        schema,
+        (
+            LocalAggregate((op.field,), (("__by", op.by),)),
+            LocalTopN(op.n, (("__by", op.ascending), (op.field, True))),
+        ),
+    )
+
+
+def _topn_mask(table: Table, field: str, ranking: PostOpPlan) -> np.ndarray:
+    """The rows whose ``field`` ranks in the top n. A NULL ``field`` is
+    neither ranked nor kept, as in the compiled ranking subquery."""
     column = table.column(field)
     present = np.ones(table.n_rows, np.bool_) if column.null_mask is None else ~column.null_mask
     ranked = table if column.null_mask is None else table.filter(present)
     top = apply_post_ops(ranked, ranking).column(field).storage_values()
-    return table.filter(present & np.isin(column.storage_values(), top))
+    return present & np.isin(column.storage_values(), top)

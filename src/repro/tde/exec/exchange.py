@@ -26,6 +26,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...expr.ast import Expr
 from ..storage.table import Table
+from .kernels import BuildIndex
 from .physical import ExecContext, PhysNode, PScan, execute_to_table
 
 
@@ -56,13 +57,16 @@ class SharedBuild(PhysNode):
     table is built from the shared table and then shared for every
     left-hand block to probe", paper 4.2.2) and for common subexpressions.
     The lock makes the build happen once when a cached plan is run by
-    several server threads at the same time.
+    several server threads at the same time; a join's hash index on the
+    table is kept with it, so a cached plan builds neither again.
     """
 
     def __init__(self, child: PhysNode):
         self.child = child
         self._lock = threading.Lock()
         self._table: Table | None = None
+        #: Hash indexes on the built table, by key columns (a join's).
+        self.indexes: dict[tuple[str, ...], BuildIndex] = {}
 
     def children(self) -> tuple[PhysNode, ...]:
         return (self.child,)

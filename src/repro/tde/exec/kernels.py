@@ -278,9 +278,15 @@ def lower_aggregates(groupby, aggs, schema):
 
 
 def aggregate_groups(
-    table: Table, gids: np.ndarray, n_groups: int, specs: list[AggSpec]
+    table: Table,
+    gids: np.ndarray,
+    n_groups: int,
+    specs: list[AggSpec],
+    rows: np.ndarray | None = None,
 ) -> dict[str, Column]:
-    """Compute aggregate output columns for factorized input rows.
+    """Compute aggregate output columns for factorized input rows:
+    ``rows``, when given, are the rows of ``table`` that ``gids`` address,
+    in order; the others are not aggregated.
 
     Each distinct ``(function, argument column, result type)`` is
     computed once, whatever names it goes by (an ``avg``'s partial sum
@@ -290,7 +296,7 @@ def aggregate_groups(
     its NULL positions, and a sum or an extremum reads a NULL slot as the
     value that changes nothing (+0.0, or the extremum's starting value).
     """
-    return _measures(table, gids, n_groups, specs, {"keep": None})
+    return _measures(table, gids, n_groups, specs, {"keep": None, "take": rows})
 
 
 def aggregate_slots(
@@ -298,17 +304,14 @@ def aggregate_slots(
     slots: np.ndarray,
     domain: int,
     specs: list[AggSpec],
-    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, Column]]:
     """:func:`aggregate_groups` over rows addressed by slots of a sparse
     ``domain``: ``(occupied slots ascending, their aggregate columns)``.
     The ``bincount`` kernels sum over the whole domain and every result
-    keeps the occupied slots, so no row is mapped to a dense group id.
-    ``rows``, when given, are the rows of ``table`` that ``slots``
-    address, in order; the others are not aggregated."""
+    keeps the occupied slots, so no row is mapped to a dense group id."""
     counts = np.bincount(slots, minlength=domain)
     occupied = np.flatnonzero(counts)
-    shared = {"keep": occupied, "rows": counts[occupied].astype(np.int64), "take": rows}
+    shared = {"keep": occupied, "rows": counts[occupied].astype(np.int64)}
     return occupied, _measures(table, slots, domain, specs, shared)
 
 

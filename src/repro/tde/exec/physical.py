@@ -437,13 +437,17 @@ class PHashJoin(PhysNode):
     def _execute(self, ctx: ExecContext) -> Iterator[Table]:
         from .exchange import SharedBuild  # cycle: exchange imports this module
 
-        if isinstance(self.build_source, SharedBuild):
-            build_table = self.build_source.get(ctx)
-        else:
-            build_table = execute_to_table(self.build_source, ctx)
         left_keys = [l for l, _ in self.conditions]
         right_keys = [r for _, r in self.conditions]
-        index = build_index(build_table, right_keys)
+        if isinstance(self.build_source, SharedBuild):
+            build_table = self.build_source.get(ctx)
+            indexes = self.build_source.indexes
+            index = indexes.get(tuple(right_keys))
+            if index is None:
+                index = indexes.setdefault(tuple(right_keys), build_index(build_table, right_keys))
+        else:
+            build_table = execute_to_table(self.build_source, ctx)
+            index = build_index(build_table, right_keys)
         right_out = [c for c in build_table.column_names if c not in set(right_keys)]
         for batch in self.probe.execute(ctx):
             yield self._join_batch(batch, build_table, index, left_keys, right_out)

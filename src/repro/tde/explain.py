@@ -41,7 +41,6 @@ from .exec.physical import (
     PSort,
     PStreamAggregate,
     PTopN,
-    PWindow,
     PhysNode,
     execute_to_table,
 )

@@ -8,7 +8,7 @@ relationships used by join culling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...datatypes import LogicalType
 from ...errors import BindError

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..datatypes import LogicalType
 from ..expr.ast import AggExpr, Cast, ColumnRef
 from ..queries.spec import TopNFilter
-from .faa import CARRIERS
 from ..dashboard.model import Dashboard, FilterAction, Zone
 
 _COUNT = AggExpr("count")

@@ -27,7 +27,6 @@ from ..expr.ast import Call, ColumnRef, Literal
 from ..queries.model import DataSourceModel, JoinSpec
 from ..tde.engine import DataEngine
 from ..tde.optimizer.parallel import PlannerOptions
-from ..tde.storage.table import Table
 
 CARRIERS = [
     ("AA", "American Airlines"),

@@ -1,6 +1,5 @@
 """Core-layer fixtures: a shared backend + helpers to evaluate specs."""
 
-import datetime as dt
 
 import pytest
 

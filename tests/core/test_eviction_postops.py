@@ -1,6 +1,5 @@
 """Eviction policy and local post-op unit tests."""
 
-import numpy as np
 import pytest
 
 from repro.clock import VirtualTimeClock

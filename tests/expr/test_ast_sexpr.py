@@ -11,7 +11,6 @@ from repro.errors import BindError, TqlParseError, TypeMismatchError
 from repro.expr import (
     AggExpr,
     Call,
-    CaseWhen,
     Cast,
     ColumnRef,
     Literal,

@@ -8,11 +8,9 @@ from repro.connectors import SimDbDataSource, SimulatedDatabase, TdeDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import QueryPipeline
 from repro.errors import BindError
-from repro.expr.ast import AggExpr, Call, ColumnRef, Literal
+from repro.expr.ast import AggExpr, ColumnRef
 from repro.queries import (
     CategoricalFilter,
-    DataSourceModel,
-    JoinSpec,
     LocalLod,
     LodCalculation,
     QuerySpec,

@@ -6,7 +6,7 @@ from repro.clock import VirtualTimeClock
 from repro.connectors import SimDbDataSource
 from repro.connectors.simdb import ServerProfile
 from repro.errors import ServerError
-from repro.expr.ast import AggExpr, ColumnRef
+from repro.expr.ast import AggExpr
 from repro.queries import CategoricalFilter, QuerySpec
 from repro.server import DataServer
 from repro.server.tempstate import TempTableState

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ServerError
 from repro.server import ShardedTdeCluster
-from repro.tde import DataEngine
 from repro.workloads import generate_flights
 
 DATASET = generate_flights(6000, seed=37)

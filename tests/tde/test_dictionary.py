@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collation import ACCENT_INSENSITIVE, BINARY, CASE_INSENSITIVE
+from repro.collation import ACCENT_INSENSITIVE, CASE_INSENSITIVE
 from repro.errors import StorageError
 from repro.tde.storage.dictionary import Dictionary
 

@@ -19,7 +19,7 @@ from repro.tde.exec import (
 from repro.tde.optimizer import provenance
 from repro.tde.optimizer.parallel import PlannerOptions, decide_dop
 from repro.tde.optimizer.rules import simplify_predicate
-from repro.tde.tql import Aggregate, Join, Select, TableScan, parse_tql, to_tql
+from repro.tde.tql import Aggregate, Join, Select, TableScan, to_tql
 
 
 class TestSimplifyPredicate:

@@ -21,6 +21,7 @@ from repro.tde.exec import kernels, physical
 from repro.tde.exec.physical import ExecContext, PScan
 from repro.tde.exec import grouping
 from repro.tde.storage import Column, DeltaVector, Dictionary, ForVector, PlainVector, RleVector, Table
+from repro.tde.storage.wire import encode_table
 from repro.workloads import fig1_dashboard, flights_model, generate_flights
 
 
@@ -209,3 +210,33 @@ def test_a_plan_cache_miss_scans_each_dimension_once(monkeypatch):
         finally:
             pipeline.close()
     assert scans == [1, 0]
+
+
+def test_a_cached_plan_keeps_its_hash_indexes(monkeypatch):
+    """The merges of a cold Fig-1 render join ``carriers`` and ``markets``
+    through shared builds, and each build keeps its hash index with its
+    table: the planning render builds one index per build and key, a
+    cached plan none (8 a render when each execution rebuilt them), and
+    their answers are byte for byte the same."""
+    engine = generate_flights(5_000, seed=1).load_into_engine()
+    builds = []
+    build_index = kernels.build_index
+
+    def counting(table, keys):
+        builds[-1] += 1
+        return build_index(table, keys)
+
+    monkeypatch.setattr(physical, "build_index", counting)
+    engine.plan_cache.invalidate()
+    answers = []
+    for _ in range(3):
+        builds.append(0)
+        pipeline = QueryPipeline(TdeDataSource(engine), flights_model())
+        try:
+            session = DashboardSession(fig1_dashboard(), pipeline)
+            assert not session.render().degraded
+        finally:
+            pipeline.close()
+        answers.append({zone: encode_table(table) for zone, table in session.zone_tables.items()})
+    assert builds == [3, 0, 0]
+    assert answers[0] == answers[1] == answers[2]

@@ -1,4 +1,4 @@
-"""Work budgets: the Python call events six user-facing surfaces make.
+"""Work budgets: the Python call events seven user-facing surfaces make.
 
 On a shared host, wall-clock pairs often cannot decide a change of a few
 percent. Call events repeat exactly, and on a local op they *are* the
@@ -35,18 +35,21 @@ from repro.workloads import fig1_dashboard, fig2_dashboard, flights_model, gener
 COUNTED_ON = ("3.11", "2.4")
 
 #: Surface -> package -> call events, at the commit that set the ceiling:
-#: ``warm_render``, ``origin_selection`` and ``market_selection`` after
-#: cached derivations were compiled (1 583, 1 637 and 517 before), the
-#: other three once every merge read one roll-up rule (``replan_render``
-#: counted 19 039 before the merges of a grouping-sets query shared their
-#: dimension scans; ``cold_render`` 15 837, ``simdb_remote_op`` 5 121).
+#: ``warm_render`` after cached derivations were compiled (1 583 before),
+#: ``simdb_remote_op`` once every merge read one roll-up rule (5 121
+#: before), the other five once a Top-N derived from a provider ranked
+#: under no Top-N, a bound roll-up aggregated dense group ids and a
+#: shared build kept its hash index (``simdb_market_selection`` counted
+#: 7 385 while the selection went remote; ``market_selection`` 294 on the
+#: entry an earlier remote selection left, ``origin_selection`` 660,
+#: ``cold_render`` 15 786, ``replan_render`` 18 761).
 CEILINGS = {
     "cold_render": {
-        "repro.tde.storage": 5891, "repro.expr": 2079, "repro.tde.exec": 1593, "numpy": 1527,
-        "repro.core": 1148, "repro.queries": 960, "other": 957, "repro.tde.tql": 668,
+        "repro.tde.storage": 5859, "repro.expr": 2079, "repro.tde.exec": 1513, "numpy": 1279,
+        "repro.core": 1148, "other": 957, "repro.queries": 944, "repro.tde.tql": 668,
         "repro.obs": 303, "repro.datatypes": 277, "repro.dashboard": 117, "repro.connectors": 80,
-        "repro.tde.engine": 70, "repro.tde.plancache": 70, "repro.collation": 44, "repro.faults": 1,
-        "repro.tde.optimizer": 1,
+        "repro.tde.engine": 70, "repro.tde.plancache": 70, "repro.collation": 44,
+        "repro.faults": 1, "repro.tde.optimizer": 1,
     },
     "warm_render": {
         "repro.tde.storage": 193, "repro.dashboard": 117, "repro.obs": 98, "repro.tde.exec": 90,
@@ -54,9 +57,9 @@ CEILINGS = {
         "repro.expr": 10,
     },
     "origin_selection": {
-        "repro.tde.storage": 118, "repro.dashboard": 117, "repro.queries": 113, "numpy": 84,
-        "repro.obs": 71, "repro.tde.exec": 51, "other": 36, "repro.core": 28,
-        "repro.datatypes": 22, "repro.expr": 20,
+        "repro.tde.storage": 118, "repro.dashboard": 117, "repro.queries": 113, "repro.obs": 71,
+        "repro.tde.exec": 56, "numpy": 49, "other": 36, "repro.core": 28, "repro.datatypes": 22,
+        "repro.expr": 20,
     },
     "market_selection": {
         "repro.tde.storage": 73, "repro.dashboard": 59, "repro.queries": 48, "repro.obs": 44,
@@ -70,11 +73,16 @@ CEILINGS = {
         "repro.tde.engine": 16, "repro.datatypes": 3, "repro.faults": 1,
     },
     "replan_render": {
-        "repro.tde.storage": 6382, "repro.expr": 2856, "repro.tde.exec": 1794, "numpy": 1538,
+        "repro.tde.storage": 6362, "repro.expr": 2856, "repro.tde.exec": 1744, "numpy": 1383,
         "repro.core": 1148, "other": 1057, "repro.tde.optimizer": 1046, "repro.tde.tql": 985,
-        "repro.queries": 960, "repro.obs": 307, "repro.datatypes": 303, "repro.dashboard": 117,
+        "repro.queries": 944, "repro.obs": 307, "repro.datatypes": 303, "repro.dashboard": 117,
         "repro.connectors": 80, "repro.tde.plancache": 73, "repro.tde.engine": 70,
         "repro.collation": 44, "repro.faults": 1,
+    },
+    "simdb_market_selection": {
+        "repro.expr": 308, "repro.tde.storage": 209, "repro.queries": 168, "numpy": 81,
+        "repro.core": 79, "repro.tde.exec": 67, "repro.dashboard": 59, "repro.obs": 46,
+        "repro.datatypes": 31, "other": 30,
     },
 }
 
@@ -89,9 +97,9 @@ def _surfaces():
     remote = QueryPipeline(SimDbDataSource(db), model)
     carriers = QuerySpec("faa", ("carrier_name",), (("flights", AggExpr("count")),))
 
-    def selection(dashboard, zone, marks=None):
+    def selection(dashboard, zone, marks=None, pipeline=warm):
         """Select ``marks`` (else the zone's top mark) on a rendered session."""
-        session = DashboardSession(dashboard, warm)
+        session = DashboardSession(dashboard, pipeline)
         session.render()
         if marks is None:
             marks = session.zone_tables[zone].column(zone).python_values()[:1]
@@ -108,6 +116,10 @@ def _surfaces():
         engine.plan_cache.invalidate()
         return lambda: cold(fig1)
 
+    def remote_selection():
+        remote.invalidate()
+        return selection(fig2, "market", pipeline=remote)
+
     return {
         # A first user's load: a fresh pipeline, the engine's plan cache warm.
         "cold_render": lambda: lambda: cold(fig1),
@@ -118,6 +130,8 @@ def _surfaces():
         "simdb_remote_op": remote_op,
         # The first load after a plan-cache miss (a refresh): the planner runs.
         "replan_render": replan,
+        # A Fig-2 market selection right after a first load over simdb.
+        "simdb_market_selection": remote_selection,
     }
 
 
