@@ -9,15 +9,17 @@ the nodes without incoming edges. The second set contains queries that
 are cache hits that can be processed locally."
 
 Edges are decided by the same matching logic the intelligent cache uses
-(:func:`match_specs`). Mutually derivable (equivalent) specs would form
-2-cycles; the earlier node is treated as the provider, so the partition
-remains well-founded.
+(:func:`match_specs`), and each keeps its proof: the post-ops that derive
+the consumer from the provider's result. Mutually derivable (equivalent)
+specs would form 2-cycles; the earlier node is treated as the provider,
+so the partition remains well-founded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..queries.postops import PostOp
 from ..queries.spec import QuerySpec
 from .cache.intelligent import match_specs
 
@@ -27,7 +29,7 @@ class BatchGraph:
     """The analyzed batch: nodes, derivability edges, and the partition."""
 
     specs: list[QuerySpec]
-    edges: list[tuple[int, int]]  # (provider, consumer)
+    edges: dict[tuple[int, int], tuple[PostOp, ...]]  # (provider, consumer) -> proof
     remote: list[int]
     local: list[int]
     provider_of: dict[int, int]  # consumer -> chosen provider
@@ -42,17 +44,14 @@ class BatchGraph:
 def build_batch_graph(specs: list[QuerySpec]) -> BatchGraph:
     """Build G and partition it into remote sources and local hits."""
     n = len(specs)
-    edges: list[tuple[int, int]] = []
+    proofs = {(i, j): match_specs(specs[i], specs[j]) for i in range(n) for j in range(n) if i != j}
+    edges: dict[tuple[int, int], tuple[PostOp, ...]] = {}
     incoming: dict[int, list[int]] = {j: [] for j in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if match_specs(specs[i], specs[j]) is not None:
-                forward_only = not (j < i and match_specs(specs[j], specs[i]) is not None)
-                if forward_only:
-                    edges.append((i, j))
-                    incoming[j].append(i)
+    for (i, j), match in proofs.items():
+        # Of two equivalent specs, only the earlier one provides.
+        if match is not None and not (j < i and proofs[j, i] is not None):
+            edges[i, j] = match.post_ops
+            incoming[j].append(i)
     remote = [j for j in range(n) if not incoming[j]]
     local = [j for j in range(n) if incoming[j]]
     provider_of: dict[int, int] = {}

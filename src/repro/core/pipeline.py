@@ -13,8 +13,10 @@ For each batch of query specs:
 4. **Concurrent execution** — the queries run concurrently over pooled
    connections, consulting the literal cache, creating temporary tables
    for externalized filters (3.5, 3.1).
-5. **Reuse** — results are (optionally enriched and) inserted into the
-   intelligent cache; local nodes are then answered from it.
+5. **Reuse** — each fetched (optionally enriched) result is inserted
+   into the intelligent cache, and its spec is answered from that fetch
+   by the post-ops its plan proved; a local node is then a cache hit, or
+   else its provider's answer through the batch graph's proof.
 
 Steps 2–3 are one planning step whose :class:`BatchPlan` ``run_batch``
 executes and ``explain_batch`` narrates.
@@ -106,10 +108,11 @@ class BatchResult:
     tables: dict[str, Table]  # spec canonical -> result
     remote_queries: int = 0
     cache_hits: int = 0
-    #: Intelligent-cache answers during result distribution (phases 4–5):
-    #: a remote spec or local node served by a cache *derivation*, not by
-    #: its own remote fetch. Kept separate from ``cache_hits`` (phase-0
-    #: probe hits) so hit-rate metrics stay truthful.
+    #: Derivations during result distribution (phases 4–5): a remote
+    #: spec derived from its enriched (wider) fetch, which the intelligent
+    #: cache now holds, or a local node served by a cache *derivation*.
+    #: Kept separate from ``cache_hits`` (phase-0 probe hits) so hit-rate
+    #: metrics stay truthful.
     derived_hits: int = 0
     batch_local: int = 0
     fused_away: int = 0
@@ -162,11 +165,9 @@ class Derivation:
     #: Whose result answers it: the spec sent for it (itself, or its
     #: enrichment) or another spec of the batch (a batch-local node).
     provider: QuerySpec
-
-    def post_ops(self) -> tuple[PostOp, ...]:
-        """The operators that turn the provider's result into the answer;
-        a sent spec and a graph edge are both proven matches."""
-        return match_specs(self.provider, self.spec).post_ops
+    #: The operators that turn the provider's result into the answer,
+    #: proved once by the plan: what the run applies and EXPLAIN prints.
+    ops: tuple[PostOp, ...]
 
 
 @dataclass
@@ -457,7 +458,7 @@ class QueryPipeline:
                 graph = build_batch_graph(pending)
                 remote_specs = [pending[i] for i in graph.remote]
                 local = [
-                    Derivation(pending[j], pending[j].canonical(), pending[i])
+                    Derivation(pending[j], pending[j].canonical(), pending[i], graph.edges[i, j])
                     for j, i in graph.provider_of.items()
                 ]
             span.set(remote=len(remote_specs), local=len(local))
@@ -465,19 +466,20 @@ class QueryPipeline:
         with obs.span("pipeline.compile", queries=len(remote_specs)) if traced else _MUTE:
             sends: list[Send] = []
             for spec in remote_specs:
-                sent = spec
+                sent, ops = spec, ()
                 if self.options.enrich_for_reuse:
                     enriched = enrich_spec(spec, reuse_fields=reuse_fields)
+                    match = match_specs(enriched, spec)
                     # Unless no derivation is provable (two filters on one field).
-                    if match_specs(enriched, spec) is not None:
-                        sent = enriched
+                    if match is not None:
+                        sent, ops = enriched, match.post_ops
                 compiled = compile_spec(
                     sent,
                     self.model,
                     self.source,
                     externalize_threshold=self.options.externalize_threshold,
                 )
-                sends.append(Send(spec, spec.canonical(), sent, compiled))
+                sends.append(Send(spec, spec.canonical(), sent, ops, compiled))
         # Phase 3: merge the compiled queries over one relation (3.4).
         with (obs.span("pipeline.fusion", queries=len(sends)) if traced else _MUTE) as span:
             if self.options.enable_fusion and len(sends) > 1:
@@ -520,40 +522,50 @@ class QueryPipeline:
                 # the executor's clock, which is this book's clock.
                 book.charge(key, "queue", outcome.checkout_wait_s)
                 book.charge(key, "execute", max(outcome.elapsed_s - outcome.checkout_wait_s, 0.0))
-                # Looking the spec up *is* deriving it from the result just cached.
-                answer, from_cache = self._answer_locally(send, table, book, "post_ops")
+                # The spec's answer is its own fetch through its plan's proof.
+                t_derive = book.now()
+                answer = apply_post_ops(table, send.ops)
+                book.charge_since(t_derive, "post_ops", key)
                 self._record_good(key, answer)
                 result.tables[key] = answer
                 book.finish(key, "fresh" if send.merged is None else "fused")
-                if from_cache and key != send.provider.canonical():
-                    # Derived from the cached (wider) result, not a
-                    # re-read of the spec's own remote fetch.
+                if send.ops and self.options.enable_intelligent_cache:
+                    # Derived from the (wider) result just cached.
                     result.derived_hits += 1
-        # Phase 5: answer the local (derivable) nodes.
+        # Phase 5: answer the local (derivable) nodes: a cache hit, else
+        # the provider's answer through the batch graph's proof.
         with obs.span("pipeline.local_answers", nodes=len(plan.local)):
             for node in plan.local:
                 key = node.key
                 if key in result.tables or key in result.errors:
                     continue
                 provider_key = node.provider.canonical()
-                provider_table = result.tables.get(provider_key)
-                answer, from_cache = self._answer_locally(node, provider_table, book, "cache_probe")
-                if answer is None:
-                    # The provider's fetch failed; this node inherits
-                    # the failure and degrades on its own merits.
-                    upstream = result.errors.get(provider_key, "provider query failed upstream")
-                    self._degrade(key, SourceUnavailableError(upstream), result, book)
-                    continue
+                answer = None
+                if self.options.enable_intelligent_cache:
+                    t_probe = book.now()
+                    answer = self.intelligent_cache.lookup(node.spec)
+                    book.charge_since(t_probe, "cache_probe", key)
+                hit = answer is not None
+                if not hit:
+                    if provider_key not in result.tables:
+                        # The provider's fetch failed; this node inherits
+                        # the failure and degrades on its own merits.
+                        upstream = result.errors.get(provider_key, "provider query failed upstream")
+                        self._degrade(key, SourceUnavailableError(upstream), result, book)
+                        continue
+                    t_derive = book.now()
+                    answer = apply_post_ops(result.tables[provider_key], node.ops)
+                    book.charge_since(t_derive, "post_ops", key)
                 # Derived from a stale answer: stale itself.
-                stale = not from_cache and provider_key in result.stale_keys
+                stale = not hit and provider_key in result.stale_keys
                 if stale:
                     result.stale_keys.add(key)
                 else:
                     self._record_good(key, answer)
                 result.tables[key] = answer
                 result.batch_local += 1
-                result.derived_hits += 1 if from_cache else 0
-                book.finish(key, "stale" if stale else "derived" if from_cache else "batch_local")
+                result.derived_hits += hit
+                book.finish(key, "stale" if stale else "derived" if hit else "batch_local")
 
     def _fetch(
         self, plan: BatchPlan, wire: list[CompiledQuery], result: BatchResult
@@ -608,29 +620,6 @@ class QueryPipeline:
             rows = Table({name: rows.column(column) for name, column in split.columns})
             outcomes.append(replace(outcome, table=apply_post_ops(rows, split.ops)))
         return outcomes
-
-    def _answer_locally(
-        self,
-        wanted: Derivation,
-        table: Table | None,
-        book: LedgerBook | NullLedgerBook,
-        probe_phase: str,
-    ) -> tuple[Table | None, bool]:
-        """``(answer, from_cache)``: from the intelligent cache (the
-        lookup is charged to ``probe_phase``), else derived from the
-        provider's ``table`` — None when the provider's fetch failed."""
-        if self.options.enable_intelligent_cache:
-            t_probe = book.now()
-            answer = self.intelligent_cache.lookup(wanted.spec)
-            book.charge_since(t_probe, probe_phase, wanted.key)
-            if answer is not None:
-                return answer, True
-        if table is None:
-            return None, False
-        t_derive = book.now()
-        answer = apply_post_ops(table, wanted.post_ops())
-        book.charge_since(t_derive, "post_ops", wanted.key)
-        return answer, False
 
     # ------------------------------------------------------------------ #
     def _record_good(self, key: str, table: Table) -> None:
@@ -747,7 +736,7 @@ class QueryPipeline:
             report = reports[send.key]
             report.update(
                 decision="sent remote",
-                post_ops=[type(op).__name__ for op in send.post_ops()],
+                post_ops=[type(op).__name__ for op in send.ops],
                 **described[id(send.merged or send.compiled)],
             )
             notes = [n for n in collected.notes if n.attributes.get("spec") is send.compiled.spec]

@@ -171,7 +171,7 @@ def _k_in(args, n):
     values = setv[0] if len(setv) else ()
     if xv.dtype == object:
         members = set(values)
-        out = np.fromiter((v in members for v in xv), dtype=np.bool_, count=n)
+        out = np.fromiter(map(members.__contains__, xv), dtype=np.bool_, count=n)
     else:
         out = np.isin(xv, np.asarray(list(values))) if len(values) else np.zeros(n, np.bool_)
     return out, (xm.copy() if xm is not None else None)

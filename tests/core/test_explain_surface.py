@@ -5,9 +5,12 @@ import pytest
 import repro.core.cache.intelligent as intelligent
 import repro.core.pipeline as pipeline_module
 from repro import obs
-from repro.connectors import TdeDataSource
+from repro.connectors import SimDbDataSource, TdeDataSource
+from repro.connectors.simdb import ServerProfile
 from repro.core.pipeline import PipelineOptions, QueryPipeline
+from repro.dashboard import DashboardSession
 from repro.queries import CategoricalFilter, QuerySpec
+from repro.workloads import fig1_dashboard, fig2_dashboard, flights_model, generate_flights
 from tests.difftest.gen import gen_specs
 
 from .conftest import AVG_DELAY, COUNT, ENGINE, SUM_DELAY, make_model, make_source
@@ -144,6 +147,67 @@ class TestExplainEqualsRun:
             assert [report["text"]] == sent, spec.canonical()
             assert report["post_ops"] == applied, spec.canonical()
             applied.clear()
+
+    @pytest.mark.parametrize("dashboard", [fig1_dashboard, fig2_dashboard])
+    def test_a_first_load_batch_over_simdb_matches_the_run(self, monkeypatch, dashboard):
+        """A dashboard's first-load batch, with its reuse fields: each
+        sent spec's answer is derived by exactly the operators EXPLAIN
+        reports for it — also Fig-2's Top-N zone, which another entry
+        of the batch could rank locally too."""
+        db = generate_flights(2_000, seed=3).load_into_simdb(ServerProfile(time_scale=0))
+        source, model = SimDbDataSource(db), flights_model()
+        batches: list[tuple[list, frozenset]] = []
+        probe = QueryPipeline(source, model)
+        real_run_batch = probe.run_batch
+
+        def capture(specs, reuse_fields=frozenset()):
+            batches.append((list(specs), reuse_fields))
+            return real_run_batch(specs, reuse_fields=reuse_fields)
+
+        probe.run_batch = capture
+        DashboardSession(dashboard(), probe).render()
+        probe.close()
+        specs, reuse = batches[0]
+        assert reuse, "a first load hints the fields its actions filter on"
+
+        # Attribute each applied op chain to the key answered next; what
+        # ``_fetch`` applied (splitting merged rows) belongs to no key.
+        pending: list[list[str]] = []
+        applied: dict[str, list[str]] = {}
+        real_apply = pipeline_module.apply_post_ops
+
+        def recording_apply(table, ops):
+            pending.append([type(op).__name__ for op in ops])
+            return real_apply(table, ops)
+
+        monkeypatch.setattr(pipeline_module, "apply_post_ops", recording_apply)
+        monkeypatch.setattr(intelligent, "apply_post_ops", recording_apply)
+        pipeline = QueryPipeline(source, model)
+        real_fetch, real_record = pipeline._fetch, pipeline._record_good
+
+        def fetch(*args):
+            outcomes = real_fetch(*args)
+            pending.clear()
+            return outcomes
+
+        def record(key, table):
+            applied[key] = sum(pending, [])
+            pending.clear()
+            real_record(key, table)
+
+        pipeline._fetch, pipeline._record_good = fetch, record
+        try:
+            reports = pipeline.explain_batch(specs, reuse_fields=reuse)
+            assert pending == [] and applied == {}  # a dry run
+            assert pipeline.run_batch(specs, reuse_fields=reuse).ok
+        finally:
+            pipeline.close()
+        sent = [r for r in reports if r["decision"].startswith("sent remote")]
+        assert sent
+        if dashboard is fig2_dashboard:  # its Top-N zone is sent
+            assert any("(topn " in r["spec"] for r in sent)
+        for report in sent:
+            assert report["post_ops"] == applied[report["spec"]], report["spec"]
 
     @pytest.mark.parametrize("enrich", [True, False])
     def test_a_merged_tde_batch_matches_the_run(self, monkeypatch, enrich):

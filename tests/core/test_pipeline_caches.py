@@ -188,6 +188,42 @@ def test_a_batch_never_runs_more_threads_than_connections(monkeypatch):
     assert pools and all(workers == 3 for workers in pools), pools
 
 
+def test_a_send_answers_from_its_own_fetch_without_a_lookup(monkeypatch):
+    """Counted over a cold Fig-1 render on the TDE: the intelligent cache
+    is looked up once per distinct spec (the probe) and once per
+    batch-local node, and never for a send, whose answer is its fetch
+    through its plan's proof (16 lookups while each send read its own
+    put back, 9 now)."""
+    looked_up: list[str] = []
+    real_lookup = IntelligentCache.lookup
+
+    def counting_lookup(self, spec):
+        looked_up.append(spec.canonical())
+        return real_lookup(self, spec)
+
+    monkeypatch.setattr(IntelligentCache, "lookup", counting_lookup)
+    source = TdeDataSource(generate_flights(2_000, seed=1).load_into_engine())
+    pipeline = QueryPipeline(source, flights_model())
+    plans = []
+    real_plan = pipeline._plan
+
+    def recording_plan(*args, **kwargs):
+        plans.append(real_plan(*args, **kwargs))
+        return plans[-1]
+
+    pipeline._plan = recording_plan
+    try:
+        render = DashboardSession(fig1_dashboard(), pipeline).render()
+    finally:
+        pipeline.close()
+    distinct = [key for batch in render.batches for key in batch.tables]
+    local = [node.key for plan in plans for node in plan.local]
+    sends = [send.key for plan in plans for send in plan.sends]
+    assert sends and local and render.cache_hits == 0
+    assert len(looked_up) == len(distinct) + len(local) == 9
+    assert [key for key in looked_up if key in sends] == sends  # each once, by the probe
+
+
 def _one_node_tier() -> ReplicatedStore:
     return ReplicatedStore(("cache0",), replication=1, latency_s=0.0)
 

@@ -433,12 +433,14 @@ def _check_derivations(cache_type, specs, entries):
     """Each cached provider alone in a cache, before and after a refresh:
     every difftest spec it can answer and a selection on each of its
     dimensions, derived twice (proof, then memo), must be byte for byte
-    what the generic post-ops build from it."""
+    what the generic post-ops build from it. The proof is given the
+    provider's table, as the cache's is, so a Top-N ranked by an INT SUM
+    of the provider's is among the requests."""
     pairs = 0
     for provider, table in entries:
         requests = []
         for request in specs + _selections(provider, table):
-            match = match_specs(provider, request)
+            match = match_specs(provider, request, table)
             if match is not None and match.post_ops:
                 requests.append((request, match.post_ops))
         cache = cache_type()

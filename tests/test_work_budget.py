@@ -36,18 +36,19 @@ COUNTED_ON = ("3.11", "2.4")
 
 #: Surface -> package -> call events, at the commit that set the ceiling:
 #: ``warm_render`` after cached derivations were compiled (1 583 before),
-#: ``simdb_remote_op`` once every merge read one roll-up rule (5 121
-#: before), the other five once a Top-N derived from a provider ranked
-#: under no Top-N, a bound roll-up aggregated dense group ids and a
-#: shared build kept its hash index (``simdb_market_selection`` counted
-#: 7 385 while the selection went remote; ``market_selection`` 294 on the
-#: entry an earlier remote selection left, ``origin_selection`` 660,
-#: ``cold_render`` 15 786, ``replan_render`` 18 761).
+#: ``market_selection`` and ``origin_selection`` once a Top-N derived
+#: from a provider ranked under no Top-N and a bound roll-up aggregated
+#: dense group ids (294 on the entry an earlier remote selection left,
+#: and 660), the other four once a send answered from its own fetch by
+#: its plan's proof, with no read-back lookup, and string ``IN`` tested
+#: membership without a generator frame per row (``cold_render``
+#: 15 410, ``replan_render`` 18 520, ``simdb_market_selection`` 1 078
+#: and 7 385 while the selection went remote, ``simdb_remote_op`` 5 120).
 CEILINGS = {
     "cold_render": {
-        "repro.tde.storage": 5859, "repro.expr": 2079, "repro.tde.exec": 1513, "numpy": 1279,
-        "repro.core": 1148, "other": 957, "repro.queries": 944, "repro.tde.tql": 668,
-        "repro.obs": 303, "repro.datatypes": 277, "repro.dashboard": 117, "repro.connectors": 80,
+        "repro.tde.storage": 5939, "repro.expr": 1880, "repro.tde.exec": 1520, "numpy": 1279,
+        "other": 953, "repro.core": 912, "repro.queries": 754, "repro.tde.tql": 668,
+        "repro.datatypes": 271, "repro.obs": 268, "repro.dashboard": 117, "repro.connectors": 80,
         "repro.tde.engine": 70, "repro.tde.plancache": 70, "repro.collation": 44,
         "repro.faults": 1, "repro.tde.optimizer": 1,
     },
@@ -67,22 +68,22 @@ CEILINGS = {
         "repro.expr": 5,
     },
     "simdb_remote_op": {
-        "repro.sql": 2956, "repro.tde.storage": 473, "repro.expr": 457, "repro.tde.tql": 368,
-        "repro.tde.optimizer": 357, "repro.obs": 112, "numpy": 81, "repro.tde.exec": 79,
-        "repro.core": 63, "repro.queries": 61, "repro.connectors": 56, "other": 37,
+        "repro.sql": 2956, "repro.tde.storage": 475, "repro.expr": 457, "repro.tde.tql": 368,
+        "repro.tde.optimizer": 357, "repro.obs": 107, "numpy": 81, "repro.tde.exec": 79,
+        "repro.queries": 63, "repro.core": 59, "repro.connectors": 56, "other": 37,
         "repro.tde.engine": 16, "repro.datatypes": 3, "repro.faults": 1,
     },
     "replan_render": {
-        "repro.tde.storage": 6362, "repro.expr": 2856, "repro.tde.exec": 1744, "numpy": 1383,
-        "repro.core": 1148, "other": 1057, "repro.tde.optimizer": 1046, "repro.tde.tql": 985,
-        "repro.queries": 944, "repro.obs": 307, "repro.datatypes": 303, "repro.dashboard": 117,
+        "repro.tde.storage": 6442, "repro.expr": 2657, "repro.tde.exec": 1751, "numpy": 1383,
+        "other": 1053, "repro.tde.optimizer": 1046, "repro.tde.tql": 985, "repro.core": 912,
+        "repro.queries": 754, "repro.datatypes": 297, "repro.obs": 272, "repro.dashboard": 117,
         "repro.connectors": 80, "repro.tde.plancache": 73, "repro.tde.engine": 70,
         "repro.collation": 44, "repro.faults": 1,
     },
     "simdb_market_selection": {
-        "repro.expr": 308, "repro.tde.storage": 209, "repro.queries": 168, "numpy": 81,
-        "repro.core": 79, "repro.tde.exec": 67, "repro.dashboard": 59, "repro.obs": 46,
-        "repro.datatypes": 31, "other": 30,
+        "repro.tde.storage": 217, "repro.queries": 168, "repro.expr": 128, "numpy": 95,
+        "repro.tde.exec": 83, "repro.core": 79, "repro.dashboard": 59, "repro.obs": 46,
+        "other": 32, "repro.datatypes": 31,
     },
 }
 
